@@ -5,7 +5,21 @@ a local Lax-Friedrichs (Rusanov) flux.  Every characteristic speed of
 the system is nonnegative on the state quadrant, so the Godunov flux
 reduces to pure upwinding; the batch kernel used inside :func:`step`
 exploits that, and its equivalence with the sampled exact solution is
-asserted in the test suite.  Delta shocks are run with the diffusive
+asserted in the test suite.
+
+:func:`run` and :func:`step` share one step kernel that updates the
+field in place over its active window only: the cells from one left of
+the first cell whose bits differ from its left neighbour's to the last
+such cell.  Skipping the rest is exact, not approximate.  Two
+neighbouring cells with equal bits have equal-bit fluxes, so under
+upwinding their flux difference is exactly 0 and ``h - lam*0 == h``;
+under LLF ``0.5*(f+f) - 0.5*a*0 == f`` as well.  The window grows by at
+most one cell per side per step and its edges are found again by a few
+scalar tests, so a run pays for the cells its waves (and the scheme's
+numerical diffusion, down to rounding) have reached, and its output is
+bit-identical to a full-array update.
+
+Delta shocks are run with the diffusive
 flux on fine meshes and measured through the windowed-mass diagnostic.
 The LLF b peak of a captured delta shock converges onto the singular
 ray only at an order of about 0.4 in dx (diffusion mixes states whose
@@ -23,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Params, State, flux
+from .errors import SchemeFailureError
 from .riemann import RiemannData, sample, solve
 
 __all__ = [
@@ -103,6 +118,8 @@ def _phi_arr(h: np.ndarray, b: np.ndarray, p: Params) -> np.ndarray:
 
 
 def _lambda2_arr(h: np.ndarray, b: np.ndarray, p: Params) -> np.ndarray:
+    # Equal to 3*phi in exact arithmetic, but not in bits (they differ in
+    # about half of random draws), and dt and the LLF speeds use this form.
     return 3.0 * p.alpha * h * b + p.kappa * h * h
 
 
@@ -134,63 +151,132 @@ def llf_flux(uL: State, uR: State, p: Params) -> np.ndarray:
     )
 
 
-def _interface_fluxes(
-    h: np.ndarray, b: np.ndarray, p: Params, scheme: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fluxes at the n+1 interfaces of padded cell arrays (length n+2)."""
-    if scheme == "godunov":
-        # upwind: all characteristic speeds are >= 0 on the quadrant
-        return _flux_arr(h[:-1], b[:-1], p)
-    f1, f2 = _flux_arr(h, b, p)
-    lam = _lambda2_arr(h, b, p)
-    a = np.maximum(lam[:-1], lam[1:])
-    return (
-        0.5 * (f1[:-1] + f1[1:]) - 0.5 * a * (h[1:] - h[:-1]),
-        0.5 * (f2[:-1] + f2[1:]) - 0.5 * a * (b[1:] - b[:-1]),
+def _edge(hv: np.ndarray, bv: np.ndarray, i: int, stop: int, direction: int) -> int | None:
+    """Nearest pair to ``i``, walking by ``direction`` up to ``stop``, whose cells differ.
+
+    ``hv`` and ``bv`` are the int64 views of the padded field, so pair k
+    compares cell k - 1 with cell k bit for bit.  A few scalar tests find
+    the edge of a window that moved by a cell; a longer constant run is
+    searched as an array.
+    """
+    for _ in range(8):
+        if (stop - i) * direction < 0:
+            return None
+        if hv[i] != hv[i + 1] or bv[i] != bv[i + 1]:
+            return i
+        i += direction
+    lo, hi = (i, stop) if direction > 0 else (stop, i)
+    if hi < lo:
+        return None
+    d = np.flatnonzero(
+        (hv[lo : hi + 1] != hv[lo + 1 : hi + 2]) | (bv[lo : hi + 1] != bv[lo + 1 : hi + 2])
     )
+    if d.size == 0:
+        return None
+    return lo + int(d[0] if direction > 0 else d[-1])
 
 
-def max_wave_speed(f: FVField, p: Params) -> float:
-    with np.errstate(over="ignore"):
-        return float(np.max(_lambda2_arr(f.h, f.b, p)))
+class _Kernel:
+    """A field advanced in place over its active window, one step per call.
 
+    ``H`` and ``B`` hold the cells with one outflow ghost at each end, so
+    cell i sits at index i + 1; ``field`` views the interior.  ``win`` is
+    the inclusive cell range [lo - 1, hi] the next step updates, where lo
+    and hi are the first and last cells i >= 1 that differ in bits from
+    cell i - 1, or [0, 0] on a constant field.  The window holds a cell of
+    every distinct state, so the maximum wave speed over it is the
+    maximum over the field.
+    """
 
-def _advance(
-    f: FVField, cfg: SchemeConfig, p: Params
-) -> tuple[FVField, np.ndarray | None, np.ndarray | None]:
-    """One update plus the interface fluxes it used (None if frozen)."""
-    from .errors import SchemeFailureError
+    def __init__(self, f: FVField, cfg: SchemeConfig, p: Params):
+        n = f.grid.n_cells
+        self.cfg, self.p, self.n = cfg, p, n
+        self.H = np.empty(n + 2)
+        self.B = np.empty(n + 2)
+        self.H[1:-1], self.B[1:-1] = f.h, f.b
+        self.H[0], self.H[-1], self.B[0], self.B[-1] = self.H[1], self.H[-2], self.B[1], self.B[-2]
+        self.hv, self.bv = self.H.view(np.int64), self.B.view(np.int64)
+        self.field = FVField(f.grid, self.H[1:-1], self.B[1:-1], f.t)
+        self.win = self._window(1, n - 1)
+        self.cell_updates = 0
+        self.max_active = 0
 
-    if not (np.all(np.isfinite(f.h)) and np.all(np.isfinite(f.b))):
-        raise SchemeFailureError(f"non-finite field at t={f.t}")
-    lam_max = max_wave_speed(f, p)
-    if not math.isfinite(lam_max):
-        raise SchemeFailureError(f"wave speeds overflow at t={f.t}")
-    remaining = cfg.t_end - f.t
-    if remaining <= 0.0:
-        return f.copy(), None, None
-    if lam_max <= 0.0:
-        if np.ptp(f.h) > 0.0 or np.ptp(f.b) > 0.0:
-            warnings.warn("all wave speeds vanish on nonconstant data; field is frozen")
-        return FVField(f.grid, f.h.copy(), f.b.copy(), cfg.t_end), None, None
-    dt = min(cfg.cfl * f.grid.dx / lam_max, remaining)
-    if dt <= 0.0:
-        raise SchemeFailureError(f"time step collapsed at t={f.t}")
+    def _window(self, i: int, j: int) -> tuple[int, int]:
+        """Update range from the cell pairs in [i, j], the only ones that can differ."""
+        lo = _edge(self.hv, self.bv, i, j, 1)
+        if lo is None:
+            return 0, 0
+        return lo - 1, _edge(self.hv, self.bv, j, lo, -1)
 
-    h = np.concatenate(([f.h[0]], f.h, [f.h[-1]]))
-    b = np.concatenate(([f.b[0]], f.b, [f.b[-1]]))
-    F1, F2 = _interface_fluxes(h, b, p, cfg.scheme)
-    lam = dt / f.grid.dx
-    hn = f.h - lam * (F1[1:] - F1[:-1])
-    bn = f.b - lam * (F2[1:] - F2[:-1])
+    def _check(self, i0: int, i1: int, what: str, t: float, positivity: bool) -> None:
+        """Raise at the first non-finite (or, with ``positivity``, negative) cell in [i0, i1]."""
+        h, b = self.H[i0 + 1 : i1 + 2], self.B[i0 + 1 : i1 + 2]
+        lo, hi = min(h.min(), b.min()), max(h.max(), b.max())
+        if math.isfinite(lo) and math.isfinite(hi) and (not positivity or lo >= -1e-12):
+            return
+        bad = ~(np.isfinite(h) & np.isfinite(b))
+        if bad.any():
+            msg = f"non-finite {what} at t={t}"
+        else:
+            bad = (h < -1e-12) | (b < -1e-12)
+            msg = f"positivity lost at t={t}"
+        k = int(np.argmax(bad))
+        x = self.field.grid.centers()[i0 + k]
+        raise SchemeFailureError(f"{msg}: cell {i0 + k} at x={x} has h={h[k]}, b={b[k]}")
 
-    if not (np.all(np.isfinite(hn)) and np.all(np.isfinite(bn))):
-        raise SchemeFailureError(f"non-finite update at t={f.t}")
-    if min(hn.min(), bn.min()) < -1e-12:
-        raise SchemeFailureError(
-            f"positivity lost at t={f.t}: min h={hn.min()}, min b={bn.min()}"
-        )
-    return FVField(f.grid, hn, bn, f.t + dt), F1, F2
+    def advance(self, check_all: bool) -> tuple[np.ndarray, np.ndarray] | None:
+        """One step; returns the fluxes of cells 0 and n - 1 before it, or None if t did not step.
+
+        ``check_all`` extends the finiteness and positivity checks from
+        the window to the whole field; cells outside the window keep their
+        bits, so the first step of a run needs it and later steps do not.
+        """
+        cfg, p, n, f = self.cfg, self.p, self.n, self.field
+        i0, i1 = self.win
+        t, dx = f.t, f.grid.dx
+        if check_all:
+            self._check(0, n - 1, "field", t, positivity=False)
+        hs, bs = self.H[i0 : i1 + 3], self.B[i0 : i1 + 3]
+        with np.errstate(over="ignore"):
+            lam2 = _lambda2_arr(hs, bs, p)
+        lam_max = float(lam2.max())
+        if not math.isfinite(lam_max):
+            raise SchemeFailureError(f"wave speeds overflow at t={t}")
+        remaining = cfg.t_end - t
+        if remaining <= 0.0:
+            return None
+        if lam_max <= 0.0:
+            if np.ptp(f.h) > 0.0 or np.ptp(f.b) > 0.0:
+                warnings.warn("all wave speeds vanish on nonconstant data; field is frozen")
+            f.t = cfg.t_end
+            return None
+        dt = min(cfg.cfl * dx / lam_max, remaining)
+        if dt <= 0.0:
+            raise SchemeFailureError(f"time step collapsed at t={t}")
+
+        # the outflow boundary fluxes: the same in both schemes
+        boundary = _flux_arr(self.H[[1, n]], self.B[[1, n]], p)
+        f1, f2 = _flux_arr(hs, bs, p)
+        if cfg.scheme == "godunov":
+            # upwind: all characteristic speeds are >= 0 on the quadrant
+            F1, F2 = f1[:-1], f2[:-1]
+        else:
+            s = np.maximum(lam2[:-1], lam2[1:])
+            F1 = 0.5 * (f1[:-1] + f1[1:]) - 0.5 * s * (hs[1:] - hs[:-1])
+            F2 = 0.5 * (f2[:-1] + f2[1:]) - 0.5 * s * (bs[1:] - bs[:-1])
+        lam = dt / dx
+        self.H[i0 + 1 : i1 + 2] = hs[1:-1] - lam * (F1[1:] - F1[:-1])
+        self.B[i0 + 1 : i1 + 2] = bs[1:-1] - lam * (F2[1:] - F2[:-1])
+        self._check(*((0, n - 1) if check_all else (i0, i1)), "update", t, positivity=True)
+        if i0 == 0:
+            self.H[0], self.B[0] = self.H[1], self.B[1]
+        if i1 == n - 1:
+            self.H[-1], self.B[-1] = self.H[-2], self.B[-2]
+        f.t = t + dt
+        self.cell_updates += i1 - i0 + 1
+        self.max_active = max(self.max_active, i1 - i0 + 1)
+        self.win = self._window(max(i0, 1), min(i1 + 1, n - 1))
+        return boundary
 
 
 def step(f: FVField, cfg: SchemeConfig, p: Params) -> FVField:
@@ -198,9 +284,12 @@ def step(f: FVField, cfg: SchemeConfig, p: Params) -> FVField:
 
     dt = cfl * dx / max(lambda2), capped so the field never advances
     past cfg.t_end.  Outflow ghost cells; raises SchemeFailureError on
-    NaNs or on loss of positivity beyond rounding noise.
+    NaNs or on loss of positivity beyond rounding noise, naming the
+    first offending cell.
     """
-    return _advance(f, cfg, p)[0]
+    k = _Kernel(f, cfg, p)
+    k.advance(check_all=True)
+    return k.field
 
 
 def field_from_riemann(d: RiemannData, grid: Grid) -> FVField:
@@ -243,7 +332,8 @@ def run(
     balance), optional delta-mass series over a fixed window, and
     snapshots at ``record_times``.
     """
-    f = initial.copy()
+    k = _Kernel(initial, cfg, p)
+    f = k.field
     dx = f.grid.dx
     masses_h = [float(np.sum(f.h) * dx)]
     masses_b = [float(np.sum(f.b) * dx)]
@@ -256,27 +346,26 @@ def run(
 
     n_steps = 0
     while f.t < cfg.t_end - 1e-14:
-        fn, F1, F2 = _advance(f, cfg, p)
-        dt = fn.t - f.t
-        if F1 is not None:
-            for mass_prev, arr, F in (
-                (masses_h[-1], fn.h, F1),
-                (masses_b[-1], fn.b, F2),
+        t_prev = f.t
+        boundary = k.advance(check_all=n_steps == 0)
+        mass_h = float(np.sum(f.h) * dx)
+        mass_b = float(np.sum(f.b) * dx)
+        if boundary is not None:
+            # the realised step, as the field's times record it
+            dt = f.t - t_prev
+            for mass_prev, mass_new, F in zip(
+                (masses_h[-1], masses_b[-1]), (mass_h, mass_b), boundary
             ):
-                mass_new = float(np.sum(arr) * dx)
-                res = mass_new - mass_prev + dt * (float(F[-1]) - float(F[0]))
+                res = mass_new - mass_prev + dt * (float(F[1]) - float(F[0]))
                 cons_res = max(cons_res, abs(res))
-        masses_h.append(float(np.sum(fn.h) * dx))
-        masses_b.append(float(np.sum(fn.b) * dx))
-        times.append(fn.t)
+        masses_h.append(mass_h)
+        masses_b.append(mass_b)
+        times.append(f.t)
         if delta_window is not None and delta_background is not None:
-            delta_series.append(
-                (fn.t, delta_mass(fn, delta_window, delta_background))
-            )
-        while wi < len(want) and fn.t >= want[wi] - 1e-12:
-            snapshots.append(fn.copy())
+            delta_series.append((f.t, delta_mass(f, delta_window, delta_background)))
+        while wi < len(want) and f.t >= want[wi] - 1e-12:
+            snapshots.append(f.copy())
             wi += 1
-        f = fn
         n_steps += 1
 
     diagnostics = {
@@ -285,6 +374,8 @@ def run(
         "mass_h": masses_h,
         "mass_b": masses_b,
         "max_conservation_residual": cons_res,
+        "cell_updates": k.cell_updates,
+        "max_active_cells": k.max_active,
         "delta_mass": delta_series,
         "snapshots": snapshots,
         "grid": {"x_min": f.grid.x_min, "x_max": f.grid.x_max, "n_cells": f.grid.n_cells},

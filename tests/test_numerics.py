@@ -27,6 +27,51 @@ EX_JR = RiemannData(State(1.24, 0.90), State(1.5, 1.56), P_FILM)
 EX_JS = RiemannData(State(1.5, 1.6), State(1.25, 1.15), P_FILM)
 
 
+def reference_step(f, cfg, p):
+    """Full-array padded step with the interface fluxes written out; returns (field, F1, F2)."""
+    h = np.concatenate(([f.h[0]], f.h, [f.h[-1]]))
+    b = np.concatenate(([f.b[0]], f.b, [f.b[-1]]))
+    with np.errstate(over="ignore"):
+        lam_max = float(np.max(3.0 * p.alpha * f.h * f.b + p.kappa * f.h * f.h))
+    dt = min(cfg.cfl * f.grid.dx / lam_max, cfg.t_end - f.t)
+    phi = p.alpha * h * b + p.kappa * h * h / 3.0
+    f1, f2 = h * phi, b * phi
+    if cfg.scheme == "godunov":
+        F1, F2 = f1[:-1], f2[:-1]
+    else:
+        lam2 = 3.0 * p.alpha * h * b + p.kappa * h * h
+        a = np.maximum(lam2[:-1], lam2[1:])
+        F1 = 0.5 * (f1[:-1] + f1[1:]) - 0.5 * a * (h[1:] - h[:-1])
+        F2 = 0.5 * (f2[:-1] + f2[1:]) - 0.5 * a * (b[1:] - b[:-1])
+    lam = dt / f.grid.dx
+    hn, bn = f.h - lam * (F1[1:] - F1[:-1]), f.b - lam * (F2[1:] - F2[:-1])
+    return FVField(f.grid, hn, bn, f.t + dt), F1, F2
+
+
+def reference_run(f, cfg, p):
+    """The run loop over reference_step: final field, both mass series, conservation residual."""
+    dx = f.grid.dx
+    mh, mb, res = [float(np.sum(f.h) * dx)], [float(np.sum(f.b) * dx)], 0.0
+    while f.t < cfg.t_end - 1e-14:
+        fn, F1, F2 = reference_step(f, cfg, p)
+        for m, arr, F in ((mh, fn.h, F1), (mb, fn.b, F2)):
+            m.append(float(np.sum(arr) * dx))
+            r = m[-1] - m[-2] + (fn.t - f.t) * (float(F[-1]) - float(F[0]))
+            res = max(res, abs(r))
+        f = fn
+    return f, mh, mb, res
+
+
+def piecewise_constant(rng, grid):
+    """3-5 random quadrant states on random cells, one of them with h = 1e-7."""
+    k = rng.randint(3, 6)
+    h, b = rng.uniform(0.2, 2.0, k), rng.uniform(0.2, 2.0, k)
+    h[rng.randint(k)] = 1e-7
+    cuts = np.sort(rng.choice(np.arange(1, grid.n_cells), k - 1, replace=False))
+    idx = np.searchsorted(cuts, np.arange(grid.n_cells), side="right")
+    return FVField(grid, h[idx], b[idx], 0.0)
+
+
 def l1_error(f, fan):
     x = f.grid.centers()
     h, b, _ = profile(fan, f.t, x)
@@ -83,6 +128,67 @@ class TestInterfaceFluxes:
             a = max(eigenvalues(uL, p)[1], eigenvalues(uR, p)[1])
             for u in (uL, uR):
                 assert a >= max(eigenvalues(u, p))
+
+
+class TestWindowKernel:
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    @pytest.mark.parametrize("kappa", [0.0, 0.7])
+    def test_bit_identical_to_full_array_reference(self, scheme, kappa):
+        # cells outside the active window have bit-equal neighbours, so
+        # their flux difference is exactly 0 and skipping them changes no bit
+        rng = np.random.RandomState(11 if kappa else 5)
+        p = Params(0.5, kappa, h_tol=1e-9)
+        cfg = SchemeConfig(scheme=scheme, t_end=0.6)
+        for _ in range(4):
+            f0 = piecewise_constant(rng, Grid(-1.0, 4.0, 300))
+            f, diag = run(f0, cfg, p)
+            g, mh, mb, res = reference_run(f0, cfg, p)
+            np.testing.assert_array_equal(f.h, g.h)
+            np.testing.assert_array_equal(f.b, g.b)
+            assert f.t == g.t
+            np.testing.assert_array_equal(diag["mass_h"], mh)
+            np.testing.assert_array_equal(diag["mass_b"], mb)
+            assert diag["max_conservation_residual"] == res
+            s, r = step(f0, cfg, p), reference_step(f0, cfg, p)[0]
+            np.testing.assert_array_equal(s.h, r.h)
+            np.testing.assert_array_equal(s.b, r.b)
+            assert s.t == r.t
+
+    def test_window_skips_constant_cells(self):
+        grid = Grid(-2.0, 8.0, 400)
+        _, diag = run(field_from_riemann(EX_JS, grid), SchemeConfig(t_end=1.0), P_FILM)
+        assert diag["cell_updates"] < diag["n_steps"] * grid.n_cells
+        assert 2 <= diag["max_active_cells"] <= grid.n_cells
+
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    def test_constant_negative_field_fails_without_window(self, scheme):
+        # no cell differs from its neighbour; the first step still checks every cell
+        grid = Grid(-1.0, 1.0, 32)
+        f = FVField(grid, np.full(32, 1.0), np.full(32, -0.5), 0.0)
+        cfg = SchemeConfig(scheme=scheme, t_end=1.0)
+        with pytest.raises(SchemeFailureError, match="positivity lost"):
+            step(f, cfg, Params(0.5, 3.0))
+        with pytest.raises(SchemeFailureError, match="positivity lost"):
+            run(f, cfg, Params(0.5, 3.0))
+
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    def test_failure_names_first_offending_cell(self, scheme):
+        # negative b right of cell 10 fails first at cell 10; left of it,
+        # at cell 0, outside the window [9, 10] of the first step
+        grid = Grid(-1.0, 1.0, 32)
+        x = grid.centers()
+        cfg = SchemeConfig(scheme=scheme, t_end=1.0)
+        for first, neg in ((10, np.arange(32) >= 10), (0, np.arange(32) < 10)):
+            f = FVField(grid, np.full(32, 1.0), np.where(neg, -0.5, 1.0), 0.0)
+            for advance in (step, run):
+                with pytest.raises(SchemeFailureError, match="positivity lost") as exc:
+                    advance(f, cfg, Params(0.5, 3.0))
+                assert f"cell {first} at x={x[first]} " in str(exc.value)
+        f = FVField(grid, np.full(32, 1.0), np.full(32, 1.0), 0.0)
+        f.h[3] = math.nan
+        with pytest.raises(SchemeFailureError, match="non-finite field") as exc:
+            step(f, cfg, Params(0.5, 3.0))
+        assert f"cell 3 at x={x[3]} has h=nan, b=1.0" in str(exc.value)
 
 
 class TestStep:
