@@ -62,15 +62,6 @@ def _parse_state(text: str) -> State:
         raise ThinFilmError(str(exc)) from exc
 
 
-def worker_count() -> int:
-    """Worker cap from THINFILM_THREADS (default 1)."""
-    raw = os.environ.get("THINFILM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _add_param_args(sp) -> None:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--kappa", type=float, required=True)
@@ -209,7 +200,7 @@ def cmd_limits(args) -> int:
     study = limits.LimitStudy(
         args.study, tuple(args.values_list), args.fixed, data, t_eval=args.t_eval
     )
-    rows = limits.convergence_table(study, n_samples=args.samples, workers=worker_count())
+    rows = limits.convergence_table(study, n_samples=args.samples)
     out_rows = []
     for r in rows:
         pair = r["weak_pairings"] or (None, None, None)

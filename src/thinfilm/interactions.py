@@ -45,10 +45,12 @@ from .riemann import (
     Rarefaction,
     RiemannData,
     Shock,
+    Wave,
     WaveFan,
     classify,
     fan_to_json,
     intermediate_state,
+    profile as fan_profile,
     rarefaction_state,
     shock_speed,
     solve,
@@ -406,6 +408,10 @@ def shock_through_fan(
 # timeline assembly helpers
 
 
+def _affine_strength(t0: float, beta0: float, rate: float) -> Callable[[float], float]:
+    return lambda t: beta0 + rate * (t - t0)
+
+
 class _Builder:
     def __init__(self) -> None:
         self.fronts: list[Front] = []
@@ -418,198 +424,166 @@ class _Builder:
         self.fronts.append(f)
         return f
 
+    def add_wave(
+        self, w: Wave, x0: float, t0: float = 0.0, strength: float = 0.0
+    ) -> list[Front]:
+        """Fronts of one exact wave born at (x0, t0), left to right.
+
+        Fans get a tail and a head with the fan region between them (a
+        composite's tail is its stationary contact); a delta front's
+        point mass starts from ``strength`` and grows at the wave's rate.
+        Fan regions are self-similar about (x0, 0), so fans are only
+        born at t0 = 0.
+        """
+        at = dict(t_birth=t0, x_birth=x0)
+        if isinstance(w, Rarefaction):
+            return [
+                self.add(kind="fan-tail", speed=w.xi_lo,
+                         right_region=FanRegion(x0, w.anchor), **at),
+                self.add(kind="fan-head", speed=w.xi_hi,
+                         right_region=ConstRegion(w.right), **at),
+            ]
+        if isinstance(w, CompositeJR):
+            return [
+                self.add(kind="contact", speed=0.0,
+                         right_region=FanRegion(x0, w.right), **at),
+                self.add(kind="fan-head", speed=w.xi_hi,
+                         right_region=ConstRegion(w.right), **at),
+            ]
+        if isinstance(w, DeltaShock):
+            beta = _affine_strength(t0, strength, w.strength_rate)
+            return [self.add(kind="delta", speed=w.speed, right_region=ConstRegion(w.right),
+                             strength_of_t=beta, **at)]
+        kind = "contact" if isinstance(w, Contact) else "shock"
+        return [self.add(kind=kind, speed=w.speed, right_region=ConstRegion(w.right), **at)]
+
+    def add_fan(self, fan: WaveFan, x0: float) -> list[Front]:
+        """Fronts of a Riemann fan centred at (x0, 0), left to right."""
+        return [f for w in fan.waves for f in self.add_wave(w, x0)]
+
     def event(
         self,
         point: tuple[float, float],
         incoming: list[Front],
         outgoing: list[Front],
         delta_strength: float | None = None,
-    ) -> Event:
+    ) -> None:
         for f in incoming:
             f.t_death = point[1]
-        e = Event(
+        self.events.append(Event(
             point,
             tuple(f.id for f in incoming),
             tuple(f.id for f in outgoing),
             delta_strength,
+        ))
+
+    def timeline(
+        self, d: PerturbedData, tag: str, curves: tuple[CurvedWave, ...] = (), **kwargs
+    ) -> InteractionTimeline:
+        """Timeline of the fronts and events so far, settling into the
+        exact outer fan."""
+        return InteractionTimeline(
+            d, tag, self.events, self.fronts, list(curves), solve(d.outer_data()), **kwargs
         )
-        self.events.append(e)
-        return e
-
-
-def _sub_waves(d: RiemannData) -> tuple[Optional[Contact], object]:
-    """(contact-or-None, principal 2-wave) of one sub-Riemann problem."""
-    fan = solve(d)
-    contact = None
-    principal = None
-    for w in fan.waves:
-        if isinstance(w, Contact):
-            contact = w
-        else:
-            principal = w
-    return contact, principal
-
-
-def _affine_strength(t0: float, beta0: float, rate: float) -> Callable[[float], float]:
-    return lambda t: beta0 + rate * (t - t0)
 
 
 def _trivial_timeline(d: PerturbedData, anchor_x: float, tag: str) -> InteractionTimeline:
     """Degenerate data (middle equals an outer state): no interactions."""
-    fan = solve(d.outer_data())
     bld = _Builder()
-    prev: Region = ConstRegion(d.left)
-    for w in fan.waves:
-        if isinstance(w, Rarefaction):
-            bld.add(
-                kind="fan-tail",
-                t_birth=0.0,
-                x_birth=anchor_x,
-                speed=w.xi_lo,
-                right_region=FanRegion(anchor_x, w.anchor),
-            )
-            bld.add(
-                kind="fan-head",
-                t_birth=0.0,
-                x_birth=anchor_x,
-                speed=w.xi_hi,
-                right_region=ConstRegion(w.right),
-            )
-        elif isinstance(w, CompositeJR):
-            bld.add(
-                kind="contact",
-                t_birth=0.0,
-                x_birth=anchor_x,
-                speed=0.0,
-                right_region=FanRegion(anchor_x, w.right),
-            )
-            bld.add(
-                kind="fan-head",
-                t_birth=0.0,
-                x_birth=anchor_x,
-                speed=w.xi_hi,
-                right_region=ConstRegion(w.right),
-            )
-        elif isinstance(w, DeltaShock):
-            bld.add(
-                kind="delta",
-                t_birth=0.0,
-                x_birth=anchor_x,
-                speed=w.speed,
-                right_region=ConstRegion(w.right),
-                strength_of_t=_affine_strength(0.0, 0.0, w.strength_rate),
-            )
-        else:
-            bld.add(
-                kind="contact" if isinstance(w, Contact) else "shock",
-                t_birth=0.0,
-                x_birth=anchor_x,
-                speed=w.speed,
-                right_region=ConstRegion(w.right),
-            )
-    return InteractionTimeline(d, tag, [], bld.fronts, [], fan)
+    bld.add_fan(solve(d.outer_data()), anchor_x)
+    return bld.timeline(d, tag)
+
+
+def _shock_absorbs_contact(
+    bld: _Builder, d: PerturbedData
+) -> tuple[Shock, Front, tuple[float, float], list[Front], Wave]:
+    """Both sub-fans of a J+S left problem; its shock absorbs the right
+    problem's contact, if there is one.
+
+    Returns the chasing shock (wave, front, start point) and the right
+    problem's principal wave with its fronts.
+    """
+    eps = d.epsilon
+    left, right = solve(d.left_data()), solve(d.right_data())
+    s1w = left.waves[-1]
+    s1 = bld.add_fan(left, -eps)[-1]
+    right_fronts = bld.add_fan(right, eps)
+    principal = right.waves[-1]
+    if not isinstance(right.waves[0], Contact):
+        # middle already on the right ray: nothing to absorb
+        return s1w, s1, (-eps, 0.0), right_fronts, principal
+    ev, (j3w, s3w) = interact_shock_contact(s1w, right.waves[0], eps, d.params)
+    x1, t1 = ev.point
+    [j3] = bld.add_wave(j3w, x1, t1)
+    [s3] = bld.add_wave(s3w, x1, t1)
+    bld.event((x1, t1), [s1, right_fronts[0]], [j3, s3])
+    return s3w, s3, (x1, t1), right_fronts[1:], principal
+
+
+def _shock_through_fan_fronts(
+    bld: _Builder,
+    d: PerturbedData,
+    entry: tuple[float, float],
+    fan: Rarefaction,
+    chasing_left: State,
+    incoming: list[Front],
+    head: Front,
+    born: tuple[Front, ...] = (),
+    delta_strength: Optional[float] = None,
+) -> tuple[CurvedWave, bool]:
+    """Curved shock entering the right fan (origin +epsilon) at ``entry``,
+    then the straight exit shock if the penetration completes.
+
+    ``born`` are fronts the entry event emits left of the curve.
+    Returns the curve and whether the penetration is asymptotic.
+    """
+    x0 = d.epsilon
+    curve, exit_point, s4w = shock_through_fan(entry, fan, chasing_left, d.params, x0)
+    cfront = bld.add(kind="curved-shock", t_birth=entry[1], x_birth=entry[0],
+                     right_region=FanRegion(x0, fan.anchor), x_of_t=curve.x_of_t,
+                     fan_state_of_t=curve.state_of_t)
+    bld.event(entry, incoming, [*born, cfront], delta_strength)
+    if exit_point is None:
+        return curve, True
+    bld.event(exit_point, [cfront, head], bld.add_wave(s4w, *exit_point))
+    return replace(curve, t_end=exit_point[1]), False
 
 
 def _resolve_js_js(d: PerturbedData) -> InteractionTimeline:
-    p = d.params
-    eps = d.epsilon
-    j1w, s1w = _sub_waves(d.left_data())
-    j2w, s2w = _sub_waves(d.right_data())
     bld = _Builder()
-
-    state_h1 = s1w.left
-    if j1w is not None:
-        bld.add(kind="contact", t_birth=0.0, x_birth=-eps, speed=j1w.speed,
-                right_region=ConstRegion(j1w.right))
-    s1 = bld.add(kind="shock", t_birth=0.0, x_birth=-eps, speed=s1w.speed,
-                 right_region=ConstRegion(s1w.right))
-    if j2w is not None:
-        j2 = bld.add(kind="contact", t_birth=0.0, x_birth=eps, speed=j2w.speed,
-                     right_region=ConstRegion(j2w.right))
-    else:
-        j2 = None
-    s2 = bld.add(kind="shock", t_birth=0.0, x_birth=eps, speed=s2w.speed,
-                 right_region=ConstRegion(s2w.right))
-
-    if j2 is not None:
-        ev1, (j3w, s3w) = interact_shock_contact(s1w, j2w, eps, p)
-        x1, t1 = ev1.point
-        j3 = bld.add(kind="contact", t_birth=t1, x_birth=x1, speed=j3w.speed,
-                     right_region=ConstRegion(j3w.right))
-        s3 = bld.add(kind="shock", t_birth=t1, x_birth=x1, speed=s3w.speed,
-                     right_region=ConstRegion(s3w.right))
-        bld.event((x1, t1), [s1, j2], [j3, s3])
-    else:
-        # middle already on the right ray: S1 chases S2 directly
-        s3w, s3, (x1, t1) = s1w, s1, (-eps, 0.0)
-
-    ev2, s4w = interact_shock_shock_chase(s3w, s2w, (x1, t1), eps, p)
-    x2, t2 = ev2.point
-    s4 = bld.add(kind="shock", t_birth=t2, x_birth=x2, speed=s4w.speed,
-                 right_region=ConstRegion(s4w.right))
-    bld.event((x2, t2), [s3, s2], [s4])
-
-    return InteractionTimeline(
-        d, "JS+JS", bld.events, bld.fronts, [], solve(d.outer_data())
-    )
+    s3w, s3, start, [s2], s2w = _shock_absorbs_contact(bld, d)
+    ev, s4w = interact_shock_shock_chase(s3w, s2w, start, d.epsilon, d.params)
+    bld.event(ev.point, [s3, s2], bld.add_wave(s4w, *ev.point))
+    return bld.timeline(d, "JS+JS")
 
 
 def _resolve_js_jr(d: PerturbedData) -> InteractionTimeline:
-    p = d.params
     eps = d.epsilon
-    j1w, s1w = _sub_waves(d.left_data())
-    j2w, r2w = _sub_waves(d.right_data())
     bld = _Builder()
-
-    if j1w is not None:
-        bld.add(kind="contact", t_birth=0.0, x_birth=-eps, speed=j1w.speed,
-                right_region=ConstRegion(j1w.right))
-    s1 = bld.add(kind="shock", t_birth=0.0, x_birth=-eps, speed=s1w.speed,
-                 right_region=ConstRegion(s1w.right))
-    if j2w is not None:
-        j2 = bld.add(kind="contact", t_birth=0.0, x_birth=eps, speed=j2w.speed,
-                     right_region=ConstRegion(j2w.right))
-    else:
-        j2 = None
-    f_tail = bld.add(kind="fan-tail", t_birth=0.0, x_birth=eps, speed=r2w.xi_lo,
-                     right_region=FanRegion(eps, r2w.anchor))
-    f_head = bld.add(kind="fan-head", t_birth=0.0, x_birth=eps, speed=r2w.xi_hi,
-                     right_region=ConstRegion(r2w.right))
-
-    if j2 is not None:
-        ev1, (j3w, s3w) = interact_shock_contact(s1w, j2w, eps, p)
-        x1, t1 = ev1.point
-        j3 = bld.add(kind="contact", t_birth=t1, x_birth=x1, speed=j3w.speed,
-                     right_region=ConstRegion(j3w.right))
-        s3 = bld.add(kind="shock", t_birth=t1, x_birth=x1, speed=s3w.speed,
-                     right_region=ConstRegion(s3w.right))
-        bld.event((x1, t1), [s1, j2], [j3, s3])
-    else:
-        s3w, s3, (x1, t1) = s1w, s1, (-eps, 0.0)
-
+    s3w, s3, (x1, t1), [f_tail, f_head], r2w = _shock_absorbs_contact(bld, d)
     # straight S3 reaches the fan tail
     xi2 = r2w.xi_lo
     t2 = (x1 - eps - s3w.speed * t1) / (xi2 - s3w.speed)
     x2 = eps + xi2 * t2
-    curve, exit_point, s4w = shock_through_fan((x2, t2), r2w, s3w.left, p, eps)
-    cfront = bld.add(kind="curved-shock", t_birth=t2, x_birth=x2,
-                     right_region=FanRegion(eps, r2w.anchor), x_of_t=curve.x_of_t,
-                     fan_state_of_t=curve.state_of_t)
-    bld.event((x2, t2), [s3, f_tail], [cfront])
-
-    asymptotic = exit_point is None
-    if exit_point is not None:
-        x3, t3 = exit_point
-        cfront.t_death = t3
-        s4 = bld.add(kind="shock", t_birth=t3, x_birth=x3, speed=s4w.speed,
-                     right_region=ConstRegion(s4w.right))
-        bld.event((x3, t3), [cfront, f_head], [s4])
-        curve = replace(curve, t_end=t3)
-
-    return InteractionTimeline(
-        d, "JS+JR", bld.events, bld.fronts, [curve],
-        solve(d.outer_data()), asymptotic=asymptotic,
+    curve, asymptotic = _shock_through_fan_fronts(
+        bld, d, (x2, t2), r2w, s3w.left, [s3, f_tail], f_head
     )
+    return bld.timeline(d, "JS+JR", (curve,), asymptotic=asymptotic)
+
+
+def _delta_split(
+    d: PerturbedData, comp: CompositeJR
+) -> tuple[tuple[float, float], DeltaContact, Rarefaction]:
+    """Split point of the left delta on the composite's stationary
+    contact, the frozen DeltaContact, and the composite's fan as a
+    rarefaction from its tail."""
+    eps = d.epsilon
+    sigma1 = phi(d.left, d.params)
+    dj = DeltaContact(
+        sigma1, 2.0 * d.middle.b * eps, d.left, intermediate_state(d.outer_data())
+    )
+    fan_view = Rarefaction(0.0, comp.xi_hi, comp.left, comp.right, comp.right)
+    return (eps, 2.0 * eps / sigma1), dj, fan_view
 
 
 def delta_contact_split(
@@ -617,71 +591,36 @@ def delta_contact_split(
 ) -> tuple[Event, tuple[DeltaContact, CurvedWave]]:
     """Split of the left delta front on the composite wave (vanishing h_m).
 
-    The delta meets the stationary contact of the composite at
-    (eps, 6 eps / (3 a h- b- + k h-^2)) carrying strength 2 b_m eps.
-    Overcompressibility fails beyond, so the point mass freezes on a
-    delta contact while a regular shock enters the fan from its tail.
+    The delta, moving at lambda1(left), meets the stationary contact of
+    the composite at (eps, 2 eps / lambda1(left)), which is
+    (eps, 6 eps / (3 a h- b- + k h-^2)) in exact arithmetic, carrying
+    strength 2 b_m eps.  Overcompressibility fails beyond, so the point
+    mass freezes on a delta contact while a regular shock enters the fan
+    from its tail.  The values are those of ``run_timeline``.
     """
     if classify_case(d) != "dS+JR":
         raise WrongCaseError("data is not a delta / composite configuration")
-    p = d.params
-    eps = d.epsilon
-    sigma1 = phi(d.left, p)
-    t1 = 6.0 * eps / (3.0 * p.alpha * d.left.h * d.left.b + p.kappa * d.left.h**2)
-    x1 = eps
-    beta1 = 2.0 * d.middle.b * eps
-    m_star = intermediate_state(d.outer_data())
-    dj = DeltaContact(sigma1, beta1, d.left, m_star)
-    _, comp = _sub_waves(d.right_data())
-    fan_view = Rarefaction(0.0, comp.xi_hi, comp.left, comp.right, comp.right)
-    curve, _, _ = shock_through_fan((x1, t1), fan_view, m_star, p, eps)
-    ev = Event((x1, t1), (0, 1), (2, 3), delta_strength=beta1)
-    return ev, (dj, curve)
+    point, dj, fan_view = _delta_split(d, solve(d.right_data()).waves[0])
+    curve, _, _ = shock_through_fan(point, fan_view, dj.right, d.params, d.epsilon)
+    return Event(point, (0, 1), (2, 3), delta_strength=dj.strength), (dj, curve)
 
 
 def _resolve_ds_jr(d: PerturbedData) -> InteractionTimeline:
-    p = d.params
     eps = d.epsilon
-    delta_w = solve(d.left_data()).waves[0]
-    comp = solve(d.right_data()).waves[0]
     bld = _Builder()
-
-    ds1 = bld.add(kind="delta", t_birth=0.0, x_birth=-eps, speed=delta_w.speed,
-                  right_region=ConstRegion(delta_w.right),
-                  strength_of_t=_affine_strength(0.0, 0.0, delta_w.strength_rate))
-    j2 = bld.add(kind="contact", t_birth=0.0, x_birth=eps, speed=0.0,
-                 right_region=FanRegion(eps, comp.right))
-    f_head = bld.add(kind="fan-head", t_birth=0.0, x_birth=eps, speed=comp.xi_hi,
-                     right_region=ConstRegion(comp.right))
-
-    sigma1 = delta_w.speed
-    t1 = 2.0 * eps / sigma1
-    x1 = eps
-    beta1 = 2.0 * d.middle.b * eps
-    m_star = intermediate_state(d.outer_data())
-    dj3 = bld.add(kind="delta-contact", t_birth=t1, x_birth=x1, speed=sigma1,
-                  right_region=ConstRegion(m_star),
-                  strength_of_t=lambda t: beta1)
-    fan_view = Rarefaction(0.0, comp.xi_hi, comp.left, comp.right, comp.right)
-    curve, exit_point, s4w = shock_through_fan((x1, t1), fan_view, m_star, p, eps)
-    cfront = bld.add(kind="curved-shock", t_birth=t1, x_birth=x1,
-                     right_region=FanRegion(eps, comp.right), x_of_t=curve.x_of_t,
-                     fan_state_of_t=curve.state_of_t)
-    bld.event((x1, t1), [ds1, j2], [dj3, cfront], delta_strength=beta1)
-
-    asymptotic = exit_point is None
-    if exit_point is not None:
-        x3, t3 = exit_point
-        cfront.t_death = t3
-        s4 = bld.add(kind="shock", t_birth=t3, x_birth=x3, speed=s4w.speed,
-                     right_region=ConstRegion(s4w.right))
-        bld.event((x3, t3), [cfront, f_head], [s4])
-        curve = replace(curve, t_end=t3)
-
-    return InteractionTimeline(
-        d, "dS+JR", bld.events, bld.fronts, [curve], solve(d.outer_data()),
-        asymptotic=asymptotic,
-        residual_delta_contact=DeltaContact(sigma1, beta1, d.left, m_star),
+    [ds1] = bld.add_fan(solve(d.left_data()), -eps)
+    right = solve(d.right_data())
+    j2, f_head = bld.add_fan(right, eps)
+    point, dj, fan_view = _delta_split(d, right.waves[0])
+    dj3 = bld.add(kind="delta-contact", t_birth=point[1], x_birth=point[0],
+                  speed=dj.speed, right_region=ConstRegion(dj.right),
+                  strength_of_t=lambda t: dj.strength)
+    curve, asymptotic = _shock_through_fan_fronts(
+        bld, d, point, fan_view, dj.right, [ds1, j2], f_head,
+        born=(dj3,), delta_strength=dj.strength,
+    )
+    return bld.timeline(
+        d, "dS+JR", (curve,), asymptotic=asymptotic, residual_delta_contact=dj
     )
 
 
@@ -704,31 +643,15 @@ def shock_overtakes_delta(
 
 
 def _resolve_js_ds(d: PerturbedData) -> InteractionTimeline:
-    p = d.params
     eps = d.epsilon
-    j1w, s1w = _sub_waves(d.left_data())
-    ds2w = solve(d.right_data()).waves[0]
+    left, right = solve(d.left_data()), solve(d.right_data())
     bld = _Builder()
-
-    if j1w is not None:
-        bld.add(kind="contact", t_birth=0.0, x_birth=-eps, speed=j1w.speed,
-                right_region=ConstRegion(j1w.right))
-    s1 = bld.add(kind="shock", t_birth=0.0, x_birth=-eps, speed=s1w.speed,
-                 right_region=ConstRegion(s1w.right))
-    ds2 = bld.add(kind="delta", t_birth=0.0, x_birth=eps, speed=ds2w.speed,
-                  right_region=ConstRegion(ds2w.right),
-                  strength_of_t=_affine_strength(0.0, 0.0, ds2w.strength_rate))
-
-    ev, ds3w = shock_overtakes_delta(s1w, ds2w, d)
-    (x1, t1) = ev.point
-    ds3 = bld.add(kind="delta", t_birth=t1, x_birth=x1, speed=ds3w.speed,
-                  right_region=ConstRegion(ds3w.right),
-                  strength_of_t=_affine_strength(t1, ev.delta_strength, ds3w.speed * ds3w.right.b))
-    bld.event((x1, t1), [s1, ds2], [ds3], delta_strength=ev.delta_strength)
-
-    return InteractionTimeline(
-        d, "JS+dS", bld.events, bld.fronts, [], solve(d.outer_data())
-    )
+    s1 = bld.add_fan(left, -eps)[-1]
+    [ds2] = bld.add_fan(right, eps)
+    ev, ds3w = shock_overtakes_delta(left.waves[-1], right.waves[0], d)
+    ds3 = bld.add_wave(ds3w, *ev.point, strength=ev.delta_strength)
+    bld.event(ev.point, [s1, ds2], ds3, delta_strength=ev.delta_strength)
+    return bld.timeline(d, "JS+dS")
 
 
 def delta_through_fan(
@@ -775,60 +698,26 @@ def delta_through_fan(
 
 
 def _resolve_jr_ds(d: PerturbedData) -> InteractionTimeline:
-    p = d.params
     eps = d.epsilon
-    j1w, r1w = _sub_waves(d.left_data())
-    ds2w = solve(d.right_data()).waves[0]
+    left, right = solve(d.left_data()), solve(d.right_data())
+    ds2w = right.waves[0]
     bld = _Builder()
-
-    if j1w is not None:
-        bld.add(kind="contact", t_birth=0.0, x_birth=-eps, speed=j1w.speed,
-                right_region=ConstRegion(j1w.right))
-    f_tail = bld.add(kind="fan-tail", t_birth=0.0, x_birth=-eps, speed=r1w.xi_lo,
-                     right_region=FanRegion(-eps, r1w.anchor))
-    f_head = bld.add(kind="fan-head", t_birth=0.0, x_birth=-eps, speed=r1w.xi_hi,
-                     right_region=ConstRegion(r1w.right))
-    ds2 = bld.add(kind="delta", t_birth=0.0, x_birth=eps, speed=ds2w.speed,
-                  right_region=ConstRegion(ds2w.right),
-                  strength_of_t=_affine_strength(0.0, 0.0, ds2w.strength_rate))
-
-    ev1, curve, ev2, ds4w = delta_through_fan(ds2w, r1w, d)
+    *_, f_tail, f_head = bld.add_fan(left, -eps)
+    [ds2] = bld.add_fan(right, eps)
+    ev1, curve, ev2, ds4w = delta_through_fan(ds2w, left.waves[-1], d)
     (x1, t1) = ev1.point
     cfront = bld.add(kind="curved-delta", t_birth=t1, x_birth=x1,
                      right_region=ConstRegion(ds2w.right), x_of_t=curve.x_of_t,
                      strength_of_t=curve.strength_of_t,
                      fan_state_of_t=curve.state_of_t)
-    bld.event((x1, t1), [f_head, ds2], [cfront], delta_strength=ev1.delta_strength)
-
-    (x2, t2) = ev2.point
-    cfront.t_death = t2
-    ds4 = bld.add(kind="delta", t_birth=t2, x_birth=x2, speed=ds4w.speed,
-                  right_region=ConstRegion(ds4w.right),
-                  strength_of_t=_affine_strength(t2, ev2.delta_strength, ds4w.strength_rate))
-    bld.event((x2, t2), [cfront, f_tail], [ds4], delta_strength=ev2.delta_strength)
-
-    return InteractionTimeline(
-        d, "JR+dS", bld.events, bld.fronts, [curve], solve(d.outer_data())
-    )
+    bld.event(ev1.point, [f_head, ds2], [cfront], delta_strength=ev1.delta_strength)
+    ds4 = bld.add_wave(ds4w, *ev2.point, strength=ev2.delta_strength)
+    bld.event(ev2.point, [cfront, f_tail], ds4, delta_strength=ev2.delta_strength)
+    return bld.timeline(d, "JR+dS", (curve,))
 
 
 # ---------------------------------------------------------------------------
 # generic engine (discretized fans)
-
-
-@dataclass
-class _EFront:
-    id: int
-    x0: float
-    t0: float
-    speed: float
-    left: State
-    right: State
-    kind: str
-    alive: bool = True
-
-    def pos(self, t: float) -> float:
-        return self.x0 + self.speed * (t - self.t0)
 
 
 def _discretize_fan(w: Rarefaction, p: Params, dw1_target: float) -> list[tuple[float, State, State]]:
@@ -840,10 +729,7 @@ def _discretize_fan(w: Rarefaction, p: Params, dw1_target: float) -> list[tuple[
     w2 = w.anchor.b / w.anchor.h
     w1s = np.linspace(w1_lo, w1_hi, n + 1)
     states = [State(math.sqrt(v / c), w2 * math.sqrt(v / c)) for v in w1s]
-    out = []
-    for a, bst in zip(states[:-1], states[1:]):
-        out.append((shock_speed(a, bst, p), a, bst))
-    return out
+    return [(shock_speed(a, bst, p), a, bst) for a, bst in zip(states[:-1], states[1:])]
 
 
 def _generic_timeline(
@@ -859,92 +745,58 @@ def _generic_timeline(
                 span = max(span, phi(w.right, p) - phi(w.left, p))
     dw1_target = span / n_fan if span > 0.0 else math.inf
 
-    fronts: list[_EFront] = []
-    next_id = 0
+    bld = _Builder()
+    lefts: list[State] = []  # lefts[i]: the state left of front i
 
-    def push(x0, t0, speed, left, right, kind) -> _EFront:
-        nonlocal next_id
-        f = _EFront(next_id, x0, t0, speed, left, right, kind)
-        next_id += 1
-        fronts.append(f)
-        return f
-
-    def push_wave(w, x0, t0):
+    def push_wave(w: Wave, x0: float, t0: float) -> None:
         if isinstance(w, Rarefaction):
-            for s, a, bst in _discretize_fan(w, p, dw1_target):
-                push(x0, t0, s, a, bst, "fan-shock")
+            pieces = [("fan-shock", *piece) for piece in _discretize_fan(w, p, dw1_target)]
         elif isinstance(w, (Contact, Shock)):
-            push(x0, t0, w.speed, w.left, w.right, "contact" if isinstance(w, Contact) else "shock")
+            kind = "contact" if isinstance(w, Contact) else "shock"
+            pieces = [(kind, w.speed, w.left, w.right)]
         else:
             raise UnsupportedCaseError("generic engine handles classical waves only")
+        for kind, speed, left, right in pieces:
+            lefts.append(left)
+            bld.add(kind=kind, t_birth=t0, x_birth=x0, speed=speed,
+                    right_region=ConstRegion(right))
 
     for x0, fan in fans:
         for w in fan.waves:
             push_wave(w, x0, 0.0)
 
-    tracks: list[Front] = []
-    events: list[Event] = []
-    id_map: dict[int, Front] = {}
-
-    def track_of(f: _EFront, t_birth: float) -> Front:
-        fr = Front(id=f.id, kind=f.kind, t_birth=t_birth, x_birth=f.pos(t_birth),
-                   right_region=ConstRegion(f.right), speed=f.speed)
-        id_map[f.id] = fr
-        tracks.append(fr)
-        return fr
-
-    for f in fronts:
-        track_of(f, 0.0)
-
     t_now = 0.0
-    n_events = 0
     tol = 1e-12
     while True:
-        live = [f for f in fronts if f.alive]
-        live.sort(key=lambda f: (f.pos(max(t_now, f.t0)), f.speed))
+        live = [f for f in bld.fronts if f.t_death == math.inf]
+        live.sort(key=lambda f: (f.position(max(t_now, f.t_birth)), f.speed))
         best = None
         for a, b in zip(live[:-1], live[1:]):
             if a.speed <= b.speed + tol:
                 continue
-            t_star = (b.x0 - b.speed * b.t0 - a.x0 + a.speed * a.t0) / (a.speed - b.speed)
-            if t_star <= max(a.t0, b.t0) + tol:
+            t_star = (
+                b.x_birth - b.speed * b.t_birth - a.x_birth + a.speed * a.t_birth
+            ) / (a.speed - b.speed)
+            if t_star <= max(a.t_birth, b.t_birth) + tol:
                 continue
-            x_star = a.pos(t_star)
-            if best is None or (t_star, x_star) < best[0]:
-                best = ((t_star, x_star), a, b)
-        if best is None or best[0][0] > t_max:
+            x_star = a.position(t_star)
+            if best is None or (t_star, x_star) < best:
+                best = (t_star, x_star)
+        if best is None or best[0] > t_max:
             break
-        (t_star, x_star), fa, fb = best
-        group = [f for f in live if abs(f.pos(t_star) - x_star) <= 1e-9 * max(1.0, abs(x_star)) + 1e-12]
+        t_star, x_star = best
+        group = [f for f in live if abs(f.position(t_star) - x_star) <= 1e-9 * max(1.0, abs(x_star)) + 1e-12]
         group.sort(key=lambda f: -f.speed)
-        left_state = group[0].left
-        right_state = group[-1].right
-        for f in group:
-            f.alive = False
-            id_map[f.id].t_death = t_star
-        local = solve(RiemannData(left_state, right_state, p))
-        new_fronts_start = len(fronts)
+        first_new = len(bld.fronts)
+        local = solve(RiemannData(lefts[group[0].id], group[-1].right_region.state, p))
         for w in local.waves:
-            if isinstance(w, Rarefaction):
-                for s, a2, b2 in _discretize_fan(w, p, dw1_target):
-                    push(x_star, t_star, s, a2, b2, "fan-shock")
-            elif isinstance(w, (Contact, Shock)):
-                push(x_star, t_star, w.speed, w.left, w.right,
-                     "contact" if isinstance(w, Contact) else "shock")
-            else:
-                raise UnsupportedCaseError("generic engine met a singular wave")
-        new = fronts[new_fronts_start:]
-        for f in new:
-            track_of(f, t_star)
-        events.append(
-            Event((x_star, t_star), tuple(f.id for f in group), tuple(f.id for f in new))
-        )
+            push_wave(w, x_star, t_star)
+        bld.event((x_star, t_star), group, bld.fronts[first_new:])
         t_now = t_star
-        n_events += 1
-        if n_events > budget:
+        if len(bld.events) > budget:
             raise EventBudgetError(f"interaction cascade exceeded {budget} events")
 
-    return InteractionTimeline(d, tag, events, tracks, [], solve(d.outer_data()))
+    return bld.timeline(d, tag)
 
 
 def run_timeline(
@@ -1008,8 +860,6 @@ def epsilon_limit_report(
         raise InvalidDataError("need at least two positive epsilon values")
     if any(b >= a for a, b in zip(epsilons[:-1], epsilons[1:])):
         raise InvalidDataError("epsilon values must be strictly decreasing")
-
-    from .riemann import profile as fan_profile
 
     target = solve(d.outer_data())
     speeds = [s for w in target.waves for s in w.speed_range()] or [0.0]

@@ -12,7 +12,6 @@ functions when a point mass is present.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +21,13 @@ from .errors import InvalidDataError
 from .riemann import (
     CASE_DELTA,
     BumpTestFunction,
-    DeltaShock,
     RiemannData,
     WaveFan,
     classify,
     profile,
     solve,
     _segment_values,
-    _wave_edges,
+    _space_time_gauss,
 )
 
 __all__ = [
@@ -97,43 +95,16 @@ def weak_pairing(
     quadrature as the weak-form residual; each singular front adds its
     line pairing int beta(t) phi(sigma t, t) dt.
     """
-    x0, x1, t0, t1 = testfn.box
-    t0 = max(t0, 1e-12)
-    edges = sorted(set(_wave_edges(fan_a)) | set(_wave_edges(fan_b)))
-    gt_nodes, gt_wts = np.polynomial.legendre.leggauss(6)
-    gx_nodes, gx_wts = np.polynomial.legendre.leggauss(8)
-    x_target = (x1 - x0) / max(resolution, 4)
+    def regular(xs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        ha, ba = _segment_values(fan_a, xs / t)
+        hb, bb = _segment_values(fan_b, xs / t)
+        vals = testfn.value(xs, t)
+        return (ha - hb) * vals, (ba - bb) * vals
 
-    acc = np.zeros(2)
-    t_panels = np.linspace(t0, t1, resolution + 1)
-    for ta, tb in zip(t_panels[:-1], t_panels[1:]):
-        tm, th = 0.5 * (ta + tb), 0.5 * (tb - ta)
-        for tn, tw in zip(gt_nodes, gt_wts):
-            t = tm + th * tn
-            breaks = sorted({x0, x1, *(s * t for s in edges if x0 < s * t < x1)})
-            for xa, xb in zip(breaks[:-1], breaks[1:]):
-                n_sub = max(1, int(math.ceil((xb - xa) / x_target)))
-                sub = np.linspace(xa, xb, n_sub + 1)
-                xm = 0.5 * (sub[:-1] + sub[1:])
-                xh = 0.5 * (sub[1] - sub[0])
-                xs = (xm[:, None] + xh * gx_nodes[None, :]).ravel()
-                wts = np.tile(xh * gx_wts, n_sub)
-                ha, ba = _segment_values(fan_a, xs / t)
-                hb, bb = _segment_values(fan_b, xs / t)
-                vals = testfn.value(xs, t)
-                acc[0] += tw * th * float(np.dot(wts, (ha - hb) * vals))
-                acc[1] += tw * th * float(np.dot(wts, (ba - bb) * vals))
-
-    for fan, sign in ((fan_a, 1.0), (fan_b, -1.0)):
-        for w in fan.waves:
-            if not isinstance(w, DeltaShock):
-                continue
-            for ta, tb in zip(t_panels[:-1], t_panels[1:]):
-                tm, th = 0.5 * (ta + tb), 0.5 * (tb - ta)
-                ts = tm + th * gt_nodes
-                vals = w.strength_rate * ts * testfn.value(w.speed * ts, ts)
-                acc[1] += sign * th * float(np.dot(gt_wts, vals))
-
+    acc = _space_time_gauss(
+        testfn, resolution, [(fan_a, 1.0), (fan_b, -1.0)], regular,
+        lambda x, t, sigma: testfn.value(x, t),
+    )
     return float(acc[0]), float(acc[1])
 
 
@@ -149,9 +120,7 @@ def bump_catalog(sigma_ray: float, t_eval: float) -> list[BumpTestFunction]:
     ]
 
 
-def convergence_table(
-    study: LimitStudy, n_samples: int = 10000, workers: int = 1
-) -> list[dict]:
+def convergence_table(study: LimitStudy, n_samples: int = 10000) -> list[dict]:
     """Distance columns per parameter value, all shrinking toward 0.
 
     Classical cases: L1 distance of the sampled profiles at t_eval, a
@@ -163,8 +132,7 @@ def convergence_table(
     the jump times the sample spacing.  Singular cases: speed and
     strength-rate mismatches of the fronts plus weak pairings against
     the three-bump catalog (L1 of the regular parts is reported as
-    well).  Values are independent, so ``workers`` > 1 evaluates them
-    concurrently (same ordering).
+    well).
     """
     d0 = study.data
     target = limit_target(
@@ -178,8 +146,9 @@ def convergence_table(
         d = RiemannData(d0.left, d0.right, p)
         fan = solve(d)
         case = classify(d)
-        lo = min(0.0, min(min(_wave_edges(fan)), min(speeds)) * study.t_eval) - 0.5
-        hi = max(max(_wave_edges(fan)), max(speeds)) * study.t_eval + 0.5
+        edges = [s for w in fan.waves for s in w.speed_range()]
+        lo = min(0.0, min(min(edges), min(speeds)) * study.t_eval) - 0.5
+        hi = max(max(edges), max(speeds)) * study.t_eval + 0.5
         xs = np.linspace(lo, hi, n_samples)
         h_a, b_a, _ = profile(fan, study.t_eval, xs)
         h_b, b_b, _ = profile(target, study.t_eval, xs)
@@ -205,9 +174,4 @@ def convergence_table(
             row["weak_pairings"] = pair_vals
         return row
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one_row, study.values))
     return [one_row(v) for v in study.values]

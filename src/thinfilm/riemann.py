@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -343,28 +343,15 @@ def sample(fan: WaveFan, xi: float) -> SampledValue:
     p = fan.data.params
     state = fan.data.left
     for w in fan.waves:
-        if isinstance(w, Rarefaction):
-            if xi < w.xi_lo:
-                return SampledValue(state)
-            if xi <= w.xi_hi:
-                return SampledValue(rarefaction_state(xi, w.anchor, p))
-            state = w.right
-        elif isinstance(w, CompositeJR):
-            if xi < 0.0:
-                return SampledValue(state)
-            if xi <= w.xi_hi:
-                return SampledValue(rarefaction_state(xi, w.right, p))
-            state = w.right
-        elif isinstance(w, DeltaShock):
-            if xi < w.speed:
-                return SampledValue(state)
-            if xi == w.speed:
-                return SampledValue(w.right, singular_weight=w.strength_rate)
-            state = w.right
-        else:
-            if xi < w.speed:
-                return SampledValue(state)
-            state = w.right
+        lo, hi = w.speed_range()
+        if xi < lo:
+            return SampledValue(state)
+        if isinstance(w, (Rarefaction, CompositeJR)) and xi <= hi:
+            anchor = w.anchor if isinstance(w, Rarefaction) else w.right
+            return SampledValue(rarefaction_state(xi, anchor, p))
+        if isinstance(w, DeltaShock) and xi == lo:
+            return SampledValue(w.right, singular_weight=w.strength_rate)
+        state = w.right
     return SampledValue(state)
 
 
@@ -473,20 +460,9 @@ class BumpTestFunction:
         return self._g(sx) * self._dg(st) / self.t_radius
 
 
-def _wave_edges(fan: WaveFan) -> list[float]:
-    edges: list[float] = []
-    for w in fan.waves:
-        lo, hi = w.speed_range()
-        edges.append(lo)
-        if hi != lo:
-            edges.append(hi)
-    return edges
-
-
 def _segment_values(fan: WaveFan, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(h, b) arrays for rays that all lie inside one smooth region."""
     p = fan.data.params
-    mid = sample(fan, float(xis[len(xis) // 2]))
     for w in fan.waves:
         if isinstance(w, (Rarefaction, CompositeJR)):
             lo, hi = w.speed_range()
@@ -495,9 +471,63 @@ def _segment_values(fan: WaveFan, xis: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 den = 3.0 * p.alpha * anchor.b + p.kappa * anchor.h
                 h = np.sqrt(np.clip(xis, 0.0, None) * anchor.h / den)
                 return h, anchor.b * h / anchor.h
-    h = np.full_like(xis, mid.regular.h)
-    b = np.full_like(xis, mid.regular.b)
-    return h, b
+    mid = sample(fan, float(xis[len(xis) // 2])).regular
+    return np.full_like(xis, mid.h), np.full_like(xis, mid.b)
+
+
+def _space_time_gauss(
+    testfn: BumpTestFunction,
+    resolution: int,
+    fans: list[tuple[WaveFan, float]],
+    regular: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]],
+    probe: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None,
+) -> np.ndarray:
+    """Two-component integral over the box of ``testfn``.
+
+    ``resolution`` t panels of 6 Gauss-Legendre nodes; at each t node
+    the x range is split at the wave rays of ``fans`` and each piece
+    into subpanels of 8 nodes, where ``regular(xs, t)`` gives both
+    integrands.  Unless ``probe`` is None, each delta shock of each
+    (fan, sign) then adds sign * int beta(t) probe(sigma t, t, sigma) dt
+    to the second component.
+    """
+    x0, x1, t0, t1 = testfn.box
+    t0 = max(t0, 1e-12)
+    edges = {s for fan, _ in fans for w in fan.waves for s in w.speed_range()}
+    gt_nodes, gt_wts = np.polynomial.legendre.leggauss(6)
+    gx_nodes, gx_wts = np.polynomial.legendre.leggauss(8)
+    x_target = (x1 - x0) / max(resolution, 4)
+
+    acc = np.zeros(2)
+    t_panels = np.linspace(t0, t1, resolution + 1)
+    for ta, tb in zip(t_panels[:-1], t_panels[1:]):
+        tm, th = 0.5 * (ta + tb), 0.5 * (tb - ta)
+        for tn, tw in zip(gt_nodes, gt_wts):
+            t = tm + th * tn
+            breaks = sorted({x0, x1, *(s * t for s in edges if x0 < s * t < x1)})
+            for xa, xb in zip(breaks[:-1], breaks[1:]):
+                n_sub = max(1, int(math.ceil((xb - xa) / x_target)))
+                sub = np.linspace(xa, xb, n_sub + 1)
+                xm = 0.5 * (sub[:-1] + sub[1:])
+                xh = 0.5 * (sub[1] - sub[0])
+                xs = (xm[:, None] + xh * gx_nodes[None, :]).ravel()
+                wts = np.tile(xh * gx_wts, n_sub)
+                g0, g1 = regular(xs, t)
+                acc[0] += tw * th * float(np.dot(wts, g0))
+                acc[1] += tw * th * float(np.dot(wts, g1))
+    if probe is None:
+        return acc
+
+    for fan, sign in fans:
+        for w in fan.waves:
+            if not isinstance(w, DeltaShock):
+                continue
+            for ta, tb in zip(t_panels[:-1], t_panels[1:]):
+                tm, th = 0.5 * (ta + tb), 0.5 * (tb - ta)
+                ts = tm + th * gt_nodes
+                vals = w.strength_rate * ts * probe(w.speed * ts, ts, w.speed)
+                acc[1] += sign * th * float(np.dot(gt_wts, vals))
+    return acc
 
 
 def weak_residual(
@@ -519,48 +549,20 @@ def weak_residual(
     ``include_singular=False`` is the negative control.
     """
     p = fan.data.params
-    x0, x1, t0, t1 = testfn.box
-    t0 = max(t0, 1e-12)
-    edges = _wave_edges(fan)
 
-    gt_nodes, gt_wts = np.polynomial.legendre.leggauss(6)
-    gx_nodes, gx_wts = np.polynomial.legendre.leggauss(8)
-    x_target = (x1 - x0) / max(resolution, 4)
+    def regular(xs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        h, b = _segment_values(fan, xs / t)
+        w1 = p.alpha * h * b + p.kappa * h * h / 3.0
+        phit, phix = testfn.dt(xs, t), testfn.dx(xs, t)
+        return h * phit + h * w1 * phix, b * phit + b * w1 * phix
 
-    res = np.zeros(2)
-    t_panels = np.linspace(t0, t1, resolution + 1)
-    for ta, tb in zip(t_panels[:-1], t_panels[1:]):
-        tm, th = 0.5 * (ta + tb), 0.5 * (tb - ta)
-        for tn, tw in zip(gt_nodes, gt_wts):
-            t = tm + th * tn
-            breaks = sorted({x0, x1, *(s * t for s in edges if x0 < s * t < x1)})
-            for xa, xb in zip(breaks[:-1], breaks[1:]):
-                n_sub = max(1, int(math.ceil((xb - xa) / x_target)))
-                sub = np.linspace(xa, xb, n_sub + 1)
-                xm = 0.5 * (sub[:-1] + sub[1:])
-                xh = 0.5 * (sub[1] - sub[0])
-                xs = (xm[:, None] + xh * gx_nodes[None, :]).ravel()
-                wts = np.tile(xh * gx_wts, n_sub)
-                h, b = _segment_values(fan, xs / t)
-                f1 = h * (p.alpha * h * b + p.kappa * h * h / 3.0)
-                f2 = b * (p.alpha * h * b + p.kappa * h * h / 3.0)
-                phit = testfn.dt(xs, t)
-                phix = testfn.dx(xs, t)
-                res[0] += tw * th * float(np.dot(wts, h * phit + f1 * phix))
-                res[1] += tw * th * float(np.dot(wts, b * phit + f2 * phix))
+    def along_support(x: np.ndarray, t: np.ndarray, sigma: float) -> np.ndarray:
+        return testfn.dt(x, t) + sigma * testfn.dx(x, t)
 
-    if include_singular:
-        for w in fan.waves:
-            if not isinstance(w, DeltaShock):
-                continue
-            sigma, rate = w.speed, w.strength_rate
-            for ta, tb in zip(t_panels[:-1], t_panels[1:]):
-                tm, th = 0.5 * (ta + tb), 0.5 * (tb - ta)
-                ts = tm + th * gt_nodes
-                xs = sigma * ts
-                vals = rate * ts * (testfn.dt(xs, ts) + sigma * testfn.dx(xs, ts))
-                res[1] += th * float(np.dot(gt_wts, vals))
-
+    res = _space_time_gauss(
+        testfn, resolution, [(fan, 1.0)], regular,
+        along_support if include_singular else None,
+    )
     return abs(float(res[0])), abs(float(res[1]))
 
 

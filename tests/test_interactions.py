@@ -26,6 +26,7 @@ from thinfilm.interactions import (
     timeline_to_json,
 )
 from thinfilm.riemann import (
+    CompositeJR,
     Contact,
     DeltaShock,
     Rarefaction,
@@ -253,6 +254,22 @@ class TestDeltaContactSplit:
         assert times[0] > times[1] > times[2]
         np.testing.assert_allclose(strengths, [2 * 5.5 * e for e in (0.1, 0.05, 0.025)], rtol=1e-12)
 
+    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
+    @pytest.mark.parametrize("left", [State(1.24, 0.90), State(2.9, 1.70)])
+    def test_split_matches_timeline(self, eps, left):
+        # one split computation: the public function returns the point,
+        # strength and frozen front of the timeline's split event, bit for bit
+        d = replace(EX_PER_DS, epsilon=eps, left=left)
+        ev, (dj, curve) = delta_contact_split(d)
+        tl = run_timeline(d)
+        split = tl.events[0]
+        assert ev.point == split.point
+        assert ev.delta_strength == split.delta_strength
+        assert dj == tl.residual_delta_contact
+        assert curve.t_start == split.point[1]
+        t_probe = 2.0 * split.point[1]
+        assert curve.x_of_t(t_probe) == tl.curves[0].x_of_t(t_probe)
+
     def test_subcase1_completes(self):
         # left w1 above right w1: the split shock crosses the whole fan
         d = PerturbedData(
@@ -400,10 +417,18 @@ class TestGenericEngine:
     def test_jr_jr_runs(self):
         d = PerturbedData(0.1, State(0.8, 0.8), State(1.0, 1.1), State(1.5, 1.5), P1)
         assert classify_case(d) == "JR+JR"
-        tl = run_timeline(d, n_fan=16)
+        tl = run_timeline(d, n_fan=64)
         assert tl.case_tag == "JR+JR"
+        assert len(tl.events) > 0
         for e in tl.events:
             assert e.point[1] > 0.0
+        # late profile approximates the exact outer fan (same bound as JR+JS)
+        xs = np.linspace(-2.0, 40.0, 3000)
+        t = 8.0
+        h, b = tl.profile(t, xs)
+        he, be, _ = profile(solve(d.outer_data()), t, xs)
+        l1 = float(np.sum(np.abs(h - he) + np.abs(b - be)) * (xs[1] - xs[0]))
+        assert l1 < 0.5
 
     def test_budget_exhaustion(self):
         d = PerturbedData(0.1, State(1.0, 1.0), State(1.3, 1.3), State(0.9, 0.8), P1)
@@ -421,6 +446,32 @@ class TestTimelineSampling:
         he, be, _ = profile(solve(d.outer_data()), 1.0, xs - d.epsilon)
         np.testing.assert_allclose(h, he, atol=1e-12)
         np.testing.assert_allclose(b, be, atol=1e-12)
+
+    @pytest.mark.parametrize("outer, waves", [
+        ((State(1.5, 1.6), State(1.25, 1.15), P0), [Contact, Shock]),
+        ((State(1.24, 0.90), State(1.5, 1.56), P0), [Contact, Rarefaction]),
+        ((State(2.0, 1.5), State(0.0, 2.0), P1), [DeltaShock]),
+        ((State(1e-6, 5.5), State(1.5, 1.56), Params(0.5, 0.0, h_tol=1e-4)), [CompositeJR]),
+    ], ids=["JS", "JR", "delta", "composite"])
+    @pytest.mark.parametrize("equal_to", ["left", "right"])
+    def test_trivial_outer_fan(self, outer, waves, equal_to):
+        # middle equal to one outer state: the exact outer fan, centred at
+        # the other discontinuity (+eps if middle == left, -eps if right)
+        left, right, p = outer
+        middle, shift = (left, 0.1) if equal_to == "left" else (right, -0.1)
+        d = PerturbedData(0.1, left, middle, right, p)
+        tl = run_timeline(d)
+        fan = solve(d.outer_data())
+        assert [type(w) for w in fan.waves] == waves
+        assert tl.events == []
+        xs = np.linspace(-1.0, 5.0, 500)
+        for t in (0.5, 1.0, 2.0):
+            h, b = tl.profile(t, xs)
+            he, be, _ = profile(fan, t, xs - shift)
+            np.testing.assert_allclose(h, he, atol=1e-12)
+            np.testing.assert_allclose(b, be, atol=1e-12)
+            masses = [m for _, m in tl.point_masses(t)]
+            assert masses == [w.strength_rate * t for w in fan.waves if isinstance(w, DeltaShock)]
 
     def test_outgoing_speeds_sorted_at_events(self):
         for d in (EX_PER_JS, CASE2_SUB1, CASE6, CASE7):
