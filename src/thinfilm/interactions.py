@@ -303,6 +303,10 @@ def interact_shock_contact(
     contact moves at lambda1 of the shock's left state (w1 transport),
     the emerging shock connects the refreshed intermediate state to the
     contact's right state.
+
+    Front ids in the returned Event are local to the interaction, not
+    those of ``run_timeline``: the incoming fronts are 0 and 1, the
+    outgoing ones are numbered from 2.
     """
     sigma1, mu2 = s1.speed, j2.speed
     if sigma1 <= mu2:
@@ -596,7 +600,12 @@ def delta_contact_split(
     (eps, 6 eps / (3 a h- b- + k h-^2)) in exact arithmetic, carrying
     strength 2 b_m eps.  Overcompressibility fails beyond, so the point
     mass freezes on a delta contact while a regular shock enters the fan
-    from its tail.  The values are those of ``run_timeline``.
+    from its tail.  The point, strength and curve are those of
+    ``run_timeline``.
+
+    Front ids in the returned Event are local to the interaction, not
+    those of ``run_timeline``: the incoming fronts are 0 and 1, the
+    outgoing ones are numbered from 2.
     """
     if classify_case(d) != "dS+JR":
         raise WrongCaseError("data is not a delta / composite configuration")
@@ -627,9 +636,16 @@ def _resolve_ds_jr(d: PerturbedData) -> InteractionTimeline:
 def shock_overtakes_delta(
     s1w: Shock, ds2w: DeltaShock, d: PerturbedData
 ) -> tuple[Event, DeltaShock]:
-    """Shock absorbs the slower delta front; the merged singular front
-    moves at lambda1 of the outer left state, parallel to the leading
-    contact, with the inherited strength growing at the unperturbed rate."""
+    """Shock absorbs the slower delta front.
+
+    The merged singular front moves at lambda1 of the outer left state,
+    parallel to the leading contact, with the inherited strength growing
+    at the unperturbed rate.
+
+    Front ids in the returned Event are local to the interaction, not
+    those of ``run_timeline``: the incoming fronts are 0 and 1, the
+    outgoing ones are numbered from 2.
+    """
     sigma1, sigma_d2 = s1w.speed, ds2w.speed
     if sigma1 <= sigma_d2:
         raise NoInteractionError("shock is not faster than the delta front")
@@ -663,6 +679,11 @@ def delta_through_fan(
     root law; the strength follows by integrating the swept right-state
     mass.  The penetration always completes (the fan tail is slower),
     after which the front runs parallel to the leading contact.
+
+    Front ids in the returned Events are local to the interaction, not
+    those of ``run_timeline``: the incoming fronts are 0 and 1, the
+    outgoing ones are numbered from 2, and the second event continues
+    the numbering (the penetrating front 2 leaves the fan as front 3).
     """
     p = d.params
     eps = d.epsilon

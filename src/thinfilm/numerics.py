@@ -19,6 +19,18 @@ scalar tests, so a run pays for the cells its waves (and the scheme's
 numerical diffusion, down to rounding) have reached, and its output is
 bit-identical to a full-array update.
 
+The kernel holds h and b as the two rows of one padded array, so the
+cell fluxes, their differences, the ``dt/dx`` scaling, the update and
+the finiteness and positivity check each treat both components in one
+ufunc call, and it writes every intermediate into work buffers
+allocated once per run and sliced to the window.  This too changes no
+bit: every ufunc applies the same IEEE operation to the same operands
+in the same order as the array expression it replaces (``kappa*h*h``,
+computed once, then enters ``lambda2`` and ``phi`` exactly as it did in
+each), no matter which buffer receives the result, and a row-wise
+``np.add.reduce`` of the two rows is the same pairwise sum as
+``np.sum`` of each.
+
 Delta shocks are run with the diffusive
 flux on fine meshes and measured through the windowed-mass diagnostic.
 The LLF b peak of a captured delta shock converges onto the singular
@@ -29,6 +41,7 @@ the ray even at dx = 1e-4.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -113,19 +126,15 @@ class SchemeConfig:
             raise ValueError("only outflow boundaries are supported")
 
 
-def _phi_arr(h: np.ndarray, b: np.ndarray, p: Params) -> np.ndarray:
+def _phi(h, b, p: Params):
+    """lambda1 = alpha*h*b + kappa*h*h/3 of floats or arrays."""
     return p.alpha * h * b + p.kappa * h * h / 3.0
 
 
-def _lambda2_arr(h: np.ndarray, b: np.ndarray, p: Params) -> np.ndarray:
+def _lambda2(h, b, p: Params):
     # Equal to 3*phi in exact arithmetic, but not in bits (they differ in
     # about half of random draws), and dt and the LLF speeds use this form.
     return 3.0 * p.alpha * h * b + p.kappa * h * h
-
-
-def _flux_arr(h: np.ndarray, b: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    f = _phi_arr(h, b, p)
-    return h * f, b * f
 
 
 def godunov_flux(uL: State, uR: State, p: Params) -> np.ndarray:
@@ -142,10 +151,7 @@ def godunov_flux(uL: State, uR: State, p: Params) -> np.ndarray:
 
 def llf_flux(uL: State, uR: State, p: Params) -> np.ndarray:
     """Local Lax-Friedrichs (Rusanov) flux with speed max(lambda2(uL), lambda2(uR))."""
-    a = max(
-        _lambda2_arr(np.asarray(uL.h), np.asarray(uL.b), p),
-        _lambda2_arr(np.asarray(uR.h), np.asarray(uR.b), p),
-    )
+    a = max(_lambda2(uL.h, uL.b, p), _lambda2(uR.h, uR.b, p))
     return 0.5 * (flux(uL, p) + flux(uR, p)) - 0.5 * float(a) * (
         uR.as_array() - uL.as_array()
     )
@@ -179,24 +185,31 @@ def _edge(hv: np.ndarray, bv: np.ndarray, i: int, stop: int, direction: int) -> 
 class _Kernel:
     """A field advanced in place over its active window, one step per call.
 
-    ``H`` and ``B`` hold the cells with one outflow ghost at each end, so
-    cell i sits at index i + 1; ``field`` views the interior.  ``win`` is
-    the inclusive cell range [lo - 1, hi] the next step updates, where lo
-    and hi are the first and last cells i >= 1 that differ in bits from
-    cell i - 1, or [0, 0] on a constant field.  The window holds a cell of
-    every distinct state, so the maximum wave speed over it is the
-    maximum over the field.
+    ``U`` holds h and b as its two rows, with one outflow ghost at each
+    end, so cell i sits at column i + 1; ``H`` and ``B`` view the rows and
+    ``field`` views the interior.  ``win`` is the inclusive cell range
+    [lo - 1, hi] the next step updates, where lo and hi are the first and
+    last cells i >= 1 that differ in bits from cell i - 1, or [0, 0] on a
+    constant field.  The window holds a cell of every distinct state, so
+    the maximum wave speed over it is the maximum over the field.  The
+    work buffers are allocated here once and sliced to the window.
     """
 
     def __init__(self, f: FVField, cfg: SchemeConfig, p: Params):
         n = f.grid.n_cells
         self.cfg, self.p, self.n = cfg, p, n
-        self.H = np.empty(n + 2)
-        self.B = np.empty(n + 2)
+        self.U = np.empty((2, n + 2))
+        self.H, self.B = self.U
         self.H[1:-1], self.B[1:-1] = f.h, f.b
-        self.H[0], self.H[-1], self.B[0], self.B[-1] = self.H[1], self.H[-2], self.B[1], self.B[-2]
+        self.U[:, 0], self.U[:, -1] = self.U[:, 1], self.U[:, -2]
         self.hv, self.bv = self.H.view(np.int64), self.B.view(np.int64)
         self.field = FVField(f.grid, self.H[1:-1], self.B[1:-1], f.t)
+        # kappa*h*h, lambda2 and phi per cell; cell fluxes; interface
+        # fluxes (LLF); interface differences
+        self.kh2, self.lam2, self.phi = np.empty((3, n + 2))
+        self.flux = np.empty((2, n + 2))
+        self.iflux = np.empty((2, n + 1))
+        self.diff = np.empty((2, n + 1))
         self.win = self._window(1, n - 1)
         self.cell_updates = 0
         self.max_active = 0
@@ -210,36 +223,49 @@ class _Kernel:
 
     def _check(self, i0: int, i1: int, what: str, t: float, positivity: bool) -> None:
         """Raise at the first non-finite (or, with ``positivity``, negative) cell in [i0, i1]."""
-        h, b = self.H[i0 + 1 : i1 + 2], self.B[i0 + 1 : i1 + 2]
-        lo, hi = min(h.min(), b.min()), max(h.max(), b.max())
+        u = self.U[:, i0 + 1 : i1 + 2]
+        # both reductions propagate a NaN in either row
+        lo, hi = np.minimum.reduce(u, axis=None), np.maximum.reduce(u, axis=None)
         if math.isfinite(lo) and math.isfinite(hi) and (not positivity or lo >= -1e-12):
             return
-        bad = ~(np.isfinite(h) & np.isfinite(b))
+        bad = ~np.isfinite(u).all(axis=0)
         if bad.any():
             msg = f"non-finite {what} at t={t}"
         else:
-            bad = (h < -1e-12) | (b < -1e-12)
+            bad = (u < -1e-12).any(axis=0)
             msg = f"positivity lost at t={t}"
         k = int(np.argmax(bad))
         x = self.field.grid.centers()[i0 + k]
-        raise SchemeFailureError(f"{msg}: cell {i0 + k} at x={x} has h={h[k]}, b={b[k]}")
+        h, b = u[:, k]
+        raise SchemeFailureError(f"{msg}: cell {i0 + k} at x={x} has h={h}, b={b}")
 
-    def advance(self, check_all: bool) -> tuple[np.ndarray, np.ndarray] | None:
-        """One step; returns the fluxes of cells 0 and n - 1 before it, or None if t did not step.
+    def advance(self, check_all: bool) -> tuple[tuple[float, float], ...] | None:
+        """One step, or None if t did not step.
+
+        Returns the h fluxes and the b fluxes of cells 0 and n - 1 before
+        the step, as ``((h0, h_last), (b0, b_last))``.
 
         ``check_all`` extends the finiteness and positivity checks from
         the window to the whole field; cells outside the window keep their
         bits, so the first step of a run needs it and later steps do not.
         """
-        cfg, p, n, f = self.cfg, self.p, self.n, self.field
+        cfg, p, n, f, U = self.cfg, self.p, self.n, self.field, self.U
         i0, i1 = self.win
+        m = i1 - i0 + 1
         t, dx = f.t, f.grid.dx
         if check_all:
             self._check(0, n - 1, "field", t, positivity=False)
-        hs, bs = self.H[i0 : i1 + 3], self.B[i0 : i1 + 3]
+        us = U[:, i0 : i1 + 3]
+        hs, bs = us
+        kh2, lam2, phi = self.kh2[: m + 2], self.lam2[: m + 2], self.phi[: m + 2]
         with np.errstate(over="ignore"):
-            lam2 = _lambda2_arr(hs, bs, p)
-        lam_max = float(lam2.max())
+            # _lambda2 with kappa*h*h kept for phi
+            np.multiply(p.kappa, hs, out=kh2)
+            kh2 *= hs
+            np.multiply(3.0 * p.alpha, hs, out=lam2)
+            lam2 *= bs
+            lam2 += kh2
+        lam_max = float(np.maximum.reduce(lam2))
         if not math.isfinite(lam_max):
             raise SchemeFailureError(f"wave speeds overflow at t={t}")
         remaining = cfg.t_end - t
@@ -255,26 +281,38 @@ class _Kernel:
             raise SchemeFailureError(f"time step collapsed at t={t}")
 
         # the outflow boundary fluxes: the same in both schemes
-        boundary = _flux_arr(self.H[[1, n]], self.B[[1, n]], p)
-        f1, f2 = _flux_arr(hs, bs, p)
+        (h0, hn), (b0, bn) = U[:, [1, n]].tolist()
+        phi0, phin = _phi(h0, b0, p), _phi(hn, bn, p)
+        boundary = (h0 * phi0, hn * phin), (b0 * phi0, bn * phin)
+        # _phi, then the cell fluxes of both components at once
+        np.multiply(p.alpha, hs, out=phi)
+        phi *= bs
+        kh2 /= 3.0
+        phi += kh2
+        fl = np.multiply(us, phi, out=self.flux[:, : m + 2])
+        diff = self.diff[:, :m]
         if cfg.scheme == "godunov":
             # upwind: all characteristic speeds are >= 0 on the quadrant
-            F1, F2 = f1[:-1], f2[:-1]
+            np.subtract(fl[:, 1:-1], fl[:, :-2], out=diff)
         else:
-            s = np.maximum(lam2[:-1], lam2[1:])
-            F1 = 0.5 * (f1[:-1] + f1[1:]) - 0.5 * s * (hs[1:] - hs[:-1])
-            F2 = 0.5 * (f2[:-1] + f2[1:]) - 0.5 * s * (bs[1:] - bs[:-1])
-        lam = dt / dx
-        self.H[i0 + 1 : i1 + 2] = hs[1:-1] - lam * (F1[1:] - F1[:-1])
-        self.B[i0 + 1 : i1 + 2] = bs[1:-1] - lam * (F2[1:] - F2[:-1])
+            s_half = np.maximum(lam2[:-1], lam2[1:], out=kh2[:-1])
+            s_half *= 0.5
+            F = np.add(fl[:, :-1], fl[:, 1:], out=self.iflux[:, : m + 1])
+            F *= 0.5
+            du = np.subtract(us[:, 1:], us[:, :-1], out=self.diff[:, : m + 1])
+            du *= s_half
+            F -= du
+            np.subtract(F[:, 1:], F[:, :-1], out=diff)
+        diff *= dt / dx
+        U[:, i0 + 1 : i1 + 2] -= diff
         self._check(*((0, n - 1) if check_all else (i0, i1)), "update", t, positivity=True)
         if i0 == 0:
-            self.H[0], self.B[0] = self.H[1], self.B[1]
+            U[:, 0] = U[:, 1]
         if i1 == n - 1:
-            self.H[-1], self.B[-1] = self.H[-2], self.B[-2]
+            U[:, -1] = U[:, -2]
         f.t = t + dt
-        self.cell_updates += i1 - i0 + 1
-        self.max_active = max(self.max_active, i1 - i0 + 1)
+        self.cell_updates += m
+        self.max_active = max(self.max_active, m)
         self.win = self._window(max(i0, 1), min(i1 + 1, n - 1))
         return boundary
 
@@ -335,8 +373,9 @@ def run(
     k = _Kernel(initial, cfg, p)
     f = k.field
     dx = f.grid.dx
-    masses_h = [float(np.sum(f.h) * dx)]
-    masses_b = [float(np.sum(f.b) * dx)]
+    interior = k.U[:, 1:-1]
+    sum_h, sum_b = np.add.reduce(interior, axis=1).tolist()
+    masses_h, masses_b = [sum_h * dx], [sum_b * dx]
     times = [f.t]
     cons_res = 0.0
     delta_series: list[tuple[float, float]] = []
@@ -348,15 +387,15 @@ def run(
     while f.t < cfg.t_end - 1e-14:
         t_prev = f.t
         boundary = k.advance(check_all=n_steps == 0)
-        mass_h = float(np.sum(f.h) * dx)
-        mass_b = float(np.sum(f.b) * dx)
+        sum_h, sum_b = np.add.reduce(interior, axis=1).tolist()
+        mass_h, mass_b = sum_h * dx, sum_b * dx
         if boundary is not None:
             # the realised step, as the field's times record it
             dt = f.t - t_prev
-            for mass_prev, mass_new, F in zip(
+            for mass_prev, mass_new, (F0, Fn) in zip(
                 (masses_h[-1], masses_b[-1]), (mass_h, mass_b), boundary
             ):
-                res = mass_new - mass_prev + dt * (float(F[1]) - float(F[0]))
+                res = mass_new - mass_prev + dt * (Fn - F0)
                 cons_res = max(cons_res, abs(res))
         masses_h.append(mass_h)
         masses_b.append(mass_b)
@@ -420,6 +459,23 @@ def peak_location(f: FVField, window: tuple[float, float]) -> float:
     return float(x[idx[np.argmax(f.b[idx])]])
 
 
+@functools.lru_cache(maxsize=16)
+def _delta_cells(grid: Grid, lo: float, hi: float) -> tuple[slice, np.ndarray]:
+    """The cells whose centers lie in [lo, hi], as a slice, and those centers.
+
+    Cached, so a run that measures the same window every step builds it
+    once.  Centers increase with the index, so the cells are contiguous.
+    """
+    x = grid.centers()
+    idx = np.flatnonzero((x >= lo) & (x <= hi))
+    if idx.size == 0:
+        raise ValueError("window lies outside the grid")
+    cells = slice(int(idx[0]), int(idx[-1]) + 1)
+    xw = x[cells].copy()
+    xw.flags.writeable = False
+    return cells, xw
+
+
 def delta_mass(
     f: FVField, window: tuple[float, float], background: tuple[State, State]
 ) -> float:
@@ -429,15 +485,11 @@ def delta_mass(
     at the b peak inside the window; the excess estimates the point
     mass carried by a captured singular front.
     """
-    x = f.grid.centers()
-    mask = (x >= window[0]) & (x <= window[1])
-    if not np.any(mask):
-        raise ValueError("window lies outside the grid")
-    xw = x[mask]
-    bw = f.b[mask]
-    x_peak = xw[np.argmax(bw)]
+    cells, xw = _delta_cells(f.grid, float(window[0]), float(window[1]))
+    bw = f.b[cells]
+    x_peak = xw[bw.argmax()]
     bg = np.where(xw < x_peak, background[0].b, background[1].b)
-    return float(np.sum(bw - bg) * f.grid.dx)
+    return float(np.add.reduce(bw - bg) * f.grid.dx)
 
 
 def invariant_transport_residual(
@@ -466,7 +518,7 @@ def invariant_transport_residual(
         raise ValueError("window contains no interior smooth cells")
 
     def w1(f: FVField) -> np.ndarray:
-        return _phi_arr(f.h, f.b, p)
+        return _phi(f.h, f.b, p)
 
     def w2(f: FVField) -> np.ndarray:
         return f.b / np.where(f.h > p.h_tol, f.h, 1.0)

@@ -265,6 +265,13 @@ class TestDeltaContactSplit:
         split = tl.events[0]
         assert ev.point == split.point
         assert ev.delta_strength == split.delta_strength
+        # the helper's ids are local (incoming 0 and 1, outgoing from 2);
+        # the timeline's are global, and its front 2 is the fan head
+        assert (ev.incoming, ev.outgoing) == ((0, 1), (2, 3))
+        kinds = {fr.id: fr.kind for fr in tl.fronts}
+        assert [kinds[i] for i in split.incoming] == ["delta", "contact"]
+        assert [kinds[i] for i in split.outgoing] == ["delta-contact", "curved-shock"]
+        assert kinds[2] == "fan-head" and split.outgoing != ev.outgoing
         assert dj == tl.residual_delta_contact
         assert curve.t_start == split.point[1]
         t_probe = 2.0 * split.point[1]

@@ -48,10 +48,23 @@ def reference_step(f, cfg, p):
     return FVField(f.grid, hn, bn, f.t + dt), F1, F2
 
 
-def reference_run(f, cfg, p):
-    """The run loop over reference_step: final field, both mass series, conservation residual."""
+def reference_delta_mass(f, window, background):
+    """delta_mass written out over a boolean mask of the whole grid."""
+    x = f.grid.centers()
+    mask = (x >= window[0]) & (x <= window[1])
+    xw, bw = x[mask], f.b[mask]
+    bg = np.where(xw < xw[np.argmax(bw)], background[0].b, background[1].b)
+    return float(np.sum(bw - bg) * f.grid.dx)
+
+
+def reference_run(f, cfg, p, delta=None):
+    """The run loop over reference_step.
+
+    Returns the final field, both mass series, the conservation residual
+    and, with ``delta = (window, background)``, the delta-mass series.
+    """
     dx = f.grid.dx
-    mh, mb, res = [float(np.sum(f.h) * dx)], [float(np.sum(f.b) * dx)], 0.0
+    mh, mb, res, series = [float(np.sum(f.h) * dx)], [float(np.sum(f.b) * dx)], 0.0, []
     while f.t < cfg.t_end - 1e-14:
         fn, F1, F2 = reference_step(f, cfg, p)
         for m, arr, F in ((mh, fn.h, F1), (mb, fn.b, F2)):
@@ -59,7 +72,9 @@ def reference_run(f, cfg, p):
             r = m[-1] - m[-2] + (fn.t - f.t) * (float(F[-1]) - float(F[0]))
             res = max(res, abs(r))
         f = fn
-    return f, mh, mb, res
+        if delta is not None:
+            series.append((f.t, reference_delta_mass(f, *delta)))
+    return f, mh, mb, res, series
 
 
 def piecewise_constant(rng, grid):
@@ -139,16 +154,25 @@ class TestWindowKernel:
         rng = np.random.RandomState(11 if kappa else 5)
         p = Params(0.5, kappa, h_tol=1e-9)
         cfg = SchemeConfig(scheme=scheme, t_end=0.6)
-        for _ in range(4):
+        for draw in range(5):
             f0 = piecewise_constant(rng, Grid(-1.0, 4.0, 300))
-            f, diag = run(f0, cfg, p)
-            g, mh, mb, res = reference_run(f0, cfg, p)
+            if draw == 4:
+                # the first window spans cell 0 to cell n - 1: both ghosts
+                # are refreshed and both boundary fluxes change
+                f0.h[0], f0.b[-1] = 1.7, 0.3
+            bg = (State(f0.h[0], f0.b[0]), State(f0.h[-1], f0.b[-1]))
+            delta = ((-1.0, 1.5) if draw % 2 else (0.5, 4.0), bg)
+            f, diag = run(f0, cfg, p, delta_window=delta[0], delta_background=bg)
+            g, mh, mb, res, series = reference_run(f0, cfg, p, delta)
             np.testing.assert_array_equal(f.h, g.h)
             np.testing.assert_array_equal(f.b, g.b)
             assert f.t == g.t
             np.testing.assert_array_equal(diag["mass_h"], mh)
             np.testing.assert_array_equal(diag["mass_b"], mb)
             assert diag["max_conservation_residual"] == res
+            assert diag["delta_mass"] == series
+            if draw == 4:
+                assert diag["max_active_cells"] == f0.grid.n_cells
             s, r = step(f0, cfg, p), reference_step(f0, cfg, p)[0]
             np.testing.assert_array_equal(s.h, r.h)
             np.testing.assert_array_equal(s.b, r.b)
@@ -184,11 +208,14 @@ class TestWindowKernel:
                 with pytest.raises(SchemeFailureError, match="positivity lost") as exc:
                     advance(f, cfg, Params(0.5, 3.0))
                 assert f"cell {first} at x={x[first]} " in str(exc.value)
-        f = FVField(grid, np.full(32, 1.0), np.full(32, 1.0), 0.0)
-        f.h[3] = math.nan
-        with pytest.raises(SchemeFailureError, match="non-finite field") as exc:
-            step(f, cfg, Params(0.5, 3.0))
-        assert f"cell 3 at x={x[3]} has h=nan, b=1.0" in str(exc.value)
+        # a NaN in either component, h or b, is found
+        for row, values in ((0, "h=nan, b=1.0"), (1, "h=1.0, b=nan")):
+            f = FVField(grid, np.full(32, 1.0), np.full(32, 1.0), 0.0)
+            (f.h, f.b)[row][3] = math.nan
+            for advance in (step, run):
+                with pytest.raises(SchemeFailureError, match="non-finite field") as exc:
+                    advance(f, cfg, Params(0.5, 3.0))
+                assert f"cell 3 at x={x[3]} has {values}" in str(exc.value)
 
 
 class TestStep:
