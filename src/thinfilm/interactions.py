@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import Params, State, eigenvalues, phi
 from .errors import (
@@ -54,6 +53,7 @@ from .riemann import (
     rarefaction_state,
     shock_speed,
     solve,
+    _fan_arrays,
 )
 
 __all__ = [
@@ -148,14 +148,6 @@ class FanRegion:
 Region = Union[ConstRegion, FanRegion]
 
 
-def _region_state(region: Region, x: float, t: float, p: Params) -> State:
-    if isinstance(region, ConstRegion):
-        return region.state
-    lam2 = eigenvalues(region.anchor, p)[1]
-    xi = min(max((x - region.origin_x) / t, 0.0), lam2)
-    return rarefaction_state(xi, region.anchor, p)
-
-
 @dataclass
 class Front:
     """One tracked discontinuity with the region to its right.
@@ -231,19 +223,27 @@ class InteractionTimeline:
                 region = f.right_region
             else:
                 break
-        return _region_state(region, x, t, self.data.params)
+        if isinstance(region, ConstRegion):
+            return region.state
+        lam2 = eigenvalues(region.anchor, self.data.params)[1]
+        xi = min(max((x - region.origin_x) / t, 0.0), lam2)
+        return rarefaction_state(xi, region.anchor, self.data.params)
 
     def profile(self, t: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if not (math.isfinite(t) and t > 0.0):
+            raise InvalidDataError(f"profile time must be finite and positive, got t={t}")
+        xs = np.asarray(xs, dtype=float)
         fronts = self.alive_fronts(t)
         positions = np.array([f.position(t) for f in fronts])
         regions = [ConstRegion(self.data.left)] + [f.right_region for f in fronts]
         idx = np.searchsorted(positions, xs, side="right")
-        h = np.empty(len(xs))
-        b = np.empty(len(xs))
-        for i, (x, k) in enumerate(zip(xs, idx)):
-            u = _region_state(regions[k], x, t, self.data.params)
-            h[i] = u.h
-            b[i] = u.b
+        table = np.array([(r.state.h, r.state.b) if isinstance(r, ConstRegion)
+                          else (math.nan, math.nan) for r in regions])
+        h, b = table[idx, 0], table[idx, 1]
+        for k, r in enumerate(regions):
+            if isinstance(r, FanRegion):
+                on = idx == k
+                h[on], b[on] = _fan_arrays((xs[on] - r.origin_x) / t, r.anchor, self.data.params)
         return h, b
 
     def point_masses(self, t: float) -> list[tuple[float, float]]:
@@ -381,13 +381,10 @@ def shock_through_fan(
         g_hi = _penetration_g(h_left, hi)
         if target <= g_hi:
             return hi
-        return brentq(
-            lambda hh: _penetration_g(h_left, hh) - target,
-            h_entry,
-            hi,
-            xtol=1e-14,
-            rtol=1e-14,
-        )
+        # u = 1 - h/h_L solves u^2 (3 - 2u) = c; its trigonometric root with
+        # acos(2c - 1) rewritten through asin(sqrt(c)), so nothing cancels as c -> 0
+        third = math.asin(math.sqrt(min(target / h_left**3, 1.0))) / 3.0
+        return h_left * (1.0 - math.sin(third) ** 2 - math.sqrt(0.75) * math.sin(2.0 * third))
 
     def x_of_t(t: float) -> float:
         h = h_of_t(t)

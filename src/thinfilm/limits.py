@@ -26,7 +26,6 @@ from .riemann import (
     classify,
     profile,
     solve,
-    _segment_values,
     _space_time_gauss,
 )
 
@@ -96,8 +95,8 @@ def weak_pairing(
     line pairing int beta(t) phi(sigma t, t) dt.
     """
     def regular(xs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        ha, ba = _segment_values(fan_a, xs / t)
-        hb, bb = _segment_values(fan_b, xs / t)
+        ha, ba, _ = profile(fan_a, t, xs)
+        hb, bb, _ = profile(fan_b, t, xs)
         vals = testfn.value(xs, t)
         return (ha - hb) * vals, (ba - bb) * vals
 

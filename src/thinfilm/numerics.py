@@ -460,8 +460,8 @@ def peak_location(f: FVField, window: tuple[float, float]) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _delta_cells(grid: Grid, lo: float, hi: float) -> tuple[slice, np.ndarray]:
-    """The cells whose centers lie in [lo, hi], as a slice, and those centers.
+def _delta_cells(grid: Grid, lo: float, hi: float) -> slice:
+    """The cells whose centers lie in [lo, hi], as a slice.
 
     Cached, so a run that measures the same window every step builds it
     once.  Centers increase with the index, so the cells are contiguous.
@@ -470,10 +470,7 @@ def _delta_cells(grid: Grid, lo: float, hi: float) -> tuple[slice, np.ndarray]:
     idx = np.flatnonzero((x >= lo) & (x <= hi))
     if idx.size == 0:
         raise ValueError("window lies outside the grid")
-    cells = slice(int(idx[0]), int(idx[-1]) + 1)
-    xw = x[cells].copy()
-    xw.flags.writeable = False
-    return cells, xw
+    return slice(int(idx[0]), int(idx[-1]) + 1)
 
 
 def delta_mass(
@@ -485,11 +482,12 @@ def delta_mass(
     at the b peak inside the window; the excess estimates the point
     mass carried by a captured singular front.
     """
-    cells, xw = _delta_cells(f.grid, float(window[0]), float(window[1]))
-    bw = f.b[cells]
-    x_peak = xw[bw.argmax()]
-    bg = np.where(xw < x_peak, background[0].b, background[1].b)
-    return float(np.add.reduce(bw - bg) * f.grid.dx)
+    bw = f.b[_delta_cells(f.grid, float(window[0]), float(window[1]))]
+    k = int(bw.argmax())
+    excess = np.empty_like(bw)
+    np.subtract(bw[:k], background[0].b, out=excess[:k])
+    np.subtract(bw[k:], background[1].b, out=excess[k:])
+    return float(np.add.reduce(excess) * f.grid.dx)
 
 
 def invariant_transport_residual(

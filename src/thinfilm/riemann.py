@@ -355,16 +355,32 @@ def sample(fan: WaveFan, xi: float) -> SampledValue:
     return SampledValue(state)
 
 
+def _fan_arrays(xi: np.ndarray, anchor: State, p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rarefaction_state` on arrays without its range check; clamps keep -0.0 and NaN."""
+    _, lam2 = eigenvalues(anchor, p)
+    xi = np.where(lam2 < xi, lam2, np.where(xi < 0.0, 0.0, xi))
+    h = np.sqrt(xi * anchor.h / (3.0 * p.alpha * anchor.b + p.kappa * anchor.h))
+    return h, anchor.b * h / anchor.h
+
+
 def profile(
     fan: WaveFan, t: float, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float]]]:
-    """Regular (h, b) arrays at time t plus [(x, mass)] for point masses."""
-    hs = np.empty_like(xs, dtype=float)
-    bs = np.empty_like(xs, dtype=float)
-    for i, x in enumerate(np.asarray(xs, dtype=float)):
-        v = sample(fan, x / t)
-        hs[i] = v.regular.h
-        bs[i] = v.regular.b
+    """Regular (h, b) arrays at time t > 0 plus [(x, mass)] for point
+    masses: :func:`sample` on the rays xs / t, bit for bit (waves are
+    painted last to first, so the first to decide a ray wins)."""
+    if not (math.isfinite(t) and t > 0.0):
+        raise InvalidDataError(f"profile time must be finite and positive, got t={t}")
+    xi = np.asarray(xs, dtype=float) / t
+    states = [fan.data.left] + [w.right for w in fan.waves]
+    hs, bs = np.full(xi.shape, states[-1].h), np.full(xi.shape, states[-1].b)
+    for w, before in zip(reversed(fan.waves), reversed(states[:-1])):
+        lo, hi = w.speed_range()
+        if isinstance(w, (Rarefaction, CompositeJR)):
+            on = (xi >= lo) & (xi <= hi)
+            anchor = w.anchor if isinstance(w, Rarefaction) else w.right
+            hs[on], bs[on] = _fan_arrays(xi[on], anchor, fan.data.params)
+        hs[xi < lo], bs[xi < lo] = before.h, before.b
     deltas = [
         (w.speed * t, w.strength_rate * t)
         for w in fan.waves
@@ -460,21 +476,6 @@ class BumpTestFunction:
         return self._g(sx) * self._dg(st) / self.t_radius
 
 
-def _segment_values(fan: WaveFan, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h, b) arrays for rays that all lie inside one smooth region."""
-    p = fan.data.params
-    for w in fan.waves:
-        if isinstance(w, (Rarefaction, CompositeJR)):
-            lo, hi = w.speed_range()
-            if lo < xis[0] and xis[-1] < hi:
-                anchor = w.anchor if isinstance(w, Rarefaction) else w.right
-                den = 3.0 * p.alpha * anchor.b + p.kappa * anchor.h
-                h = np.sqrt(np.clip(xis, 0.0, None) * anchor.h / den)
-                return h, anchor.b * h / anchor.h
-    mid = sample(fan, float(xis[len(xis) // 2])).regular
-    return np.full_like(xis, mid.h), np.full_like(xis, mid.b)
-
-
 def _space_time_gauss(
     testfn: BumpTestFunction,
     resolution: int,
@@ -487,8 +488,8 @@ def _space_time_gauss(
     ``resolution`` t panels of 6 Gauss-Legendre nodes; at each t node
     the x range is split at the wave rays of ``fans`` and each piece
     into subpanels of 8 nodes, where ``regular(xs, t)`` gives both
-    integrands.  Unless ``probe`` is None, each delta shock of each
-    (fan, sign) then adds sign * int beta(t) probe(sigma t, t, sigma) dt
+    integrands elementwise.  Unless ``probe`` is None, each delta shock
+    of each (fan, sign) then adds sign * int beta(t) probe(sigma t, t, sigma) dt
     to the second component.
     """
     x0, x1, t0, t1 = testfn.box
@@ -505,16 +506,20 @@ def _space_time_gauss(
         for tn, tw in zip(gt_nodes, gt_wts):
             t = tm + th * tn
             breaks = sorted({x0, x1, *(s * t for s in edges if x0 < s * t < x1)})
+            nodes, weights = [], []
             for xa, xb in zip(breaks[:-1], breaks[1:]):
                 n_sub = max(1, int(math.ceil((xb - xa) / x_target)))
                 sub = np.linspace(xa, xb, n_sub + 1)
                 xm = 0.5 * (sub[:-1] + sub[1:])
                 xh = 0.5 * (sub[1] - sub[0])
-                xs = (xm[:, None] + xh * gx_nodes[None, :]).ravel()
-                wts = np.tile(xh * gx_wts, n_sub)
-                g0, g1 = regular(xs, t)
-                acc[0] += tw * th * float(np.dot(wts, g0))
-                acc[1] += tw * th * float(np.dot(wts, g1))
+                nodes.append((xm[:, None] + xh * gx_nodes[None, :]).ravel())
+                weights.append(np.tile(xh * gx_wts, n_sub))
+            # one integrand call per t node; summing per piece keeps every bit
+            g0, g1 = regular(np.concatenate(nodes), t)
+            cuts = np.cumsum([len(w) for w in weights])[:-1]
+            for wts, v0, v1 in zip(weights, np.split(g0, cuts), np.split(g1, cuts)):
+                acc[0] += tw * th * float(np.dot(wts, v0))
+                acc[1] += tw * th * float(np.dot(wts, v1))
     if probe is None:
         return acc
 
@@ -551,7 +556,7 @@ def weak_residual(
     p = fan.data.params
 
     def regular(xs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        h, b = _segment_values(fan, xs / t)
+        h, b, _ = profile(fan, t, xs)
         w1 = p.alpha * h * b + p.kappa * h * h / 3.0
         phit, phix = testfn.dt(xs, t), testfn.dx(xs, t)
         return h * phit + h * w1 * phix, b * phit + b * w1 * phix

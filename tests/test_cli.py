@@ -81,6 +81,19 @@ class TestRiemannCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("t", ["0", "-1", "nan"])
+    def test_bad_time_exit_2(self, tmp_path, t):
+        out = tmp_path / "prof.csv"
+        code = run_cli(
+            [
+                "riemann", "--alpha", "0.5", "--kappa", "0",
+                "--left", "1.24,0.90", "--right", "1.5,1.56",
+                "--t", t, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         args = [
             "riemann", "--alpha", "0.5", "--kappa", "1",
@@ -201,6 +214,22 @@ class TestInteractCommand:
         assert json.dumps(doc, sort_keys=True) == json.dumps(
             json.loads(out.read_text()), sort_keys=True
         )
+
+    def test_bad_profile_time_exit_2(self, tmp_path):
+        out = tmp_path / "tl.json"
+        code = run_cli(
+            [
+                "interact",
+                "--alpha", "0.5", "--kappa", "0",
+                "--epsilon", "0.1",
+                "--left", "1.5,1.6", "--middle", "0.95,1.62", "--right", "1.25,1.15",
+                "--profile-times", "0",
+                "--samples", "100", "--x-min", "-2", "--x-max", "4",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_delta_case_timeline(self, tmp_path):
         out = tmp_path / "tl.json"

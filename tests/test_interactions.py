@@ -1,10 +1,13 @@
 import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from thinfilm.core import Params, State, phi
 from thinfilm.errors import (
@@ -23,6 +26,7 @@ from thinfilm.interactions import (
     epsilon_limit_report,
     interact_shock_contact,
     run_timeline,
+    shock_through_fan,
     timeline_to_json,
 )
 from thinfilm.riemann import (
@@ -230,6 +234,62 @@ class TestShockThroughFan:
         survivors = [f for f in tl.fronts if math.isinf(f.t_death)]
         s4 = [f for f in survivors if f.kind == "shock"][0]
         np.testing.assert_allclose(s4.speed, exact.waves[-1].speed, rtol=1e-12)
+
+    @staticmethod
+    def penetration_draws(n, seed, h_left_range):
+        """(curve, h_left, h_head, t) with h_entry/h_left in [1e-3, 0.999]
+        and t from the entry time to 1e6 times it."""
+        rng = np.random.RandomState(seed)
+        out = []
+        for i in range(n):
+            p = (P0, P1)[i % 2]
+            h_left = float(rng.uniform(*h_left_range))
+            w2 = float(rng.uniform(0.2, 3.0))
+            # a fan head beyond the left state half the time: no exit
+            h_head = h_left * float(rng.uniform(1.0, 2.0) if i % 4 < 2 else rng.uniform(0.2, 1.0))
+            head = State(h_head, w2 * h_head)
+            fan = Rarefaction(0.0, 0.0, State(0.1 * h_head, 0.1 * w2 * h_head), head, head)
+            c = p.alpha * w2 + p.kappa / 3.0
+            h_entry = h_left * float(rng.uniform(1e-3, 0.999))
+            t_e = float(10 ** rng.uniform(-2, 1))
+            x0 = float(rng.uniform(-1.0, 1.0))
+            entry = (x0 + 3.0 * c * h_entry * h_entry * t_e, t_e)
+            curve = shock_through_fan(entry, fan, State(h_left, w2 * h_left), p, x0)[0]
+            out.append((curve, h_left, h_head, t_e * float(10 ** rng.uniform(0, 6))))
+        return out
+
+    def test_penetration_root_against_brentq(self):
+        # brentq's own error is up to xtol + rtol*h, so thicknesses stay O(1)
+        def g(h_left, h):
+            return (h_left - h) ** 2 * (h_left + 2.0 * h)
+
+        for curve, h_left, h_head, t in self.penetration_draws(400, 5, (0.2, 2.0)):
+            h_entry = curve.state_of_t(curve.t_start).h
+            target = curve.t_start * g(h_left, h_entry) / t
+            hi = min(h_left, h_head)
+            ref = hi if target <= g(h_left, hi) else brentq(
+                lambda hh: g(h_left, hh) - target, h_entry, hi, xtol=1e-14, rtol=1e-14
+            )
+            assert abs(curve.state_of_t(t).h - ref) <= 1e-14
+
+    def test_penetration_root_against_50_digits(self):
+        import mpmath  # ships with sympy
+
+        for curve, h_left, h_head, t in self.penetration_draws(400, 6, (0.01, 10.0)):
+            h = curve.state_of_t(t).h
+            if h == min(h_left, h_head):
+                continue  # past the exit: the clamp, not the root
+            h_entry = curve.state_of_t(curve.t_start).h
+            target = curve.t_start * (h_left - h_entry) ** 2 * (h_left + 2.0 * h_entry) / t
+            with mpmath.workdps(50):
+                hl, g = mpmath.mpf(h_left), mpmath.mpf(target)
+                root = mpmath.findroot(lambda hh: (hl - hh) ** 2 * (hl + 2 * hh) - g, mpmath.mpf(h))
+            assert abs(h - float(root)) <= 1e-15 * max(1.0, h_left)
+
+    def test_cli_import_leaves_scipy_out(self):
+        code = "import sys, thinfilm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert res.stdout.strip() == "[]"
 
 
 class TestDeltaContactSplit:
@@ -443,6 +503,12 @@ class TestGenericEngine:
             run_timeline(d, n_fan=48, budget=3)
 
 
+def assert_profile_is_sample_loop(tl, t, xs, h, b):
+    ref = [tl.sample(x, t) for x in xs]
+    np.testing.assert_array_equal(h.view(np.int64), np.array([u.h for u in ref]).view(np.int64))
+    np.testing.assert_array_equal(b.view(np.int64), np.array([u.b for u in ref]).view(np.int64))
+
+
 class TestTimelineSampling:
     def test_trivial_middle_equals_left(self):
         d = replace(EX_PER_JR, middle=EX_PER_JR.left)
@@ -474,11 +540,28 @@ class TestTimelineSampling:
         xs = np.linspace(-1.0, 5.0, 500)
         for t in (0.5, 1.0, 2.0):
             h, b = tl.profile(t, xs)
+            assert_profile_is_sample_loop(tl, t, xs, h, b)
             he, be, _ = profile(fan, t, xs - shift)
             np.testing.assert_allclose(h, he, atol=1e-12)
             np.testing.assert_allclose(b, be, atol=1e-12)
             masses = [m for _, m in tl.point_masses(t)]
             assert masses == [w.strength_rate * t for w in fan.waves if isinstance(w, DeltaShock)]
+
+    @pytest.mark.parametrize("d", [
+        EX_PER_JS, EX_PER_JR, CASE2_SUB1, EX_PER_DS, CASE6, CASE7,
+        PerturbedData(0.1, State(1.0, 1.0), State(1.3, 1.3), State(0.9, 0.8), P1),
+    ], ids=["JS+JS", "JS+JR", "JS+JR-exit", "dS+JR", "JS+dS", "JR+dS", "JR+JS-generic"])
+    def test_profile_is_sample_loop(self, d):
+        tl = run_timeline(d, n_fan=16)
+        xs = np.linspace(-2.0, 8.0, 701)
+        for t in (0.05, 0.3, 1.0, 4.0):
+            h, b = tl.profile(t, xs)
+            assert_profile_is_sample_loop(tl, t, xs, h, b)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_profile_rejects_bad_time(self, t):
+        with pytest.raises(InvalidDataError):
+            run_timeline(EX_PER_JR).profile(t, np.linspace(-1.0, 1.0, 5))
 
     def test_outgoing_speeds_sorted_at_events(self):
         for d in (EX_PER_JS, CASE2_SUB1, CASE6, CASE7):

@@ -312,6 +312,66 @@ class TestSample:
         assert sample(fan, head + 0.1).regular == State(1.5, 1.56)
 
 
+def random_fans_of_every_case(n, seed):
+    """Seeded random fans: J+R, J+S, pure-J, composite and delta in turn."""
+    rng = np.random.RandomState(seed)
+    fans = []
+    for i in range(n):
+        a, k = [(0.5, 0.0), (0.5, 1.0), (1.3, 0.2), (0.0, 1.0)][i % 4]
+        p = Params(a, k)
+        case = (CASE_JR, CASE_JS, CASE_PURE_J, CASE_COMPOSITE, CASE_DELTA)[i % 5]
+        left = State(*rng.uniform(0.2, 3.0, 2))
+        if case == CASE_PURE_J:
+            # the same w1 = phi on another ray: b solved at a lower h, or
+            # (alpha = 0, phi independent of b) another b at the same h
+            h = left.h * float(rng.uniform(0.3, 0.9))
+            if a:
+                right = State(h, (phi(left, p) - k * h * h / 3.0) / (a * h))
+            else:
+                right = State(left.h, 2.0 * left.b)
+        elif case == CASE_COMPOSITE:
+            left, right = State(0.0, left.b), State(*rng.uniform(0.2, 3.0, 2))
+        elif case == CASE_DELTA:
+            right = State(0.0, float(rng.uniform(0.2, 3.0)))
+        else:
+            right = State(*rng.uniform(0.2, 3.0, 2))
+            if (phi(left, p) < phi(right, p)) != (case == CASE_JR):
+                left, right = right, left
+        d = RiemannData(left, right, p)
+        assert classify(d) == case
+        fans.append(solve(d))
+    return fans
+
+
+class TestArrayProfile:
+    def test_equals_scalar_sample_bit_for_bit(self):
+        specials = [0.0, -0.0, math.nan, math.inf, -math.inf]
+        for fan in random_fans_of_every_case(60, seed=11):
+            speeds = [s for w in fan.waves for s in w.speed_range()] or [0.0]
+            rays = list(np.linspace(min(speeds) - 1.0, max(speeds) + 1.0, 101))
+            for s in speeds:
+                rays += [s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf)]
+            xs = np.array(rays + specials)
+            h, b, deltas = profile(fan, 1.0, xs)
+            ref = [sample(fan, x).regular for x in xs]
+            np.testing.assert_array_equal(
+                h.view(np.int64), np.array([u.h for u in ref]).view(np.int64)
+            )
+            np.testing.assert_array_equal(
+                b.view(np.int64), np.array([u.b for u in ref]).view(np.int64)
+            )
+            assert deltas == [
+                (w.speed * 1.0, w.strength_rate * 1.0)
+                for w in fan.waves
+                if isinstance(w, DeltaShock)
+            ]
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_time_rejected(self, t):
+        with pytest.raises(InvalidDataError):
+            profile(solve(EX_JR), t, np.linspace(-1.0, 1.0, 5))
+
+
 class TestWeakResidual:
     def test_constant_solution(self):
         d = RiemannData(State(1.0, 1.0), State(1.0, 1.0), P)
