@@ -18,6 +18,7 @@ timelines.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
@@ -218,11 +219,10 @@ class InteractionTimeline:
     def sample(self, x: float, t: float) -> State:
         fronts = self.alive_fronts(t)
         region: Region = ConstRegion(self.data.left)
-        for f in fronts:
-            if f.position(t) <= x:
-                region = f.right_region
-            else:
+        for f in fronts:  # `x < position` sends a NaN x right, as `profile` does
+            if x < f.position(t):
                 break
+            region = f.right_region
         if isinstance(region, ConstRegion):
             return region.state
         lam2 = eigenvalues(region.anchor, self.data.params)[1]
@@ -783,34 +783,49 @@ def _generic_timeline(
         for w in fan.waves:
             push_wave(w, x0, 0.0)
 
-    t_now = 0.0
-    tol = 1e-12
+    # Event queue (Holden & Risebro 2002; Dafermos 1972), bit for bit equal to
+    # re-sorting the live fronts and rescanning their adjacent pairs per event.
+    # right_of/left_of link live ids (-1 at the ends) in that sort's order, taken
+    # at t = 0 by (position, speed) over creation order and kept because fronts
+    # cross only by colliding; an event puts its new fronts, sorted alike, in its
+    # group's place.  `queue` gets a pair's (t*, x*) by the rescan's formula and
+    # filters when it becomes adjacent; an entry whose a is dead or whose
+    # right_of[a] != b is stale and dropped, so the top is the rescan's minimum.
+    # The group (live fronts within tolerance of x* at t*) is the contiguous run
+    # around a, sorted stably by -speed as before.
+    fronts, tol, queue, left_of, right_of = bld.fronts, 1e-12, [], {}, {}
+
+    def link(i: int, j: int) -> None:
+        right_of[i], left_of[j] = j, i
+        if i < 0 or j < 0 or fronts[i].speed <= fronts[j].speed + tol:
+            return
+        a, b = fronts[i], fronts[j]
+        t_star = (b.x_birth - b.speed * b.t_birth - a.x_birth + a.speed * a.t_birth) / (a.speed - b.speed)
+        if t_star > max(a.t_birth, b.t_birth) + tol:
+            heapq.heappush(queue, (t_star, a.position(t_star), i, j))
+
+    chain = [-1, *(f.id for f in sorted(fronts, key=lambda f: (f.position(0.0), f.speed))), -1]
     while True:
-        live = [f for f in bld.fronts if f.t_death == math.inf]
-        live.sort(key=lambda f: (f.position(max(t_now, f.t_birth)), f.speed))
-        best = None
-        for a, b in zip(live[:-1], live[1:]):
-            if a.speed <= b.speed + tol:
-                continue
-            t_star = (
-                b.x_birth - b.speed * b.t_birth - a.x_birth + a.speed * a.t_birth
-            ) / (a.speed - b.speed)
-            if t_star <= max(a.t_birth, b.t_birth) + tol:
-                continue
-            x_star = a.position(t_star)
-            if best is None or (t_star, x_star) < best:
-                best = (t_star, x_star)
-        if best is None or best[0] > t_max:
+        for i, j in zip(chain[:-1], chain[1:]):
+            link(i, j)
+        while queue and (fronts[queue[0][2]].t_death < math.inf or right_of[queue[0][2]] != queue[0][3]):
+            heapq.heappop(queue)
+        if not queue or queue[0][0] > t_max:
             break
-        t_star, x_star = best
-        group = [f for f in live if abs(f.position(t_star) - x_star) <= 1e-9 * max(1.0, abs(x_star)) + 1e-12]
-        group.sort(key=lambda f: -f.speed)
-        first_new = len(bld.fronts)
-        local = solve(RiemannData(lefts[group[0].id], group[-1].right_region.state, p))
-        for w in local.waves:
+        t_star, x_star, i, _ = heapq.heappop(queue)
+        near = lambda k: k >= 0 and abs(fronts[k].position(t_star) - x_star) <= 1e-9 * max(1.0, abs(x_star)) + 1e-12
+        run = [i]
+        while near(left_of[run[0]]):
+            run.insert(0, left_of[run[0]])
+        while near(right_of[run[-1]]):
+            run.append(right_of[run[-1]])
+        chain = [left_of[run[0]], right_of[run[-1]]]
+        group = sorted((fronts[k] for k in run), key=lambda f: -f.speed)
+        first_new = len(fronts)
+        for w in solve(RiemannData(lefts[group[0].id], group[-1].right_region.state, p)).waves:
             push_wave(w, x_star, t_star)
-        bld.event((x_star, t_star), group, bld.fronts[first_new:])
-        t_now = t_star
+        bld.event((x_star, t_star), group, fronts[first_new:])
+        chain[1:1] = [f.id for f in sorted(fronts[first_new:], key=lambda f: (f.position(t_star), f.speed))]
         if len(bld.events) > budget:
             raise EventBudgetError(f"interaction cascade exceeded {budget} events")
 

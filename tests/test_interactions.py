@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -19,7 +20,9 @@ from thinfilm.errors import (
 )
 from thinfilm.interactions import (
     CASE_NUMBER,
+    ConstRegion,
     DeltaContact,
+    InteractionTimeline,
     PerturbedData,
     classify_case,
     delta_contact_split,
@@ -28,13 +31,17 @@ from thinfilm.interactions import (
     run_timeline,
     shock_through_fan,
     timeline_to_json,
+    _Builder,
+    _discretize_fan,
 )
 from thinfilm.riemann import (
     CompositeJR,
     Contact,
     DeltaShock,
     Rarefaction,
+    RiemannData,
     Shock,
+    Wave,
     profile,
     shock_speed,
     solve,
@@ -503,6 +510,151 @@ class TestGenericEngine:
             run_timeline(d, n_fan=48, budget=3)
 
 
+def reference_generic_timeline(
+    d: PerturbedData, tag: str, n_fan: int, budget: float, t_max: float
+) -> InteractionTimeline:
+    """The discretized-fan engine before its event queue, kept verbatim as
+    a test-only oracle: every event re-sorts all live fronts, rescans every
+    adjacent pair for the earliest (t*, x*) and scans all live fronts for
+    the group at that point."""
+    p = d.params
+    eps = d.epsilon
+    fans = [(-eps, solve(d.left_data())), (eps, solve(d.right_data()))]
+    span = 0.0
+    for _, fan in fans:
+        for w in fan.waves:
+            if isinstance(w, Rarefaction):
+                span = max(span, phi(w.right, p) - phi(w.left, p))
+    dw1_target = span / n_fan if span > 0.0 else math.inf
+
+    bld = _Builder()
+    lefts: list[State] = []  # lefts[i]: the state left of front i
+
+    def push_wave(w: Wave, x0: float, t0: float) -> None:
+        if isinstance(w, Rarefaction):
+            pieces = [("fan-shock", *piece) for piece in _discretize_fan(w, p, dw1_target)]
+        elif isinstance(w, (Contact, Shock)):
+            kind = "contact" if isinstance(w, Contact) else "shock"
+            pieces = [(kind, w.speed, w.left, w.right)]
+        else:
+            raise UnsupportedCaseError("generic engine handles classical waves only")
+        for kind, speed, left, right in pieces:
+            lefts.append(left)
+            bld.add(kind=kind, t_birth=t0, x_birth=x0, speed=speed,
+                    right_region=ConstRegion(right))
+
+    for x0, fan in fans:
+        for w in fan.waves:
+            push_wave(w, x0, 0.0)
+
+    t_now = 0.0
+    tol = 1e-12
+    while True:
+        live = [f for f in bld.fronts if f.t_death == math.inf]
+        live.sort(key=lambda f: (f.position(max(t_now, f.t_birth)), f.speed))
+        best = None
+        for a, b in zip(live[:-1], live[1:]):
+            if a.speed <= b.speed + tol:
+                continue
+            t_star = (
+                b.x_birth - b.speed * b.t_birth - a.x_birth + a.speed * a.t_birth
+            ) / (a.speed - b.speed)
+            if t_star <= max(a.t_birth, b.t_birth) + tol:
+                continue
+            x_star = a.position(t_star)
+            if best is None or (t_star, x_star) < best:
+                best = (t_star, x_star)
+        if best is None or best[0] > t_max:
+            break
+        t_star, x_star = best
+        group = [f for f in live if abs(f.position(t_star) - x_star) <= 1e-9 * max(1.0, abs(x_star)) + 1e-12]
+        group.sort(key=lambda f: -f.speed)
+        first_new = len(bld.fronts)
+        local = solve(RiemannData(lefts[group[0].id], group[-1].right_region.state, p))
+        for w in local.waves:
+            push_wave(w, x_star, t_star)
+        bld.event((x_star, t_star), group, bld.fronts[first_new:])
+        t_now = t_star
+        if len(bld.events) > budget:
+            raise EventBudgetError(f"interaction cascade exceeded {budget} events")
+
+    return bld.timeline(d, tag)
+
+
+def front_record(tl):
+    return [(f.id, f.kind, f.t_birth, f.x_birth, f.speed, f.t_death, f.right_region)
+            for f in tl.fronts]
+
+
+def assert_same_as_reference(d, **kwargs):
+    """The engine against the rescanning oracle: same events, same fronts,
+    or the same exception."""
+    kwargs = dict(dict(n_fan=64, budget=10000, t_max=math.inf), **kwargs)
+    try:
+        ref = reference_generic_timeline(d, classify_case(d), **kwargs)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            run_timeline(d, force_generic=True, **kwargs)
+        assert str(got.value) == str(exc)
+        return None
+    tl = run_timeline(d, force_generic=True, **kwargs)
+    assert tl.events == ref.events
+    assert front_record(tl) == front_record(ref)
+    return tl
+
+
+def distinct(u, v):
+    """Far from the middle-equals-outer data that run_timeline resolves without the engine."""
+    return abs(u.h - v.h) + abs(u.b - v.b) > 1e-6
+
+
+POSITIVE_STATES = st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)).map(lambda hb: State(*hb))
+
+
+class TestGenericEngineMatchesReference:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.1, 2.0),
+        kappa=st.floats(0.0, 2.0),
+        epsilon=st.floats(0.01, 1.0),
+        states=st.tuples(POSITIVE_STATES, POSITIVE_STATES, POSITIVE_STATES),
+        n_fan=st.integers(8, 128),
+        t_max=st.one_of(st.just(math.inf), st.floats(0.01, 20.0)),
+        budget=st.sampled_from([5, 10000]),
+    )
+    def test_random_classical_patterns(self, alpha, kappa, epsilon, states, n_fan, t_max, budget):
+        left, middle, right = states
+        assume(distinct(left, middle) and distinct(middle, right))
+        d = PerturbedData(epsilon, left, middle, right, Params(alpha, kappa))
+        try:
+            tag = classify_case(d)
+        except (UnsupportedCaseError, UnreachableCaseError):
+            tag = None
+        assume(tag in ("JS+JS", "JS+JR", "JR+JS", "JR+JR"))
+        assert_same_as_reference(d, n_fan=n_fan, t_max=t_max, budget=budget)
+
+    def test_benchmark_jr_js(self):
+        # the benchmark's fan-fan data at its resolution, and the budget's edge
+        d = PerturbedData(0.1, State(1.0, 1.0), State(1.3, 1.3), State(0.9, 0.8),
+                          Params(0.5, 1.0, h_tol=1e-10))
+        assert len(assert_same_as_reference(d, n_fan=512).events) == 1294
+        assert len(assert_same_as_reference(d, n_fan=64, budget=165).events) == 165
+        assert assert_same_as_reference(d, n_fan=64, budget=164) is None
+
+    def test_converges_to_curved_shock_at_first_order(self):
+        # JS+JR while the shock is inside the fan (it exits at t = 0.184):
+        # the closed-form curved shock is the oracle of the discretized fan
+        xs = np.linspace(-1.0, 2.0, 300001)
+        t = 0.12
+        he, be = run_timeline(CASE2_SUB1).profile(t, xs)
+        l1 = []
+        for n in (16, 64, 256, 1024):
+            h, b = run_timeline(CASE2_SUB1, force_generic=True, n_fan=n).profile(t, xs)
+            l1.append(float(np.sum(np.abs(h - he) + np.abs(b - be)) * (xs[1] - xs[0])))
+        for coarse, fine in zip(l1[:-1], l1[1:]):
+            assert 0.95 <= math.log(coarse / fine, 4.0) <= 1.05
+
+
 def assert_profile_is_sample_loop(tl, t, xs, h, b):
     ref = [tl.sample(x, t) for x in xs]
     np.testing.assert_array_equal(h.view(np.int64), np.array([u.h for u in ref]).view(np.int64))
@@ -553,7 +705,7 @@ class TestTimelineSampling:
     ], ids=["JS+JS", "JS+JR", "JS+JR-exit", "dS+JR", "JS+dS", "JR+dS", "JR+JS-generic"])
     def test_profile_is_sample_loop(self, d):
         tl = run_timeline(d, n_fan=16)
-        xs = np.linspace(-2.0, 8.0, 701)
+        xs = np.append(np.linspace(-2.0, 8.0, 701), [math.nan, math.inf, -math.inf])
         for t in (0.05, 0.3, 1.0, 4.0):
             h, b = tl.profile(t, xs)
             assert_profile_is_sample_loop(tl, t, xs, h, b)
