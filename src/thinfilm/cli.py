@@ -36,6 +36,8 @@ EXIT_ENTROPY = 5
 def _fmt(v) -> str:
     if v is None:
         return ""
+    if isinstance(v, str):
+        return v
     return f"{float(v):.17g}"
 
 
@@ -73,11 +75,11 @@ def cmd_riemann(args) -> int:
     data = riemann.RiemannData(_parse_state(args.left), _parse_state(args.right), p)
     fan = riemann.solve(data)
     xs = np.linspace(args.x_min, args.x_max, args.samples)
-    h, b, deltas = riemann.profile(fan, args.t, xs)
+    h, b, _ = riemann.profile(fan, args.t, xs)
     rows = [(x, hv, bv, 0.0) for x, hv, bv in zip(xs, h, b)]
-    for x_d, beta in deltas:
-        v = riemann.sample(fan, x_d / args.t)
-        rows.append((x_d, v.regular.h, v.regular.b, beta))
+    # the singular row carries the right state, as `sample` does on the ray
+    rows += [(w.speed * args.t, w.right.h, w.right.b, w.strength_rate * args.t)
+             for w in fan.waves if isinstance(w, riemann.DeltaShock)]
     rows.sort(key=lambda r: r[0])
     _write_csv(args.out, ["x", "h", "b", "singular_weight"], rows)
     fan_out = args.fan_out or os.path.splitext(args.out)[0] + ".json"
@@ -200,19 +202,13 @@ def cmd_limits(args) -> int:
     study = limits.LimitStudy(
         args.study, tuple(args.values_list), args.fixed, data, t_eval=args.t_eval
     )
-    rows = limits.convergence_table(study, n_samples=args.samples)
-    out_rows = []
-    for r in rows:
-        pair = r["weak_pairings"] or (None, None, None)
-        out_rows.append(
-            (r["value"], r["case"], r["l1"], r["dsigma"], r["dbeta_rate"], *pair)
-        )
+    rows = [
+        (r["value"], r["case"], r["l1"], r["dsigma"], r["dbeta_rate"],
+         *(r["weak_pairings"] or (None, None, None)))
+        for r in limits.convergence_table(study, n_samples=args.samples)
+    ]
     header = ["value", "case", "l1", "dsigma", "dbeta_rate", "weak1", "weak2", "weak3"]
-    with open(args.out, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in out_rows:
-            cells = [_fmt(row[0]), str(row[1])] + [_fmt(v) for v in row[2:]]
-            fh.write(",".join(cells) + "\n")
+    _write_csv(args.out, header, rows)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ w1 = 1 so entropy-flux values are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -84,17 +84,7 @@ def power_pair(n: float, A: float, B: float, scale: float = 1.0) -> EntropyPair:
 
 def canonical_pair() -> EntropyPair:
     """Psi = 1/(3*w1), Theta = sqrt(3/p); gives eta = h + 1/(3*alpha*h*b + kappa*h^2)."""
-    pair = power_pair(1.0, 0.0, math.sqrt(3.0), scale=1.0 / 3.0)
-    return EntropyPair(
-        psi=pair.psi,
-        psi_prime=pair.psi_prime,
-        psi_pprime=pair.psi_pprime,
-        psi_antideriv=pair.psi_antideriv,
-        theta=pair.theta,
-        theta_prime=pair.theta_prime,
-        theta_pprime=pair.theta_pprime,
-        name="canonical",
-    )
+    return replace(power_pair(1.0, 0.0, math.sqrt(3.0), scale=1.0 / 3.0), name="canonical")
 
 
 def pair_catalog() -> list[EntropyPair]:

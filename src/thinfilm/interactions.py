@@ -55,6 +55,8 @@ from .riemann import (
     shock_speed,
     solve,
     _fan_arrays,
+    _params_doc,
+    _state_doc,
 )
 
 __all__ = [
@@ -71,7 +73,6 @@ __all__ = [
     "interact_shock_contact",
     "interact_shock_shock_chase",
     "shock_through_fan",
-    "delta_contact_split",
     "shock_overtakes_delta",
     "delta_through_fan",
     "run_timeline",
@@ -149,35 +150,6 @@ class FanRegion:
 Region = Union[ConstRegion, FanRegion]
 
 
-@dataclass
-class Front:
-    """One tracked discontinuity with the region to its right.
-
-    Straight fronts carry a speed; curved ones a position callable.
-    Singular fronts (kind 'delta' or 'delta-contact') carry the running
-    strength beta(t).
-    """
-
-    id: int
-    kind: str
-    t_birth: float
-    x_birth: float
-    right_region: Region
-    speed: Optional[float] = None
-    t_death: float = math.inf
-    x_of_t: Optional[Callable[[float], float]] = None
-    strength_of_t: Optional[Callable[[float], float]] = None
-    fan_state_of_t: Optional[Callable[[float], State]] = None
-
-    def position(self, t: float) -> float:
-        if self.x_of_t is not None:
-            return self.x_of_t(t)
-        return self.x_birth + self.speed * (t - self.t_birth)
-
-    def alive(self, t: float) -> bool:
-        return self.t_birth <= t < self.t_death
-
-
 @dataclass(frozen=True)
 class CurvedWave:
     """Published view of a curved front inside a fan."""
@@ -188,6 +160,34 @@ class CurvedWave:
     x_of_t: Callable[[float], float]
     state_of_t: Callable[[float], State]
     strength_of_t: Optional[Callable[[float], float]] = None
+
+
+@dataclass
+class Front:
+    """One tracked discontinuity with the region to its right.
+
+    Straight fronts carry a speed; curved ones the curve they follow
+    from t_birth to t_death.  Singular fronts (kinds 'delta',
+    'delta-contact' and 'curved-delta') carry the running strength beta(t).
+    """
+
+    id: int
+    kind: str
+    t_birth: float
+    x_birth: float
+    right_region: Region
+    speed: Optional[float] = None
+    t_death: float = math.inf
+    curve: Optional[CurvedWave] = None
+    strength_of_t: Optional[Callable[[float], float]] = None
+
+    def position(self, t: float) -> float:
+        if self.curve is not None:
+            return self.curve.x_of_t(t)
+        return self.x_birth + self.speed * (t - self.t_birth)
+
+    def alive(self, t: float) -> bool:
+        return self.t_birth <= t < self.t_death
 
 
 @dataclass
@@ -206,7 +206,6 @@ class InteractionTimeline:
     case_tag: str
     events: list[Event]
     fronts: list[Front]
-    curves: list[CurvedWave]
     final_fan: WaveFan
     asymptotic: bool = False
     residual_delta_contact: Optional[DeltaContact] = None
@@ -254,6 +253,10 @@ class InteractionTimeline:
         return out
 
     @property
+    def curves(self) -> list[CurvedWave]:
+        return [f.curve for f in self.fronts if f.curve is not None]
+
+    @property
     def max_event_time(self) -> float:
         return max((e.point[1] for e in self.events), default=0.0)
 
@@ -296,17 +299,13 @@ def classify_case(d: PerturbedData) -> str:
 
 def interact_shock_contact(
     s1: Shock, j2: Contact, epsilon: float, p: Params
-) -> tuple[Event, tuple[Contact, Shock]]:
+) -> tuple[tuple[float, float], tuple[Contact, Shock]]:
     """Shock from (-epsilon, 0) absorbs the contact from (+epsilon, 0).
 
     Collision at x1 + eps = sigma1*t1, x1 - eps = mu2*t1.  The emerging
     contact moves at lambda1 of the shock's left state (w1 transport),
     the emerging shock connects the refreshed intermediate state to the
-    contact's right state.
-
-    Front ids in the returned Event are local to the interaction, not
-    those of ``run_timeline``: the incoming fronts are 0 and 1, the
-    outgoing ones are numbered from 2.
+    contact's right state.  Returns the collision point and both waves.
     """
     sigma1, mu2 = s1.speed, j2.speed
     if sigma1 <= mu2:
@@ -316,7 +315,7 @@ def interact_shock_contact(
     m3 = intermediate_state(RiemannData(s1.left, j2.right, p))
     j3 = Contact(phi(s1.left, p), s1.left, m3)
     s3 = Shock(shock_speed(m3, j2.right, p), m3, j2.right)
-    return Event((x1, t1), (0, 1), (2, 3)), (j3, s3)
+    return (x1, t1), (j3, s3)
 
 
 def interact_shock_shock_chase(
@@ -325,16 +324,17 @@ def interact_shock_shock_chase(
     start3: tuple[float, float],
     epsilon: float,
     p: Params,
-) -> tuple[Event, Shock]:
+) -> tuple[tuple[float, float], Shock]:
     """Faster trailing shock (through ``start3``) absorbs the one from
-    (+epsilon, 0); a single shock to the outer right state survives."""
+    (+epsilon, 0); returns the collision point and the single shock to
+    the outer right state that survives."""
     x1, t1 = start3
     if s3.speed <= s2.speed:
         raise NoInteractionError("trailing shock is not faster")
     t2 = (x1 - epsilon - s3.speed * t1) / (s2.speed - s3.speed)
     x2 = epsilon + s2.speed * t2
     s4 = Shock(shock_speed(s3.left, s2.right, p), s3.left, s2.right)
-    return Event((x2, t2), (0, 1), (2,)), s4
+    return (x2, t2), s4
 
 
 def _ray_coefficient(anchor: State, p: Params) -> float:
@@ -478,13 +478,11 @@ class _Builder:
             delta_strength,
         ))
 
-    def timeline(
-        self, d: PerturbedData, tag: str, curves: tuple[CurvedWave, ...] = (), **kwargs
-    ) -> InteractionTimeline:
+    def timeline(self, d: PerturbedData, tag: str, **kwargs) -> InteractionTimeline:
         """Timeline of the fronts and events so far, settling into the
         exact outer fan."""
         return InteractionTimeline(
-            d, tag, self.events, self.fronts, list(curves), solve(d.outer_data()), **kwargs
+            d, tag, self.events, self.fronts, solve(d.outer_data()), **kwargs
         )
 
 
@@ -513,8 +511,7 @@ def _shock_absorbs_contact(
     if not isinstance(right.waves[0], Contact):
         # middle already on the right ray: nothing to absorb
         return s1w, s1, (-eps, 0.0), right_fronts, principal
-    ev, (j3w, s3w) = interact_shock_contact(s1w, right.waves[0], eps, d.params)
-    x1, t1 = ev.point
+    (x1, t1), (j3w, s3w) = interact_shock_contact(s1w, right.waves[0], eps, d.params)
     [j3] = bld.add_wave(j3w, x1, t1)
     [s3] = bld.add_wave(s3w, x1, t1)
     bld.event((x1, t1), [s1, right_fronts[0]], [j3, s3])
@@ -531,30 +528,29 @@ def _shock_through_fan_fronts(
     head: Front,
     born: tuple[Front, ...] = (),
     delta_strength: Optional[float] = None,
-) -> tuple[CurvedWave, bool]:
+) -> bool:
     """Curved shock entering the right fan (origin +epsilon) at ``entry``,
     then the straight exit shock if the penetration completes.
 
     ``born`` are fronts the entry event emits left of the curve.
-    Returns the curve and whether the penetration is asymptotic.
+    Returns whether the penetration is asymptotic.
     """
     x0 = d.epsilon
     curve, exit_point, s4w = shock_through_fan(entry, fan, chasing_left, d.params, x0)
     cfront = bld.add(kind="curved-shock", t_birth=entry[1], x_birth=entry[0],
-                     right_region=FanRegion(x0, fan.anchor), x_of_t=curve.x_of_t,
-                     fan_state_of_t=curve.state_of_t)
+                     right_region=FanRegion(x0, fan.anchor), curve=curve)
     bld.event(entry, incoming, [*born, cfront], delta_strength)
     if exit_point is None:
-        return curve, True
+        return True
     bld.event(exit_point, [cfront, head], bld.add_wave(s4w, *exit_point))
-    return replace(curve, t_end=exit_point[1]), False
+    return False
 
 
 def _resolve_js_js(d: PerturbedData) -> InteractionTimeline:
     bld = _Builder()
     s3w, s3, start, [s2], s2w = _shock_absorbs_contact(bld, d)
-    ev, s4w = interact_shock_shock_chase(s3w, s2w, start, d.epsilon, d.params)
-    bld.event(ev.point, [s3, s2], bld.add_wave(s4w, *ev.point))
+    point, s4w = interact_shock_shock_chase(s3w, s2w, start, d.epsilon, d.params)
+    bld.event(point, [s3, s2], bld.add_wave(s4w, *point))
     return bld.timeline(d, "JS+JS")
 
 
@@ -566,82 +562,55 @@ def _resolve_js_jr(d: PerturbedData) -> InteractionTimeline:
     xi2 = r2w.xi_lo
     t2 = (x1 - eps - s3w.speed * t1) / (xi2 - s3w.speed)
     x2 = eps + xi2 * t2
-    curve, asymptotic = _shock_through_fan_fronts(
+    asymptotic = _shock_through_fan_fronts(
         bld, d, (x2, t2), r2w, s3w.left, [s3, f_tail], f_head
     )
-    return bld.timeline(d, "JS+JR", (curve,), asymptotic=asymptotic)
+    return bld.timeline(d, "JS+JR", asymptotic=asymptotic)
 
 
-def _delta_split(
-    d: PerturbedData, comp: CompositeJR
-) -> tuple[tuple[float, float], DeltaContact, Rarefaction]:
-    """Split point of the left delta on the composite's stationary
-    contact, the frozen DeltaContact, and the composite's fan as a
-    rarefaction from its tail."""
-    eps = d.epsilon
-    sigma1 = phi(d.left, d.params)
-    dj = DeltaContact(
-        sigma1, 2.0 * d.middle.b * eps, d.left, intermediate_state(d.outer_data())
-    )
-    fan_view = Rarefaction(0.0, comp.xi_hi, comp.left, comp.right, comp.right)
-    return (eps, 2.0 * eps / sigma1), dj, fan_view
-
-
-def delta_contact_split(
-    d: PerturbedData,
-) -> tuple[Event, tuple[DeltaContact, CurvedWave]]:
+def _resolve_ds_jr(d: PerturbedData) -> InteractionTimeline:
     """Split of the left delta front on the composite wave (vanishing h_m).
 
     The delta, moving at lambda1(left), meets the stationary contact of
     the composite at (eps, 2 eps / lambda1(left)), which is
     (eps, 6 eps / (3 a h- b- + k h-^2)) in exact arithmetic, carrying
     strength 2 b_m eps.  Overcompressibility fails beyond, so the point
-    mass freezes on a delta contact while a regular shock enters the fan
-    from its tail.  The point, strength and curve are those of
-    ``run_timeline``.
-
-    Front ids in the returned Event are local to the interaction, not
-    those of ``run_timeline``: the incoming fronts are 0 and 1, the
-    outgoing ones are numbered from 2.
+    mass freezes on a delta contact while a regular shock enters the
+    composite's fan, viewed as a rarefaction from its tail.
     """
-    if classify_case(d) != "dS+JR":
-        raise WrongCaseError("data is not a delta / composite configuration")
-    point, dj, fan_view = _delta_split(d, solve(d.right_data()).waves[0])
-    curve, _, _ = shock_through_fan(point, fan_view, dj.right, d.params, d.epsilon)
-    return Event(point, (0, 1), (2, 3), delta_strength=dj.strength), (dj, curve)
-
-
-def _resolve_ds_jr(d: PerturbedData) -> InteractionTimeline:
     eps = d.epsilon
     bld = _Builder()
     [ds1] = bld.add_fan(solve(d.left_data()), -eps)
     right = solve(d.right_data())
     j2, f_head = bld.add_fan(right, eps)
-    point, dj, fan_view = _delta_split(d, right.waves[0])
+    comp = right.waves[0]
+    sigma1 = phi(d.left, d.params)
+    point = (eps, 2.0 * eps / sigma1)
+    dj = DeltaContact(
+        sigma1, 2.0 * d.middle.b * eps, d.left, intermediate_state(d.outer_data())
+    )
+    fan_view = Rarefaction(0.0, comp.xi_hi, comp.left, comp.right, comp.right)
     dj3 = bld.add(kind="delta-contact", t_birth=point[1], x_birth=point[0],
                   speed=dj.speed, right_region=ConstRegion(dj.right),
                   strength_of_t=lambda t: dj.strength)
-    curve, asymptotic = _shock_through_fan_fronts(
+    asymptotic = _shock_through_fan_fronts(
         bld, d, point, fan_view, dj.right, [ds1, j2], f_head,
         born=(dj3,), delta_strength=dj.strength,
     )
     return bld.timeline(
-        d, "dS+JR", (curve,), asymptotic=asymptotic, residual_delta_contact=dj
+        d, "dS+JR", asymptotic=asymptotic, residual_delta_contact=dj
     )
 
 
 def shock_overtakes_delta(
     s1w: Shock, ds2w: DeltaShock, d: PerturbedData
-) -> tuple[Event, DeltaShock]:
+) -> tuple[tuple[float, float], float, DeltaShock]:
     """Shock absorbs the slower delta front.
 
     The merged singular front moves at lambda1 of the outer left state,
     parallel to the leading contact, with the inherited strength growing
-    at the unperturbed rate.
-
-    Front ids in the returned Event are local to the interaction, not
-    those of ``run_timeline``: the incoming fronts are 0 and 1, the
-    outgoing ones are numbered from 2.
+    at the unperturbed rate.  Returns the collision point, the strength
+    there and the merged front.
     """
     sigma1, sigma_d2 = s1w.speed, ds2w.speed
     if sigma1 <= sigma_d2:
@@ -652,7 +621,7 @@ def shock_overtakes_delta(
     beta1 = ds2w.right.b * sigma_d2 * t1
     sigma_d3 = phi(s1w.left, d.params)
     ds3 = DeltaShock(sigma_d3, ds2w.right.b * sigma_d3, s1w.left, ds2w.right)
-    return Event((x1, t1), (0, 1), (2,), delta_strength=beta1), ds3
+    return (x1, t1), beta1, ds3
 
 
 def _resolve_js_ds(d: PerturbedData) -> InteractionTimeline:
@@ -661,26 +630,22 @@ def _resolve_js_ds(d: PerturbedData) -> InteractionTimeline:
     bld = _Builder()
     s1 = bld.add_fan(left, -eps)[-1]
     [ds2] = bld.add_fan(right, eps)
-    ev, ds3w = shock_overtakes_delta(left.waves[-1], right.waves[0], d)
-    ds3 = bld.add_wave(ds3w, *ev.point, strength=ev.delta_strength)
-    bld.event(ev.point, [s1, ds2], ds3, delta_strength=ev.delta_strength)
+    point, beta1, ds3w = shock_overtakes_delta(left.waves[-1], right.waves[0], d)
+    bld.event(point, [s1, ds2], bld.add_wave(ds3w, *point, strength=beta1), beta1)
     return bld.timeline(d, "JS+dS")
 
 
 def delta_through_fan(
     ds2w: DeltaShock, fan: Rarefaction, d: PerturbedData
-) -> tuple[Event, CurvedWave, Event, DeltaShock]:
+) -> tuple[tuple[float, float], CurvedWave, tuple[float, float], DeltaShock]:
     """Delta front penetrating the left fan after its head catches up.
 
     Inside the fan the support solves dx/dt = (x + eps)/(3t), a cube
     root law; the strength follows by integrating the swept right-state
     mass.  The penetration always completes (the fan tail is slower),
     after which the front runs parallel to the leading contact.
-
-    Front ids in the returned Events are local to the interaction, not
-    those of ``run_timeline``: the incoming fronts are 0 and 1, the
-    outgoing ones are numbered from 2, and the second event continues
-    the numbering (the penetrating front 2 leaves the fan as front 3).
+    Returns the entry point, the curve (strength included), the exit
+    point and the outgoing delta front.
     """
     p = d.params
     eps = d.epsilon
@@ -710,9 +675,7 @@ def delta_through_fan(
     x2 = 3.0 * w1_l * t2 - eps
     curve = CurvedWave("delta-in-fan", t1, t2, x_of_t, state_of_t, strength_of_t)
     ds4 = DeltaShock(w1_l, b_plus * w1_l, fan.left, ds2w.right)
-    ev1 = Event((x1, t1), (0, 1), (2,), delta_strength=beta1)
-    ev2 = Event((x2, t2), (2,), (3,), delta_strength=strength_of_t(t2))
-    return ev1, curve, ev2, ds4
+    return (x1, t1), curve, (x2, t2), ds4
 
 
 def _resolve_jr_ds(d: PerturbedData) -> InteractionTimeline:
@@ -722,16 +685,14 @@ def _resolve_jr_ds(d: PerturbedData) -> InteractionTimeline:
     bld = _Builder()
     *_, f_tail, f_head = bld.add_fan(left, -eps)
     [ds2] = bld.add_fan(right, eps)
-    ev1, curve, ev2, ds4w = delta_through_fan(ds2w, left.waves[-1], d)
-    (x1, t1) = ev1.point
-    cfront = bld.add(kind="curved-delta", t_birth=t1, x_birth=x1,
-                     right_region=ConstRegion(ds2w.right), x_of_t=curve.x_of_t,
-                     strength_of_t=curve.strength_of_t,
-                     fan_state_of_t=curve.state_of_t)
-    bld.event(ev1.point, [f_head, ds2], [cfront], delta_strength=ev1.delta_strength)
-    ds4 = bld.add_wave(ds4w, *ev2.point, strength=ev2.delta_strength)
-    bld.event(ev2.point, [cfront, f_tail], ds4, delta_strength=ev2.delta_strength)
-    return bld.timeline(d, "JR+dS", (curve,))
+    entry, curve, exit_point, ds4w = delta_through_fan(ds2w, left.waves[-1], d)
+    cfront = bld.add(kind="curved-delta", t_birth=entry[1], x_birth=entry[0],
+                     right_region=ConstRegion(ds2w.right), curve=curve,
+                     strength_of_t=curve.strength_of_t)
+    bld.event(entry, [f_head, ds2], [cfront], curve.strength_of_t(entry[1]))
+    beta2 = curve.strength_of_t(exit_point[1])
+    bld.event(exit_point, [cfront, f_tail], bld.add_wave(ds4w, *exit_point, strength=beta2), beta2)
+    return bld.timeline(d, "JR+dS")
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +793,15 @@ def _generic_timeline(
     return bld.timeline(d, tag)
 
 
+_CLOSED_FORMS: dict[str, Callable[[PerturbedData], InteractionTimeline]] = {
+    "JS+JS": _resolve_js_js,
+    "JS+JR": _resolve_js_jr,
+    "dS+JR": _resolve_ds_jr,
+    "JS+dS": _resolve_js_ds,
+    "JR+dS": _resolve_jr_ds,
+}
+
+
 def run_timeline(
     d: PerturbedData,
     t_max: float = math.inf,
@@ -858,20 +828,11 @@ def run_timeline(
         return _trivial_timeline(d, -d.epsilon, "degenerate")
 
     tag = classify_case(d)
-    if force_generic:
-        if "dS" in tag:
-            raise UnsupportedCaseError("generic engine cannot track singular fronts")
-        return _generic_timeline(d, tag, n_fan, budget, t_max)
-    if tag == "JS+JS":
-        return _resolve_js_js(d)
-    if tag == "JS+JR":
-        return _resolve_js_jr(d)
-    if tag == "dS+JR":
-        return _resolve_ds_jr(d)
-    if tag == "JS+dS":
-        return _resolve_js_ds(d)
-    if tag == "JR+dS":
-        return _resolve_jr_ds(d)
+    resolve = None if force_generic else _CLOSED_FORMS.get(tag)
+    if resolve is not None:
+        return resolve(d)
+    if "dS" in tag:
+        raise UnsupportedCaseError("generic engine cannot track singular fronts")
     return _generic_timeline(d, tag, n_fan, budget, t_max)
 
 
@@ -939,12 +900,12 @@ def _front_doc(f: Front, n_curve_samples: int) -> dict:
         "t_death": None if math.isinf(f.t_death) else f.t_death,
         "x_birth": f.x_birth,
     }
-    if f.x_of_t is None:
+    if f.curve is None:
         doc["speed"] = f.speed
     else:
         t_hi = f.t_death if math.isfinite(f.t_death) else f.t_birth * 8.0 + 1.0
         ts = np.linspace(f.t_birth, t_hi, n_curve_samples)
-        doc["curve"] = [[float(t), float(f.x_of_t(t))] for t in ts]
+        doc["curve"] = [[float(t), float(f.curve.x_of_t(t))] for t in ts]
     if f.strength_of_t is not None:
         t_probe = f.t_birth + 1.0
         doc["strength_at_birth"] = float(f.strength_of_t(f.t_birth))
@@ -954,16 +915,13 @@ def _front_doc(f: Front, n_curve_samples: int) -> dict:
 
 def timeline_to_json(tl: InteractionTimeline, n_curve_samples: int = 33) -> dict:
     """JSON-ready timeline document (events, fronts, curves, final fan)."""
+    d = tl.data
     return {
-        "epsilon": tl.data.epsilon,
-        "left": {"h": tl.data.left.h, "b": tl.data.left.b},
-        "middle": {"h": tl.data.middle.h, "b": tl.data.middle.b},
-        "right": {"h": tl.data.right.h, "b": tl.data.right.b},
-        "params": {
-            "alpha": tl.data.params.alpha,
-            "kappa": tl.data.params.kappa,
-            "h_tol": tl.data.params.h_tol,
-        },
+        "epsilon": d.epsilon,
+        "left": _state_doc(d.left),
+        "middle": _state_doc(d.middle),
+        "right": _state_doc(d.right),
+        "params": _params_doc(d.params),
         "case": tl.case_tag,
         "asymptotic": tl.asymptotic,
         "events": [

@@ -114,7 +114,6 @@ class SchemeConfig:
 
     scheme: str = "godunov"
     cfl: float = 0.45
-    boundary: str = "outflow"
     t_end: float = 1.0
 
     def __post_init__(self) -> None:
@@ -122,8 +121,6 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.boundary != "outflow":
-            raise ValueError("only outflow boundaries are supported")
 
 
 def _phi(h, b, p: Params):

@@ -15,7 +15,7 @@ in b (delta shock).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -578,10 +578,15 @@ _WAVE_TAGS = {
     DeltaShock: "delta-shock",
     CompositeJR: "composite-jr",
 }
+_WAVE_TYPES = {tag: cls for cls, tag in _WAVE_TAGS.items()}
 
 
 def _state_doc(u: State) -> dict:
-    return {"h": u.h, "b": u.b}
+    return asdict(u)
+
+
+def _params_doc(p: Params) -> dict:
+    return asdict(p)
 
 
 def _state_from_doc(doc: dict) -> State:
@@ -589,34 +594,20 @@ def _state_from_doc(doc: dict) -> State:
 
 
 def fan_to_json(fan: WaveFan) -> dict:
-    """JSON-ready document for a wave fan (round-trips exactly)."""
-    waves = []
-    for w in fan.waves:
-        doc: dict = {"type": _WAVE_TAGS[type(w)]}
-        if isinstance(w, (Contact, Shock)):
-            doc.update(speed=w.speed)
-        elif isinstance(w, Rarefaction):
-            doc.update(xi_lo=w.xi_lo, xi_hi=w.xi_hi, anchor=_state_doc(w.anchor))
-        elif isinstance(w, DeltaShock):
-            doc.update(speed=w.speed, strength_rate=w.strength_rate)
-        elif isinstance(w, CompositeJR):
-            doc.update(xi_hi=w.xi_hi)
-        doc["left"] = _state_doc(w.left)
-        doc["right"] = _state_doc(w.right)
-        waves.append(doc)
+    """JSON-ready document for a wave fan (round-trips exactly).
+
+    Each wave is its type tag plus its dataclass fields, states as
+    {"h", "b"} objects.
+    """
     return {
-        "params": {
-            "alpha": fan.data.params.alpha,
-            "kappa": fan.data.params.kappa,
-            "h_tol": fan.data.params.h_tol,
-        },
+        "params": _params_doc(fan.data.params),
         "left": _state_doc(fan.data.left),
         "right": _state_doc(fan.data.right),
         "case": classify(fan.data),
         "intermediate": None
         if fan.intermediate is None
         else _state_doc(fan.intermediate),
-        "waves": waves,
+        "waves": [{"type": _WAVE_TAGS[type(w)], **asdict(w)} for w in fan.waves],
     }
 
 
@@ -626,25 +617,11 @@ def fan_from_json(doc: dict) -> WaveFan:
     data = RiemannData(_state_from_doc(doc["left"]), _state_from_doc(doc["right"]), p)
     waves: list[Wave] = []
     for wd in doc["waves"]:
-        left = _state_from_doc(wd["left"])
-        right = _state_from_doc(wd["right"])
-        tag = wd["type"]
-        if tag == "contact":
-            waves.append(Contact(wd["speed"], left, right))
-        elif tag == "shock":
-            waves.append(Shock(wd["speed"], left, right))
-        elif tag == "rarefaction":
-            waves.append(
-                Rarefaction(
-                    wd["xi_lo"], wd["xi_hi"], left, right, _state_from_doc(wd["anchor"])
-                )
-            )
-        elif tag == "delta-shock":
-            waves.append(DeltaShock(wd["speed"], wd["strength_rate"], left, right))
-        elif tag == "composite-jr":
-            waves.append(CompositeJR(wd["xi_hi"], left, right))
-        else:
-            raise ValueError(f"unknown wave tag {tag!r}")
+        cls = _WAVE_TYPES.get(wd["type"])
+        if cls is None:
+            raise ValueError(f"unknown wave tag {wd['type']!r}")
+        values = (wd[f.name] for f in fields(cls))
+        waves.append(cls(*(_state_from_doc(v) if isinstance(v, dict) else v for v in values)))
     inter = doc.get("intermediate")
     return WaveFan(
         data, tuple(waves), None if inter is None else _state_from_doc(inter)

@@ -51,6 +51,27 @@ class TestRiemannCommand:
         hs = {r.split(",")[1] for r in rows}
         assert hs == {"1"}
 
+    def test_singular_row_carries_right_state(self, tmp_path):
+        # (speed * t) / t rounds below speed for this pair: re-sampling the
+        # ray would land left of the delta front and report the left state
+        out = tmp_path / "d.csv"
+        left, right = "0.5708686913050158,2.589412759799674", "0,1.5819176697626334"
+        code = run_cli(
+            [
+                "riemann", "--alpha", "0.5", "--kappa", "1",
+                "--left", left, "--right", right, "--t", "1.5",
+                "--samples", "50", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        fan = fan_from_json(json.loads((tmp_path / "d.json").read_text()))
+        [ds] = fan.waves
+        assert ds.speed * 1.5 / 1.5 != ds.speed
+        singular = [r for r in out.read_text().strip().splitlines()[1:]
+                    if float(r.split(",")[3]) != 0.0]
+        assert singular == [",".join(f"{v:.17g}" for v in (
+            ds.speed * 1.5, 0.0, 1.5819176697626334, ds.strength_rate * 1.5))]
+
     def test_malformed_state_exit_2(self, tmp_path):
         code = run_cli(
             [

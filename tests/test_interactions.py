@@ -25,7 +25,6 @@ from thinfilm.interactions import (
     InteractionTimeline,
     PerturbedData,
     classify_case,
-    delta_contact_split,
     epsilon_limit_report,
     interact_shock_contact,
     run_timeline,
@@ -132,8 +131,23 @@ class TestShockContact:
         # printed point can be checked with hand-picked speeds
         s = Shock(2.0, State(4.0, 2.0), State(2.0, 1.0))
         j = Contact(1.0, State(2.0, 1.0), State(1.0, 2.0))
-        ev, _ = interact_shock_contact(s, j, 0.1, Params(0.5, 0.0))
-        np.testing.assert_allclose(ev.point, (0.3, 0.2), rtol=1e-15)
+        point, _ = interact_shock_contact(s, j, 0.1, Params(0.5, 0.0))
+        np.testing.assert_allclose(point, (0.3, 0.2), rtol=1e-15)
+
+    def test_outgoing_waves_are_the_timeline_fronts(self):
+        # the helper's point and waves are what run_timeline emits at its first event
+        d = EX_PER_JS
+        (_, s1w), (j2w, _) = solve(d.left_data()).waves, solve(d.right_data()).waves
+        point, (j3w, s3w) = interact_shock_contact(s1w, j2w, d.epsilon, d.params)
+        assert j3w.speed == phi(s1w.left, d.params) and j3w.left == s1w.left
+        assert s3w.left == j3w.right and s3w.right == j2w.right
+        tl = run_timeline(d)
+        ev = tl.events[0]
+        assert ev.point == point
+        by_id = {f.id: f for f in tl.fronts}
+        j3, s3 = (by_id[i] for i in ev.outgoing)
+        assert (j3.kind, j3.speed, j3.right_region) == ("contact", j3w.speed, ConstRegion(j3w.right))
+        assert (s3.kind, s3.speed, s3.right_region) == ("shock", s3w.speed, ConstRegion(s3w.right))
 
     def test_no_interaction_when_ordered_wrong(self):
         s = Shock(1.0, State(2, 2), State(1, 1))
@@ -302,11 +316,12 @@ class TestShockThroughFan:
 class TestDeltaContactSplit:
     def test_printed_point_and_strength(self):
         d = EX_PER_DS
-        ev, (dj, curve) = delta_contact_split(d)
+        tl = run_timeline(d)
+        split, dj = tl.events[0], tl.residual_delta_contact
         p = d.params
         t1_expect = 6 * d.epsilon / (3 * p.alpha * d.left.h * d.left.b + p.kappa * d.left.h**2)
-        np.testing.assert_allclose(ev.point, (d.epsilon, t1_expect), rtol=1e-14)
-        np.testing.assert_allclose(ev.delta_strength, 2 * d.middle.b * d.epsilon, rtol=1e-14)
+        np.testing.assert_allclose(split.point, (d.epsilon, t1_expect), rtol=1e-14)
+        np.testing.assert_allclose(split.delta_strength, 2 * d.middle.b * d.epsilon, rtol=1e-14)
         assert isinstance(dj, DeltaContact)
         np.testing.assert_allclose(dj.speed, phi(d.left, p), rtol=1e-14)
         np.testing.assert_allclose(dj.strength, 2 * d.middle.b * d.epsilon, rtol=1e-14)
@@ -324,25 +339,26 @@ class TestDeltaContactSplit:
     @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
     @pytest.mark.parametrize("left", [State(1.24, 0.90), State(2.9, 1.70)])
     def test_split_matches_timeline(self, eps, left):
-        # one split computation: the public function returns the point,
-        # strength and frozen front of the timeline's split event, bit for bit
+        # the split event, the frozen front, the residual record and the
+        # curve agree with each other and with the closed-form split
         d = replace(EX_PER_DS, epsilon=eps, left=left)
-        ev, (dj, curve) = delta_contact_split(d)
         tl = run_timeline(d)
         split = tl.events[0]
-        assert ev.point == split.point
-        assert ev.delta_strength == split.delta_strength
-        # the helper's ids are local (incoming 0 and 1, outgoing from 2);
-        # the timeline's are global, and its front 2 is the fan head
-        assert (ev.incoming, ev.outgoing) == ((0, 1), (2, 3))
-        kinds = {fr.id: fr.kind for fr in tl.fronts}
-        assert [kinds[i] for i in split.incoming] == ["delta", "contact"]
-        assert [kinds[i] for i in split.outgoing] == ["delta-contact", "curved-shock"]
-        assert kinds[2] == "fan-head" and split.outgoing != ev.outgoing
-        assert dj == tl.residual_delta_contact
-        assert curve.t_start == split.point[1]
-        t_probe = 2.0 * split.point[1]
-        assert curve.x_of_t(t_probe) == tl.curves[0].x_of_t(t_probe)
+        sigma1 = phi(left, d.params)
+        assert split.point == (eps, 2.0 * eps / sigma1)
+        assert split.delta_strength == 2.0 * d.middle.b * eps
+        by_id = {fr.id: fr for fr in tl.fronts}
+        assert [by_id[i].kind for i in split.incoming] == ["delta", "contact"]
+        assert [by_id[i].kind for i in split.outgoing] == ["delta-contact", "curved-shock"]
+        frozen, cfront = (by_id[i] for i in split.outgoing)
+        dj = tl.residual_delta_contact
+        assert dj == DeltaContact(sigma1, split.delta_strength, left, solve(d.outer_data()).intermediate)
+        assert (frozen.speed, frozen.strength_of_t(10.0)) == (dj.speed, dj.strength)
+        assert frozen.right_region == ConstRegion(dj.right)
+        assert tl.curves == [cfront.curve]
+        assert cfront.curve.kind == "shock-in-fan"
+        assert cfront.curve.t_start == split.point[1]
+        assert cfront.curve.x_of_t(split.point[1]) == split.point[0]
 
     def test_subcase1_completes(self):
         # left w1 above right w1: the split shock crosses the whole fan
@@ -465,6 +481,22 @@ class TestDeltaThroughFan:
             ds4 = [f for f in tl.fronts if f.kind == "delta" and math.isinf(f.t_death)][0]
             err = abs(ds4.strength_of_t(t_probe) - exact.strength_rate * t_probe)
             assert err <= 3.0 * eps * exact.strength_rate
+
+
+@pytest.mark.parametrize("d, n_curves", [
+    (EX_PER_JR, 1), (CASE2_SUB1, 1), (EX_PER_DS, 1), (CASE7, 1),
+    (EX_PER_JS, 0), (CASE6, 0),
+], ids=["JS+JR-asymptotic", "JS+JR-exit", "dS+JR", "JR+dS", "JS+JS", "JS+dS"])
+def test_curves_are_the_curved_fronts(d, n_curves):
+    # a curved front holds its curve over exactly its own lifetime
+    tl = run_timeline(d)
+    curved = [f for f in tl.fronts if f.curve is not None]
+    assert len(curved) == n_curves
+    assert tl.curves == [f.curve for f in curved]
+    for f in curved:
+        assert f.kind.startswith("curved-")
+        assert (f.curve.t_start, f.curve.t_end) == (f.t_birth, f.t_death)
+        assert f.position(f.t_birth) == f.curve.x_of_t(f.t_birth)
 
 
 class TestGenericEngine:

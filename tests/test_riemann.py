@@ -423,3 +423,9 @@ class TestSerialization:
     def test_composite_round_trip(self):
         fan = solve(RiemannData(State(0.0, 0.8), State(1.5, 1.56), P))
         assert fan_from_json(json.loads(json.dumps(fan_to_json(fan)))) == fan
+
+    def test_unknown_wave_tag_rejected(self):
+        doc = fan_to_json(solve(EX_JS))
+        doc["waves"][0]["type"] = "kink"
+        with pytest.raises(ValueError, match="unknown wave tag 'kink'"):
+            fan_from_json(doc)
