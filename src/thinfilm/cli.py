@@ -21,6 +21,7 @@ from . import interactions, limits, numerics, riemann
 from .core import Params, State
 from .errors import (
     EventBudgetError,
+    InvalidDataError,
     SchemeFailureError,
     ThinFilmError,
 )
@@ -100,7 +101,9 @@ def _profile_rows(f: numerics.FVField, p: Params):
     return rows
 
 
-def _run_scheme(args, scheme: str) -> int:
+def cmd_fv(args) -> int:
+    """``godunov`` or ``llf``: the finite-volume run that ``args.command`` names."""
+    scheme = args.command
     with open(args.config) as fh:
         cfg_doc = json.load(fh)
     p = Params(
@@ -130,13 +133,10 @@ def _run_scheme(args, scheme: str) -> int:
     )
     dw = cfg_doc.get("delta_window")
     db = cfg_doc.get("delta_background")
-    final, diag = numerics.run(
-        field,
-        cfg,
-        p,
-        delta_window=tuple(dw) if dw else None,
-        delta_background=(State(*db[0]), State(*db[1])) if db else None,
-    )
+    if bool(dw) != bool(db):
+        raise InvalidDataError("delta_window and delta_background must be given together")
+    delta = (tuple(dw), (State(*db[0]), State(*db[1]))) if dw else None
+    final, diag = numerics.run(field, cfg, p, delta=delta)
     _write_csv(args.out, ["x", "h", "b", "w1", "w2"], _profile_rows(final, p))
     doc = {
         "scheme": scheme,
@@ -159,14 +159,6 @@ def _run_scheme(args, scheme: str) -> int:
         )
     _write_json(args.diag_out or os.path.splitext(args.out)[0] + "_diag.json", doc)
     return EXIT_OK
-
-
-def cmd_godunov(args) -> int:
-    return _run_scheme(args, "godunov")
-
-
-def cmd_llf(args) -> int:
-    return _run_scheme(args, "llf")
 
 
 def cmd_interact(args) -> int:
@@ -238,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fan-out", default=None)
     sp.set_defaults(func=cmd_riemann)
 
-    for name, fn in (("godunov", cmd_godunov), ("llf", cmd_llf)):
+    for name in ("godunov", "llf"):
         sp = sub.add_parser(name, help=f"{name} finite-volume run from a JSON config")
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", required=True)
         sp.add_argument("--diag-out", default=None)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=cmd_fv)
 
     sp = sub.add_parser("interact", help="perturbed Riemann front tracking")
     _add_param_args(sp)

@@ -165,16 +165,7 @@ def convexity_forms(u: State, pair: EntropyPair, p: Params) -> tuple[float, floa
     """
     _require_interior(u)
     w1, pval = _w1_p(u, p)
-    form_r1 = (
-        9.0
-        * p.alpha**2
-        * (
-            4.0 * pval * pval * pair.theta_pprime(pval)
-            + 4.0 * pval * pair.theta_prime(pval)
-            - pair.theta(pval)
-            - 2.0 * w1 * pair.psi_prime(w1)
-        )
-    )
+    form_r1 = 9.0 * p.alpha**2 * (theta_ode_residual(pair, pval) - 2.0 * w1 * pair.psi_prime(w1))
     form_r2 = 2.0 * w1 * (2.0 * w1 * pair.psi_pprime(w1) + pair.psi_prime(w1))
     return form_r1, form_r2
 
@@ -188,44 +179,32 @@ def theta_ode_residual(pair: EntropyPair, pval: float) -> float:
     )
 
 
-def in_sufficient_family(
-    pair: EntropyPair,
-    w1_samples: np.ndarray | None = None,
-    p_samples: np.ndarray | None = None,
-    tol: float = 1e-12,
-) -> bool:
-    """Check the strict-convexity sufficient conditions at sample points."""
-    w1s = np.geomspace(1e-2, 1e2, 25) if w1_samples is None else np.asarray(w1_samples)
-    pvals = np.geomspace(1e-2, 1e2, 25) if p_samples is None else np.asarray(p_samples)
-    for w1 in w1s:
+def in_sufficient_family(pair: EntropyPair) -> bool:
+    """Check the strict-convexity sufficient conditions at 25 log-spaced
+    w1 and p samples on [1e-2, 1e2], the Theta ODE to 1e-12 relative."""
+    samples = np.geomspace(1e-2, 1e2, 25)
+    for w1 in samples:
         d1, d2 = pair.psi_prime(w1), pair.psi_pprime(w1)
         if not (d2 > 0.0 and d1 < 0.0 and 2.0 * w1 * d2 + d1 > 0.0):
             return False
-    for pv in pvals:
+    for pv in samples:
         scale = max(1.0, abs(pair.theta(pv)))
-        if abs(theta_ode_residual(pair, pv)) > tol * scale:
+        if abs(theta_ode_residual(pair, pv)) > 1e-12 * scale:
             return False
         if pair.theta(pv) < 0.0:
             return False
     return True
 
 
-def entropy_report(
-    params: Params,
-    h_range: tuple[float, float] = (1e-2, 1e2),
-    b_range: tuple[float, float] = (1e-2, 1e2),
-    n_grid: int = 50,
-    pairs: list[EntropyPair] | None = None,
-) -> dict:
-    """Compatibility and convexity summary over a log grid of states.
+def entropy_report(params: Params, n_grid: int = 50) -> dict:
+    """Compatibility and convexity summary of :func:`pair_catalog` over an
+    ``n_grid`` x ``n_grid`` log grid of states on [1e-2, 1e2]^2.
 
     Used by the ``entropy-check`` CLI command.  When alpha = 0 the
     second quadratic form degenerates and the verdict is reported as
     ``inconclusive`` instead of ``convex``.
     """
-    pairs = pair_catalog() if pairs is None else pairs
-    hs = np.geomspace(h_range[0], h_range[1], n_grid)
-    bs = np.geomspace(b_range[0], b_range[1], n_grid)
+    hs = bs = np.geomspace(1e-2, 1e2, n_grid)
     probe = [State(h, b) for h in hs[::17] for b in bs[::17]]
     report: dict = {
         "alpha": params.alpha,
@@ -233,7 +212,7 @@ def entropy_report(
         "grid": {"h": [hs[0], hs[-1]], "b": [bs[0], bs[-1]], "n": n_grid},
         "pairs": [],
     }
-    for pair in pairs:
+    for pair in pair_catalog():
         min1 = math.inf
         min2 = math.inf
         for h in hs:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -55,8 +55,6 @@ from .riemann import (
     shock_speed,
     solve,
     _fan_arrays,
-    _params_doc,
-    _state_doc,
 )
 
 __all__ = [
@@ -152,14 +150,14 @@ Region = Union[ConstRegion, FanRegion]
 
 @dataclass(frozen=True)
 class CurvedWave:
-    """Published view of a curved front inside a fan."""
+    """Published view of a curved front inside a fan (a curved delta's
+    strength is its front's ``strength_of_t``)."""
 
     kind: str  # 'shock-in-fan' | 'delta-in-fan'
     t_start: float
     t_end: float
     x_of_t: Callable[[float], float]
     state_of_t: Callable[[float], State]
-    strength_of_t: Optional[Callable[[float], float]] = None
 
 
 @dataclass
@@ -348,7 +346,7 @@ def _penetration_g(h_left: float, h: float) -> float:
 
 def shock_through_fan(
     entry: tuple[float, float],
-    fan: Rarefaction,
+    fan: Rarefaction | CompositeJR,
     chasing_left: State,
     p: Params,
     fan_origin_x: float,
@@ -437,19 +435,12 @@ class _Builder:
         born at t0 = 0.
         """
         at = dict(t_birth=t0, x_birth=x0)
-        if isinstance(w, Rarefaction):
+        if isinstance(w, (Rarefaction, CompositeJR)):
+            tail, head = w.speed_range()
             return [
-                self.add(kind="fan-tail", speed=w.xi_lo,
-                         right_region=FanRegion(x0, w.anchor), **at),
-                self.add(kind="fan-head", speed=w.xi_hi,
-                         right_region=ConstRegion(w.right), **at),
-            ]
-        if isinstance(w, CompositeJR):
-            return [
-                self.add(kind="contact", speed=0.0,
-                         right_region=FanRegion(x0, w.right), **at),
-                self.add(kind="fan-head", speed=w.xi_hi,
-                         right_region=ConstRegion(w.right), **at),
+                self.add(kind="fan-tail" if isinstance(w, Rarefaction) else "contact",
+                         speed=tail, right_region=FanRegion(x0, w.anchor), **at),
+                self.add(kind="fan-head", speed=head, right_region=ConstRegion(w.right), **at),
             ]
         if isinstance(w, DeltaShock):
             beta = _affine_strength(t0, strength, w.strength_rate)
@@ -522,7 +513,7 @@ def _shock_through_fan_fronts(
     bld: _Builder,
     d: PerturbedData,
     entry: tuple[float, float],
-    fan: Rarefaction,
+    fan: Rarefaction | CompositeJR,
     chasing_left: State,
     incoming: list[Front],
     head: Front,
@@ -576,7 +567,7 @@ def _resolve_ds_jr(d: PerturbedData) -> InteractionTimeline:
     (eps, 6 eps / (3 a h- b- + k h-^2)) in exact arithmetic, carrying
     strength 2 b_m eps.  Overcompressibility fails beyond, so the point
     mass freezes on a delta contact while a regular shock enters the
-    composite's fan, viewed as a rarefaction from its tail.
+    composite's fan from its tail.
     """
     eps = d.epsilon
     bld = _Builder()
@@ -589,12 +580,11 @@ def _resolve_ds_jr(d: PerturbedData) -> InteractionTimeline:
     dj = DeltaContact(
         sigma1, 2.0 * d.middle.b * eps, d.left, intermediate_state(d.outer_data())
     )
-    fan_view = Rarefaction(0.0, comp.xi_hi, comp.left, comp.right, comp.right)
     dj3 = bld.add(kind="delta-contact", t_birth=point[1], x_birth=point[0],
                   speed=dj.speed, right_region=ConstRegion(dj.right),
                   strength_of_t=lambda t: dj.strength)
     asymptotic = _shock_through_fan_fronts(
-        bld, d, point, fan_view, dj.right, [ds1, j2], f_head,
+        bld, d, point, comp, dj.right, [ds1, j2], f_head,
         born=(dj3,), delta_strength=dj.strength,
     )
     return bld.timeline(
@@ -635,16 +625,16 @@ def _resolve_js_ds(d: PerturbedData) -> InteractionTimeline:
     return bld.timeline(d, "JS+dS")
 
 
-def delta_through_fan(
-    ds2w: DeltaShock, fan: Rarefaction, d: PerturbedData
-) -> tuple[tuple[float, float], CurvedWave, tuple[float, float], DeltaShock]:
+def delta_through_fan(ds2w: DeltaShock, fan: Rarefaction, d: PerturbedData) -> tuple[
+    tuple[float, float], CurvedWave, Callable[[float], float], tuple[float, float], DeltaShock
+]:
     """Delta front penetrating the left fan after its head catches up.
 
     Inside the fan the support solves dx/dt = (x + eps)/(3t), a cube
     root law; the strength follows by integrating the swept right-state
     mass.  The penetration always completes (the fan tail is slower),
     after which the front runs parallel to the leading contact.
-    Returns the entry point, the curve (strength included), the exit
+    Returns the entry point, the curve, the strength along it, the exit
     point and the outgoing delta front.
     """
     p = d.params
@@ -673,9 +663,9 @@ def delta_through_fan(
 
     t2 = eps * math.sqrt(w1_m) / w1_l**1.5
     x2 = 3.0 * w1_l * t2 - eps
-    curve = CurvedWave("delta-in-fan", t1, t2, x_of_t, state_of_t, strength_of_t)
+    curve = CurvedWave("delta-in-fan", t1, t2, x_of_t, state_of_t)
     ds4 = DeltaShock(w1_l, b_plus * w1_l, fan.left, ds2w.right)
-    return (x1, t1), curve, (x2, t2), ds4
+    return (x1, t1), curve, strength_of_t, (x2, t2), ds4
 
 
 def _resolve_jr_ds(d: PerturbedData) -> InteractionTimeline:
@@ -685,12 +675,11 @@ def _resolve_jr_ds(d: PerturbedData) -> InteractionTimeline:
     bld = _Builder()
     *_, f_tail, f_head = bld.add_fan(left, -eps)
     [ds2] = bld.add_fan(right, eps)
-    entry, curve, exit_point, ds4w = delta_through_fan(ds2w, left.waves[-1], d)
+    entry, curve, beta, exit_point, ds4w = delta_through_fan(ds2w, left.waves[-1], d)
     cfront = bld.add(kind="curved-delta", t_birth=entry[1], x_birth=entry[0],
-                     right_region=ConstRegion(ds2w.right), curve=curve,
-                     strength_of_t=curve.strength_of_t)
-    bld.event(entry, [f_head, ds2], [cfront], curve.strength_of_t(entry[1]))
-    beta2 = curve.strength_of_t(exit_point[1])
+                     right_region=ConstRegion(ds2w.right), curve=curve, strength_of_t=beta)
+    bld.event(entry, [f_head, ds2], [cfront], beta(entry[1]))
+    beta2 = beta(exit_point[1])
     bld.event(exit_point, [cfront, f_tail], bld.add_wave(ds4w, *exit_point, strength=beta2), beta2)
     return bld.timeline(d, "JR+dS")
 
@@ -892,7 +881,7 @@ def epsilon_limit_report(
     return rows
 
 
-def _front_doc(f: Front, n_curve_samples: int) -> dict:
+def _front_doc(f: Front) -> dict:
     doc = {
         "id": f.id,
         "kind": f.kind,
@@ -904,7 +893,7 @@ def _front_doc(f: Front, n_curve_samples: int) -> dict:
         doc["speed"] = f.speed
     else:
         t_hi = f.t_death if math.isfinite(f.t_death) else f.t_birth * 8.0 + 1.0
-        ts = np.linspace(f.t_birth, t_hi, n_curve_samples)
+        ts = np.linspace(f.t_birth, t_hi, 33)
         doc["curve"] = [[float(t), float(f.curve.x_of_t(t))] for t in ts]
     if f.strength_of_t is not None:
         t_probe = f.t_birth + 1.0
@@ -913,15 +902,16 @@ def _front_doc(f: Front, n_curve_samples: int) -> dict:
     return doc
 
 
-def timeline_to_json(tl: InteractionTimeline, n_curve_samples: int = 33) -> dict:
-    """JSON-ready timeline document (events, fronts, curves, final fan)."""
+def timeline_to_json(tl: InteractionTimeline) -> dict:
+    """JSON-ready timeline document (events, fronts, curves sampled at 33
+    times, final fan)."""
     d = tl.data
     return {
         "epsilon": d.epsilon,
-        "left": _state_doc(d.left),
-        "middle": _state_doc(d.middle),
-        "right": _state_doc(d.right),
-        "params": _params_doc(d.params),
+        "left": asdict(d.left),
+        "middle": asdict(d.middle),
+        "right": asdict(d.right),
+        "params": asdict(d.params),
         "case": tl.case_tag,
         "asymptotic": tl.asymptotic,
         "events": [
@@ -934,7 +924,7 @@ def timeline_to_json(tl: InteractionTimeline, n_curve_samples: int = 33) -> dict
             }
             for e in tl.events
         ],
-        "fronts": [_front_doc(f, n_curve_samples) for f in tl.fronts],
+        "fronts": [_front_doc(f) for f in tl.fronts],
         "residual_delta_contact": None
         if tl.residual_delta_contact is None
         else {

@@ -150,6 +150,11 @@ class CompositeJR:
     left: State
     right: State
 
+    @property
+    def anchor(self) -> State:
+        """The state closing the fan, as :attr:`Rarefaction.anchor`."""
+        return self.right
+
     def speed_range(self) -> tuple[float, float]:
         return 0.0, self.xi_hi
 
@@ -347,8 +352,7 @@ def sample(fan: WaveFan, xi: float) -> SampledValue:
         if xi < lo:
             return SampledValue(state)
         if isinstance(w, (Rarefaction, CompositeJR)) and xi <= hi:
-            anchor = w.anchor if isinstance(w, Rarefaction) else w.right
-            return SampledValue(rarefaction_state(xi, anchor, p))
+            return SampledValue(rarefaction_state(xi, w.anchor, p))
         if isinstance(w, DeltaShock) and xi == lo:
             return SampledValue(w.right, singular_weight=w.strength_rate)
         state = w.right
@@ -378,8 +382,7 @@ def profile(
         lo, hi = w.speed_range()
         if isinstance(w, (Rarefaction, CompositeJR)):
             on = (xi >= lo) & (xi <= hi)
-            anchor = w.anchor if isinstance(w, Rarefaction) else w.right
-            hs[on], bs[on] = _fan_arrays(xi[on], anchor, fan.data.params)
+            hs[on], bs[on] = _fan_arrays(xi[on], w.anchor, fan.data.params)
         hs[xi < lo], bs[xi < lo] = before.h, before.b
     deltas = [
         (w.speed * t, w.strength_rate * t)
@@ -442,38 +445,33 @@ class BumpTestFunction:
         )
 
     @staticmethod
-    def _g(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
+    def _g(s: np.ndarray, derivative: bool = False) -> np.ndarray:
+        """g(s), or g'(s) with ``derivative``; zero off |s| < 1."""
         out = np.zeros_like(s)
         inside = np.abs(s) < 1.0
         si = s[inside]
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
+        q = 1.0 - si * si
+        gi = np.exp(1.0 - 1.0 / q)
+        out[inside] = gi * (-2.0 * si / q**2) if derivative else gi
         return out
 
-    @staticmethod
-    def _dg(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        inside = np.abs(s) < 1.0
-        si = s[inside]
-        gi = np.exp(1.0 - 1.0 / (1.0 - si * si))
-        out[inside] = gi * (-2.0 * si / (1.0 - si * si) ** 2)
-        return out
+    def _scaled(self, x, t) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            (np.asarray(x, dtype=float) - self.x_center) / self.x_radius,
+            (np.asarray(t, dtype=float) - self.t_center) / self.t_radius,
+        )
 
     def value(self, x, t):
-        sx = (np.asarray(x, dtype=float) - self.x_center) / self.x_radius
-        st = (np.asarray(t, dtype=float) - self.t_center) / self.t_radius
+        sx, st = self._scaled(x, t)
         return self._g(sx) * self._g(st)
 
     def dx(self, x, t):
-        sx = (np.asarray(x, dtype=float) - self.x_center) / self.x_radius
-        st = (np.asarray(t, dtype=float) - self.t_center) / self.t_radius
-        return self._dg(sx) * self._g(st) / self.x_radius
+        sx, st = self._scaled(x, t)
+        return self._g(sx, derivative=True) * self._g(st) / self.x_radius
 
     def dt(self, x, t):
-        sx = (np.asarray(x, dtype=float) - self.x_center) / self.x_radius
-        st = (np.asarray(t, dtype=float) - self.t_center) / self.t_radius
-        return self._g(sx) * self._dg(st) / self.t_radius
+        sx, st = self._scaled(x, t)
+        return self._g(sx) * self._g(st, derivative=True) / self.t_radius
 
 
 def _space_time_gauss(
@@ -581,14 +579,6 @@ _WAVE_TAGS = {
 _WAVE_TYPES = {tag: cls for cls, tag in _WAVE_TAGS.items()}
 
 
-def _state_doc(u: State) -> dict:
-    return asdict(u)
-
-
-def _params_doc(p: Params) -> dict:
-    return asdict(p)
-
-
 def _state_from_doc(doc: dict) -> State:
     return State(doc["h"], doc["b"])
 
@@ -600,13 +590,11 @@ def fan_to_json(fan: WaveFan) -> dict:
     {"h", "b"} objects.
     """
     return {
-        "params": _params_doc(fan.data.params),
-        "left": _state_doc(fan.data.left),
-        "right": _state_doc(fan.data.right),
+        "params": asdict(fan.data.params),
+        "left": asdict(fan.data.left),
+        "right": asdict(fan.data.right),
         "case": classify(fan.data),
-        "intermediate": None
-        if fan.intermediate is None
-        else _state_doc(fan.intermediate),
+        "intermediate": None if fan.intermediate is None else asdict(fan.intermediate),
         "waves": [{"type": _WAVE_TAGS[type(w)], **asdict(w)} for w in fan.waves],
     }
 

@@ -181,6 +181,28 @@ class TestSchemeCommands:
         cfg.write_text(json.dumps({"alpha": 0.5}))
         assert run_cli(["godunov", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    @pytest.mark.parametrize(
+        "extras",
+        [{"delta_window": [0.0, 1.0]}, {"delta_background": [[1.5, 1.6], [1.25, 1.15]]}],
+    )
+    def test_half_given_delta_config_exit_2(self, tmp_path, capsys, scheme, extras):
+        # one of the two keys alone used to run and record an empty delta_mass
+        cfg = self._config(tmp_path, extras)
+        out = tmp_path / "x.csv"
+        assert run_cli([scheme, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "delta_window" in err and "delta_background" in err
+        assert not out.exists()
+
+    def test_delta_config_records_series(self, tmp_path):
+        extras = {"delta_window": [0.0, 1.0], "delta_background": [[1.5, 1.6], [1.25, 1.15]]}
+        cfg = self._config(tmp_path, extras)
+        out = tmp_path / "d.csv"
+        assert run_cli(["llf", "--config", str(cfg), "--out", str(out)]) == 0
+        diag = json.loads((tmp_path / "d_diag.json").read_text())
+        assert len(diag["delta_mass"]) == diag["n_steps"]
+
     def test_scheme_failure_exit_3(self, tmp_path):
         # overflowing states blow the wave speeds past float range
         doc = {

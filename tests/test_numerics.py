@@ -134,6 +134,20 @@ class TestInterfaceFluxes:
         u = State(1.3, 0.8)
         np.testing.assert_allclose(llf_flux(u, u, p), flux(u, p), rtol=1e-15)
 
+    def test_llf_equals_reference_interface_flux(self):
+        # 100 pairs per draw of Params sit side by side on one grid, so the
+        # interface right of cell 2k joins pair k in reference_step's LLF flux
+        rng = np.random.RandomState(4)
+        for _ in range(20):
+            p = Params(*rng.uniform(0.1, 2.0, 2))
+            hb = rng.uniform(0.05, 3.0, (2, 200))
+            f = FVField(Grid(0.0, 1.0, 200), hb[0], hb[1], 0.0)
+            _, F1, F2 = reference_step(f, SchemeConfig(scheme="llf"), p)
+            for k in range(100):
+                uL, uR = State(*hb[:, 2 * k]), State(*hb[:, 2 * k + 1])
+                F = llf_flux(uL, uR, p)
+                assert (F[0], F[1]) == (F1[2 * k + 1], F2[2 * k + 1])
+
     def test_llf_speed_dominates(self):
         rng = np.random.RandomState(1)
         for _ in range(100):
@@ -162,7 +176,7 @@ class TestWindowKernel:
                 f0.h[0], f0.b[-1] = 1.7, 0.3
             bg = (State(f0.h[0], f0.b[0]), State(f0.h[-1], f0.b[-1]))
             delta = ((-1.0, 1.5) if draw % 2 else (0.5, 4.0), bg)
-            f, diag = run(f0, cfg, p, delta_window=delta[0], delta_background=bg)
+            f, diag = run(f0, cfg, p, delta=delta)
             g, mh, mb, res, series = reference_run(f0, cfg, p, delta)
             np.testing.assert_array_equal(f.h, g.h)
             np.testing.assert_array_equal(f.b, g.b)
@@ -389,8 +403,7 @@ class TestDeltaDiagnostics:
             f0,
             SchemeConfig(scheme="llf", t_end=0.1),
             p,
-            delta_window=(-0.1, 0.5),
-            delta_background=(left, right),
+            delta=((-0.1, 0.5), (left, right)),
         )
         series = diag["delta_mass"]
         assert len(series) > 10
@@ -441,6 +454,17 @@ class TestFieldBuilders:
         grid = Grid(-1.0, 1.0, 10)
         f = field_from_riemann(EX_JR, grid)
         assert f.h[0] == 1.24 and f.h[-1] == 1.5
+
+    def test_center_on_break_takes_right_state(self):
+        from thinfilm.interactions import PerturbedData
+
+        grid = Grid(-1.5, 1.5, 3)
+        assert list(grid.centers()) == [-1.0, 0.0, 1.0]
+        f = field_from_riemann(EX_JR, grid)
+        assert list(f.h) == [1.24, 1.5, 1.5] and list(f.b) == [0.90, 1.56, 1.56]
+        pd = PerturbedData(1.0, State(1, 2), State(3, 4), State(5, 6), Params(0.5, 1.0))
+        f = field_from_perturbed(pd, grid)
+        assert list(f.h) == [3, 3, 5] and list(f.b) == [4, 4, 6]
 
     def test_perturbed_split(self):
         from thinfilm.interactions import PerturbedData
