@@ -18,7 +18,7 @@ import numpy as np
 
 from . import entropy as entropy_mod
 from . import interactions, limits, numerics, riemann
-from .core import Params, State
+from .core import Params, State, riemann_invariants
 from .errors import (
     EventBudgetError,
     InvalidDataError,
@@ -89,16 +89,12 @@ def cmd_riemann(args) -> int:
 
 
 def _profile_rows(f: numerics.FVField, p: Params):
-    xs = f.grid.centers()
-    rows = []
-    for x, hv, bv in zip(xs, f.h, f.b):
-        if hv > p.h_tol:
-            w1v = p.alpha * hv * bv + p.kappa * hv * hv / 3.0
-            w2v = bv / hv
-            rows.append((x, hv, bv, w1v, w2v))
-        else:
-            rows.append((x, hv, bv, None, None))
-    return rows
+    """(x, h, b, w1, w2) per cell; w1 and w2 stay blank where h <= h_tol."""
+    on = f.h > p.h_tol
+    inv = riemann_invariants((f.h[on], f.b[on]), p)
+    w = np.full((2, f.h.size), None)
+    w[0, on], w[1, on] = inv.w1, inv.w2
+    return zip(f.grid.centers(), f.h, f.b, *w)
 
 
 def cmd_fv(args) -> int:

@@ -8,7 +8,9 @@ thickness h and solute concentration gradient b,
 
 i.e. both components are advected with the common multiplier
 phi(h, b) = alpha*h*b + kappa*h^2/3.  Everything downstream (wave
-curves, entropies, schemes) is built from the few closed forms here.
+curves, entropies, schemes) is built from the few closed forms here;
+phi, flux, eigenvalues and riemann_invariants take a State, an (h, b)
+pair or a (2, n) array of states, in the same bits either way.
 """
 
 from __future__ import annotations
@@ -81,12 +83,9 @@ class State:
         if self.h < 0.0 or self.b < 0.0:
             raise InvalidStateError(f"state outside quadrant ({self.h}, {self.b})")
 
-    def is_interior(self, p: Params) -> bool:
-        """True unless h or b sits within ``p.h_tol`` of the boundary."""
-        return self.h > p.h_tol and self.b > p.h_tol
-
-    def on_h_boundary(self, p: Params) -> bool:
-        return self.h <= p.h_tol
+    def __iter__(self):
+        """h then b: ``h, b = u`` unpacks a state like a (2, n) array."""
+        return iter((self.h, self.b))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.h, self.b])
@@ -108,7 +107,7 @@ class Eigenstructure:
 
 @dataclass(frozen=True)
 class Invariants:
-    """Riemann invariants w1 = alpha*h*b + kappa*h^2/3 and w2 = b/h."""
+    """Riemann invariants w1 = alpha*h*b + kappa*h^2/3 and w2 = b/h (floats or arrays)."""
 
     w1: float
     w2: float
@@ -129,15 +128,17 @@ class CharacteristicFields:
     gn_indicator: float
 
 
-def phi(u: State, p: Params) -> float:
+def phi(u, p: Params):
     """Common transport multiplier alpha*h*b + kappa*h^2/3 (equals lambda1)."""
-    return p.alpha * u.h * u.b + p.kappa * u.h * u.h / 3.0
+    h, b = u
+    return p.alpha * h * b + p.kappa * h * h / 3.0
 
 
-def flux(u: State, p: Params) -> np.ndarray:
+def flux(u, p: Params) -> np.ndarray:
     """Flux vector (h*phi, b*phi)."""
+    h, b = u
     f = phi(u, p)
-    return np.array([u.h * f, u.b * f])
+    return np.array([h * f, b * f])
 
 
 def jacobian(u: State, p: Params) -> np.ndarray:
@@ -151,11 +152,10 @@ def jacobian(u: State, p: Params) -> np.ndarray:
     )
 
 
-def eigenvalues(u: State, p: Params) -> tuple[float, float]:
+def eigenvalues(u, p: Params) -> tuple:
     """Characteristic speeds (lambda1, lambda2), ascending."""
-    lam1 = phi(u, p)
-    lam2 = 3.0 * p.alpha * u.h * u.b + p.kappa * u.h * u.h
-    return lam1, lam2
+    h, b = u
+    return phi(u, p), 3.0 * p.alpha * h * b + p.kappa * h * h
 
 
 def eigenstructure(u: State, p: Params) -> Eigenstructure:
@@ -166,11 +166,12 @@ def eigenstructure(u: State, p: Params) -> Eigenstructure:
     return Eigenstructure(lam1, lam2, r1, r2)
 
 
-def riemann_invariants(u: State, p: Params) -> Invariants:
-    """Invariants (w1, w2) of an interior state; w2 is undefined at h = 0."""
-    if u.h <= 0.0:
+def riemann_invariants(u, p: Params) -> Invariants:
+    """Invariants (w1, w2) of states with h > 0; w2 is undefined at h = 0."""
+    h, b = u
+    if np.any(h <= 0.0):
         raise BoundaryStateError("Riemann invariants require h > 0")
-    return Invariants(w1=phi(u, p), w2=u.b / u.h)
+    return Invariants(w1=phi(u, p), w2=b / h)
 
 
 def state_from_invariants(w: Invariants, p: Params) -> State:

@@ -9,6 +9,9 @@ and eta is strictly convex on the open quadrant whenever Psi'' > 0,
 Psi' < 0, 2*w1*Psi'' + Psi' > 0 and Theta(p) = A*sqrt(p) + B/sqrt(p)
 with A, B >= 0.  The antiderivative of Psi is normalized to vanish at
 w1 = 1 so entropy-flux values are reproducible.
+Everything here takes a State or a (2, n) array of states; powers use
+``np.float_power``, which has the bits of Python's ``**`` on floats and
+arrays alike (numpy's ``**`` on arrays does not).
 """
 
 from __future__ import annotations
@@ -36,48 +39,43 @@ __all__ = [
     "entropy_report",
 ]
 
-ScalarFn = Callable[[float], float]
+ArrayFn = Callable[[float | np.ndarray], float | np.ndarray]
 
 
 @dataclass(frozen=True)
 class EntropyPair:
     """Generator functions of one entropy pair, with derivatives.
 
-    ``psi_antideriv`` must satisfy psi_antideriv(1) == 0; the free
-    integration constant cancels in jump brackets but has to be pinned
-    for reproducible flux values.
+    Each takes a float or an array.  ``psi_antideriv`` must satisfy
+    psi_antideriv(1) == 0; the free integration constant cancels in jump
+    brackets but has to be pinned for reproducible flux values.
     """
 
-    psi: ScalarFn
-    psi_prime: ScalarFn
-    psi_pprime: ScalarFn
-    psi_antideriv: ScalarFn
-    theta: ScalarFn
-    theta_prime: ScalarFn
-    theta_pprime: ScalarFn
+    psi: ArrayFn
+    psi_prime: ArrayFn
+    psi_pprime: ArrayFn
+    psi_antideriv: ArrayFn
+    theta: ArrayFn
+    theta_prime: ArrayFn
+    theta_pprime: ArrayFn
     name: str = ""
 
 
 def power_pair(n: float, A: float, B: float, scale: float = 1.0) -> EntropyPair:
     """Pair with Psi(w1) = scale*w1^-n and Theta(p) = A*sqrt(p) + B/sqrt(p)."""
+    pw = np.float_power
     if n == 1.0:
-
-        def anti(w1: float) -> float:
-            return scale * math.log(w1)
-
+        anti = lambda w1: scale * np.log(w1)
     else:
-
-        def anti(w1: float) -> float:
-            return scale * (w1 ** (1.0 - n) - 1.0) / (1.0 - n)
-
+        anti = lambda w1: scale * (pw(w1, 1.0 - n) - 1.0) / (1.0 - n)
     return EntropyPair(
-        psi=lambda w1: scale * w1 ** (-n),
-        psi_prime=lambda w1: -n * scale * w1 ** (-n - 1.0),
-        psi_pprime=lambda w1: n * (n + 1.0) * scale * w1 ** (-n - 2.0),
+        psi=lambda w1: scale * pw(w1, -n),
+        psi_prime=lambda w1: -n * scale * pw(w1, -n - 1.0),
+        psi_pprime=lambda w1: n * (n + 1.0) * scale * pw(w1, -n - 2.0),
         psi_antideriv=anti,
-        theta=lambda p: A * math.sqrt(p) + B / math.sqrt(p),
-        theta_prime=lambda p: 0.5 * A / math.sqrt(p) - 0.5 * B * p ** (-1.5),
-        theta_pprime=lambda p: -0.25 * A * p ** (-1.5) + 0.75 * B * p ** (-2.5),
+        theta=lambda p: A * np.sqrt(p) + B / np.sqrt(p),
+        theta_prime=lambda p: 0.5 * A / np.sqrt(p) - 0.5 * B * pw(p, -1.5),
+        theta_pprime=lambda p: -0.25 * A * pw(p, -1.5) + 0.75 * B * pw(p, -2.5),
         name=f"psi=w1^-{n:g}*{scale:g},theta={A:g}*sqrt(p)+{B:g}/sqrt(p)",
     )
 
@@ -96,30 +94,26 @@ def pair_catalog() -> list[EntropyPair]:
     return pairs
 
 
-def _w1_p(u: State, p: Params) -> tuple[float, float]:
+def _w1_p(u, p: Params) -> tuple:
+    """w1 and 3*alpha*w2 + kappa; raises unless every state is in the open quadrant."""
+    h, b = u
+    if np.any(h <= 0.0) or np.any(b <= 0.0):
+        raise BoundaryStateError("entropy pairs are defined on the open quadrant")
     inv = riemann_invariants(u, p)
     return inv.w1, 3.0 * p.alpha * inv.w2 + p.kappa
 
 
-def _require_interior(u: State) -> None:
-    if u.h <= 0.0 or u.b <= 0.0:
-        raise BoundaryStateError("entropy pairs are defined on the open quadrant")
-
-
-def entropy(u: State, pair: EntropyPair, p: Params) -> float:
+def entropy(u, pair: EntropyPair, p: Params):
     """eta(u) = Psi(w1) + sqrt(w1)*Theta(3*alpha*w2 + kappa)."""
-    _require_interior(u)
     w1, pval = _w1_p(u, p)
-    return pair.psi(w1) + math.sqrt(w1) * pair.theta(pval)
+    return pair.psi(w1) + np.sqrt(w1) * pair.theta(pval)
 
 
-def entropy_flux(u: State, pair: EntropyPair, p: Params) -> float:
+def entropy_flux(u, pair: EntropyPair, p: Params):
     """q(u) = 3*(w1*Psi(w1) - int_1^w1 Psi) + w1^(3/2)*Theta(p)."""
-    _require_interior(u)
     w1, pval = _w1_p(u, p)
-    return 3.0 * (w1 * pair.psi(w1) - pair.psi_antideriv(w1)) + w1**1.5 * pair.theta(
-        pval
-    )
+    q = 3.0 * (w1 * pair.psi(w1) - pair.psi_antideriv(w1))
+    return q + np.float_power(w1, 1.5) * pair.theta(pval)
 
 
 def compatibility_residual(
@@ -135,7 +129,7 @@ def compatibility_residual(
     replace the entropy flux (used by negative controls); gradients of
     eta and q use the same stencil, the flux Jacobian is analytic.
     """
-    _require_interior(u)
+    _w1_p(u, p)  # raises on the quadrant's boundary
     q_fn = flux_fn if flux_fn is not None else (lambda s: entropy_flux(s, pair, p))
     s = min(step, 0.25 * u.h, 0.25 * u.b)
 
@@ -149,7 +143,7 @@ def compatibility_residual(
     return float(np.max(np.abs(grad_q - grad_eta @ jacobian(u, p))))
 
 
-def convexity_forms(u: State, pair: EntropyPair, p: Params) -> tuple[float, float]:
+def convexity_forms(u, pair: EntropyPair, p: Params) -> tuple:
     """Quadratic forms r_i^T Hess(eta) r_i along both eigenvector fields.
 
     With r1 = (-3*alpha*h, 3*alpha*b + 2*kappa*h) and r2 = (h, b) the
@@ -163,14 +157,13 @@ def convexity_forms(u: State, pair: EntropyPair, p: Params) -> tuple[float, floa
     r1 form vanishes identically when alpha = 0, which leaves the
     sufficient criterion silent for the pure-gravity case.
     """
-    _require_interior(u)
     w1, pval = _w1_p(u, p)
     form_r1 = 9.0 * p.alpha**2 * (theta_ode_residual(pair, pval) - 2.0 * w1 * pair.psi_prime(w1))
     form_r2 = 2.0 * w1 * (2.0 * w1 * pair.psi_pprime(w1) + pair.psi_prime(w1))
     return form_r1, form_r2
 
 
-def theta_ode_residual(pair: EntropyPair, pval: float) -> float:
+def theta_ode_residual(pair: EntropyPair, pval):
     """4*p^2*Theta'' + 4*p*Theta' - Theta; zero exactly for A*sqrt(p)+B/sqrt(p)."""
     return (
         4.0 * pval * pval * pair.theta_pprime(pval)
@@ -182,18 +175,11 @@ def theta_ode_residual(pair: EntropyPair, pval: float) -> float:
 def in_sufficient_family(pair: EntropyPair) -> bool:
     """Check the strict-convexity sufficient conditions at 25 log-spaced
     w1 and p samples on [1e-2, 1e2], the Theta ODE to 1e-12 relative."""
-    samples = np.geomspace(1e-2, 1e2, 25)
-    for w1 in samples:
-        d1, d2 = pair.psi_prime(w1), pair.psi_pprime(w1)
-        if not (d2 > 0.0 and d1 < 0.0 and 2.0 * w1 * d2 + d1 > 0.0):
-            return False
-    for pv in samples:
-        scale = max(1.0, abs(pair.theta(pv)))
-        if abs(theta_ode_residual(pair, pv)) > 1e-12 * scale:
-            return False
-        if pair.theta(pv) < 0.0:
-            return False
-    return True
+    s = np.geomspace(1e-2, 1e2, 25)
+    d1, d2, theta = pair.psi_prime(s), pair.psi_pprime(s), pair.theta(s)
+    psi_ok = np.all((d2 > 0.0) & (d1 < 0.0) & (2.0 * s * d2 + d1 > 0.0))
+    ode_off = np.abs(theta_ode_residual(pair, s)) > 1e-12 * np.maximum(1.0, np.abs(theta))
+    return bool(psi_ok and not np.any(ode_off) and not np.any(theta < 0.0))
 
 
 def entropy_report(params: Params, n_grid: int = 50) -> dict:
@@ -205,6 +191,7 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
     ``inconclusive`` instead of ``convex``.
     """
     hs = bs = np.geomspace(1e-2, 1e2, n_grid)
+    grid = np.array(np.meshgrid(hs, bs, indexing="ij")).reshape(2, -1)
     probe = [State(h, b) for h in hs[::17] for b in bs[::17]]
     report: dict = {
         "alpha": params.alpha,
@@ -213,13 +200,8 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
         "pairs": [],
     }
     for pair in pair_catalog():
-        min1 = math.inf
-        min2 = math.inf
-        for h in hs:
-            for b in bs:
-                f1, f2 = convexity_forms(State(h, b), pair, params)
-                min1 = min(min1, f1)
-                min2 = min(min2, f2)
+        f1, f2 = convexity_forms(grid, pair, params)
+        min1, min2 = float(f1.min()), float(f2.min())
         compat = max(compatibility_residual(u, pair, params) for u in probe)
         member = in_sufficient_family(pair)
         if params.alpha == 0.0:

@@ -695,8 +695,8 @@ def _discretize_fan(w: Rarefaction, p: Params, dw1_target: float) -> list[tuple[
     n = max(1, int(math.ceil((w1_hi - w1_lo) / dw1_target)))
     c = _ray_coefficient(w.anchor, p)
     w2 = w.anchor.b / w.anchor.h
-    w1s = np.linspace(w1_lo, w1_hi, n + 1)
-    states = [State(math.sqrt(v / c), w2 * math.sqrt(v / c)) for v in w1s]
+    hs = np.sqrt(np.linspace(w1_lo, w1_hi, n + 1) / c).tolist()
+    states = [State(h, w2 * h) for h in hs]
     return [(shock_speed(a, bst, p), a, bst) for a, bst in zip(states[:-1], states[1:])]
 
 

@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Params, State, eigenvalues, flux
+from .core import Params, State, eigenvalues, flux, phi
 from .errors import SchemeFailureError
 from .riemann import RiemannData, sample, solve
 
@@ -123,11 +123,6 @@ class SchemeConfig:
             raise ValueError("cfl must lie in (0, 1]")
 
 
-def _phi(h, b, p: Params):
-    """lambda1 = alpha*h*b + kappa*h*h/3 of floats or arrays."""
-    return p.alpha * h * b + p.kappa * h * h / 3.0
-
-
 def godunov_flux(uL: State, uR: State, p: Params) -> np.ndarray:
     """Exact-Riemann interface flux: flux of the solution sampled on x/t = 0.
 
@@ -195,9 +190,9 @@ class _Kernel:
         self.U[:, 0], self.U[:, -1] = self.U[:, 1], self.U[:, -2]
         self.hv, self.bv = self.H.view(np.int64), self.B.view(np.int64)
         self.field = FVField(f.grid, self.H[1:-1], self.B[1:-1], f.t)
-        # kappa*h*h, lambda2 and phi per cell; cell fluxes; interface
-        # fluxes (LLF); interface differences
-        self.kh2, self.lam2, self.phi = np.empty((3, n + 2))
+        # kappa*h*h, lambda2 and lambda1 = phi per cell; cell fluxes;
+        # interface fluxes (LLF); interface differences
+        self.kh2, self.lam2, self.lam1 = np.empty((3, n + 2))
         self.flux = np.empty((2, n + 2))
         self.iflux = np.empty((2, n + 1))
         self.diff = np.empty((2, n + 1))
@@ -248,7 +243,7 @@ class _Kernel:
             self._check(0, n - 1, "field", t, positivity=False)
         us = U[:, i0 : i1 + 3]
         hs, bs = us
-        kh2, lam2, phi = self.kh2[: m + 2], self.lam2[: m + 2], self.phi[: m + 2]
+        kh2, lam2, lam1 = self.kh2[: m + 2], self.lam2[: m + 2], self.lam1[: m + 2]
         with np.errstate(over="ignore"):
             # lambda2 as core.eigenvalues orders it, with kappa*h*h kept for
             # phi; 3*phi is equal in exact arithmetic but not in bits (they
@@ -276,14 +271,14 @@ class _Kernel:
 
         # the outflow boundary fluxes: the same in both schemes
         (h0, hn), (b0, bn) = U[:, [1, n]].tolist()
-        phi0, phin = _phi(h0, b0, p), _phi(hn, bn, p)
+        phi0, phin = phi((h0, b0), p), phi((hn, bn), p)
         boundary = (h0 * phi0, hn * phin), (b0 * phi0, bn * phin)
-        # _phi, then the cell fluxes of both components at once
-        np.multiply(p.alpha, hs, out=phi)
-        phi *= bs
+        # core.phi, then the cell fluxes of both components at once
+        np.multiply(p.alpha, hs, out=lam1)
+        lam1 *= bs
         kh2 /= 3.0
-        phi += kh2
-        fl = np.multiply(us, phi, out=self.flux[:, : m + 2])
+        lam1 += kh2
+        fl = np.multiply(us, lam1, out=self.flux[:, : m + 2])
         diff = self.diff[:, :m]
         if cfg.scheme == "godunov":
             # upwind: all characteristic speeds are >= 0 on the quadrant
@@ -493,7 +488,7 @@ def invariant_transport_residual(
         raise ValueError("window contains no interior smooth cells")
 
     def w1(f: FVField) -> np.ndarray:
-        return _phi(f.h, f.b, p)
+        return phi((f.h, f.b), p)
 
     def w2(f: FVField) -> np.ndarray:
         return f.b / np.where(f.h > p.h_tol, f.h, 1.0)

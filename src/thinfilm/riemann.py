@@ -405,12 +405,9 @@ def generalized_rh_residual(w: DeltaShock, p: Params) -> tuple[float, float]:
     First component: sigma*[h] - [h*phi] (the front carries no point
     mass in h).  Second: d(beta)/dt - (sigma*[b] - [b*phi]).
     """
-    jump_h = w.right.h - w.left.h
-    jump_hf = w.right.h * phi(w.right, p) - w.left.h * phi(w.left, p)
-    res_h = w.speed * jump_h - jump_hf
-    jump_b = w.right.b - w.left.b
-    jump_bf = w.right.b * phi(w.right, p) - w.left.b * phi(w.left, p)
-    res_beta = w.strength_rate - (w.speed * jump_b - jump_bf)
+    jump_hf, jump_bf = (flux(w.right, p) - flux(w.left, p)).tolist()
+    res_h = w.speed * (w.right.h - w.left.h) - jump_hf
+    res_beta = w.strength_rate - (w.speed * (w.right.b - w.left.b) - jump_bf)
     return res_h, res_beta
 
 
@@ -555,7 +552,7 @@ def weak_residual(
 
     def regular(xs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         h, b, _ = profile(fan, t, xs)
-        w1 = p.alpha * h * b + p.kappa * h * h / 3.0
+        w1 = phi((h, b), p)
         phit, phix = testfn.dt(xs, t), testfn.dx(xs, t)
         return h * phit + h * w1 * phix, b * phit + b * w1 * phix
 

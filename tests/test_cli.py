@@ -371,7 +371,7 @@ class TestEntropyCheckCommand:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self, tmp_path):
+    def test_module_invocation(self, tmp_path, src_env):
         res = subprocess.run(
             [
                 sys.executable, "-m", "thinfilm.cli",
@@ -380,6 +380,7 @@ class TestEntryPoint:
                 "--out", str(tmp_path / "d.csv"),
             ],
             capture_output=True,
+            env=src_env,
         )
         assert res.returncode == 0
         doc = json.loads((tmp_path / "d.json").read_text())

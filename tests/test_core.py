@@ -13,6 +13,7 @@ from thinfilm.core import (
     eigenvalues,
     flux,
     jacobian,
+    phi,
     riemann_invariants,
     state_from_invariants,
 )
@@ -214,3 +215,38 @@ class TestCharacteristicFields:
         cf = characteristic_fields(State(0.0, 1.3), P)
         assert cf.field2 == "linearly degenerate"
         assert cf.gn_indicator == 0.0
+
+
+class TestArrayStates:
+    """A (2, n) array of states takes the path of a single State, bit for bit."""
+
+    def states(self, n=2000, seed=14):
+        rng = np.random.RandomState(seed)
+        return np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (2, n)))
+
+    def test_state_unpacks_like_an_array_column(self):
+        h, b = State(1.5, 0.25)
+        assert (h, b) == (1.5, 0.25)
+
+    def test_closed_forms_match_state_calls(self):
+        u = self.states()
+        singles = [State(h, b) for h, b in u.T.tolist()]
+        for p in [P, Params(0.37, 0.0), Params(0.0, 2.0), *random_params(3, seed=15)]:
+            assert phi(u, p).tolist() == [phi(s, p) for s in singles]
+            assert flux(u, p).T.tolist() == [flux(s, p).tolist() for s in singles]
+            lam1, lam2 = eigenvalues(u, p)
+            assert list(zip(lam1.tolist(), lam2.tolist())) == [eigenvalues(s, p) for s in singles]
+            inv = riemann_invariants(u, p)
+            expect = [riemann_invariants(s, p) for s in singles]
+            assert inv.w1.tolist() == [e.w1 for e in expect]
+            assert inv.w2.tolist() == [e.w2 for e in expect]
+
+    def test_pair_of_arrays_equals_stacked_array(self):
+        h, b = self.states(50)
+        assert phi((h, b), P).tolist() == phi(np.array([h, b]), P).tolist()
+
+    def test_boundary_state_in_array_raises(self):
+        u = self.states(20)
+        u[0, 7] = 0.0
+        with pytest.raises(BoundaryStateError):
+            riemann_invariants(u, P)

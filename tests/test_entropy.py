@@ -211,3 +211,53 @@ class TestReport:
     def test_alpha_zero_inconclusive(self):
         rep = entropy_report(Params(0.0, 1.0), n_grid=8)
         assert all(e["verdict"] == "inconclusive" for e in rep["pairs"])
+
+
+def report_grid(n_grid=50):
+    hs = np.geomspace(1e-2, 1e2, n_grid)
+    return hs, np.array(np.meshgrid(hs, hs, indexing="ij")).reshape(2, -1)
+
+
+class TestArrayPath:
+    """The entropy family on a (2, n) array equals its State-by-State calls
+    bit for bit; numpy's ``**`` on arrays would break this in about 5% of
+    states, so it also pins the powers to ``np.float_power``."""
+
+    def grids(self):
+        rng = np.random.RandomState(16)
+        yield report_grid()[1]
+        yield np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (2, 1000)))
+
+    def test_matches_state_calls(self):
+        for u in self.grids():
+            singles = [State(h, b) for h, b in u.T.tolist()]
+            for pair in pair_catalog():
+                assert entropy(u, pair, P).tolist() == [entropy(s, pair, P) for s in singles]
+                assert entropy_flux(u, pair, P).tolist() == [
+                    entropy_flux(s, pair, P) for s in singles
+                ]
+                f1, f2 = convexity_forms(u, pair, P)
+                expect = [convexity_forms(s, pair, P) for s in singles]
+                assert list(zip(f1.tolist(), f2.tolist())) == expect
+
+    @pytest.mark.parametrize("p", [P, Params(0.0, 1.0)], ids=["alpha0.5", "alpha0"])
+    def test_report_equals_state_loop(self, p):
+        hs, _ = report_grid()
+        rep = entropy_report(p, n_grid=50)
+        for pair, entry in zip(pair_catalog(), rep["pairs"]):
+            min1 = min2 = math.inf
+            for h in hs:
+                for b in hs:
+                    f1, f2 = convexity_forms(State(h, b), pair, p)
+                    min1, min2 = min(min1, f1), min(min2, f2)
+            # repr also tells -0.0 from 0.0, as the JSON output would
+            got = (repr(entry["min_form1"]), repr(entry["min_form2"]))
+            assert got == (repr(float(min1)), repr(float(min2)))
+
+    @pytest.mark.parametrize("row", [0, 1], ids=["h0", "b0"])
+    def test_boundary_state_in_array_raises(self, row):
+        u = report_grid(6)[1]
+        u[row, 11] = 0.0
+        for fn in (entropy, entropy_flux, convexity_forms):
+            with pytest.raises(BoundaryStateError):
+                fn(u, canonical_pair(), P)

@@ -307,9 +307,11 @@ class TestShockThroughFan:
                 root = mpmath.findroot(lambda hh: (hl - hh) ** 2 * (hl + 2 * hh) - g, mpmath.mpf(h))
             assert abs(h - float(root)) <= 1e-15 * max(1.0, h_left)
 
-    def test_cli_import_leaves_scipy_out(self):
+    def test_cli_import_leaves_scipy_out(self, src_env):
         code = "import sys, thinfilm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=src_env
+        )
         assert res.stdout.strip() == "[]"
 
 
