@@ -31,6 +31,42 @@ each), no matter which buffer receives the result, and a row-wise
 ``np.add.reduce`` of the two rows is the same pairwise sum as
 ``np.sum`` of each.
 
+Inside the window, a run of cells at its left edge often keeps its bits
+for many steps: their flux differences are so small that ``u - c*d``
+rounds back to ``u`` (c = dt/dx).  The kernel skips such a run too, and
+this is exact as well.  Both ``c -> fl(c*d)`` and ``x -> fl(u - x)`` are
+monotone under IEEE rounding, and ``fl(c*d)`` has the sign of d.  So a
+cell with ``u - fl(c_hi*d) == u`` in bits keeps its bits at every
+``c <= c_hi``, as long as the cells of its stencil keep theirs.  A full
+step certifies that test on every window cell, before the ``dt/dx``
+scaling, and settles the run of certified cells from the left edge.  By
+induction the run then stays fixed, and so does the largest lambda2
+over it and its left neighbour, which is cached for ``dt``.  Later steps
+compute only from the run's last cell onwards.  That cell's right
+neighbour enters its LLF stencil, so it is computed again, and the run
+is dropped if its bits change.  The run is also dropped, and a full
+step taken, when ``c > c_hi``, when the window's left edge moves or its
+right edge cuts into the run, or after 64 steps, so that it can grow.  c_hi is ``c*(1 + margin)``: under
+Godunov ``dt`` grows on almost every step, so the run lives only while
+c stays within the margin.  But a wide margin can shrink the run to the
+few cells before one that is close to changing.  The kernel tries margins
+2**-20, 2**-15, 2**-10 and 2**-5 and keeps the largest whose run holds at
+least half of the smallest margin's, if that run holds at least an
+eighth of the window.  A certification that settles nothing defers the
+next one by 16 steps, doubled for each such certification in a row up
+to 256, so that a run where nothing settles pays for few.
+
+The mass series must keep the bits of ``np.add.reduce`` over the whole
+field, which numpy computes as a pairwise tree with fixed split points
+(see ``_PairwiseMass``).  :func:`run` keeps the sums of that tree's
+subtrees of up to 4096 cells and sums again only those the step's
+computed range meets.  It also takes its finiteness proof from them: a
++inf cell makes the mass +inf or NaN.  So after the first step the
+kernel checks the computed cells with the min reduction alone, and a
+non-finite mass calls the full check of those cells.  The boundary
+fluxes are kept as well, and recomputed only after a step that
+computed cell 0 or cell n - 1.
+
 Delta shocks are run with the diffusive
 flux on fine meshes and measured through the windowed-mass diagnostic.
 The LLF b peak of a captured delta shock converges onto the singular
@@ -41,6 +77,7 @@ the ray even at dx = 1e-4.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -168,17 +205,44 @@ def _edge(hv: np.ndarray, bv: np.ndarray, i: int, stop: int, direction: int) -> 
     return lo + int(d[0] if direction > 0 else d[-1])
 
 
+# c_hi = c * (1 + margin) for the margins tried, smallest first
+_MARGINS = (2.0**-20, 2.0**-15, 2.0**-10, 2.0**-5)
+# steps a settled block lives; steps from a certification that settles
+# nothing to the next, doubled for each such certification in a row
+_SETTLED_STEPS, _RETRY_FIRST, _RETRY_MAX = 64, 16, 256
+# the largest pairwise-sum subtree whose mass is one cached reduction
+_MASS_LEAF = 4096
+
+
+@dataclass(frozen=True)
+class _Settled:
+    """Cells [lo, end - 1] keep their bits at every ``dt/dx <= c_hi``.
+
+    ``lam_max`` is the largest lambda2 over cells lo - 1 .. end - 1, and
+    the block is dropped once the kernel has made ``expires`` steps.
+    """
+
+    lo: int
+    end: int
+    c_hi: float
+    lam_max: float
+    expires: int
+
+
 class _Kernel:
     """A field advanced in place over its active window, one step per call.
 
     ``U`` holds h and b as its two rows, with one outflow ghost at each
     end, so cell i sits at column i + 1; ``H`` and ``B`` view the rows and
     ``field`` views the interior.  ``win`` is the inclusive cell range
-    [lo - 1, hi] the next step updates, where lo and hi are the first and
+    [lo - 1, hi] of the next step, where lo and hi are the first and
     last cells i >= 1 that differ in bits from cell i - 1, or [0, 0] on a
     constant field.  The window holds a cell of every distinct state, so
-    the maximum wave speed over it is the maximum over the field.  The
-    work buffers are allocated here once and sliced to the window.
+    the maximum wave speed over it is the maximum over the field.  While
+    ``settled`` holds a block at the window's left edge, a step computes
+    only the cells from the block's last one to hi; ``updated`` is the
+    range the last step computed.  The work buffers are allocated here
+    once and sliced to the range.
     """
 
     def __init__(self, f: FVField, cfg: SchemeConfig, p: Params):
@@ -191,14 +255,20 @@ class _Kernel:
         self.hv, self.bv = self.H.view(np.int64), self.B.view(np.int64)
         self.field = FVField(f.grid, self.H[1:-1], self.B[1:-1], f.t)
         # kappa*h*h, lambda2 and lambda1 = phi per cell; cell fluxes;
-        # interface fluxes (LLF); interface differences
+        # interface fluxes (LLF) and certification trials; interface differences
         self.kh2, self.lam2, self.lam1 = np.empty((3, n + 2))
         self.flux = np.empty((2, n + 2))
         self.iflux = np.empty((2, n + 1))
         self.diff = np.empty((2, n + 1))
         self.win = self._window(1, n - 1)
-        self.cell_updates = 0
-        self.max_active = 0
+        self.boundary = self._boundary()
+        self.settled: _Settled | None = None
+        self.updated: tuple[int, int] | None = None
+        self.steps = self.next_certify = 0
+        self.retry = _RETRY_FIRST
+        self.cell_updates = self.max_active = 0
+        self.full_steps = self.certifications = self.settled_cell_steps = 0
+        self.drops = {"speed": 0, "overlap": 0, "edge": 0, "age": 0}
 
     def _window(self, i: int, j: int) -> tuple[int, int]:
         """Update range from the cell pairs in [i, j], the only ones that can differ."""
@@ -207,12 +277,29 @@ class _Kernel:
             return 0, 0
         return lo - 1, _edge(self.hv, self.bv, j, lo, -1)
 
-    def _check(self, i0: int, i1: int, what: str, t: float, positivity: bool) -> None:
-        """Raise at the first non-finite (or, with ``positivity``, negative) cell in [i0, i1]."""
+    def _boundary(self) -> tuple[tuple[float, float], ...]:
+        """The outflow boundary fluxes of cells 0 and n - 1: the same in both schemes."""
+        (h0, hn), (b0, bn) = self.U[:, [1, self.n]].tolist()
+        phi0, phin = phi((h0, b0), self.p), phi((hn, bn), self.p)
+        return (h0 * phi0, hn * phin), (b0 * phi0, bn * phin)
+
+    def _check(
+        self, i0: int, i1: int, what: str, t: float, positivity: bool, upper: bool = True
+    ) -> None:
+        """Raise at the first non-finite (or, with ``positivity``, negative) cell in [i0, i1].
+
+        Without ``upper`` only the min reduction runs.  It still catches
+        NaN, -inf and negative cells in either row, but not +inf, which the
+        caller must then rule out.
+        """
         u = self.U[:, i0 + 1 : i1 + 2]
         # both reductions propagate a NaN in either row
-        lo, hi = np.minimum.reduce(u, axis=None), np.maximum.reduce(u, axis=None)
-        if math.isfinite(lo) and math.isfinite(hi) and (not positivity or lo >= -1e-12):
+        lo = np.minimum.reduce(u, axis=None)
+        if (
+            math.isfinite(lo)
+            and (not positivity or lo >= -1e-12)
+            and (not upper or math.isfinite(np.maximum.reduce(u, axis=None)))
+        ):
             return
         bad = ~np.isfinite(u).all(axis=0)
         if bad.any():
@@ -225,25 +312,11 @@ class _Kernel:
         h, b = u[:, k]
         raise SchemeFailureError(f"{msg}: cell {i0 + k} at x={x} has h={h}, b={b}")
 
-    def advance(self, check_all: bool) -> tuple[tuple[float, float], ...] | None:
-        """One step, or None if t did not step.
-
-        Returns the h fluxes and the b fluxes of cells 0 and n - 1 before
-        the step, as ``((h0, h_last), (b0, b_last))``.
-
-        ``check_all`` extends the finiteness and positivity checks from
-        the window to the whole field; cells outside the window keep their
-        bits, so the first step of a run needs it and later steps do not.
-        """
-        cfg, p, n, f, U = self.cfg, self.p, self.n, self.field, self.U
-        i0, i1 = self.win
-        m = i1 - i0 + 1
-        t, dx = f.t, f.grid.dx
-        if check_all:
-            self._check(0, n - 1, "field", t, positivity=False)
-        us = U[:, i0 : i1 + 3]
-        hs, bs = us
-        kh2, lam2, lam1 = self.kh2[: m + 2], self.lam2[: m + 2], self.lam1[: m + 2]
+    def _speeds(self, s: int, i1: int) -> float:
+        """Largest lambda2 of cells s - 1 .. i1 + 1, leaving it and kappa*h*h in the buffers."""
+        p, m = self.p, i1 - s + 1
+        hs, bs = self.U[:, s : i1 + 3]
+        kh2, lam2 = self.kh2[: m + 2], self.lam2[: m + 2]
         with np.errstate(over="ignore"):
             # lambda2 as core.eigenvalues orders it, with kappa*h*h kept for
             # phi; 3*phi is equal in exact arithmetic but not in bits (they
@@ -254,7 +327,93 @@ class _Kernel:
             np.multiply(3.0 * p.alpha, hs, out=lam2)
             lam2 *= bs
             lam2 += kh2
-        lam_max = float(np.maximum.reduce(lam2))
+        return float(np.maximum.reduce(lam2))
+
+    def _start(self, i0: int, i1: int) -> int:
+        """First cell the step computes: the settled block's last cell, or i0 without one."""
+        blk = self.settled
+        if blk is None:
+            return i0
+        if blk.lo != i0 or blk.end > i1 + 1:
+            self._drop("edge")
+        elif self.steps >= blk.expires:
+            # a full step lets the block grow
+            self._drop("age")
+        else:
+            return blk.end - 1
+        return i0
+
+    def _drop(self, reason: str) -> None:
+        self.settled = None
+        self.drops[reason] += 1
+
+    def _certify(self, d: np.ndarray, c: float, i0: int) -> None:
+        """Settle the cells at the window's left edge that keep their bits at some c_hi > c.
+
+        ``d`` holds the window's flux differences before the ``dt/dx``
+        scaling.  A cell is certified at c_hi when ``u - c_hi*d == u`` in
+        bits on both rows; the block is the run of certified cells from
+        i0.  Of the margins whose block holds at least half of the
+        smallest margin's, and an eighth of the window, the largest is
+        kept.
+        """
+        self.certifications += 1
+        length = d.shape[1]
+        u = self.U[:, i0 + 1 : i0 + 1 + length]
+        uv = u.view(np.int64)
+        # on small windows, runs shorter than an eighth of the window die
+        # within a few steps, having saved less than their certification cost
+        best, need = None, max(2, length // 8)
+        with np.errstate(over="ignore"):
+            for margin in _MARGINS:
+                c_hi = c * (1.0 + margin)
+                trial = np.multiply(d[:, :length], c_hi, out=self.iflux[:, :length])
+                np.subtract(u[:, :length], trial, out=trial)
+                eq = trial.view(np.int64) == uv[:, :length]
+                same = eq[0] & eq[1]
+                run = int(same.argmin())
+                if same[run]:
+                    run = length
+                if run < need:
+                    break
+                if best is None:
+                    need = max(need, (run + 1) // 2)
+                best, length = (run, c_hi), run
+        if best is None:
+            # nothing settles: the next attempt waits, so that a run where
+            # nothing settles pays for few
+            self.next_certify = self.steps + self.retry
+            self.retry = min(2 * self.retry, _RETRY_MAX)
+            return
+        self.retry = _RETRY_FIRST
+        run, c_hi = best
+        lam_max = float(np.maximum.reduce(self.lam2[: run + 1]))
+        self.settled = _Settled(i0, i0 + run, c_hi, lam_max, self.steps + _SETTLED_STEPS)
+
+    def advance(self, check_all: bool) -> tuple[tuple[float, float], ...] | None:
+        """One step, or None if t did not step.
+
+        Returns the h fluxes and the b fluxes of cells 0 and n - 1 before
+        the step, as ``((h0, h_last), (b0, b_last))``.
+
+        ``check_all`` extends the finiteness and positivity checks from
+        the computed cells to the whole field; other cells keep their
+        bits, so the first step of a run needs it and later steps do not.
+        Without it only the min reduction checks the computed cells, so a
+        +inf there goes unreported; :func:`run` rules it out by its mass
+        sums.
+        """
+        cfg, p, n, f, U = self.cfg, self.p, self.n, self.field, self.U
+        i0, i1 = self.win
+        t, dx = f.t, f.grid.dx
+        self.updated = None
+        if check_all:
+            self._check(0, n - 1, "field", t, positivity=False)
+        s = self._start(i0, i1)
+        lam_max = self._speeds(s, i1)
+        if s > i0:
+            # a NaN from the computed cells stays first, so max keeps it
+            lam_max = max(lam_max, self.settled.lam_max)
         if not math.isfinite(lam_max):
             raise SchemeFailureError(f"wave speeds overflow at t={t}")
         remaining = cfg.t_end - t
@@ -268,11 +427,16 @@ class _Kernel:
         dt = min(cfg.cfl * dx / lam_max, remaining)
         if dt <= 0.0:
             raise SchemeFailureError(f"time step collapsed at t={t}")
+        c = dt / dx
+        if s > i0 and c > self.settled.c_hi:
+            self._drop("speed")
+            s = i0
+            self._speeds(s, i1)
 
-        # the outflow boundary fluxes: the same in both schemes
-        (h0, hn), (b0, bn) = U[:, [1, n]].tolist()
-        phi0, phin = phi((h0, b0), p), phi((hn, bn), p)
-        boundary = (h0 * phi0, hn * phin), (b0 * phi0, bn * phin)
+        m = i1 - s + 1
+        us = U[:, s : i1 + 3]
+        hs, bs = us
+        kh2, lam2, lam1 = self.kh2[: m + 2], self.lam2[: m + 2], self.lam1[: m + 2]
         # core.phi, then the cell fluxes of both components at once
         np.multiply(p.alpha, hs, out=lam1)
         lam1 *= bs
@@ -292,18 +456,82 @@ class _Kernel:
             du *= s_half
             F -= du
             np.subtract(F[:, 1:], F[:, :-1], out=diff)
-        diff *= dt / dx
-        U[:, i0 + 1 : i1 + 2] -= diff
-        self._check(*((0, n - 1) if check_all else (i0, i1)), "update", t, positivity=True)
-        if i0 == 0:
+        if s == i0:
+            self.full_steps += 1
+            if self.steps >= self.next_certify:
+                self._certify(diff, c, i0)
+        else:
+            self.settled_cell_steps += s - i0
+            # the block's last cell: under LLF its right neighbour may move
+            last = self.hv[s + 1], self.bv[s + 1]
+        diff *= c
+        U[:, s + 1 : i1 + 2] -= diff
+        if check_all:
+            self._check(0, n - 1, "update", t, positivity=True)
+        else:
+            self._check(s, i1, "update", t, positivity=True, upper=False)
+        if s > i0 and (self.hv[s + 1], self.bv[s + 1]) != last:
+            self._drop("overlap")
+        if s == 0:
             U[:, 0] = U[:, 1]
         if i1 == n - 1:
             U[:, -1] = U[:, -2]
+        boundary = self.boundary
+        if s == 0 or i1 == n - 1:
+            self.boundary = self._boundary()
         f.t = t + dt
+        self.steps += 1
+        self.updated = s, i1
         self.cell_updates += m
         self.max_active = max(self.max_active, m)
         self.win = self._window(max(i0, 1), min(i1 + 1, n - 1))
         return boundary
+
+
+class _PairwiseMass:
+    """Row sums of a ``(2, n)`` field, equal in bits to ``np.add.reduce(u, axis=1)``.
+
+    numpy sums a contiguous row pairwise: a span of more than 128 values
+    is split at ``k = n//2 - (n//2) % 8`` into its first k values and the
+    rest, and the two sums are added.  The spans of that tree down to
+    ``_MASS_LEAF`` values are the leaves here.  Each is summed by one
+    reduction of its slice, which runs numpy's subtree for that span,
+    and the leaves are added as Python floats in the tree's order.  A
+    reduction starts from +0.0, so a leaf is never -0.0 and neither is
+    the total, as in numpy.  A field of at most ``_MASS_LEAF`` cells is one
+    leaf, summed by one reduction.
+    """
+
+    def __init__(self, u: np.ndarray):
+        self.spans: list[tuple[int, int]] = []
+        self.tree = self._split(0, u.shape[1])
+        self.starts = [a for a, _ in self.spans]
+        self.leaves = [u[:, a:b] for a, b in self.spans]
+        self.sums = [np.add.reduce(v, axis=1).tolist() for v in self.leaves]
+
+    def _split(self, start: int, n: int):
+        """A leaf's index, or the pair of subtrees numpy adds for [start, start + n)."""
+        if n <= _MASS_LEAF:
+            self.spans.append((start, start + n))
+            return len(self.spans) - 1
+        k = n // 2
+        k -= k % 8
+        return self._split(start, k), self._split(start + k, n - k)
+
+    def _add(self, node) -> tuple[float, float]:
+        if isinstance(node, int):
+            return self.sums[node]
+        (lh, lb), (rh, rb) = self._add(node[0]), self._add(node[1])
+        return lh + rh, lb + rb
+
+    def totals(self, changed: tuple[int, int] | None = None) -> tuple[float, float]:
+        """Both row sums, after summing again the leaves that meet the cells ``changed``."""
+        if changed is not None:
+            i0, i1 = changed
+            first = bisect.bisect_right(self.starts, i0) - 1
+            for j in range(first, bisect.bisect_right(self.starts, i1)):
+                self.sums[j] = np.add.reduce(self.leaves[j], axis=1).tolist()
+        return self._add(self.tree)
 
 
 def step(f: FVField, cfg: SchemeConfig, p: Params) -> FVField:
@@ -349,13 +577,17 @@ def run(
     Diagnostics: per-step mass series for both components, worst
     telescoping conservation residual (mass change minus boundary flux
     balance), with ``delta = (window, background)`` the per-step
-    :func:`delta_mass` series, and snapshots at ``record_times``.
+    :func:`delta_mass` series, and snapshots at ``record_times``.  The
+    kernel's work counts: ``cell_updates`` (cells computed),
+    ``full_steps`` (steps over the whole window), ``certifications``,
+    ``settled_cell_steps`` (cells skipped as settled) and
+    ``settled_drops`` by reason.
     """
     k = _Kernel(initial, cfg, p)
     f = k.field
     dx = f.grid.dx
-    interior = k.U[:, 1:-1]
-    sum_h, sum_b = np.add.reduce(interior, axis=1).tolist()
+    mass = _PairwiseMass(k.U[:, 1:-1])
+    sum_h, sum_b = mass.totals()
     masses_h, masses_b = [sum_h * dx], [sum_b * dx]
     cons_res = 0.0
     delta_series: list[tuple[float, float]] = []
@@ -367,7 +599,11 @@ def run(
     while f.t < cfg.t_end - 1e-14:
         t_prev = f.t
         boundary = k.advance(check_all=n_steps == 0)
-        sum_h, sum_b = np.add.reduce(interior, axis=1).tolist()
+        sum_h, sum_b = mass.totals(k.updated)
+        if not (math.isfinite(sum_h) and math.isfinite(sum_b)) and k.updated is not None:
+            # a +inf cell, which the kernel's min check lets pass, makes its
+            # sum +inf or NaN; finite fields whose sum overflows pass here
+            k._check(*k.updated, "update", t_prev, positivity=True)
         mass_h, mass_b = sum_h * dx, sum_b * dx
         if boundary is not None:
             # the realised step, as the field's times record it
@@ -393,6 +629,10 @@ def run(
         "max_conservation_residual": cons_res,
         "cell_updates": k.cell_updates,
         "max_active_cells": k.max_active,
+        "full_steps": k.full_steps,
+        "certifications": k.certifications,
+        "settled_cell_steps": k.settled_cell_steps,
+        "settled_drops": dict(k.drops),
         "delta_mass": delta_series,
         "snapshots": snapshots,
         "grid": {"x_min": f.grid.x_min, "x_max": f.grid.x_max, "n_cells": f.grid.n_cells},

@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from thinfilm import numerics
 from thinfilm.core import Params, State, eigenvalues, flux
 from thinfilm.errors import SchemeFailureError
+from thinfilm.interactions import PerturbedData
 from thinfilm.numerics import (
     FVField,
     Grid,
@@ -230,6 +232,196 @@ class TestWindowKernel:
                 with pytest.raises(SchemeFailureError, match="non-finite field") as exc:
                     advance(f, cfg, Params(0.5, 3.0))
                 assert f"cell 3 at x={x[3]} has {values}" in str(exc.value)
+
+
+def assert_same_sums(got, want):
+    """Equal under == and in sign, or both NaN."""
+    for g, w in zip(got, want.tolist()):
+        if math.isnan(w):
+            assert math.isnan(g)
+        else:
+            assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
+
+
+class TestPairwiseMass:
+    def test_leaves_equal_numpys_pairwise_sum(self, monkeypatch):
+        # the mass series keep the bits of np.add.reduce only while numpy
+        # splits its pairwise sum where _PairwiseMass does; mixed magnitudes
+        # make any other order change the sum
+        rng = np.random.RandomState(3)
+        for draw in range(300):
+            n = rng.randint(129, 30001)
+            u = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-8, 8, (2, n))
+            if draw % 3 == 0:
+                u[0] = -0.0
+            if draw % 5 == 0:
+                u[0, rng.randint(n)] = math.inf
+                u[1, rng.randint(n)] = math.nan
+            if draw % 2:
+                monkeypatch.setattr(numerics, "_MASS_LEAF", rng.randint(129, 5000))
+            else:
+                monkeypatch.undo()
+            mass = numerics._PairwiseMass(u)
+            assert_same_sums(mass.totals(), np.add.reduce(u, axis=1))
+            # a changed range: only the leaves it meets are summed again
+            i0 = rng.randint(n)
+            i1 = rng.randint(i0, min(n, i0 + 3000))
+            u[:, i0 : i1 + 1] = rng.uniform(-1e8, 1e8, (2, i1 - i0 + 1))
+            assert_same_sums(mass.totals((i0, i1)), np.add.reduce(u, axis=1))
+
+    def test_one_leaf_below_leaf_size(self):
+        mass = numerics._PairwiseMass(np.ones((2, numerics._MASS_LEAF)))
+        assert mass.spans == [(0, numerics._MASS_LEAF)]
+
+
+# Data whose window holds a settled run at its left edge: perturbed J+S
+# with a fast middle state that decays, so dt/dx outgrows c_hi now and
+# then; and a lone 2-shock (equal b/h on both sides), whose left state is
+# the fastest, so the cached lambda2 maximum of the settled cells sets dt.
+SETTLING = {
+    "perturbed": (State(1.5, 1.6), State(2.2, 2.6), State(1.25, 1.15)),
+    "shock": (State(1.5, 1.5), State(1.5, 1.5), State(1.0, 1.0)),
+}
+
+
+def settling_field(name, p):
+    left, middle, right = SETTLING[name]
+    return field_from_perturbed(PerturbedData(0.2, left, middle, right, p), Grid(-1.0, 9.0, 2000))
+
+
+class TestSettledPrefix:
+    @pytest.mark.parametrize("data", list(SETTLING))
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    @pytest.mark.parametrize("kappa", [0.0, 0.7])
+    def test_bit_identical_to_full_array_reference(self, data, scheme, kappa, monkeypatch):
+        # small mass leaves, so that a stale leaf sum shows in the mass series
+        monkeypatch.setattr(numerics, "_MASS_LEAF", 256)
+        p = Params(0.5, kappa)
+        f0 = settling_field(data, p)
+        cfg = SchemeConfig(scheme=scheme, t_end=2.0)
+        left, _, right = SETTLING[data]
+        delta = ((0.0, 4.0), (left, right))
+        f, diag = run(f0, cfg, p, delta=delta)
+        g, mh, mb, res, series = reference_run(f0, cfg, p, delta)
+        np.testing.assert_array_equal(f.h, g.h)
+        np.testing.assert_array_equal(f.b, g.b)
+        np.testing.assert_array_equal(f.t, g.t)
+        np.testing.assert_array_equal(diag["mass_h"], mh)
+        np.testing.assert_array_equal(diag["mass_b"], mb)
+        np.testing.assert_array_equal(diag["max_conservation_residual"], res)
+        np.testing.assert_array_equal(diag["delta_mass"], series)
+        # the settled path ran, and was dropped when dt/dx outgrew c_hi
+        # and, under LLF, when the block's last cell changed
+        assert diag["settled_cell_steps"] > diag["n_steps"] * 10
+        assert 0 < diag["full_steps"] < diag["n_steps"]
+        assert diag["certifications"] <= diag["full_steps"]
+        if data == "perturbed":
+            assert diag["settled_drops"]["speed"] > 0
+        assert (diag["settled_drops"]["overlap"] > 0) == (scheme == "llf")
+
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    def test_settled_cells_and_their_speed_hold(self, scheme, monkeypatch):
+        # before every step, a settled block's cells (and its left
+        # neighbour) have the bits they had when it was certified, and the
+        # cached lambda2 maximum is theirs; on these data the blocks grow
+        # over cells of ever other speeds
+        p = Params(0.5, 0.7)
+        k = np.searchsorted([311, 365], np.arange(2000), side="right")
+        h, b = np.array([1.389, 1.841, 0.853])[k], np.array([1.602, 0.775, 0.922])[k]
+        advance, certified = numerics._Kernel.advance, {}
+
+        def checking_advance(kernel, check_all):
+            blk = kernel.settled
+            if blk is not None:
+                u = kernel.U[:, blk.lo : blk.end + 1]
+                np.testing.assert_array_equal(u, certified.setdefault(blk, u.copy()))
+                uh, ub = u
+                assert float(np.max(3.0 * p.alpha * uh * ub + p.kappa * uh * uh)) == blk.lam_max
+            return advance(kernel, check_all)
+
+        monkeypatch.setattr(numerics._Kernel, "advance", checking_advance)
+        f0 = FVField(Grid(-1.0, 9.0, 2000), h, b, 0.0)
+        run(f0, SchemeConfig(scheme=scheme, t_end=2.0), p)
+        assert len({blk.lam_max for blk in certified}) > 10
+
+    def test_certification_waits_where_nothing_settles(self):
+        # nothing settles in this fan's window, so certification is tried
+        # after 16 steps, then after twice as many each time, up to 256
+        grid = Grid(-2.0, 8.0, 400)
+        _, diag = run(field_from_riemann(EX_JR, grid), SchemeConfig(t_end=3.0), P_FILM)
+        assert diag["settled_cell_steps"] == 0
+        assert diag["full_steps"] == diag["n_steps"]
+        attempts, at, wait = 0, 0, 16
+        while at < diag["n_steps"]:
+            attempts, at, wait = attempts + 1, at + wait, min(2 * wait, 256)
+        assert diag["certifications"] == attempts
+
+
+# Later-step failures of run, which after its first step checks the
+# computed cells with the min reduction and its mass sums.  step checks
+# every cell with both reductions.  A vacuum carrying a huge b makes the
+# first h entering it overflow a flux.
+LATER_FAILURES = [
+    ("godunov", 0.7, 0.45, (1.0, 0.0), (0.0, 6e156), (25,), "b=-inf"),
+    ("llf", 0.7, 1.0, (2.5, 0.0, 0.0), (0.1, 3e176, 2e190), (15, 24), "b=nan"),
+    ("llf", 0.0, 0.45, (5e171, 0.004, 0.003), (0.0, 0.03, 400.0), (4, 10), "h=-inf"),
+    ("llf", 0.0, 1.0, (0.04, 0.0, 8e186), (1.0, 1e149, 0.0), (9, 19), "h=inf"),
+    ("llf", 0.0, 1.0, (0.0, 1e140, 200.0), (1e-10, 0.003, 80.0), (5, 6), "positivity lost"),
+]
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("scheme, kappa, cfl, h, b, cuts, what", LATER_FAILURES)
+    def test_run_fails_as_step_does(self, scheme, kappa, cfl, h, b, cuts, what):
+        grid = Grid(-1.0, 1.0, 40)
+        k = np.searchsorted(cuts, np.arange(40), side="right")
+        f0 = FVField(grid, np.array(h)[k], np.array(b)[k], 0.0)
+        cfg, p = SchemeConfig(scheme=scheme, cfl=cfl), Params(0.5, kappa)
+        with np.errstate(all="ignore"):
+            f = f0
+            with pytest.raises(SchemeFailureError) as by_step:
+                for n_steps in range(50):
+                    f = step(f, cfg, p)
+            with pytest.raises(SchemeFailureError) as by_run:
+                run(f0, cfg, p)
+        assert n_steps >= 1
+        assert what in str(by_step.value)
+        assert str(by_run.value) == str(by_step.value)
+
+    def test_inf_cell_past_the_min_check_fails_by_mass(self, monkeypatch):
+        # a +inf that no min reduction sees makes the mass non-finite, and
+        # run names its cell with the step's starting time
+        advance = numerics._Kernel.advance
+        times, cells = [], []
+
+        def advance_then_inf(k, check_all):
+            times.append(k.field.t)
+            out = advance(k, check_all)
+            if len(times) == 3:
+                cells.append(k.updated[1])
+                k.field.h[cells[0]] = math.inf
+            return out
+
+        monkeypatch.setattr(numerics._Kernel, "advance", advance_then_inf)
+        grid = Grid(-2.0, 8.0, 200)
+        x = grid.centers()
+        with pytest.raises(SchemeFailureError) as exc:
+            run(field_from_riemann(EX_JS, grid), SchemeConfig(t_end=1.0), P_FILM)
+        assert str(exc.value).startswith(
+            f"non-finite update at t={times[2]}: cell {cells[0]} at x={x[cells[0]]} has h=inf"
+        )
+
+    def test_finite_field_whose_mass_overflows_runs(self):
+        # two cells of h = 1e308 sum to +inf, but every cell stays finite:
+        # the vacuum left of them sends no flux, and they drain to the right
+        grid = Grid(-1.0, 1.0, 32)
+        h, b = np.zeros(32), np.ones(32)
+        h[30:], b[30:] = 1e308, 1e-308
+        with np.errstate(over="ignore"):
+            f, diag = run(FVField(grid, h, b, 0.0), SchemeConfig(t_end=0.05), P_FILM)
+        assert diag["n_steps"] > 1
+        assert math.isinf(diag["mass_h"][0]) and math.isinf(diag["mass_h"][1])
+        assert np.isfinite(f.h).all() and np.isfinite(f.b).all()
 
 
 class TestStep:
