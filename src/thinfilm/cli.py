@@ -182,14 +182,10 @@ def cmd_interact(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    if args.study == "kappa":
-        p = Params(args.fixed, args.values_list[0], h_tol=args.h_tol)
-    else:
-        p = Params(args.values_list[0], args.fixed, h_tol=args.h_tol)
+    p = Params(**{"alpha": args.fixed, "kappa": args.fixed, args.study: args.values_list[0]},
+               h_tol=args.h_tol)
     data = riemann.RiemannData(_parse_state(args.left), _parse_state(args.right), p)
-    study = limits.LimitStudy(
-        args.study, tuple(args.values_list), args.fixed, data, t_eval=args.t_eval
-    )
+    study = limits.LimitStudy(args.study, tuple(args.values_list), data, t_eval=args.t_eval)
     rows = [
         (r["value"], r["case"], r["l1"], r["dsigma"], r["dbeta_rate"],
          *(r["weak_pairings"] or (None, None, None)))

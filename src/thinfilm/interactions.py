@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import Params, State, eigenvalues, phi
+from .core import Params, State, phi
 from .errors import (
     EventBudgetError,
     InvalidDataError,
@@ -54,14 +54,12 @@ from .riemann import (
     rarefaction_state,
     shock_speed,
     solve,
-    _fan_arrays,
 )
 
 __all__ = [
     "CASE_NUMBER",
     "PerturbedData",
     "Event",
-    "DeltaContact",
     "CurvedWave",
     "Front",
     "ConstRegion",
@@ -78,15 +76,18 @@ __all__ = [
     "timeline_to_json",
 ]
 
-CASE_NUMBER = {
-    "JS+JS": 1,
-    "JS+JR": 2,
-    "JR+JR": 3,
-    "JR+JS": 4,
-    "dS+JR": 5,
-    "JS+dS": 6,
-    "JR+dS": 7,
+# the seven interaction patterns by the case tags of their two
+# sub-problems, in the paper's order
+_PATTERNS = {
+    (CASE_JS, CASE_JS): "JS+JS",
+    (CASE_JS, CASE_JR): "JS+JR",
+    (CASE_JR, CASE_JR): "JR+JR",
+    (CASE_JR, CASE_JS): "JR+JS",
+    (CASE_DELTA, CASE_COMPOSITE): "dS+JR",
+    (CASE_JS, CASE_DELTA): "JS+dS",
+    (CASE_JR, CASE_DELTA): "JR+dS",
 }
+CASE_NUMBER = {tag: n for n, tag in enumerate(_PATTERNS.values(), start=1)}
 
 
 @dataclass(frozen=True)
@@ -125,16 +126,6 @@ class Event:
 
 
 @dataclass(frozen=True)
-class DeltaContact:
-    """Contact-speed front transporting a frozen point mass in b."""
-
-    speed: float
-    strength: float
-    left: State
-    right: State
-
-
-@dataclass(frozen=True)
 class ConstRegion:
     state: State
 
@@ -150,12 +141,9 @@ Region = Union[ConstRegion, FanRegion]
 
 @dataclass(frozen=True)
 class CurvedWave:
-    """Published view of a curved front inside a fan (a curved delta's
-    strength is its front's ``strength_of_t``)."""
+    """Path of a curved front inside a fan and the fan state beside it
+    (its kind, lifetime and any strength are the front's)."""
 
-    kind: str  # 'shock-in-fan' | 'delta-in-fan'
-    t_start: float
-    t_end: float
     x_of_t: Callable[[float], float]
     state_of_t: Callable[[float], State]
 
@@ -196,8 +184,6 @@ class InteractionTimeline:
     for terminating cascades the surviving fronts reproduce it exactly
     (equal-speed parallel contacts collapse in the x/t view), for
     penetrations that never finish it is the asymptotic pattern.
-    ``residual_delta_contact`` records the frozen point mass left behind
-    by a delta split (vanishes with epsilon).
     """
 
     data: PerturbedData
@@ -206,7 +192,6 @@ class InteractionTimeline:
     fronts: list[Front]
     final_fan: WaveFan
     asymptotic: bool = False
-    residual_delta_contact: Optional[DeltaContact] = None
 
     def alive_fronts(self, t: float) -> list[Front]:
         fronts = [f for f in self.fronts if f.alive(t)]
@@ -222,9 +207,7 @@ class InteractionTimeline:
             region = f.right_region
         if isinstance(region, ConstRegion):
             return region.state
-        lam2 = eigenvalues(region.anchor, self.data.params)[1]
-        xi = min(max((x - region.origin_x) / t, 0.0), lam2)
-        return rarefaction_state(xi, region.anchor, self.data.params)
+        return rarefaction_state((x - region.origin_x) / t, region.anchor, self.data.params)
 
     def profile(self, t: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not (math.isfinite(t) and t > 0.0):
@@ -240,7 +223,7 @@ class InteractionTimeline:
         for k, r in enumerate(regions):
             if isinstance(r, FanRegion):
                 on = idx == k
-                h[on], b[on] = _fan_arrays((xs[on] - r.origin_x) / t, r.anchor, self.data.params)
+                h[on], b[on] = rarefaction_state((xs[on] - r.origin_x) / t, r.anchor, self.data.params)
         return h, b
 
     def point_masses(self, t: float) -> list[tuple[float, float]]:
@@ -251,8 +234,10 @@ class InteractionTimeline:
         return out
 
     @property
-    def curves(self) -> list[CurvedWave]:
-        return [f.curve for f in self.fronts if f.curve is not None]
+    def residual_delta_contact(self) -> Optional[Front]:
+        """The delta-contact front freezing the point mass a delta split
+        leaves behind (it vanishes with epsilon), or None."""
+        return next((f for f in self.fronts if f.kind == "delta-contact"), None)
 
     @property
     def max_event_time(self) -> float:
@@ -274,16 +259,7 @@ def classify_case(d: PerturbedData) -> str:
         )
     c_left = classify(d.left_data())
     c_right = classify(d.right_data())
-    table = {
-        (CASE_JS, CASE_JS): "JS+JS",
-        (CASE_JS, CASE_JR): "JS+JR",
-        (CASE_JR, CASE_JR): "JR+JR",
-        (CASE_JR, CASE_JS): "JR+JS",
-        (CASE_DELTA, CASE_COMPOSITE): "dS+JR",
-        (CASE_JS, CASE_DELTA): "JS+dS",
-        (CASE_JR, CASE_DELTA): "JR+dS",
-    }
-    tag = table.get((c_left, c_right))
+    tag = _PATTERNS.get((c_left, c_right))
     if tag is None:
         raise UnsupportedCaseError(
             f"pattern ({c_left}, {c_right}) is outside the enumerated interactions"
@@ -336,7 +312,13 @@ def interact_shock_shock_chase(
 
 
 def _ray_coefficient(anchor: State, p: Params) -> float:
-    """c with lambda2 = 3*c*h^2 and w1 = c*h^2 along the anchor's ray."""
+    """c with lambda2 = 3*c*h^2 and w1 = c*h^2 along the anchor's ray.
+
+    The fan-ray closed form written through c rounds differently from
+    :func:`rarefaction_state`'s; ``shock_through_fan``'s entry thickness
+    and ``_discretize_fan``'s shocklets keep it because their bits reach
+    the timeline JSON and the profile CSVs.
+    """
     return p.alpha * anchor.b / anchor.h + p.kappa / 3.0
 
 
@@ -392,14 +374,13 @@ def shock_through_fan(
         h = h_of_t(t)
         return State(h, w2 * h)
 
+    curve = CurvedWave(x_of_t, state_of_t)
     completes = h_left > h_head
     if completes:
         t_exit = K / _penetration_g(h_left, h_head)
         x_exit = fan_origin_x + 3.0 * c * h_head * h_head * t_exit
         out_shock = Shock(shock_speed(chasing_left, fan.right, p), chasing_left, fan.right)
-        curve = CurvedWave("shock-in-fan", t_e, t_exit, x_of_t, state_of_t)
         return curve, (x_exit, t_exit), out_shock
-    curve = CurvedWave("shock-in-fan", t_e, math.inf, x_of_t, state_of_t)
     return curve, None, None
 
 
@@ -577,19 +558,16 @@ def _resolve_ds_jr(d: PerturbedData) -> InteractionTimeline:
     comp = right.waves[0]
     sigma1 = phi(d.left, d.params)
     point = (eps, 2.0 * eps / sigma1)
-    dj = DeltaContact(
-        sigma1, 2.0 * d.middle.b * eps, d.left, intermediate_state(d.outer_data())
-    )
+    strength = 2.0 * d.middle.b * eps
+    m = intermediate_state(d.outer_data())
     dj3 = bld.add(kind="delta-contact", t_birth=point[1], x_birth=point[0],
-                  speed=dj.speed, right_region=ConstRegion(dj.right),
-                  strength_of_t=lambda t: dj.strength)
+                  speed=sigma1, right_region=ConstRegion(m),
+                  strength_of_t=lambda t: strength)
     asymptotic = _shock_through_fan_fronts(
-        bld, d, point, comp, dj.right, [ds1, j2], f_head,
-        born=(dj3,), delta_strength=dj.strength,
+        bld, d, point, comp, m, [ds1, j2], f_head,
+        born=(dj3,), delta_strength=strength,
     )
-    return bld.timeline(
-        d, "dS+JR", asymptotic=asymptotic, residual_delta_contact=dj
-    )
+    return bld.timeline(d, "dS+JR", asymptotic=asymptotic)
 
 
 def shock_overtakes_delta(
@@ -654,16 +632,12 @@ def delta_through_fan(ds2w: DeltaShock, fan: Rarefaction, d: PerturbedData) -> t
     def strength_of_t(t: float) -> float:
         return b_plus * A * (t ** (1.0 / 3.0) - t1 ** (1.0 / 3.0)) + beta1
 
-    c = _ray_coefficient(fan.anchor, p)
-
     def state_of_t(t: float) -> State:
-        xi = (x_of_t(t) + eps) / t
-        h = math.sqrt(xi / (3.0 * c))
-        return State(h, fan.anchor.b / fan.anchor.h * h)
+        return rarefaction_state((x_of_t(t) + eps) / t, fan.anchor, p)
 
     t2 = eps * math.sqrt(w1_m) / w1_l**1.5
     x2 = 3.0 * w1_l * t2 - eps
-    curve = CurvedWave("delta-in-fan", t1, t2, x_of_t, state_of_t)
+    curve = CurvedWave(x_of_t, state_of_t)
     ds4 = DeltaShock(w1_l, b_plus * w1_l, fan.left, ds2w.right)
     return (x1, t1), curve, strength_of_t, (x2, t2), ds4
 
@@ -805,6 +779,8 @@ def run_timeline(
     ``force_generic`` is set) run through the discretized-fan engine
     with ``n_fan`` shocklets per initial fan.
     """
+    if n_fan < 1:
+        raise InvalidDataError(f"n_fan must be at least 1, got {n_fan}")
     p = d.params
     tol = p.h_tol
 
@@ -850,7 +826,7 @@ def epsilon_limit_report(
     x_lo = min(0.0, min(speeds) * t_eval) - 4.0 * eps0 - 0.5
     x_hi = max(0.0, max(speeds) * t_eval) + 4.0 * eps0 + 0.5
     xs = np.linspace(x_lo, x_hi, n_samples)
-    h_ref, b_ref, deltas_ref = fan_profile(target, t_eval, xs)
+    h_ref, b_ref, _ = fan_profile(target, t_eval, xs)
     rate_ref = sum(w.strength_rate for w in target.waves if isinstance(w, DeltaShock))
 
     rows = []
@@ -905,7 +881,7 @@ def _front_doc(f: Front) -> dict:
 def timeline_to_json(tl: InteractionTimeline) -> dict:
     """JSON-ready timeline document (events, fronts, curves sampled at 33
     times, final fan)."""
-    d = tl.data
+    d, dj = tl.data, tl.residual_delta_contact
     return {
         "epsilon": d.epsilon,
         "left": asdict(d.left),
@@ -925,11 +901,8 @@ def timeline_to_json(tl: InteractionTimeline) -> dict:
             for e in tl.events
         ],
         "fronts": [_front_doc(f) for f in tl.fronts],
-        "residual_delta_contact": None
-        if tl.residual_delta_contact is None
-        else {
-            "speed": tl.residual_delta_contact.speed,
-            "strength": tl.residual_delta_contact.strength,
+        "residual_delta_contact": None if dj is None else {
+            "speed": dj.speed, "strength": dj.strength_of_t(dj.t_birth),
         },
         "final_fan": fan_to_json(tl.final_fan),
     }

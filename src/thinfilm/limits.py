@@ -12,7 +12,7 @@ functions when a point mass is present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,14 +44,13 @@ class LimitStudy:
     """One vanishing-parameter study.
 
     ``varying`` names the coefficient sent to zero through ``values``
-    (strictly decreasing, positive); ``fixed_param`` is the value of
-    the other coefficient.  The parameter field of ``data`` is
+    (strictly decreasing, positive); ``data.params`` gives the other
+    coefficient and ``h_tol``, and its ``varying`` coefficient is
     overridden per value.
     """
 
     varying: str
     values: tuple[float, ...]
-    fixed_param: float
     data: RiemannData
     t_eval: float = 1.0
 
@@ -65,21 +64,14 @@ class LimitStudy:
 
 
 def study_params(study: LimitStudy, value: float) -> Params:
-    base = study.data.params
-    if study.varying == "kappa":
-        return Params(study.fixed_param, value, h_tol=base.h_tol)
-    return Params(value, study.fixed_param, h_tol=base.h_tol)
+    return replace(study.data.params, **{study.varying: value})
 
 
 def limit_target(d: RiemannData, which: str) -> WaveFan:
     """Exact fan of the limit system (vanishing coefficient set to zero)."""
-    if which == "kappa":
-        p0 = Params(d.params.alpha, 0.0, h_tol=d.params.h_tol)
-    elif which == "alpha":
-        p0 = Params(0.0, d.params.kappa, h_tol=d.params.h_tol)
-    else:
+    if which not in ("kappa", "alpha"):
         raise ValueError("which must be 'kappa' or 'alpha'")
-    return solve(RiemannData(d.left, d.right, p0))
+    return solve(replace(d, params=replace(d.params, **{which: 0.0})))
 
 
 def weak_pairing(

@@ -80,6 +80,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -116,6 +117,10 @@ class Grid:
     n_cells: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, numbers.Integral):
+            raise ValueError(f"grid needs an integer n_cells, got {self.n_cells!r}")
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (self.x_min, self.x_max)):
+            raise ValueError(f"grid needs finite x_min and x_max, got {self.x_min!r}, {self.x_max!r}")
         if self.n_cells <= 0 or self.x_max <= self.x_min:
             raise ValueError("grid needs x_max > x_min and n_cells > 0")
 

@@ -255,20 +255,26 @@ def shock_speed(left: State, right: State, p: Params) -> float:
     )
 
 
-def rarefaction_state(xi: float, anchor: State, p: Params) -> State:
+def rarefaction_state(
+    xi: float | np.ndarray, anchor: State, p: Params
+) -> State | tuple[np.ndarray, np.ndarray]:
     """State on the fan ray x/t = xi, anchored at the state closing the fan.
 
     h = sqrt(xi h+ / (3a b+ + k h+)) and b = b+ h / h+, which makes
-    lambda2 of the returned state equal xi.
+    lambda2 of the returned state equal xi.  A float xi gives a State, an
+    array of rays the (h, b) arrays, in the same bits.  Rays up to
+    1e-12 * max(1, lambda2) outside [0, lambda2] are clamped onto it (a
+    -0.0 or NaN ray is kept), rays further out raise.
     """
-    den = 3.0 * p.alpha * anchor.b + p.kappa * anchor.h
     _, lam2 = eigenvalues(anchor, p)
     slack = 1e-12 * max(1.0, lam2)
-    if xi < -slack or xi > lam2 + slack:
+    x = np.asarray(xi, dtype=float)
+    if np.any(x < -slack) or np.any(x > lam2 + slack):
         raise RangeError(f"xi={xi} outside fan range [0, {lam2}]")
-    xi = min(max(xi, 0.0), lam2)
-    h = math.sqrt(xi * anchor.h / den)
-    return State(h, anchor.b * h / anchor.h)
+    x = np.where(lam2 < x, lam2, np.where(x < 0.0, 0.0, x))
+    h = np.sqrt(x * anchor.h / (3.0 * p.alpha * anchor.b + p.kappa * anchor.h))
+    b = anchor.b * h / anchor.h
+    return State(float(h), float(b)) if x.ndim == 0 else (h, b)
 
 
 def delta_shock(d: RiemannData) -> DeltaShock:
@@ -359,14 +365,6 @@ def sample(fan: WaveFan, xi: float) -> SampledValue:
     return SampledValue(state)
 
 
-def _fan_arrays(xi: np.ndarray, anchor: State, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rarefaction_state` on arrays without its range check; clamps keep -0.0 and NaN."""
-    _, lam2 = eigenvalues(anchor, p)
-    xi = np.where(lam2 < xi, lam2, np.where(xi < 0.0, 0.0, xi))
-    h = np.sqrt(xi * anchor.h / (3.0 * p.alpha * anchor.b + p.kappa * anchor.h))
-    return h, anchor.b * h / anchor.h
-
-
 def profile(
     fan: WaveFan, t: float, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float]]]:
@@ -382,7 +380,7 @@ def profile(
         lo, hi = w.speed_range()
         if isinstance(w, (Rarefaction, CompositeJR)):
             on = (xi >= lo) & (xi <= hi)
-            hs[on], bs[on] = _fan_arrays(xi[on], w.anchor, fan.data.params)
+            hs[on], bs[on] = rarefaction_state(xi[on], w.anchor, fan.data.params)
         hs[xi < lo], bs[xi < lo] = before.h, before.b
     deltas = [
         (w.speed * t, w.strength_rate * t)

@@ -345,7 +345,7 @@ def test_criterion_6_vanishing_limits():
     kappas = (1.0, 0.5, 0.1, 0.01, 0.001)
     d = RiemannData(EX_JR[0], EX_JR[1], Params(0.5, 1.0))
     rows = convergence_table(
-        LimitStudy("kappa", kappas, 0.5, d, t_eval=1.0), n_samples=10000
+        LimitStudy("kappa", kappas, d, t_eval=1.0), n_samples=10000
     )
     l1 = [r["l1"] for r in rows]
     order = math.log(l1[-2] / l1[-1]) / math.log(kappas[-2] / kappas[-1])
@@ -363,7 +363,7 @@ def test_criterion_6_vanishing_limits():
     l1_tol = jump * spacing
     dd = RiemannData(EX_DELTA[0], EX_DELTA[1], Params(0.5, 1.0))
     drows = convergence_table(
-        LimitStudy("kappa", kappas, 0.5, dd, t_eval=1.0), n_samples=2000
+        LimitStudy("kappa", kappas, dd, t_eval=1.0), n_samples=2000
     )
     affine_ok = all(
         abs(r["dsigma"] - r["value"] * 2.9**2 / 3.0) <= 1e-14 * max(1.0, r["dsigma"])
@@ -376,12 +376,12 @@ def test_criterion_6_vanishing_limits():
 
     da = RiemannData(EX_JR[0], EX_JR[1], Params(1.0, 1.0))
     arows = convergence_table(
-        LimitStudy("alpha", kappas, 1.0, da, t_eval=1.0), n_samples=10000
+        LimitStudy("alpha", kappas, da, t_eval=1.0), n_samples=10000
     )
     al1 = [r["l1"] for r in arows]
     dda = RiemannData(EX_DELTA[0], EX_DELTA[1], Params(1.0, 1.0))
     darows = convergence_table(
-        LimitStudy("alpha", kappas, 1.0, dda, t_eval=1.0), n_samples=2000
+        LimitStudy("alpha", kappas, dda, t_eval=1.0), n_samples=2000
     )
     a_affine_ok = all(
         abs(r["dsigma"] - r["value"] * 2.9 * 1.70) <= 1e-14 * max(1.0, r["dsigma"])
@@ -511,10 +511,11 @@ def test_criterion_8_delta_interaction_cases():
     # case V: cube-root support curve solves dx/dt = (x + eps)/(3t)
     pd5 = PerturbedData(0.1, State(1.0, 1.0), State(1.0, 1.5), State(0.0, 2.0), p)
     tl5 = run_timeline(pd5)
-    curve = tl5.curves[0]
+    [cfront5] = [f for f in tl5.fronts if f.curve is not None]
+    curve = cfront5.curve
     ode_worst = 0.0
     hstep = 1e-30
-    for t in np.linspace(curve.t_start * 1.05, curve.t_end * 0.95, 11):
+    for t in np.linspace(cfront5.t_birth * 1.05, cfront5.t_death * 0.95, 11):
         # complex-step derivative of the implemented curve
         dxdt = (curve.x_of_t(complex(t, hstep))).imag / hstep
         ode_worst = max(ode_worst, abs(dxdt - (curve.x_of_t(t) + 0.1) / (3.0 * t)))

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -195,6 +196,22 @@ class TestSchemeCommands:
         assert "delta_window" in err and "delta_background" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    @pytest.mark.parametrize("bad", [
+        {"ncells": 100.5}, {"ncells": 100.0}, {"ncells": "100"}, {"ncells": True},
+        {"xmin": math.nan}, {"xmax": math.inf},
+    ], ids=["ncells-fraction", "ncells-float", "ncells-string", "ncells-bool", "xmin-nan", "xmax-inf"])
+    def test_malformed_grid_exit_2(self, tmp_path, capsys, scheme, bad):
+        # a float or string ncells used to escape as a TypeError (exit 1) and
+        # true ran a one-cell grid
+        cfg = self._config(tmp_path, {"grid": {"xmin": -2.0, "xmax": 6.0, "ncells": 200, **bad}})
+        out = tmp_path / "x.csv"
+        assert run_cli([scheme, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid needs")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_delta_config_records_series(self, tmp_path):
         extras = {"delta_window": [0.0, 1.0], "delta_background": [[1.5, 1.6], [1.25, 1.15]]}
         cfg = self._config(tmp_path, extras)
@@ -304,6 +321,27 @@ class TestInteractCommand:
             ]
         )
         assert code == 4
+
+
+    @pytest.mark.parametrize("n_fan", ["0", "-5"])
+    def test_nonpositive_n_fan_exit_2(self, tmp_path, capsys, n_fan):
+        # JR+JS data run the generic engine, which splits each fan into n_fan
+        # shocklets: 0 used to divide by zero (exit 1), -5 ran with one
+        out = tmp_path / "tl.json"
+        code = run_cli(
+            [
+                "interact",
+                "--alpha", "0.5", "--kappa", "1.0", "--epsilon", "0.1",
+                "--left", "1.0,1.0", "--middle", "2.0,2.0", "--right", "0.5,0.5",
+                "--n-fan", n_fan, "--t-max", "5",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_fan must be at least 1")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestLimitsCommand:

@@ -21,7 +21,6 @@ from thinfilm.errors import (
 from thinfilm.interactions import (
     CASE_NUMBER,
     ConstRegion,
-    DeltaContact,
     InteractionTimeline,
     PerturbedData,
     classify_case,
@@ -62,6 +61,12 @@ CASE6 = PerturbedData(0.1, State(2.0, 1.5), State(1.0, 1.0), State(0.0, 2.0), P1
 CASE7 = PerturbedData(0.1, State(1.0, 1.0), State(1.0, 1.5), State(0.0, 2.0), P1)
 
 
+def curved_front(tl):
+    """The one curved front of a timeline; its curve lives from t_birth to t_death."""
+    [f] = [f for f in tl.fronts if f.curve is not None]
+    return f
+
+
 class TestClassifyCase:
     def test_paper_examples(self):
         assert classify_case(EX_PER_JS) == "JS+JS"
@@ -69,6 +74,9 @@ class TestClassifyCase:
         assert classify_case(EX_PER_DS) == "dS+JR"
         assert CASE_NUMBER[classify_case(EX_PER_JS)] == 1
         assert CASE_NUMBER[classify_case(EX_PER_DS)] == 5
+        # the paper's numbering of the seven patterns
+        tags = ["JS+JS", "JS+JR", "JR+JR", "JR+JS", "dS+JR", "JS+dS", "JR+dS"]
+        assert CASE_NUMBER == {tag: n for n, tag in enumerate(tags, start=1)}
 
     def test_delta_cases(self):
         assert classify_case(CASE6) == "JS+dS"
@@ -193,24 +201,25 @@ class TestShockShockChase:
 class TestShockThroughFan:
     def test_entry_time_law(self):
         tl = run_timeline(EX_PER_JR)
-        curve = tl.curves[0]
-        t2 = curve.t_start
-        h2 = curve.state_of_t(t2).h
+        cf = curved_front(tl)
+        h2 = cf.curve.state_of_t(cf.t_birth).h
         fanw = [w for w in solve(EX_PER_JR.right_data()).waves if isinstance(w, Rarefaction)][0]
         np.testing.assert_allclose(h2, fanw.left.h, rtol=1e-10)
 
     def test_time_law_pole_at_left_state(self):
         tl = run_timeline(EX_PER_JR)
-        curve = tl.curves[0]
+        cf = curved_front(tl)
+        curve = cf.curve
         h3 = [f for f in tl.fronts if f.kind == "contact" and f.t_birth > 0][0].right_region.state.h
-        assert curve.t_end == math.inf
+        assert cf.t_death == math.inf
         assert curve.state_of_t(1e9).h < h3
         assert curve.state_of_t(1e9).h > curve.state_of_t(10.0).h
 
     def test_monotone_h_and_convexity(self):
         tl = run_timeline(CASE2_SUB1)
-        curve = tl.curves[0]
-        ts = np.linspace(curve.t_start * 1.001, curve.t_end * 0.999, 25)
+        cf = curved_front(tl)
+        curve = cf.curve
+        ts = np.linspace(cf.t_birth * 1.001, cf.t_death * 0.999, 25)
         hs = [curve.state_of_t(t).h for t in ts]
         assert all(a < b for a, b in zip(hs[:-1], hs[1:]))
         xs = np.array([curve.x_of_t(t) for t in ts])
@@ -219,8 +228,9 @@ class TestShockThroughFan:
 
     def test_exit_against_ode_oracle(self):
         tl = run_timeline(CASE2_SUB1)
-        curve = tl.curves[0]
-        assert math.isfinite(curve.t_end)
+        cf = curved_front(tl)
+        curve = cf.curve
+        assert math.isfinite(cf.t_death)
         p = CASE2_SUB1.params
         eps = CASE2_SUB1.epsilon
         chasing = [f for f in tl.fronts if f.kind == "contact" and f.t_birth > 0][0].right_region.state
@@ -240,13 +250,13 @@ class TestShockThroughFan:
 
         hit_head.terminal = True
         hit_head.direction = 1.0
-        t2 = curve.t_start
+        t2 = cf.t_birth
         sol = solve_ivp(
-            rhs, (t2, curve.t_end * 10), [curve.x_of_t(t2)],
+            rhs, (t2, cf.t_death * 10), [curve.x_of_t(t2)],
             events=hit_head, rtol=1e-11, atol=1e-12, dense_output=True,
         )
         t3_ode = sol.t_events[0][0]
-        np.testing.assert_allclose(curve.t_end, t3_ode, rtol=1e-8)
+        np.testing.assert_allclose(cf.t_death, t3_ode, rtol=1e-8)
 
     def test_final_fan_after_exit(self):
         tl = run_timeline(CASE2_SUB1)
@@ -258,8 +268,8 @@ class TestShockThroughFan:
 
     @staticmethod
     def penetration_draws(n, seed, h_left_range):
-        """(curve, h_left, h_head, t) with h_entry/h_left in [1e-3, 0.999]
-        and t from the entry time to 1e6 times it."""
+        """(curve, h_left, h_head, t_e, t) with h_entry/h_left in
+        [1e-3, 0.999], entry time t_e and t from t_e to 1e6 times it."""
         rng = np.random.RandomState(seed)
         out = []
         for i in range(n):
@@ -276,7 +286,7 @@ class TestShockThroughFan:
             x0 = float(rng.uniform(-1.0, 1.0))
             entry = (x0 + 3.0 * c * h_entry * h_entry * t_e, t_e)
             curve = shock_through_fan(entry, fan, State(h_left, w2 * h_left), p, x0)[0]
-            out.append((curve, h_left, h_head, t_e * float(10 ** rng.uniform(0, 6))))
+            out.append((curve, h_left, h_head, t_e, t_e * float(10 ** rng.uniform(0, 6))))
         return out
 
     def test_penetration_root_against_brentq(self):
@@ -284,9 +294,9 @@ class TestShockThroughFan:
         def g(h_left, h):
             return (h_left - h) ** 2 * (h_left + 2.0 * h)
 
-        for curve, h_left, h_head, t in self.penetration_draws(400, 5, (0.2, 2.0)):
-            h_entry = curve.state_of_t(curve.t_start).h
-            target = curve.t_start * g(h_left, h_entry) / t
+        for curve, h_left, h_head, t_e, t in self.penetration_draws(400, 5, (0.2, 2.0)):
+            h_entry = curve.state_of_t(t_e).h
+            target = t_e * g(h_left, h_entry) / t
             hi = min(h_left, h_head)
             ref = hi if target <= g(h_left, hi) else brentq(
                 lambda hh: g(h_left, hh) - target, h_entry, hi, xtol=1e-14, rtol=1e-14
@@ -296,12 +306,12 @@ class TestShockThroughFan:
     def test_penetration_root_against_50_digits(self):
         import mpmath  # ships with sympy
 
-        for curve, h_left, h_head, t in self.penetration_draws(400, 6, (0.01, 10.0)):
+        for curve, h_left, h_head, t_e, t in self.penetration_draws(400, 6, (0.01, 10.0)):
             h = curve.state_of_t(t).h
             if h == min(h_left, h_head):
                 continue  # past the exit: the clamp, not the root
-            h_entry = curve.state_of_t(curve.t_start).h
-            target = curve.t_start * (h_left - h_entry) ** 2 * (h_left + 2.0 * h_entry) / t
+            h_entry = curve.state_of_t(t_e).h
+            target = t_e * (h_left - h_entry) ** 2 * (h_left + 2.0 * h_entry) / t
             with mpmath.workdps(50):
                 hl, g = mpmath.mpf(h_left), mpmath.mpf(target)
                 root = mpmath.findroot(lambda hh: (hl - hh) ** 2 * (hl + 2 * hh) - g, mpmath.mpf(h))
@@ -324,15 +334,16 @@ class TestDeltaContactSplit:
         t1_expect = 6 * d.epsilon / (3 * p.alpha * d.left.h * d.left.b + p.kappa * d.left.h**2)
         np.testing.assert_allclose(split.point, (d.epsilon, t1_expect), rtol=1e-14)
         np.testing.assert_allclose(split.delta_strength, 2 * d.middle.b * d.epsilon, rtol=1e-14)
-        assert isinstance(dj, DeltaContact)
+        assert dj.kind == "delta-contact"
         np.testing.assert_allclose(dj.speed, phi(d.left, p), rtol=1e-14)
-        np.testing.assert_allclose(dj.strength, 2 * d.middle.b * d.epsilon, rtol=1e-14)
+        np.testing.assert_allclose(dj.strength_of_t(5.0), 2 * d.middle.b * d.epsilon, rtol=1e-14)
 
     def test_epsilon_limit(self):
         rows = []
         for eps in (0.1, 0.05, 0.025):
             tl = run_timeline(replace(EX_PER_DS, epsilon=eps))
-            rows.append((tl.max_event_time, tl.residual_delta_contact.strength))
+            dj = tl.residual_delta_contact
+            rows.append((tl.max_event_time, dj.strength_of_t(dj.t_birth)))
         times = [r[0] for r in rows]
         strengths = [r[1] for r in rows]
         assert times[0] > times[1] > times[2]
@@ -341,8 +352,8 @@ class TestDeltaContactSplit:
     @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
     @pytest.mark.parametrize("left", [State(1.24, 0.90), State(2.9, 1.70)])
     def test_split_matches_timeline(self, eps, left):
-        # the split event, the frozen front, the residual record and the
-        # curve agree with each other and with the closed-form split
+        # the split event, the frozen front and the curve agree with each
+        # other and with the closed-form split
         d = replace(EX_PER_DS, epsilon=eps, left=left)
         tl = run_timeline(d)
         split = tl.events[0]
@@ -353,13 +364,13 @@ class TestDeltaContactSplit:
         assert [by_id[i].kind for i in split.incoming] == ["delta", "contact"]
         assert [by_id[i].kind for i in split.outgoing] == ["delta-contact", "curved-shock"]
         frozen, cfront = (by_id[i] for i in split.outgoing)
-        dj = tl.residual_delta_contact
-        assert dj == DeltaContact(sigma1, split.delta_strength, left, solve(d.outer_data()).intermediate)
-        assert (frozen.speed, frozen.strength_of_t(10.0)) == (dj.speed, dj.strength)
-        assert frozen.right_region == ConstRegion(dj.right)
-        assert tl.curves == [cfront.curve]
-        assert cfront.curve.kind == "shock-in-fan"
-        assert cfront.curve.t_start == split.point[1]
+        assert tl.residual_delta_contact is frozen
+        assert (frozen.speed, frozen.strength_of_t(10.0)) == (sigma1, split.delta_strength)
+        assert frozen.right_region == ConstRegion(solve(d.outer_data()).intermediate)
+        t = 2.0 * split.point[1]
+        assert tl.sample(frozen.position(t) - 1e-9, t) == left
+        assert curved_front(tl) is cfront
+        assert cfront.t_birth == split.point[1]
         assert cfront.curve.x_of_t(split.point[1]) == split.point[0]
 
     def test_subcase1_completes(self):
@@ -444,9 +455,10 @@ class TestDeltaThroughFan:
 
     def test_cube_root_ode(self):
         tl = run_timeline(CASE7)
-        curve = tl.curves[0]
+        cf = curved_front(tl)
+        curve = cf.curve
         eps = CASE7.epsilon
-        for t in np.linspace(curve.t_start * 1.01, curve.t_end * 0.99, 9):
+        for t in np.linspace(cf.t_birth * 1.01, cf.t_death * 0.99, 9):
             x = curve.x_of_t(t)
             # analytic derivative of A t^(1/3) - eps is (x + eps)/(3 t)
             A = (x + eps) / t ** (1.0 / 3.0)
@@ -455,8 +467,9 @@ class TestDeltaThroughFan:
 
     def test_concave_and_monotone_h_down(self):
         tl = run_timeline(CASE7)
-        curve = tl.curves[0]
-        ts = np.linspace(curve.t_start * 1.001, curve.t_end * 0.999, 25)
+        cf = curved_front(tl)
+        curve = cf.curve
+        ts = np.linspace(cf.t_birth * 1.001, cf.t_death * 0.999, 25)
         xs = np.array([curve.x_of_t(t) for t in ts])
         assert np.all(np.diff(xs, 2) < 0.0)  # singular front decelerates
         # the fan is consumed from its head (h = h_m) toward its tail,
@@ -490,14 +503,17 @@ class TestDeltaThroughFan:
     (EX_PER_JS, 0), (CASE6, 0),
 ], ids=["JS+JR-asymptotic", "JS+JR-exit", "dS+JR", "JR+dS", "JS+JS", "JS+dS"])
 def test_curves_are_the_curved_fronts(d, n_curves):
-    # a curved front holds its curve over exactly its own lifetime
+    # a curved front holds its curve from the event that emits it to the
+    # event that absorbs it (forever if none does)
     tl = run_timeline(d)
     curved = [f for f in tl.fronts if f.curve is not None]
     assert len(curved) == n_curves
-    assert tl.curves == [f.curve for f in curved]
     for f in curved:
         assert f.kind.startswith("curved-")
-        assert (f.curve.t_start, f.curve.t_end) == (f.t_birth, f.t_death)
+        [born] = [e.point for e in tl.events if f.id in e.outgoing]
+        died = [e.point for e in tl.events if f.id in e.incoming]
+        assert (f.x_birth, f.t_birth) == born
+        assert f.t_death == (died[0][1] if died else math.inf)
         assert f.position(f.t_birth) == f.curve.x_of_t(f.t_birth)
 
 

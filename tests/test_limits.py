@@ -30,21 +30,29 @@ class TestStudyValidation:
     def test_rejects_bad_direction(self):
         d = RiemannData(*EX_JR_DATA, Params(0.5, 1.0))
         with pytest.raises(InvalidDataError):
-            LimitStudy("kappa", (0.1, 0.5), 0.5, d)
+            LimitStudy("kappa", (0.1, 0.5), d)
         with pytest.raises(InvalidDataError):
-            LimitStudy("kappa", (0.1, -0.5), 0.5, d)
+            LimitStudy("kappa", (0.1, -0.5), d)
         with pytest.raises(ValueError):
-            LimitStudy("beta", (1.0, 0.5), 0.5, d)
+            LimitStudy("beta", (1.0, 0.5), d)
 
     def test_study_params(self):
         d = RiemannData(*EX_JR_DATA, Params(0.5, 1.0))
-        s = LimitStudy("kappa", KAPPAS, 0.5, d)
+        s = LimitStudy("kappa", KAPPAS, d)
         assert study_params(s, 0.1) == Params(0.5, 0.1)
-        s = LimitStudy("alpha", KAPPAS, 1.0, d)
+        s = LimitStudy("alpha", KAPPAS, d)
         assert study_params(s, 0.1) == Params(0.1, 1.0)
+        # the other coefficient and h_tol come from the data
+        s = LimitStudy("kappa", KAPPAS, RiemannData(*EX_JR_DATA, Params(0.3, 1.0, h_tol=1e-6)))
+        assert study_params(s, 0.1) == Params(0.3, 0.1, h_tol=1e-6)
 
 
 class TestLimitTarget:
+    def test_rejects_other_fields(self):
+        # h_tol is a Params field too, but not a coefficient to send to 0
+        with pytest.raises(ValueError):
+            limit_target(RiemannData(*EX_JR_DATA, Params(0.5, 1.0)), "h_tol")
+
     def test_vanishing_gravity_closed_forms(self):
         d = RiemannData(*EX_JR_DATA, Params(0.5, 0.73))
         fan = limit_target(d, "kappa")
@@ -85,7 +93,7 @@ class TestLimitTarget:
 class TestConvergenceTable:
     def test_classical_column_monotone(self):
         d = RiemannData(*EX_JR_DATA, Params(0.5, 1.0))
-        study = LimitStudy("kappa", KAPPAS, 0.5, d, t_eval=1.0)
+        study = LimitStudy("kappa", KAPPAS, d, t_eval=1.0)
         rows = convergence_table(study, n_samples=3000)
         l1 = [r["l1"] for r in rows]
         assert all(a > b for a, b in zip(l1[:-1], l1[1:]))
@@ -93,7 +101,7 @@ class TestConvergenceTable:
 
     def test_delta_affine_identities(self):
         d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
-        study = LimitStudy("kappa", KAPPAS, 0.5, d, t_eval=1.0)
+        study = LimitStudy("kappa", KAPPAS, d, t_eval=1.0)
         rows = convergence_table(study, n_samples=1500)
         for r in rows:
             expected = r["value"] * 2.9**2 / 3.0
@@ -102,7 +110,7 @@ class TestConvergenceTable:
 
     def test_alpha_study_affine_identity(self):
         d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
-        study = LimitStudy("alpha", (1.0, 0.1, 0.01), 1.0, d, t_eval=1.0)
+        study = LimitStudy("alpha", (1.0, 0.1, 0.01), d, t_eval=1.0)
         rows = convergence_table(study, n_samples=1500)
         for r in rows:
             expected = r["value"] * 2.9 * 1.70
@@ -110,7 +118,7 @@ class TestConvergenceTable:
 
     def test_weak_pairings_decrease(self):
         d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
-        study = LimitStudy("kappa", (1.0, 0.1, 0.01), 0.5, d, t_eval=1.0)
+        study = LimitStudy("kappa", (1.0, 0.1, 0.01), d, t_eval=1.0)
         rows = convergence_table(study, n_samples=1000)
         pair_seq = [r["weak_pairings"] for r in rows]
         for i in range(3):

@@ -243,6 +243,37 @@ def assert_same_sums(got, want):
             assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
 
 
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestSignedZeros:
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    @pytest.mark.parametrize("kappa", [0.0, 0.7])
+    @pytest.mark.parametrize("rows", ["h", "b", "hb"])
+    def test_negative_zero_cells_bit_identical(self, scheme, kappa, rows):
+        # -0.0 in h and/or b at both ends: the kernel must keep each zero's
+        # sign as the full-array reference does (x + 0.0 would turn -0.0 into
+        # +0.0), and some of them are still there at t_end
+        p = Params(0.5, kappa, h_tol=1e-9)
+        f0 = piecewise_constant(np.random.RandomState(17), Grid(-1.0, 4.0, 300))
+        for row in rows:
+            u = f0.h if row == "h" else f0.b
+            u[:30] = u[-30:] = -0.0
+        cfg = SchemeConfig(scheme=scheme, t_end=0.05)
+        f, diag = run(f0, cfg, p)
+        g, mh, mb, res, _ = reference_run(f0, cfg, p)
+        np.testing.assert_array_equal(bits(f.h), bits(g.h))
+        np.testing.assert_array_equal(bits(f.b), bits(g.b))
+        assert f.t == g.t
+        np.testing.assert_array_equal(bits(diag["mass_h"]), bits(mh))
+        np.testing.assert_array_equal(bits(diag["mass_b"]), bits(mb))
+        assert diag["max_conservation_residual"] == res
+        for row in rows:
+            negative = np.signbit(f.h if row == "h" else f.b)
+            assert negative[:30].any() and negative[-30:].any()
+
+
 class TestPairwiseMass:
     def test_leaves_equal_numpys_pairwise_sum(self, monkeypatch):
         # the mass series keep the bits of np.add.reduce only while numpy

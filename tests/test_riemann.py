@@ -8,6 +8,7 @@ from thinfilm.core import Params, State, eigenvalues, phi
 from thinfilm.errors import (
     InvalidDataError,
     InvalidShockError,
+    InvalidStateError,
     NotADeltaError,
     RangeError,
     WrongCaseError,
@@ -175,6 +176,27 @@ class TestRarefaction:
             rarefaction_state(-0.5, anchor, P)
         with pytest.raises(RangeError):
             rarefaction_state(11.0, anchor, P)
+
+    @pytest.mark.parametrize("anchor, p", [(State(2.0, 2.0), P), (State(1.5, 1.56), P_FILM)])
+    def test_float_and_array_same_bits(self, anchor, p):
+        # a float ray gives a State and a one-element array the (h, b)
+        # arrays, in the same bits, clamps and the sign of zero included
+        lam2 = eigenvalues(anchor, p)[1]
+        slack = 1e-12 * max(1.0, lam2)
+        for xi in (-0.0, 0.0, lam2, lam2 + 0.5 * slack, -0.5 * slack, 0.37 * lam2):
+            u = rarefaction_state(xi, anchor, p)
+            h, b = rarefaction_state(np.array([xi]), anchor, p)
+            assert (h.shape, b.shape) == ((1,), (1,))
+            assert np.array([u.h, u.b]).tobytes() == np.array([h[0], b[0]]).tobytes()
+        assert math.copysign(1.0, rarefaction_state(-0.0, anchor, p).h) == -1.0
+        for xi in (-2.0 * slack, lam2 + 2.0 * slack):
+            for ray in (xi, np.array([xi])):
+                with pytest.raises(RangeError):
+                    rarefaction_state(ray, anchor, p)
+        with pytest.raises(InvalidStateError):
+            rarefaction_state(math.nan, anchor, p)
+        h, b = rarefaction_state(np.array([math.nan]), anchor, p)
+        assert math.isnan(h[0]) and math.isnan(b[0])
 
 
 class TestDeltaShock:
