@@ -442,6 +442,23 @@ class TestFailurePaths:
             f"non-finite update at t={times[2]}: cell {cells[0]} at x={x[cells[0]]} has h=inf"
         )
 
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    @pytest.mark.parametrize("row", ["h", "b"])
+    @pytest.mark.parametrize("cell", [0, 10, 31])
+    def test_inf_input_cell_fails_at_its_cell(self, scheme, row, cell):
+        # +inf passes the min reduction, and the first step still names its
+        # cell: outside the first window [9, 10] (cells 0 and 31) or inside it
+        grid = Grid(-1.0, 1.0, 32)
+        x = grid.centers()
+        h, b = np.full(32, 1.0), np.where(np.arange(32) >= 10, 1.2, 1.0)
+        (h if row == "h" else b)[cell] = math.inf
+        cfg = SchemeConfig(scheme=scheme, t_end=1.0)
+        want = f"non-finite field at t=0.0: cell {cell} at x={x[cell]} has h={h[cell]}, b={b[cell]}"
+        for advance in (step, run):
+            with pytest.raises(SchemeFailureError) as exc:
+                advance(FVField(grid, h, b, 0.0), cfg, Params(0.5, 3.0))
+            assert str(exc.value) == want
+
     def test_finite_field_whose_mass_overflows_runs(self):
         # two cells of h = 1e308 sum to +inf, but every cell stays finite:
         # the vacuum left of them sends no flux, and they drain to the right

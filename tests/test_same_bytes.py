@@ -20,6 +20,21 @@ JS_CONFIG = {
     "t_end": 0.5,
     "initial": {"left": [1.5, 1.6], "right": [1.25, 1.15]},
 }
+# FV runs on more than 4096 cells, whose masses numpy sums pairwise over
+# several subtrees, with waves crossing the edge of the first subtree
+# (cell 2496): the J+S data, and LLF delta capture on criterion 5's data
+CONFIGS = {
+    "js": JS_CONFIG,
+    "js-fine": {**JS_CONFIG, "grid": {"xmin": -2.0, "xmax": 8.0, "ncells": 10000}},
+    "delta-fine": {
+        "alpha": 0.5, "kappa": 0.0, "h_tol": 1e-6,
+        "grid": {"xmin": -0.19, "xmax": 0.21, "ncells": 5000},
+        "t_end": 0.01,
+        "initial": {"left": [2.9, 1.7], "right": [1e-7, 5.56]},
+        "delta_window": [0.0, 0.1],
+        "delta_background": [[2.9, 1.7], [1e-7, 5.56]],
+    },
+}
 COMMANDS = {
     "riemann-jr": ["riemann", "--alpha", "0.5", "--kappa", "0", "--samples", "200",
                    "--left", "1.24,0.90", "--right", "1.5,1.56"],
@@ -27,8 +42,10 @@ COMMANDS = {
                    "--left", "1.5,1.6", "--right", "1.25,1.15"],
     "riemann-delta": ["riemann", "--alpha", "0.5", "--kappa", "1", "--samples", "200",
                       "--left", "2,2", "--right", "0,1"],
-    "godunov": ["godunov", "--config", "CONFIG"],
-    "llf": ["llf", "--config", "CONFIG"],
+    "godunov": ["godunov", "--config", "js"],
+    "llf": ["llf", "--config", "js"],
+    "godunov-fine": ["godunov", "--config", "js-fine"],
+    "llf-delta-fine": ["llf", "--config", "delta-fine"],
 }
 DIGESTS = {
     "riemann-jr": {
@@ -51,16 +68,27 @@ DIGESTS = {
         "result.csv": "df78b180598a8d1c18bad84ec5f6590b1775e8f3b481966d7d954617c0c54ccb",
         "result_diag.json": "2de8bac0128a350423f332eff9c2c2aca9e31862331f5600219d80d8681e0157",
     },
+    "godunov-fine": {
+        "result.csv": "b4be3f218756ffd6102b84087041b3722964fd2d124fcbae914b41ca64fbfc98",
+        "result_diag.json": "43f4807af6156a8016516698a88257313cec2ed1fdb3afe6984b0eeba6a570d1",
+    },
+    "llf-delta-fine": {
+        "result.csv": "d28a7629655bee7e9628243492b905c28103096fa4ec493dc16ba4432df7808a",
+        "result_diag.json": "0de1f20473b0e1edbcdeeaf8958bb474971fe3ad840e6f0f44fa9f13458a7021",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_output_digests(name, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(JS_CONFIG))
+    argv = list(COMMANDS[name])
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CONFIGS[argv[i]]))
+        argv[i] = str(config)
     out = tmp_path / "out"
     out.mkdir()
-    argv = [str(config) if a == "CONFIG" else a for a in COMMANDS[name]]
     assert main([*argv, "--out", str(out / "result.csv")]) == 0
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
     assert got == DIGESTS[name]
