@@ -65,6 +65,24 @@ def _parse_state(text: str) -> State:
         raise ThinFilmError(str(exc)) from exc
 
 
+def _number(value, what: str):
+    """A number of the JSON config, as given; any other type is invalid input."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidDataError(f"config {what} must be a number, got {value!r}")
+    return value
+
+
+def _pair(value, what: str, item=_number) -> tuple:
+    """A list of two ``item``s of the JSON config."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise InvalidDataError(f"config {what} must be a list of two, got {value!r}")
+    return item(value[0], what), item(value[1], what)
+
+
+def _state(value, what: str) -> State:
+    return State(*_pair(value, what))
+
+
 def _add_param_args(sp) -> None:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--kappa", type=float, required=True)
@@ -102,36 +120,33 @@ def cmd_fv(args) -> int:
     scheme = args.command
     with open(args.config) as fh:
         cfg_doc = json.load(fh)
-    p = Params(
-        cfg_doc["alpha"], cfg_doc["kappa"], h_tol=cfg_doc.get("h_tol", 1e-10)
-    )
+    p = Params(*(_number(cfg_doc[k], k) for k in ("alpha", "kappa")),
+               h_tol=_number(cfg_doc.get("h_tol", 1e-10), "h_tol"))
     grid_doc = cfg_doc["grid"]
     grid = numerics.Grid(grid_doc["xmin"], grid_doc["xmax"], grid_doc["ncells"])
     init = cfg_doc["initial"]
     exact_fan = None
     if "middle" in init:
         pd = interactions.PerturbedData(
-            init["epsilon"],
-            State(*init["left"]),
-            State(*init["middle"]),
-            State(*init["right"]),
+            _number(init["epsilon"], "epsilon"),
+            *(_state(init[k], k) for k in ("left", "middle", "right")),
             p,
         )
         field = numerics.field_from_perturbed(pd, grid)
     else:
-        data = riemann.RiemannData(State(*init["left"]), State(*init["right"]), p)
+        data = riemann.RiemannData(*(_state(init[k], k) for k in ("left", "right")), p)
         field = numerics.field_from_riemann(data, grid)
         exact_fan = riemann.solve(data)
     cfg = numerics.SchemeConfig(
         scheme=scheme,
-        cfl=cfg_doc.get("cfl", 0.45),
-        t_end=cfg_doc["t_end"],
+        cfl=_number(cfg_doc.get("cfl", 0.45), "cfl"),
+        t_end=_number(cfg_doc["t_end"], "t_end"),
     )
     dw = cfg_doc.get("delta_window")
     db = cfg_doc.get("delta_background")
     if bool(dw) != bool(db):
         raise InvalidDataError("delta_window and delta_background must be given together")
-    delta = (tuple(dw), (State(*db[0]), State(*db[1]))) if dw else None
+    delta = (_pair(dw, "delta_window"), _pair(db, "delta_background", _state)) if dw else None
     final, diag = numerics.run(field, cfg, p, delta=delta)
     _write_csv(args.out, ["x", "h", "b", "w1", "w2"], _profile_rows(final, p))
     doc = {

@@ -56,16 +56,13 @@ eighth of the window.  A certification that settles nothing defers the
 next one by 16 steps, doubled for each such certification in a row up
 to 256, so that a run where nothing settles pays for few.
 
-The mass series must keep the bits of ``np.add.reduce`` over the whole
-field, which numpy computes as a pairwise tree with fixed split points
-(see ``_PairwiseMass``).  :func:`run` keeps the sums of that tree's
-subtrees of up to 4096 cells and sums again only those the step's
-computed range meets.  It also takes its finiteness proof from them: a
-+inf cell makes the mass +inf or NaN.  So after the first step the
-kernel checks the computed cells with the min reduction alone, and a
-non-finite mass calls the full check of those cells.  The boundary
-fluxes are kept as well, and recomputed only after a step that
-computed cell 0 or cell n - 1.
+The kernel sums both rows with one ``np.add.reduce`` when it is built
+and after each update: these are the masses of :func:`run`.  A +inf
+cell passes the min reduction of the check but makes its row's sum
++inf, so a step's cells are tested one by one only when that reduction
+or a sum is not finite.  The first step checks every cell.  The boundary
+fluxes are kept, and recomputed only after a step that computed cell 0
+or cell n - 1.
 
 Delta shocks are run with the diffusive
 flux on fine meshes and measured through the windowed-mass diagnostic.
@@ -77,7 +74,6 @@ the ray even at dx = 1e-4.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import numbers
@@ -215,8 +211,6 @@ _MARGINS = (2.0**-20, 2.0**-15, 2.0**-10, 2.0**-5)
 # steps a settled block lives; steps from a certification that settles
 # nothing to the next, doubled for each such certification in a row
 _SETTLED_STEPS, _RETRY_FIRST, _RETRY_MAX = 64, 16, 256
-# the largest pairwise-sum subtree whose mass is one cached reduction
-_MASS_LEAF = 4096
 
 
 @dataclass(frozen=True)
@@ -245,9 +239,9 @@ class _Kernel:
     constant field.  The window holds a cell of every distinct state, so
     the maximum wave speed over it is the maximum over the field.  While
     ``settled`` holds a block at the window's left edge, a step computes
-    only the cells from the block's last one to hi; ``updated`` is the
-    range the last step computed.  The work buffers are allocated here
-    once and sliced to the range.
+    only the cells from the block's last one to hi.  ``mass`` holds the
+    row sums of the field.  The work buffers are allocated here once and
+    sliced to the range.
     """
 
     def __init__(self, f: FVField, cfg: SchemeConfig, p: Params):
@@ -267,8 +261,8 @@ class _Kernel:
         self.diff = np.empty((2, n + 1))
         self.win = self._window(1, n - 1)
         self.boundary = self._boundary()
+        self.mass = self._sum()
         self.settled: _Settled | None = None
-        self.updated: tuple[int, int] | None = None
         self.steps = self.next_certify = 0
         self.retry = _RETRY_FIRST
         self.cell_updates = self.max_active = 0
@@ -288,30 +282,32 @@ class _Kernel:
         phi0, phin = phi((h0, b0), self.p), phi((hn, bn), self.p)
         return (h0 * phi0, hn * phin), (b0 * phi0, bn * phin)
 
-    def _check(
-        self, i0: int, i1: int, what: str, t: float, positivity: bool, upper: bool = True
-    ) -> None:
+    def _sum(self) -> list[float]:
+        """Both row sums of the field, in the bits of ``np.add.reduce``."""
+        return np.add.reduce(self.U[:, 1:-1], axis=1).tolist()
+
+    def _check(self, i0: int, i1: int, what: str, t: float, positivity: bool) -> None:
         """Raise at the first non-finite (or, with ``positivity``, negative) cell in [i0, i1].
 
-        Without ``upper`` only the min reduction runs.  It still catches
-        NaN, -inf and negative cells in either row, but not +inf, which the
-        caller must then rule out.
+        ``mass`` must hold the sums of a field that is finite outside [i0, i1].
         """
         u = self.U[:, i0 + 1 : i1 + 2]
-        # both reductions propagate a NaN in either row
+        # the min reduction propagates a NaN in either row
         lo = np.minimum.reduce(u, axis=None)
         if (
             math.isfinite(lo)
             and (not positivity or lo >= -1e-12)
-            and (not upper or math.isfinite(np.maximum.reduce(u, axis=None)))
+            and all(map(math.isfinite, self.mass))
         ):
             return
         bad = ~np.isfinite(u).all(axis=0)
-        if bad.any():
-            msg = f"non-finite {what} at t={t}"
-        else:
+        msg = f"non-finite {what} at t={t}"
+        if positivity and not bad.any():
             bad = (u < -1e-12).any(axis=0)
             msg = f"positivity lost at t={t}"
+        if not bad.any():
+            # finite cells whose sum overflows
+            return
         k = int(np.argmax(bad))
         x = self.field.grid.centers()[i0 + k]
         h, b = u[:, k]
@@ -395,24 +391,18 @@ class _Kernel:
         lam_max = float(np.maximum.reduce(self.lam2[: run + 1]))
         self.settled = _Settled(i0, i0 + run, c_hi, lam_max, self.steps + _SETTLED_STEPS)
 
-    def advance(self, check_all: bool) -> tuple[tuple[float, float], ...] | None:
+    def advance(self) -> tuple[tuple[float, float], ...] | None:
         """One step, or None if t did not step.
 
         Returns the h fluxes and the b fluxes of cells 0 and n - 1 before
-        the step, as ``((h0, h_last), (b0, b_last))``.
-
-        ``check_all`` extends the finiteness and positivity checks from
-        the computed cells to the whole field; other cells keep their
-        bits, so the first step of a run needs it and later steps do not.
-        Without it only the min reduction checks the computed cells, so a
-        +inf there goes unreported; :func:`run` rules it out by its mass
-        sums.
+        the step, as ``((h0, h_last), (b0, b_last))``.  The first step
+        checks every cell; later ones check the cells they computed.
         """
         cfg, p, n, f, U = self.cfg, self.p, self.n, self.field, self.U
         i0, i1 = self.win
         t, dx = f.t, f.grid.dx
-        self.updated = None
-        if check_all:
+        first = self.steps == 0
+        if first:
             self._check(0, n - 1, "field", t, positivity=False)
         s = self._start(i0, i1)
         lam_max = self._speeds(s, i1)
@@ -471,10 +461,8 @@ class _Kernel:
             last = self.hv[s + 1], self.bv[s + 1]
         diff *= c
         U[:, s + 1 : i1 + 2] -= diff
-        if check_all:
-            self._check(0, n - 1, "update", t, positivity=True)
-        else:
-            self._check(s, i1, "update", t, positivity=True, upper=False)
+        self.mass = self._sum()
+        self._check(0 if first else s, n - 1 if first else i1, "update", t, positivity=True)
         if s > i0 and (self.hv[s + 1], self.bv[s + 1]) != last:
             self._drop("overlap")
         if s == 0:
@@ -486,57 +474,10 @@ class _Kernel:
             self.boundary = self._boundary()
         f.t = t + dt
         self.steps += 1
-        self.updated = s, i1
         self.cell_updates += m
         self.max_active = max(self.max_active, m)
         self.win = self._window(max(i0, 1), min(i1 + 1, n - 1))
         return boundary
-
-
-class _PairwiseMass:
-    """Row sums of a ``(2, n)`` field, equal in bits to ``np.add.reduce(u, axis=1)``.
-
-    numpy sums a contiguous row pairwise: a span of more than 128 values
-    is split at ``k = n//2 - (n//2) % 8`` into its first k values and the
-    rest, and the two sums are added.  The spans of that tree down to
-    ``_MASS_LEAF`` values are the leaves here.  Each is summed by one
-    reduction of its slice, which runs numpy's subtree for that span,
-    and the leaves are added as Python floats in the tree's order.  A
-    reduction starts from +0.0, so a leaf is never -0.0 and neither is
-    the total, as in numpy.  A field of at most ``_MASS_LEAF`` cells is one
-    leaf, summed by one reduction.
-    """
-
-    def __init__(self, u: np.ndarray):
-        self.spans: list[tuple[int, int]] = []
-        self.tree = self._split(0, u.shape[1])
-        self.starts = [a for a, _ in self.spans]
-        self.leaves = [u[:, a:b] for a, b in self.spans]
-        self.sums = [np.add.reduce(v, axis=1).tolist() for v in self.leaves]
-
-    def _split(self, start: int, n: int):
-        """A leaf's index, or the pair of subtrees numpy adds for [start, start + n)."""
-        if n <= _MASS_LEAF:
-            self.spans.append((start, start + n))
-            return len(self.spans) - 1
-        k = n // 2
-        k -= k % 8
-        return self._split(start, k), self._split(start + k, n - k)
-
-    def _add(self, node) -> tuple[float, float]:
-        if isinstance(node, int):
-            return self.sums[node]
-        (lh, lb), (rh, rb) = self._add(node[0]), self._add(node[1])
-        return lh + rh, lb + rb
-
-    def totals(self, changed: tuple[int, int] | None = None) -> tuple[float, float]:
-        """Both row sums, after summing again the leaves that meet the cells ``changed``."""
-        if changed is not None:
-            i0, i1 = changed
-            first = bisect.bisect_right(self.starts, i0) - 1
-            for j in range(first, bisect.bisect_right(self.starts, i1)):
-                self.sums[j] = np.add.reduce(self.leaves[j], axis=1).tolist()
-        return self._add(self.tree)
 
 
 def step(f: FVField, cfg: SchemeConfig, p: Params) -> FVField:
@@ -548,7 +489,7 @@ def step(f: FVField, cfg: SchemeConfig, p: Params) -> FVField:
     first offending cell.
     """
     k = _Kernel(f, cfg, p)
-    k.advance(check_all=True)
+    k.advance()
     return k.field
 
 
@@ -586,14 +527,12 @@ def run(
     kernel's work counts: ``cell_updates`` (cells computed),
     ``full_steps`` (steps over the whole window), ``certifications``,
     ``settled_cell_steps`` (cells skipped as settled) and
-    ``settled_drops`` by reason.
+    ``settled_drops`` by reason.  A failing step raises as :func:`step` does.
     """
     k = _Kernel(initial, cfg, p)
     f = k.field
     dx = f.grid.dx
-    mass = _PairwiseMass(k.U[:, 1:-1])
-    sum_h, sum_b = mass.totals()
-    masses_h, masses_b = [sum_h * dx], [sum_b * dx]
+    masses_h, masses_b = [k.mass[0] * dx], [k.mass[1] * dx]
     cons_res = 0.0
     delta_series: list[tuple[float, float]] = []
     snapshots: list[FVField] = []
@@ -603,13 +542,8 @@ def run(
     n_steps = 0
     while f.t < cfg.t_end - 1e-14:
         t_prev = f.t
-        boundary = k.advance(check_all=n_steps == 0)
-        sum_h, sum_b = mass.totals(k.updated)
-        if not (math.isfinite(sum_h) and math.isfinite(sum_b)) and k.updated is not None:
-            # a +inf cell, which the kernel's min check lets pass, makes its
-            # sum +inf or NaN; finite fields whose sum overflows pass here
-            k._check(*k.updated, "update", t_prev, positivity=True)
-        mass_h, mass_b = sum_h * dx, sum_b * dx
+        boundary = k.advance()
+        mass_h, mass_b = k.mass[0] * dx, k.mass[1] * dx
         if boundary is not None:
             # the realised step, as the field's times record it
             dt = f.t - t_prev

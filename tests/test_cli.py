@@ -212,6 +212,21 @@ class TestSchemeCommands:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    @pytest.mark.parametrize("key, bad", [
+        ("cfl", {"cfl": "0.4"}), ("t_end", {"t_end": "0.5"}), ("alpha", {"alpha": "0.5"}),
+        ("left", {"initial": {"left": [1.5], "right": [1.25, 1.15]}}),
+    ], ids=["cfl-string", "t_end-string", "alpha-string", "left-one-number"])
+    def test_mistyped_config_exit_2(self, tmp_path, capsys, scheme, key, bad):
+        # each used to escape as a TypeError traceback with exit 1, the I/O code
+        cfg = self._config(tmp_path, bad)
+        out = tmp_path / "x.csv"
+        assert run_cli([scheme, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {key} must be")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_delta_config_records_series(self, tmp_path):
         extras = {"delta_window": [0.0, 1.0], "delta_background": [[1.5, 1.6], [1.25, 1.15]]}
         cfg = self._config(tmp_path, extras)
@@ -363,8 +378,7 @@ class TestLimitsCommand:
         l1s = [float(l.split(",")[2]) for l in lines[1:]]
         assert l1s[0] > l1s[1] > l1s[2]
 
-    def test_thread_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("THINFILM_THREADS", "2")
+    def test_two_row_delta_shock_table(self, tmp_path):
         out = tmp_path / "table.csv"
         code = run_cli(
             [

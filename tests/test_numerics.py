@@ -234,15 +234,6 @@ class TestWindowKernel:
                 assert f"cell 3 at x={x[3]} has {values}" in str(exc.value)
 
 
-def assert_same_sums(got, want):
-    """Equal under == and in sign, or both NaN."""
-    for g, w in zip(got, want.tolist()):
-        if math.isnan(w):
-            assert math.isnan(g)
-        else:
-            assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
-
-
 def bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
@@ -274,37 +265,6 @@ class TestSignedZeros:
             assert negative[:30].any() and negative[-30:].any()
 
 
-class TestPairwiseMass:
-    def test_leaves_equal_numpys_pairwise_sum(self, monkeypatch):
-        # the mass series keep the bits of np.add.reduce only while numpy
-        # splits its pairwise sum where _PairwiseMass does; mixed magnitudes
-        # make any other order change the sum
-        rng = np.random.RandomState(3)
-        for draw in range(300):
-            n = rng.randint(129, 30001)
-            u = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-8, 8, (2, n))
-            if draw % 3 == 0:
-                u[0] = -0.0
-            if draw % 5 == 0:
-                u[0, rng.randint(n)] = math.inf
-                u[1, rng.randint(n)] = math.nan
-            if draw % 2:
-                monkeypatch.setattr(numerics, "_MASS_LEAF", rng.randint(129, 5000))
-            else:
-                monkeypatch.undo()
-            mass = numerics._PairwiseMass(u)
-            assert_same_sums(mass.totals(), np.add.reduce(u, axis=1))
-            # a changed range: only the leaves it meets are summed again
-            i0 = rng.randint(n)
-            i1 = rng.randint(i0, min(n, i0 + 3000))
-            u[:, i0 : i1 + 1] = rng.uniform(-1e8, 1e8, (2, i1 - i0 + 1))
-            assert_same_sums(mass.totals((i0, i1)), np.add.reduce(u, axis=1))
-
-    def test_one_leaf_below_leaf_size(self):
-        mass = numerics._PairwiseMass(np.ones((2, numerics._MASS_LEAF)))
-        assert mass.spans == [(0, numerics._MASS_LEAF)]
-
-
 # Data whose window holds a settled run at its left edge: perturbed J+S
 # with a fast middle state that decays, so dt/dx outgrows c_hi now and
 # then; and a lone 2-shock (equal b/h on both sides), whose left state is
@@ -324,9 +284,7 @@ class TestSettledPrefix:
     @pytest.mark.parametrize("data", list(SETTLING))
     @pytest.mark.parametrize("scheme", ["godunov", "llf"])
     @pytest.mark.parametrize("kappa", [0.0, 0.7])
-    def test_bit_identical_to_full_array_reference(self, data, scheme, kappa, monkeypatch):
-        # small mass leaves, so that a stale leaf sum shows in the mass series
-        monkeypatch.setattr(numerics, "_MASS_LEAF", 256)
+    def test_bit_identical_to_full_array_reference(self, data, scheme, kappa):
         p = Params(0.5, kappa)
         f0 = settling_field(data, p)
         cfg = SchemeConfig(scheme=scheme, t_end=2.0)
@@ -361,14 +319,14 @@ class TestSettledPrefix:
         h, b = np.array([1.389, 1.841, 0.853])[k], np.array([1.602, 0.775, 0.922])[k]
         advance, certified = numerics._Kernel.advance, {}
 
-        def checking_advance(kernel, check_all):
+        def checking_advance(kernel):
             blk = kernel.settled
             if blk is not None:
                 u = kernel.U[:, blk.lo : blk.end + 1]
                 np.testing.assert_array_equal(u, certified.setdefault(blk, u.copy()))
                 uh, ub = u
                 assert float(np.max(3.0 * p.alpha * uh * ub + p.kappa * uh * uh)) == blk.lam_max
-            return advance(kernel, check_all)
+            return advance(kernel)
 
         monkeypatch.setattr(numerics._Kernel, "advance", checking_advance)
         f0 = FVField(Grid(-1.0, 9.0, 2000), h, b, 0.0)
@@ -388,10 +346,9 @@ class TestSettledPrefix:
         assert diag["certifications"] == attempts
 
 
-# Later-step failures of run, which after its first step checks the
-# computed cells with the min reduction and its mass sums.  step checks
-# every cell with both reductions.  A vacuum carrying a huge b makes the
-# first h entering it overflow a flux.
+# Later-step failures of run, which after its first step checks only the
+# cells a step computed.  step checks every cell.  A vacuum carrying a
+# huge b makes the first h entering it overflow a flux.
 LATER_FAILURES = [
     ("godunov", 0.7, 0.45, (1.0, 0.0), (0.0, 6e156), (25,), "b=-inf"),
     ("llf", 0.7, 1.0, (2.5, 0.0, 0.0), (0.1, 3e176, 2e190), (15, 24), "b=nan"),
@@ -422,18 +379,22 @@ class TestFailurePaths:
     def test_inf_cell_past_the_min_check_fails_by_mass(self, monkeypatch):
         # a +inf that no min reduction sees makes the mass non-finite, and
         # run names its cell with the step's starting time
-        advance = numerics._Kernel.advance
+        advance, total = numerics._Kernel.advance, numerics._Kernel._sum
         times, cells = [], []
 
-        def advance_then_inf(k, check_all):
+        def timed_advance(k):
             times.append(k.field.t)
-            out = advance(k, check_all)
-            if len(times) == 3:
-                cells.append(k.updated[1])
-                k.field.h[cells[0]] = math.inf
-            return out
+            return advance(k)
 
-        monkeypatch.setattr(numerics._Kernel, "advance", advance_then_inf)
+        def inf_then_sum(k):
+            # the third step's last computed cell, planted after its update
+            if len(times) == 3 and not cells:
+                cells.append(k.win[1])
+                k.field.h[cells[0]] = math.inf
+            return total(k)
+
+        monkeypatch.setattr(numerics._Kernel, "advance", timed_advance)
+        monkeypatch.setattr(numerics._Kernel, "_sum", inf_then_sum)
         grid = Grid(-2.0, 8.0, 200)
         x = grid.centers()
         with pytest.raises(SchemeFailureError) as exc:

@@ -20,9 +20,9 @@ JS_CONFIG = {
     "t_end": 0.5,
     "initial": {"left": [1.5, 1.6], "right": [1.25, 1.15]},
 }
-# FV runs on more than 4096 cells, whose masses numpy sums pairwise over
-# several subtrees, with waves crossing the edge of the first subtree
-# (cell 2496): the J+S data, and LLF delta capture on criterion 5's data
+# FV runs on 10,000 and 5,000 cells whose waves cross cell 2496, where
+# numpy's pairwise sum splits the masses of both grids: the J+S data, and
+# LLF delta capture on criterion 5's data
 CONFIGS = {
     "js": JS_CONFIG,
     "js-fine": {**JS_CONFIG, "grid": {"xmin": -2.0, "xmax": 8.0, "ncells": 10000}},
