@@ -83,6 +83,21 @@ def _state(value, what: str) -> State:
     return State(*_pair(value, what))
 
 
+def _object(value, what: str) -> dict:
+    """A JSON object of the config."""
+    if not isinstance(value, dict):
+        raise InvalidDataError(f"config {what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _numbers(text: str) -> list[float]:
+    """The comma list of ``--values``."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
+
+
 def _add_param_args(sp) -> None:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--kappa", type=float, required=True)
@@ -119,12 +134,12 @@ def cmd_fv(args) -> int:
     """``godunov`` or ``llf``: the finite-volume run that ``args.command`` names."""
     scheme = args.command
     with open(args.config) as fh:
-        cfg_doc = json.load(fh)
+        cfg_doc = _object(json.load(fh), "document")
     p = Params(*(_number(cfg_doc[k], k) for k in ("alpha", "kappa")),
                h_tol=_number(cfg_doc.get("h_tol", 1e-10), "h_tol"))
-    grid_doc = cfg_doc["grid"]
+    grid_doc = _object(cfg_doc["grid"], "grid")
     grid = numerics.Grid(grid_doc["xmin"], grid_doc["xmax"], grid_doc["ncells"])
-    init = cfg_doc["initial"]
+    init = _object(cfg_doc["initial"], "initial")
     exact_fan = None
     if "middle" in init:
         pd = interactions.PerturbedData(
@@ -197,10 +212,10 @@ def cmd_interact(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    p = Params(**{"alpha": args.fixed, "kappa": args.fixed, args.study: args.values_list[0]},
+    p = Params(**{"alpha": args.fixed, "kappa": args.fixed, args.study: args.values[0]},
                h_tol=args.h_tol)
     data = riemann.RiemannData(_parse_state(args.left), _parse_state(args.right), p)
-    study = limits.LimitStudy(args.study, tuple(args.values_list), data, t_eval=args.t_eval)
+    study = limits.LimitStudy(args.study, tuple(args.values), data, t_eval=args.t_eval)
     rows = [
         (r["value"], r["case"], r["l1"], r["dsigma"], r["dbeta_rate"],
          *(r["weak_pairings"] or (None, None, None)))
@@ -262,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("limits", help="vanishing-parameter convergence table")
     sp.add_argument("--study", choices=("kappa", "alpha"), required=True)
-    sp.add_argument("--values", required=True, help="comma list, decreasing")
+    sp.add_argument("--values", type=_numbers, required=True, help="comma list, decreasing")
     sp.add_argument("--fixed", type=float, required=True)
     sp.add_argument("--h-tol", type=float, default=1e-10)
     sp.add_argument("--left", required=True)
@@ -286,12 +301,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "values", None) is not None:
-        try:
-            args.values_list = [float(v) for v in args.values.split(",")]
-        except ValueError:
-            print("invalid --values list", file=sys.stderr)
-            return EXIT_INVALID
     try:
         return args.func(args)
     except EventBudgetError as exc:

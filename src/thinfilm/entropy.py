@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Params, State, jacobian, riemann_invariants
-from .errors import BoundaryStateError
+from .errors import BoundaryStateError, InvalidDataError
 
 __all__ = [
     "EntropyPair",
@@ -190,6 +190,8 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
     second quadratic form degenerates and the verdict is reported as
     ``inconclusive`` instead of ``convex``.
     """
+    if n_grid < 1:
+        raise InvalidDataError(f"n_grid must be at least 1, got {n_grid}")
     hs = bs = np.geomspace(1e-2, 1e2, n_grid)
     grid = np.array(np.meshgrid(hs, bs, indexing="ij")).reshape(2, -1)
     probe = [State(h, b) for h in hs[::17] for b in bs[::17]]

@@ -125,6 +125,8 @@ def convergence_table(study: LimitStudy, n_samples: int = 10000) -> list[dict]:
     the three-bump catalog (L1 of the regular parts is reported as
     well).
     """
+    if n_samples < 2:
+        raise InvalidDataError(f"n_samples must be at least 2, got {n_samples}")
     d0 = study.data
     target = limit_target(
         RiemannData(d0.left, d0.right, study_params(study, study.values[0])),

@@ -46,15 +46,13 @@ compute only from the run's last cell onwards.  That cell's right
 neighbour enters its LLF stencil, so it is computed again, and the run
 is dropped if its bits change.  The run is also dropped, and a full
 step taken, when ``c > c_hi``, when the window's left edge moves or its
-right edge cuts into the run, or after 64 steps, so that it can grow.  c_hi is ``c*(1 + margin)``: under
-Godunov ``dt`` grows on almost every step, so the run lives only while
-c stays within the margin.  But a wide margin can shrink the run to the
-few cells before one that is close to changing.  The kernel tries margins
-2**-20, 2**-15, 2**-10 and 2**-5 and keeps the largest whose run holds at
-least half of the smallest margin's, if that run holds at least an
-eighth of the window.  A certification that settles nothing defers the
-next one by 16 steps, doubled for each such certification in a row up
-to 256, so that a run where nothing settles pays for few.
+right edge cuts into the run, or after 64 steps, so that it can grow.
+c_hi is ``c + 64*dc``, where dc is how much c changed over the step
+before (c itself on the first step): the run lives while c keeps
+changing no faster than it did.  The run must hold at least an eighth
+of the window.  A certification that settles nothing defers the next
+one by 16 steps, doubled for each such certification in a row up to
+256, so that a run where nothing settles pays for few.
 
 The kernel sums both rows with one ``np.add.reduce`` when it is built
 and after each update: these are the masses of :func:`run`.  A +inf
@@ -206,8 +204,6 @@ def _edge(hv: np.ndarray, bv: np.ndarray, i: int, stop: int, direction: int) -> 
     return lo + int(d[0] if direction > 0 else d[-1])
 
 
-# c_hi = c * (1 + margin) for the margins tried, smallest first
-_MARGINS = (2.0**-20, 2.0**-15, 2.0**-10, 2.0**-5)
 # steps a settled block lives; steps from a certification that settles
 # nothing to the next, doubled for each such certification in a row
 _SETTLED_STEPS, _RETRY_FIRST, _RETRY_MAX = 64, 16, 256
@@ -264,6 +260,8 @@ class _Kernel:
         self.mass = self._sum()
         self.settled: _Settled | None = None
         self.steps = self.next_certify = 0
+        # dt/dx of the last step, 0 before the first
+        self.c = 0.0
         self.retry = _RETRY_FIRST
         self.cell_updates = self.max_active = 0
         self.full_steps = self.certifications = self.settled_cell_steps = 0
@@ -348,46 +346,34 @@ class _Kernel:
         self.settled = None
         self.drops[reason] += 1
 
-    def _certify(self, d: np.ndarray, c: float, i0: int) -> None:
-        """Settle the cells at the window's left edge that keep their bits at some c_hi > c.
+    def _certify(self, d: np.ndarray, c_hi: float, i0: int) -> None:
+        """Settle the cells at the window's left edge that keep their bits at ``dt/dx <= c_hi``.
 
         ``d`` holds the window's flux differences before the ``dt/dx``
-        scaling.  A cell is certified at c_hi when ``u - c_hi*d == u`` in
-        bits on both rows; the block is the run of certified cells from
-        i0.  Of the margins whose block holds at least half of the
-        smallest margin's, and an eighth of the window, the largest is
-        kept.
+        scaling.  A cell is certified when ``u - c_hi*d == u`` in bits on
+        both rows; the block is the run of certified cells from i0, kept
+        if it holds at least an eighth of the window.
         """
         self.certifications += 1
         length = d.shape[1]
         u = self.U[:, i0 + 1 : i0 + 1 + length]
-        uv = u.view(np.int64)
+        with np.errstate(over="ignore"):
+            trial = np.multiply(d, c_hi, out=self.iflux[:, :length])
+            np.subtract(u, trial, out=trial)
+        eq = trial.view(np.int64) == u.view(np.int64)
+        same = eq[0] & eq[1]
+        run = int(same.argmin())
+        if same[run]:
+            run = length
         # on small windows, runs shorter than an eighth of the window die
         # within a few steps, having saved less than their certification cost
-        best, need = None, max(2, length // 8)
-        with np.errstate(over="ignore"):
-            for margin in _MARGINS:
-                c_hi = c * (1.0 + margin)
-                trial = np.multiply(d[:, :length], c_hi, out=self.iflux[:, :length])
-                np.subtract(u[:, :length], trial, out=trial)
-                eq = trial.view(np.int64) == uv[:, :length]
-                same = eq[0] & eq[1]
-                run = int(same.argmin())
-                if same[run]:
-                    run = length
-                if run < need:
-                    break
-                if best is None:
-                    need = max(need, (run + 1) // 2)
-                best, length = (run, c_hi), run
-        if best is None:
+        if run < max(2, length // 8):
             # nothing settles: the next attempt waits, so that a run where
             # nothing settles pays for few
             self.next_certify = self.steps + self.retry
             self.retry = min(2 * self.retry, _RETRY_MAX)
             return
         self.retry = _RETRY_FIRST
-        run, c_hi = best
         lam_max = float(np.maximum.reduce(self.lam2[: run + 1]))
         self.settled = _Settled(i0, i0 + run, c_hi, lam_max, self.steps + _SETTLED_STEPS)
 
@@ -454,7 +440,8 @@ class _Kernel:
         if s == i0:
             self.full_steps += 1
             if self.steps >= self.next_certify:
-                self._certify(diff, c, i0)
+                # dt/dx may keep changing at its last rate for the block's lifetime
+                self._certify(diff, c + _SETTLED_STEPS * abs(c - self.c), i0)
         else:
             self.settled_cell_steps += s - i0
             # the block's last cell: under LLF its right neighbour may move
@@ -472,7 +459,7 @@ class _Kernel:
         boundary = self.boundary
         if s == 0 or i1 == n - 1:
             self.boundary = self._boundary()
-        f.t = t + dt
+        f.t, self.c = t + dt, c
         self.steps += 1
         self.cell_updates += m
         self.max_active = max(self.max_active, m)

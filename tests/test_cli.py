@@ -216,7 +216,9 @@ class TestSchemeCommands:
     @pytest.mark.parametrize("key, bad", [
         ("cfl", {"cfl": "0.4"}), ("t_end", {"t_end": "0.5"}), ("alpha", {"alpha": "0.5"}),
         ("left", {"initial": {"left": [1.5], "right": [1.25, 1.15]}}),
-    ], ids=["cfl-string", "t_end-string", "alpha-string", "left-one-number"])
+        ("grid", {"grid": [1]}), ("initial", {"initial": [1]}),
+    ], ids=["cfl-string", "t_end-string", "alpha-string", "left-one-number", "grid-list",
+            "initial-list"])
     def test_mistyped_config_exit_2(self, tmp_path, capsys, scheme, key, bad):
         # each used to escape as a TypeError traceback with exit 1, the I/O code
         cfg = self._config(tmp_path, bad)
@@ -224,6 +226,18 @@ class TestSchemeCommands:
         assert run_cli([scheme, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config {key} must be")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    def test_list_config_exit_2(self, tmp_path, capsys, scheme):
+        # used to escape as an AttributeError traceback with exit 1, the I/O code
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        out = tmp_path / "x.csv"
+        assert run_cli([scheme, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config document must be a JSON object")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -395,6 +409,37 @@ class TestLimitsCommand:
         assert len(lines) == 3
         assert lines[1].split(",")[1] == "delta-shock"
 
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_too_few_samples_exit_2(self, tmp_path, capsys, samples):
+        # a one-point or empty grid used to end in an IndexError traceback
+        out = tmp_path / "table.csv"
+        code = run_cli(
+            [
+                "limits", "--study", "kappa", "--values", "1,0.1", "--fixed", "0.5",
+                "--left", "1.24,0.90", "--right", "1.5,1.56",
+                "--samples", samples, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_samples must be at least 2")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_malformed_values_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        code = run_cli(
+            [
+                "limits", "--study", "kappa", "--values", "1,x", "--fixed", "0.5",
+                "--left", "1.24,0.90", "--right", "1.5,1.56", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--values" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEntropyCheckCommand:
     def test_report_ok(self, tmp_path):
@@ -420,6 +465,18 @@ class TestEntropyCheckCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert all(e["verdict"] == "inconclusive" for e in doc["pairs"])
+
+    def test_empty_grid_exit_2(self, tmp_path, capsys):
+        # an empty grid used to end in an IndexError traceback
+        out = tmp_path / "entropy.json"
+        code = run_cli(
+            ["entropy-check", "--alpha", "0.5", "--kappa", "1", "--n-grid", "0", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_grid must be at least 1")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -17,7 +17,7 @@ from thinfilm.entropy import (
     power_pair,
     theta_ode_residual,
 )
-from thinfilm.errors import BoundaryStateError
+from thinfilm.errors import BoundaryStateError, InvalidDataError
 
 P = Params(0.5, 1.0)
 
@@ -211,6 +211,11 @@ class TestReport:
     def test_alpha_zero_inconclusive(self):
         rep = entropy_report(Params(0.0, 1.0), n_grid=8)
         assert all(e["verdict"] == "inconclusive" for e in rep["pairs"])
+
+    @pytest.mark.parametrize("n_grid", [-1, 0])
+    def test_rejects_empty_grid(self, n_grid):
+        with pytest.raises(InvalidDataError, match="n_grid must be at least 1"):
+            entropy_report(P, n_grid=n_grid)
 
 
 def report_grid(n_grid=50):

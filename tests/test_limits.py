@@ -130,6 +130,12 @@ class TestConvergenceTable:
         assert straddle[1] <= straddle[0] * 0.2
         assert straddle[2] <= straddle[1] * 0.2
 
+    @pytest.mark.parametrize("n_samples", [-3, 0, 1])
+    def test_rejects_fewer_than_two_samples(self, n_samples):
+        d = RiemannData(*EX_JR_DATA, Params(0.5, 1.0))
+        with pytest.raises(InvalidDataError, match="n_samples must be at least 2"):
+            convergence_table(LimitStudy("kappa", (1.0, 0.1), d), n_samples=n_samples)
+
 
 class TestWeakPairing:
     def test_identical_fans_pair_to_zero(self):

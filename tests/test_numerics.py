@@ -300,8 +300,9 @@ class TestSettledPrefix:
         np.testing.assert_array_equal(diag["max_conservation_residual"], res)
         np.testing.assert_array_equal(diag["delta_mass"], series)
         # the settled path ran, and was dropped when dt/dx outgrew c_hi
-        # and, under LLF, when the block's last cell changed
-        assert diag["settled_cell_steps"] > diag["n_steps"] * 10
+        # and, under LLF, when the block's last cell changed; on the shock
+        # data dt/dx is constant, so only the age expiry lets a block grow
+        assert diag["settled_cell_steps"] > diag["n_steps"] * (100 if data == "shock" else 10)
         assert 0 < diag["full_steps"] < diag["n_steps"]
         assert diag["certifications"] <= diag["full_steps"]
         if data == "perturbed":

@@ -13,7 +13,7 @@ import pytest
 
 from thinfilm.cli import main
 
-# the J+R, J+S and delta examples of the README, and FV runs on J+S data
+# the J+R, J+S, delta and JS+JS examples of the README, and FV runs on J+S data
 JS_CONFIG = {
     "alpha": 0.5, "kappa": 0.0,
     "grid": {"xmin": -2.0, "xmax": 8.0, "ncells": 400},
@@ -42,6 +42,9 @@ COMMANDS = {
                    "--left", "1.5,1.6", "--right", "1.25,1.15"],
     "riemann-delta": ["riemann", "--alpha", "0.5", "--kappa", "1", "--samples", "200",
                       "--left", "2,2", "--right", "0,1"],
+    "interact-jsjs": ["interact", "--alpha", "0.5", "--kappa", "0", "--epsilon", "0.1",
+                      "--left", "1.5,1.6", "--middle", "0.95,1.62", "--right", "1.25,1.15",
+                      "--profile-times", "1,8", "--samples", "200"],
     "godunov": ["godunov", "--config", "js"],
     "llf": ["llf", "--config", "js"],
     "godunov-fine": ["godunov", "--config", "js-fine"],
@@ -59,6 +62,11 @@ DIGESTS = {
     "riemann-delta": {
         "result.csv": "cb6ed22a260985d1990cb0274f4b38490eb11b0b2b7cb9ec529bd47f81d87885",
         "result.json": "0206a36b059541bbf879c32c8d2058dd3c08b9ee0b4ef5960f2888141710233c",
+    },
+    "interact-jsjs": {
+        "result.json": "54900bd89fdcf020b9bb23d1851302fafc7182b2e935798701b6f718dabbc98b",
+        "result_t1.csv": "b6569bc9fe7992eb7a8179f0b96df6224ace2d69d9497fe4c31a0201c7d3f7ab",
+        "result_t8.csv": "67802cde77099a0f1df3e87f5f63b66d832225ca0d3f2adb613f28698a9371a5",
     },
     "godunov": {
         "result.csv": "4206028f522508f374b7e098d287d82e3d501f2c9bed9b57526df0e26883e7f6",
@@ -89,6 +97,8 @@ def test_output_digests(name, tmp_path):
         argv[i] = str(config)
     out = tmp_path / "out"
     out.mkdir()
-    assert main([*argv, "--out", str(out / "result.csv")]) == 0
+    # interact writes its timeline JSON to --out, and its profiles beside it
+    result = "result.json" if argv[0] == "interact" else "result.csv"
+    assert main([*argv, "--out", str(out / result)]) == 0
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
     assert got == DIGESTS[name]
