@@ -59,10 +59,7 @@ def _parse_state(text: str) -> State:
     parts = text.split(",")
     if len(parts) != 2:
         raise ThinFilmError(f"state must be 'h,b', got {text!r}")
-    try:
-        return State(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise ThinFilmError(str(exc)) from exc
+    return State(float(parts[0]), float(parts[1]))
 
 
 def _number(value, what: str):
@@ -72,15 +69,11 @@ def _number(value, what: str):
     return value
 
 
-def _pair(value, what: str, item=_number) -> tuple:
-    """A list of two ``item``s of the JSON config."""
+def _pair(value, what: str) -> tuple:
+    """A list of two numbers of the JSON config."""
     if not isinstance(value, list) or len(value) != 2:
         raise InvalidDataError(f"config {what} must be a list of two, got {value!r}")
-    return item(value[0], what), item(value[1], what)
-
-
-def _state(value, what: str) -> State:
-    return State(*_pair(value, what))
+    return _number(value[0], what), _number(value[1], what)
 
 
 def _object(value, what: str) -> dict:
@@ -96,6 +89,14 @@ def _numbers(text: str) -> list[float]:
         return [float(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
+
+
+def _finite(text: str) -> float:
+    """A finite float option."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _add_param_args(sp) -> None:
@@ -140,16 +141,14 @@ def cmd_fv(args) -> int:
     grid_doc = _object(cfg_doc["grid"], "grid")
     grid = numerics.Grid(grid_doc["xmin"], grid_doc["xmax"], grid_doc["ncells"])
     init = _object(cfg_doc["initial"], "initial")
+    left, right = (State(*_pair(init[k], k)) for k in ("left", "right"))
     exact_fan = None
     if "middle" in init:
-        pd = interactions.PerturbedData(
-            _number(init["epsilon"], "epsilon"),
-            *(_state(init[k], k) for k in ("left", "middle", "right")),
-            p,
-        )
+        middle = State(*_pair(init["middle"], "middle"))
+        pd = interactions.PerturbedData(_number(init["epsilon"], "epsilon"), left, middle, right, p)
         field = numerics.field_from_perturbed(pd, grid)
     else:
-        data = riemann.RiemannData(*(_state(init[k], k) for k in ("left", "right")), p)
+        data = riemann.RiemannData(left, right, p)
         field = numerics.field_from_riemann(data, grid)
         exact_fan = riemann.solve(data)
     cfg = numerics.SchemeConfig(
@@ -158,10 +157,7 @@ def cmd_fv(args) -> int:
         t_end=_number(cfg_doc["t_end"], "t_end"),
     )
     dw = cfg_doc.get("delta_window")
-    db = cfg_doc.get("delta_background")
-    if bool(dw) != bool(db):
-        raise InvalidDataError("delta_window and delta_background must be given together")
-    delta = (_pair(dw, "delta_window"), _pair(db, "delta_background", _state)) if dw else None
+    delta = (_pair(dw, "delta_window"), (left, right)) if dw else None
     final, diag = numerics.run(field, cfg, p, delta=delta)
     _write_csv(args.out, ["x", "h", "b", "w1", "w2"], _profile_rows(final, p))
     doc = {
@@ -215,7 +211,7 @@ def cmd_limits(args) -> int:
     p = Params(**{"alpha": args.fixed, "kappa": args.fixed, args.study: args.values[0]},
                h_tol=args.h_tol)
     data = riemann.RiemannData(_parse_state(args.left), _parse_state(args.right), p)
-    study = limits.LimitStudy(args.study, tuple(args.values), data, t_eval=args.t_eval)
+    study = limits.LimitStudy(args.study, tuple(args.values), data)
     rows = [
         (r["value"], r["case"], r["l1"], r["dsigma"], r["dbeta_rate"],
          *(r["weak_pairings"] or (None, None, None)))
@@ -227,7 +223,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_entropy_check(args) -> int:
-    p = Params(args.alpha, args.kappa, h_tol=args.h_tol)
+    p = Params(args.alpha, args.kappa)
     report = entropy_mod.entropy_report(p, n_grid=args.n_grid)
     _write_json(args.out, report)
     failed = any(
@@ -246,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--right", required=True, help="right state 'h,b'")
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--x-min", type=float, default=-5.0)
-    sp.add_argument("--x-max", type=float, default=10.0)
+    sp.add_argument("--x-min", type=_finite, default=-5.0)
+    sp.add_argument("--x-max", type=_finite, default=10.0)
     sp.add_argument("--out", required=True)
     sp.add_argument("--fan-out", default=None)
     sp.set_defaults(func=cmd_riemann)
@@ -265,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--left", required=True)
     sp.add_argument("--middle", required=True)
     sp.add_argument("--right", required=True)
-    sp.add_argument("--t-max", type=float, default=math.inf)
+    sp.add_argument("--t-max", type=_finite, default=math.inf, help="default: no limit")
     sp.add_argument("--n-fan", type=int, default=64)
     sp.add_argument("--budget", type=int, default=10000)
     sp.add_argument("--profile-times", default=None)
     sp.add_argument("--samples", type=int, default=2000)
-    sp.add_argument("--x-min", type=float, default=-5.0)
-    sp.add_argument("--x-max", type=float, default=10.0)
+    sp.add_argument("--x-min", type=_finite, default=-5.0)
+    sp.add_argument("--x-max", type=_finite, default=10.0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_interact)
 
@@ -282,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h-tol", type=float, default=1e-10)
     sp.add_argument("--left", required=True)
     sp.add_argument("--right", required=True)
-    sp.add_argument("--t-eval", type=float, default=1.0)
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_limits)
 
     sp = sub.add_parser("entropy-check", help="entropy pair compatibility/convexity")
-    _add_param_args(sp)
+    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--kappa", type=float, required=True)
     sp.add_argument("--n-grid", type=int, default=50)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_entropy_check)

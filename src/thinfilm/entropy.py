@@ -157,10 +157,15 @@ def convexity_forms(u, pair: EntropyPair, p: Params) -> tuple:
     r1 form vanishes identically when alpha = 0, which leaves the
     sufficient criterion silent for the pure-gravity case.
     """
+    bracket, form_r2 = _r1_bracket_and_r2_form(u, pair, p)
+    return 9.0 * p.alpha**2 * bracket, form_r2
+
+
+def _r1_bracket_and_r2_form(u, pair: EntropyPair, p: Params) -> tuple:
+    """The r1 form over 9*alpha^2, and the r2 form, of :func:`convexity_forms`."""
     w1, pval = _w1_p(u, p)
-    form_r1 = 9.0 * p.alpha**2 * (theta_ode_residual(pair, pval) - 2.0 * w1 * pair.psi_prime(w1))
-    form_r2 = 2.0 * w1 * (2.0 * w1 * pair.psi_pprime(w1) + pair.psi_prime(w1))
-    return form_r1, form_r2
+    bracket = theta_ode_residual(pair, pval) - 2.0 * w1 * pair.psi_prime(w1)
+    return bracket, 2.0 * w1 * (2.0 * w1 * pair.psi_pprime(w1) + pair.psi_prime(w1))
 
 
 def theta_ode_residual(pair: EntropyPair, pval):
@@ -187,8 +192,10 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
     ``n_grid`` x ``n_grid`` log grid of states on [1e-2, 1e2]^2.
 
     Used by the ``entropy-check`` CLI command.  When alpha = 0 the
-    second quadratic form degenerates and the verdict is reported as
-    ``inconclusive`` instead of ``convex``.
+    first quadratic form degenerates and the verdict is reported as
+    ``inconclusive`` instead of ``convex``.  For alpha > 0 the r1 verdict
+    is the sign of the form over 9*alpha^2, a factor that underflows to 0
+    for alpha below about 1e-162.
     """
     if n_grid < 1:
         raise InvalidDataError(f"n_grid must be at least 1, got {n_grid}")
@@ -202,13 +209,13 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
         "pairs": [],
     }
     for pair in pair_catalog():
-        f1, f2 = convexity_forms(grid, pair, params)
-        min1, min2 = float(f1.min()), float(f2.min())
+        bracket, f2 = _r1_bracket_and_r2_form(grid, pair, params)
+        min1, min2 = float((9.0 * params.alpha**2 * bracket).min()), float(f2.min())
         compat = max(compatibility_residual(u, pair, params) for u in probe)
         member = in_sufficient_family(pair)
         if params.alpha == 0.0:
             verdict = "inconclusive"
-        elif min1 > 0.0 and min2 > 0.0:
+        elif bracket.min() > 0.0 and min2 > 0.0:
             verdict = "convex"
         else:
             verdict = "fails"

@@ -46,13 +46,12 @@ class LimitStudy:
     ``varying`` names the coefficient sent to zero through ``values``
     (strictly decreasing, positive); ``data.params`` gives the other
     coefficient and ``h_tol``, and its ``varying`` coefficient is
-    overridden per value.
+    overridden per value.  The fans are compared at t = 1.
     """
 
     varying: str
     values: tuple[float, ...]
     data: RiemannData
-    t_eval: float = 1.0
 
     def __post_init__(self) -> None:
         if self.varying not in ("kappa", "alpha"):
@@ -75,16 +74,13 @@ def limit_target(d: RiemannData, which: str) -> WaveFan:
 
 
 def weak_pairing(
-    fan_a: WaveFan,
-    fan_b: WaveFan,
-    testfn: BumpTestFunction,
-    resolution: int = 24,
+    fan_a: WaveFan, fan_b: WaveFan, testfn: BumpTestFunction
 ) -> tuple[float, float]:
     """<U_a - U_b, phi> componentwise, including singular parts.
 
     Regular parts are integrated with the same wave-aware composite
-    quadrature as the weak-form residual; each singular front adds its
-    line pairing int beta(t) phi(sigma t, t) dt.
+    quadrature as the weak-form residual, on 24 t panels; each singular
+    front adds its line pairing int beta(t) phi(sigma t, t) dt.
     """
     def regular(xs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         ha, ba, _ = profile(fan_a, t, xs)
@@ -93,28 +89,27 @@ def weak_pairing(
         return (ha - hb) * vals, (ba - bb) * vals
 
     acc = _space_time_gauss(
-        testfn, resolution, [(fan_a, 1.0), (fan_b, -1.0)], regular,
+        testfn, 24, [(fan_a, 1.0), (fan_b, -1.0)], regular,
         lambda x, t, sigma: testfn.value(x, t),
     )
     return float(acc[0]), float(acc[1])
 
 
-def bump_catalog(sigma_ray: float, t_eval: float) -> list[BumpTestFunction]:
-    """Three bumps: straddling, missing, and containing the singular ray."""
-    t_mid = 0.6 * t_eval
-    x_ray = sigma_ray * t_mid
+def bump_catalog(sigma_ray: float) -> list[BumpTestFunction]:
+    """Three bumps on 0.25 < t < 0.95: straddling, missing, containing the ray."""
+    x_ray = sigma_ray * 0.6
     width = max(1.0, abs(x_ray))
     return [
-        BumpTestFunction(x_ray, t_mid, 0.5 * width, 0.35 * t_eval),
-        BumpTestFunction(x_ray - 4.0 * width, t_mid, 0.5 * width, 0.35 * t_eval),
-        BumpTestFunction(x_ray, t_mid, 4.0 * width, 0.35 * t_eval),
+        BumpTestFunction(x_ray, 0.6, 0.5 * width, 0.35),
+        BumpTestFunction(x_ray - 4.0 * width, 0.6, 0.5 * width, 0.35),
+        BumpTestFunction(x_ray, 0.6, 4.0 * width, 0.35),
     ]
 
 
 def convergence_table(study: LimitStudy, n_samples: int = 10000) -> list[dict]:
     """Distance columns per parameter value, all shrinking toward 0.
 
-    Classical cases: L1 distance of the sampled profiles at t_eval, a
+    Classical cases: L1 distance of the sampled profiles at t = 1, a
     Riemann sum over ``n_samples`` equispaced points running from 0.5
     left of the slowest wave (or of x = 0, whichever is further left)
     to 0.5 right of the fastest wave of either fan.  Where the two fans
@@ -140,11 +135,11 @@ def convergence_table(study: LimitStudy, n_samples: int = 10000) -> list[dict]:
         fan = solve(d)
         case = classify(d)
         edges = [s for w in fan.waves for s in w.speed_range()]
-        lo = min(0.0, min(min(edges), min(speeds)) * study.t_eval) - 0.5
-        hi = max(max(edges), max(speeds)) * study.t_eval + 0.5
+        lo = min(0.0, min(edges), min(speeds)) - 0.5
+        hi = max(max(edges), max(speeds)) + 0.5
         xs = np.linspace(lo, hi, n_samples)
-        h_a, b_a, _ = profile(fan, study.t_eval, xs)
-        h_b, b_b, _ = profile(target, study.t_eval, xs)
+        h_a, b_a, _ = profile(fan, 1.0, xs)
+        h_b, b_b, _ = profile(target, 1.0, xs)
         l1 = float(np.sum(np.abs(h_a - h_b) + np.abs(b_a - b_b)) * (xs[1] - xs[0]))
 
         row = {
@@ -161,7 +156,7 @@ def convergence_table(study: LimitStudy, n_samples: int = 10000) -> list[dict]:
             row["dsigma"] = abs(w.speed - w0.speed)
             row["dbeta_rate"] = abs(w.strength_rate - w0.strength_rate)
             pair_vals = []
-            for bump in bump_catalog(w0.speed, study.t_eval):
+            for bump in bump_catalog(w0.speed):
                 ph, pb = weak_pairing(fan, target, bump)
                 pair_vals.append(abs(ph) + abs(pb))
             row["weak_pairings"] = pair_vals

@@ -562,8 +562,6 @@ def run(
         "delta_mass": delta_series,
         "snapshots": snapshots,
         "grid": {"x_min": f.grid.x_min, "x_max": f.grid.x_max, "n_cells": f.grid.n_cells},
-        "cfl": cfg.cfl,
-        "scheme": cfg.scheme,
     }
     return f, diagnostics
 

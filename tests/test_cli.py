@@ -83,6 +83,24 @@ class TestRiemannCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--x-min", "nan"), ("--x-max", "inf"),
+                                             ("--x-min", "-inf")])
+    def test_non_finite_range_exit_2(self, tmp_path, capsys, flag, value):
+        # used to write rows at x = nan or x = inf with exit 0
+        out = tmp_path / "prof.csv"
+        code = run_cli(
+            [
+                "riemann", "--alpha", "0.5", "--kappa", "0",
+                "--left", "1.24,0.90", "--right", "1.5,1.56", "--samples", "3",
+                f"{flag}={value}", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: not a finite number: '{value}'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_assumption_violation_exit_2(self, tmp_path):
         code = run_cli(
             [
@@ -183,18 +201,23 @@ class TestSchemeCommands:
         assert run_cli(["godunov", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
     @pytest.mark.parametrize("scheme", ["godunov", "llf"])
-    @pytest.mark.parametrize(
-        "extras",
-        [{"delta_window": [0.0, 1.0]}, {"delta_background": [[1.5, 1.6], [1.25, 1.15]]}],
-    )
-    def test_half_given_delta_config_exit_2(self, tmp_path, capsys, scheme, extras):
-        # one of the two keys alone used to run and record an empty delta_mass
-        cfg = self._config(tmp_path, extras)
-        out = tmp_path / "x.csv"
-        assert run_cli([scheme, "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "delta_window" in err and "delta_background" in err
-        assert not out.exists()
+    @pytest.mark.parametrize("key", ["delta_window", "delta_background"],
+                             ids=["window-only", "background-only"])
+    def test_delta_key_alone(self, tmp_path, scheme, key):
+        # the point mass is measured against the initial outer states:
+        # delta_window alone records the series that window plus background
+        # records, and delta_background alone is ignored
+        both = {"delta_window": [0.0, 1.0], "delta_background": [[1.5, 1.6], [1.25, 1.15]]}
+        diags = []
+        for extras in (both, {key: both[key]}):
+            cfg = self._config(tmp_path, extras)
+            assert run_cli([scheme, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+            diags.append(json.loads((tmp_path / "x_diag.json").read_text()))
+        assert len(diags[0]["delta_mass"]) == diags[0]["n_steps"] > 0
+        if key == "delta_window":
+            assert diags[1] == diags[0]
+        else:
+            assert diags[1] == {**diags[0], "delta_mass": []}
 
     @pytest.mark.parametrize("scheme", ["godunov", "llf"])
     @pytest.mark.parametrize("bad", [
@@ -352,6 +375,43 @@ class TestInteractCommand:
         assert code == 4
 
 
+    @pytest.mark.parametrize("flag, value", [("--x-min", "nan"), ("--x-max", "inf"),
+                                             ("--t-max", "nan")])
+    def test_non_finite_option_exit_2(self, tmp_path, capsys, flag, value):
+        # non-finite ranges used to be sampled, and --t-max nan ran as no limit
+        out = tmp_path / "tl.json"
+        code = run_cli(
+            [
+                "interact", "--alpha", "0.5", "--kappa", "0", "--epsilon", "0.1",
+                "--left", "1.5,1.6", "--middle", "0.95,1.62", "--right", "1.25,1.15",
+                "--profile-times", "1", "--samples", "3", flag, value, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: not a finite number: '{value}'" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--left", "a,b", "could not convert string to float: 'a'"),
+        ("--left", "-1,2", "state outside quadrant (-1.0, 2.0)"),
+        ("--middle", "1", "state must be 'h,b', got '1'"),
+    ])
+    def test_malformed_state_exit_2(self, tmp_path, capsys, flag, value, message):
+        states = {"--left": "1.5,1.6", "--middle": "0.95,1.62", "--right": "1.25,1.15", flag: value}
+        out = tmp_path / "tl.json"
+        code = run_cli(
+            [
+                "interact", "--alpha", "0.5", "--kappa", "0", "--epsilon", "0.1",
+                *(f"{k}={v}" for k, v in states.items()), "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_fan", ["0", "-5"])
     def test_nonpositive_n_fan_exit_2(self, tmp_path, capsys, n_fan):
         # JR+JS data run the generic engine, which splits each fan into n_fan
@@ -465,6 +525,18 @@ class TestEntropyCheckCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert all(e["verdict"] == "inconclusive" for e in doc["pairs"])
+
+    def test_tiny_alpha_convex(self, tmp_path):
+        # 9*alpha^2 underflows to 0 below alpha ~ 1e-162: every pair used to
+        # read "fails" with exit 5, though the form's bracket is positive
+        out = tmp_path / "entropy.json"
+        code = run_cli(
+            ["entropy-check", "--alpha", "1e-170", "--kappa", "1", "--n-grid", "8",
+             "--out", str(out)]
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert all(e["verdict"] == "convex" and e["min_form1"] == 0.0 for e in doc["pairs"])
 
     def test_empty_grid_exit_2(self, tmp_path, capsys):
         # an empty grid used to end in an IndexError traceback

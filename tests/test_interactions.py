@@ -198,6 +198,28 @@ class TestShockShockChase:
         assert tl.case_tag == "degenerate"
 
 
+class TestMiddleOnRightRay:
+    """Middle states on the right state's ray: the right problem has no
+    contact, so the left shock meets its lone shock or fan directly."""
+
+    @pytest.mark.parametrize("middle, tag, lone, kinds", [
+        ((1.6, 1.472), "JS+JS", Shock, ["contact", "shock", "shock", "shock"]),
+        ((1.0, 0.92), "JS+JR", Rarefaction,
+         ["contact", "shock", "fan-tail", "fan-head", "curved-shock", "shock"]),
+    ])
+    def test_no_contact_to_absorb(self, middle, tag, lone, kinds):
+        d = PerturbedData(0.1, State(1.5, 1.6), State(*middle), State(1.25, 1.15), P0)
+        assert [type(w) for w in solve(d.right_data()).waves] == [lone]
+        tl = run_timeline(d)
+        assert tl.case_tag == tag
+        assert [f.kind for f in tl.fronts] == kinds
+        assert tl.final_fan == solve(d.outer_data())
+        if tag == "JS+JS":
+            [event] = tl.events
+            [generic] = run_timeline(d, force_generic=True).events
+            np.testing.assert_allclose(event.point, generic.point, rtol=1e-12)
+
+
 class TestShockThroughFan:
     def test_entry_time_law(self):
         tl = run_timeline(EX_PER_JR)

@@ -93,7 +93,7 @@ class TestLimitTarget:
 class TestConvergenceTable:
     def test_classical_column_monotone(self):
         d = RiemannData(*EX_JR_DATA, Params(0.5, 1.0))
-        study = LimitStudy("kappa", KAPPAS, d, t_eval=1.0)
+        study = LimitStudy("kappa", KAPPAS, d)
         rows = convergence_table(study, n_samples=3000)
         l1 = [r["l1"] for r in rows]
         assert all(a > b for a, b in zip(l1[:-1], l1[1:]))
@@ -101,7 +101,7 @@ class TestConvergenceTable:
 
     def test_delta_affine_identities(self):
         d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
-        study = LimitStudy("kappa", KAPPAS, d, t_eval=1.0)
+        study = LimitStudy("kappa", KAPPAS, d)
         rows = convergence_table(study, n_samples=1500)
         for r in rows:
             expected = r["value"] * 2.9**2 / 3.0
@@ -110,7 +110,7 @@ class TestConvergenceTable:
 
     def test_alpha_study_affine_identity(self):
         d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
-        study = LimitStudy("alpha", (1.0, 0.1, 0.01), d, t_eval=1.0)
+        study = LimitStudy("alpha", (1.0, 0.1, 0.01), d)
         rows = convergence_table(study, n_samples=1500)
         for r in rows:
             expected = r["value"] * 2.9 * 1.70
@@ -118,7 +118,7 @@ class TestConvergenceTable:
 
     def test_weak_pairings_decrease(self):
         d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
-        study = LimitStudy("kappa", (1.0, 0.1, 0.01), d, t_eval=1.0)
+        study = LimitStudy("kappa", (1.0, 0.1, 0.01), d)
         rows = convergence_table(study, n_samples=1000)
         pair_seq = [r["weak_pairings"] for r in rows]
         for i in range(3):
@@ -141,14 +141,14 @@ class TestWeakPairing:
     def test_identical_fans_pair_to_zero(self):
         d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
         fan = solve(d)
-        bump = bump_catalog(fan.waves[0].speed, 1.0)[0]
+        bump = bump_catalog(fan.waves[0].speed)[0]
         ph, pb = weak_pairing(fan, fan, bump)
         assert abs(ph) < 1e-14 and abs(pb) < 1e-14
 
     def test_missing_bump_sees_nothing(self):
         d1 = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
         d0 = RiemannData(*EX_DELTA_DATA, Params(0.5, 0.25))
-        bumps = bump_catalog(solve(d0).waves[0].speed, 1.0)
+        bumps = bump_catalog(solve(d0).waves[0].speed)
         ph, pb = weak_pairing(solve(d1), solve(d0), bumps[1])
         assert abs(ph) + abs(pb) < 1e-12
 

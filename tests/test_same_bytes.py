@@ -23,17 +23,20 @@ JS_CONFIG = {
 # FV runs on 10,000 and 5,000 cells whose waves cross cell 2496, where
 # numpy's pairwise sum splits the masses of both grids: the J+S data, and
 # LLF delta capture on criterion 5's data
+DELTA_FINE = {
+    "alpha": 0.5, "kappa": 0.0, "h_tol": 1e-6,
+    "grid": {"xmin": -0.19, "xmax": 0.21, "ncells": 5000},
+    "t_end": 0.01,
+    "initial": {"left": [2.9, 1.7], "right": [1e-7, 5.56]},
+    "delta_window": [0.0, 0.1],
+}
 CONFIGS = {
     "js": JS_CONFIG,
     "js-fine": {**JS_CONFIG, "grid": {"xmin": -2.0, "xmax": 8.0, "ncells": 10000}},
-    "delta-fine": {
-        "alpha": 0.5, "kappa": 0.0, "h_tol": 1e-6,
-        "grid": {"xmin": -0.19, "xmax": 0.21, "ncells": 5000},
-        "t_end": 0.01,
-        "initial": {"left": [2.9, 1.7], "right": [1e-7, 5.56]},
-        "delta_window": [0.0, 0.1],
-        "delta_background": [[2.9, 1.7], [1e-7, 5.56]],
-    },
+    # the delta mass is measured against the initial outer states; a
+    # delta_background key, as older configs carry, is ignored
+    "delta-fine": {**DELTA_FINE, "delta_background": [[2.9, 1.7], [1e-7, 5.56]]},
+    "delta-fine-derived": DELTA_FINE,
 }
 COMMANDS = {
     "riemann-jr": ["riemann", "--alpha", "0.5", "--kappa", "0", "--samples", "200",
@@ -49,6 +52,7 @@ COMMANDS = {
     "llf": ["llf", "--config", "js"],
     "godunov-fine": ["godunov", "--config", "js-fine"],
     "llf-delta-fine": ["llf", "--config", "delta-fine"],
+    "llf-delta-fine-derived": ["llf", "--config", "delta-fine-derived"],
 }
 DIGESTS = {
     "riemann-jr": {
@@ -85,6 +89,7 @@ DIGESTS = {
         "result_diag.json": "0de1f20473b0e1edbcdeeaf8958bb474971fe3ad840e6f0f44fa9f13458a7021",
     },
 }
+DIGESTS["llf-delta-fine-derived"] = DIGESTS["llf-delta-fine"]
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
