@@ -99,6 +99,30 @@ def _finite(text: str) -> float:
     return value
 
 
+def _times(text: str) -> list[float]:
+    """The comma list of ``--profile-times``: finite times after t = 0."""
+    times = _numbers(text)
+    if not all(math.isfinite(t) and t > 0.0 for t in times):
+        raise argparse.ArgumentTypeError(f"not a comma list of finite positive times: {text!r}")
+    return times
+
+
+def _count(text: str) -> int:
+    """A non-negative integer option."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
+def _key(doc: dict, key: str, section: str = ""):
+    """``doc[key]``, where ``doc`` is the config or its ``section``; a missing key is invalid input."""
+    if key not in doc:
+        where = f"config {section}" if section else "config"
+        raise InvalidDataError(f"{where} is missing {key!r}")
+    return doc[key]
+
+
 def _add_param_args(sp) -> None:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--kappa", type=float, required=True)
@@ -136,16 +160,17 @@ def cmd_fv(args) -> int:
     scheme = args.command
     with open(args.config) as fh:
         cfg_doc = _object(json.load(fh), "document")
-    p = Params(*(_number(cfg_doc[k], k) for k in ("alpha", "kappa")),
+    p = Params(*(_number(_key(cfg_doc, k), k) for k in ("alpha", "kappa")),
                h_tol=_number(cfg_doc.get("h_tol", 1e-10), "h_tol"))
-    grid_doc = _object(cfg_doc["grid"], "grid")
-    grid = numerics.Grid(grid_doc["xmin"], grid_doc["xmax"], grid_doc["ncells"])
-    init = _object(cfg_doc["initial"], "initial")
-    left, right = (State(*_pair(init[k], k)) for k in ("left", "right"))
+    grid_doc = _object(_key(cfg_doc, "grid"), "grid")
+    grid = numerics.Grid(*(_key(grid_doc, k, "grid") for k in ("xmin", "xmax", "ncells")))
+    init = _object(_key(cfg_doc, "initial"), "initial")
+    left, right = (State(*_pair(_key(init, k, "initial"), k)) for k in ("left", "right"))
     exact_fan = None
     if "middle" in init:
         middle = State(*_pair(init["middle"], "middle"))
-        pd = interactions.PerturbedData(_number(init["epsilon"], "epsilon"), left, middle, right, p)
+        epsilon = _number(_key(init, "epsilon", "initial"), "epsilon")
+        pd = interactions.PerturbedData(epsilon, left, middle, right, p)
         field = numerics.field_from_perturbed(pd, grid)
     else:
         data = riemann.RiemannData(left, right, p)
@@ -154,11 +179,10 @@ def cmd_fv(args) -> int:
     cfg = numerics.SchemeConfig(
         scheme=scheme,
         cfl=_number(cfg_doc.get("cfl", 0.45), "cfl"),
-        t_end=_number(cfg_doc["t_end"], "t_end"),
+        t_end=_number(_key(cfg_doc, "t_end"), "t_end"),
     )
     dw = cfg_doc.get("delta_window")
-    delta = (_pair(dw, "delta_window"), (left, right)) if dw else None
-    final, diag = numerics.run(field, cfg, p, delta=delta)
+    final, diag = numerics.run(field, cfg, p, delta_window=_pair(dw, "delta_window") if dw else None)
     _write_csv(args.out, ["x", "h", "b", "w1", "w2"], _profile_rows(final, p))
     doc = {
         "scheme": scheme,
@@ -197,9 +221,8 @@ def cmd_interact(args) -> int:
     )
     _write_json(args.out, interactions.timeline_to_json(tl))
     if args.profile_times:
-        times = [float(s) for s in args.profile_times.split(",")]
         base, ext = os.path.splitext(args.out)
-        for t in times:
+        for t in args.profile_times:
             xs = np.linspace(args.x_min, args.x_max, args.samples)
             h, b = tl.profile(t, xs)
             rows = list(zip(xs, h, b))
@@ -241,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--left", required=True, help="left state 'h,b'")
     sp.add_argument("--right", required=True, help="right state 'h,b'")
     sp.add_argument("--t", type=float, default=1.0)
-    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--samples", type=_count, default=1000)
     sp.add_argument("--x-min", type=_finite, default=-5.0)
     sp.add_argument("--x-max", type=_finite, default=10.0)
     sp.add_argument("--out", required=True)
@@ -264,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-max", type=_finite, default=math.inf, help="default: no limit")
     sp.add_argument("--n-fan", type=int, default=64)
     sp.add_argument("--budget", type=int, default=10000)
-    sp.add_argument("--profile-times", default=None)
-    sp.add_argument("--samples", type=int, default=2000)
+    sp.add_argument("--profile-times", type=_times, default=None)
+    sp.add_argument("--samples", type=_count, default=2000)
     sp.add_argument("--x-min", type=_finite, default=-5.0)
     sp.add_argument("--x-max", type=_finite, default=10.0)
     sp.add_argument("--out", required=True)

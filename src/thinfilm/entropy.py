@@ -157,15 +157,25 @@ def convexity_forms(u, pair: EntropyPair, p: Params) -> tuple:
     r1 form vanishes identically when alpha = 0, which leaves the
     sufficient criterion silent for the pure-gravity case.
     """
-    bracket, form_r2 = _r1_bracket_and_r2_form(u, pair, p)
-    return 9.0 * p.alpha**2 * bracket, form_r2
+    ode, psi_term, form_r2 = _r1_terms_and_r2_form(*_w1_p(u, p), pair)
+    return 9.0 * np.float_power(p.alpha, 2.0) * (ode + psi_term), form_r2
 
 
-def _r1_bracket_and_r2_form(u, pair: EntropyPair, p: Params) -> tuple:
-    """The r1 form over 9*alpha^2, and the r2 form, of :func:`convexity_forms`."""
-    w1, pval = _w1_p(u, p)
-    bracket = theta_ode_residual(pair, pval) - 2.0 * w1 * pair.psi_prime(w1)
-    return bracket, 2.0 * w1 * (2.0 * w1 * pair.psi_pprime(w1) + pair.psi_prime(w1))
+def _r1_terms_and_r2_form(w1, pval, pair: EntropyPair) -> tuple:
+    """The r1 form of :func:`convexity_forms` over 9*alpha^2 as its two terms,
+    the Theta ODE residual and -2*w1*Psi'(w1), then the r2 form."""
+    return (
+        theta_ode_residual(pair, pval),
+        -2.0 * w1 * pair.psi_prime(w1),
+        2.0 * w1 * (2.0 * w1 * pair.psi_pprime(w1) + pair.psi_prime(w1)),
+    )
+
+
+# Each term of the Theta ODE residual carries a power or square root, up to
+# three products and its share of the sum: on the catalog the computed
+# residual stays within 1.1*eps*(4p^2|Theta''| + 4p|Theta'| + |Theta|), and
+# this factor times that scale bounds it.
+_ODE_ROUNDING = 8.0
 
 
 def theta_ode_residual(pair: EntropyPair, pval):
@@ -193,9 +203,13 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
 
     Used by the ``entropy-check`` CLI command.  When alpha = 0 the
     first quadratic form degenerates and the verdict is reported as
-    ``inconclusive`` instead of ``convex``.  For alpha > 0 the r1 verdict
-    is the sign of the form over 9*alpha^2, a factor that underflows to 0
-    for alpha below about 1e-162.
+    ``inconclusive`` instead of ``convex``, and so it is when a form
+    overflows to a non-finite value.  For alpha > 0 the r1 verdict is the
+    sign of the form over 9*alpha^2, a factor that underflows to 0 for
+    alpha below about 1e-162, with a Theta ODE residual that lies within
+    its rounding bound (:data:`_ODE_ROUNDING` times eps times the size of
+    its terms) taken as the 0 it is in exact arithmetic: for large alpha
+    that rounding outweighs the -2*w1*Psi' term.
     """
     if n_grid < 1:
         raise InvalidDataError(f"n_grid must be at least 1, got {n_grid}")
@@ -208,14 +222,27 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
         "grid": {"h": [hs[0], hs[-1]], "b": [bs[0], bs[-1]], "n": n_grid},
         "pairs": [],
     }
+    # a large alpha overflows the forms; the verdict reads the non-finite values
+    with np.errstate(all="ignore"):
+        w1, pval = _w1_p(grid, params)
     for pair in pair_catalog():
-        bracket, f2 = _r1_bracket_and_r2_form(grid, pair, params)
-        min1, min2 = float((9.0 * params.alpha**2 * bracket).min()), float(f2.min())
-        compat = max(compatibility_residual(u, pair, params) for u in probe)
+        with np.errstate(all="ignore"):
+            ode, psi_term, f2 = _r1_terms_and_r2_form(w1, pval, pair)
+            bracket = ode + psi_term
+            min1 = float((9.0 * np.float_power(params.alpha, 2.0) * bracket).min())
+            min2 = float(f2.min())
+            compat = max(compatibility_residual(u, pair, params) for u in probe)
+            finite = np.isfinite(bracket).all() and np.isfinite(f2).all()
+            bound = _ODE_ROUNDING * np.finfo(float).eps * (
+                4.0 * pval * pval * np.abs(pair.theta_pprime(pval))
+                + 4.0 * pval * np.abs(pair.theta_prime(pval))
+                + np.abs(pair.theta(pval))
+            )
+            r1 = np.where(np.abs(ode) <= bound, 0.0, ode) + psi_term
         member = in_sufficient_family(pair)
-        if params.alpha == 0.0:
+        if params.alpha == 0.0 or not finite:
             verdict = "inconclusive"
-        elif bracket.min() > 0.0 and min2 > 0.0:
+        elif r1.min() > 0.0 and min2 > 0.0:
             verdict = "convex"
         else:
             verdict = "fails"

@@ -101,6 +101,20 @@ class TestRiemannCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_samples_exit_2(self, tmp_path, capsys):
+        # used to reach np.linspace, whose ValueError named no option
+        out = tmp_path / "prof.csv"
+        code = run_cli(
+            [
+                "riemann", "--alpha", "0.5", "--kappa", "0",
+                "--left", "1.24,0.90", "--right", "1.5,1.56", "--samples=-1", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --samples: not a non-negative integer: '-1'" in err
+        assert not list(tmp_path.iterdir())
+
     def test_assumption_violation_exit_2(self, tmp_path):
         code = run_cli(
             [
@@ -252,6 +266,28 @@ class TestSchemeCommands:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key", [
+        ("", "alpha"), ("", "kappa"), ("", "t_end"), ("", "grid"), ("", "initial"),
+        ("grid", "xmin"), ("grid", "xmax"), ("grid", "ncells"),
+        ("initial", "left"), ("initial", "right"), ("initial", "epsilon"),
+    ], ids=lambda v: v or "top")
+    def test_missing_key_exit_2(self, tmp_path, capsys, section, key):
+        # used to print the bare KeyError: "error: 'grid'"
+        doc = {
+            "alpha": 0.5, "kappa": 0.0, "t_end": 0.5,
+            "grid": {"xmin": -2.0, "xmax": 6.0, "ncells": 200},
+            "initial": {"left": [1.5, 1.6], "middle": [0.95, 1.62], "epsilon": 0.1,
+                        "right": [1.25, 1.15]},
+        }
+        (doc[section] if section else doc).pop(key)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        assert run_cli(["godunov", "--config", str(cfg), "--out", str(out)]) == 2
+        where = f"config {section}" if section else "config"
+        assert capsys.readouterr().err == f"error: {where} is missing '{key}'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("scheme", ["godunov", "llf"])
     def test_list_config_exit_2(self, tmp_path, capsys, scheme):
         # used to escape as an AttributeError traceback with exit 1, the I/O code
@@ -390,6 +426,29 @@ class TestInteractCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: argument {flag}: not a finite number: '{value}'" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--profile-times", "1,nan", "not a comma list of finite positive times: '1,nan'"),
+        ("--profile-times", "1,-2", "not a comma list of finite positive times: '1,-2'"),
+        ("--samples", "-1", "not a non-negative integer: '-1'"),
+    ], ids=["time-nan", "time-negative", "samples-negative"])
+    def test_bad_profile_option_writes_nothing(self, tmp_path, capsys, flag, value, message):
+        # each used to exit 2 after the timeline JSON, and the t = 1 profile
+        # before the bad time, had been written
+        opts = {"--profile-times": "1", "--samples": "5", flag: value}
+        out = tmp_path / "tl.json"
+        code = run_cli(
+            [
+                "interact", "--alpha", "0.5", "--kappa", "0", "--epsilon", "0.1",
+                "--left", "1.5,1.6", "--middle", "0.95,1.62", "--right", "1.25,1.15",
+                *(f"{k}={v}" for k, v in opts.items()), "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: {message}" in err
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
@@ -537,6 +596,30 @@ class TestEntropyCheckCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert all(e["verdict"] == "convex" and e["min_form1"] == 0.0 for e in doc["pairs"])
+
+    @pytest.mark.parametrize("kappa", ["0", "1"])
+    @pytest.mark.parametrize("alpha", ["50", "1e3", "1e6"])
+    def test_large_alpha_convex(self, tmp_path, alpha, kappa):
+        # the Theta ODE residual, 0 in exact arithmetic, rounds to more than
+        # the -2*w1*Psi' term beside it: up to four pairs used to read
+        # "fails" with exit 5
+        out = tmp_path / "entropy.json"
+        code = run_cli(["entropy-check", "--alpha", alpha, "--kappa", kappa, "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert all(e["verdict"] == "convex" for e in doc["pairs"])
+
+    def test_overflowing_alpha_inconclusive(self, tmp_path, capsys):
+        # alpha**2 used to raise an OverflowError traceback with exit 1
+        out = tmp_path / "entropy.json"
+        code = run_cli(
+            ["entropy-check", "--alpha", "1e200", "--kappa", "1", "--n-grid", "8",
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        assert all(e["verdict"] == "inconclusive" for e in doc["pairs"])
 
     def test_empty_grid_exit_2(self, tmp_path, capsys):
         # an empty grid used to end in an IndexError traceback

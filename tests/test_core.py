@@ -48,6 +48,16 @@ class TestParamsAndState:
         with pytest.raises(InvalidParamsError):
             Params(0.5, -1.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"alpha": math.nan, "kappa": 1.0}, "alpha and kappa must be finite"),
+        ({"alpha": 0.5, "kappa": math.inf}, "alpha and kappa must be finite"),
+        ({"alpha": 0.5, "kappa": 1.0, "h_tol": -1e-3}, "h_tol must be a nonnegative float"),
+    ], ids=["alpha-nan", "kappa-inf", "h_tol-negative"])
+    def test_rejects_non_finite_or_negative_settings(self, kwargs, message):
+        with pytest.raises(InvalidParamsError) as exc:
+            Params(**kwargs)
+        assert str(exc.value) == message
+
     def test_single_zero_coefficient_allowed(self):
         assert Params(0.5, 0.0).kappa == 0.0
         assert Params(0.0, 1.0).alpha == 0.0
@@ -189,6 +199,11 @@ class TestRiemannInvariants:
     def test_degenerate_inversion(self):
         with pytest.raises(DegenerateParameterError):
             state_from_invariants(Invariants(1.0, 0.0), Params(1.0, 0.0))
+
+    def test_negative_w1_rejected(self):
+        with pytest.raises(InvalidStateError) as exc:
+            state_from_invariants(Invariants(-1.0, 1.0), P)
+        assert str(exc.value) == "w1 must be nonnegative"
 
 
 class TestCharacteristicFields:

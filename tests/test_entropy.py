@@ -208,6 +208,16 @@ class TestReport:
             assert entry["verdict"] == "convex"
             assert entry["sufficient_family"]
 
+    def test_non_convex_pair_fails(self, monkeypatch):
+        # Psi = w1^2 makes the r1 bracket -4*w1^2: a negative control for
+        # the verdict, which the catalog never reaches
+        import thinfilm.entropy
+
+        monkeypatch.setattr(thinfilm.entropy, "pair_catalog", lambda: [power_pair(-2.0, 1.0, 0.0)])
+        [entry] = entropy_report(P, n_grid=8)["pairs"]
+        assert entry["verdict"] == "fails"
+        assert entry["min_form1"] < 0.0 < entry["min_form2"]
+
     def test_alpha_zero_inconclusive(self):
         rep = entropy_report(Params(0.0, 1.0), n_grid=8)
         assert all(e["verdict"] == "inconclusive" for e in rep["pairs"])

@@ -17,6 +17,7 @@ from thinfilm.errors import (
     NoInteractionError,
     UnreachableCaseError,
     UnsupportedCaseError,
+    WrongCaseError,
 )
 from thinfilm.interactions import (
     CASE_NUMBER,
@@ -26,7 +27,9 @@ from thinfilm.interactions import (
     classify_case,
     epsilon_limit_report,
     interact_shock_contact,
+    interact_shock_shock_chase,
     run_timeline,
+    shock_overtakes_delta,
     shock_through_fan,
     timeline_to_json,
     _Builder,
@@ -91,6 +94,33 @@ class TestClassifyCase:
         d = PerturbedData(0.1, State(0.0, 1.0), State(1.0, 1.0), State(2.0, 2.0), P1)
         with pytest.raises(UnsupportedCaseError):
             classify_case(d)
+
+
+class TestGuards:
+    @pytest.mark.parametrize("call, exc_type, message", [
+        (lambda: replace(EX_PER_JS, epsilon=0.0), InvalidDataError, "epsilon must be positive"),
+        (lambda: replace(EX_PER_JS, epsilon=-0.1), InvalidDataError, "epsilon must be positive"),
+        (lambda: interact_shock_shock_chase(
+            Shock(1.0, State(2, 2), State(1, 1)), Shock(2.0, State(1, 1), State(0.5, 0.5)),
+            (0.0, 0.1), 0.1, P1,
+        ), NoInteractionError, "trailing shock is not faster"),
+        # the fan is entered at h = 1, above the chasing state's h = 0.5
+        (lambda: shock_through_fan(
+            (1.5, 1.0), Rarefaction(0.0, 0.0, State(0.1, 0.1), State(2, 2), State(2, 2)),
+            State(0.5, 0.5), P0, 0.0,
+        ), WrongCaseError, "chasing state must outrun the fan tail"),
+        (lambda: shock_overtakes_delta(
+            Shock(1.0, State(2, 2), State(1, 1)), DeltaShock(2.0, 1.0, State(1, 1), State(0, 1)),
+            CASE6,
+        ), NoInteractionError, "shock is not faster than the delta front"),
+        (lambda: run_timeline(CASE6, force_generic=True), UnsupportedCaseError,
+         "generic engine cannot track singular fronts"),
+    ], ids=["epsilon-zero", "epsilon-negative", "chase", "fan-entry", "delta-overtake",
+            "generic-delta"])
+    def test_raises(self, call, exc_type, message):
+        with pytest.raises(exc_type) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 class TestShockContact:

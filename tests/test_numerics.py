@@ -176,10 +176,10 @@ class TestWindowKernel:
                 # the first window spans cell 0 to cell n - 1: both ghosts
                 # are refreshed and both boundary fluxes change
                 f0.h[0], f0.b[-1] = 1.7, 0.3
+            window = (-1.0, 1.5) if draw % 2 else (0.5, 4.0)
             bg = (State(f0.h[0], f0.b[0]), State(f0.h[-1], f0.b[-1]))
-            delta = ((-1.0, 1.5) if draw % 2 else (0.5, 4.0), bg)
-            f, diag = run(f0, cfg, p, delta=delta)
-            g, mh, mb, res, series = reference_run(f0, cfg, p, delta)
+            f, diag = run(f0, cfg, p, delta_window=window)
+            g, mh, mb, res, series = reference_run(f0, cfg, p, (window, bg))
             np.testing.assert_array_equal(f.h, g.h)
             np.testing.assert_array_equal(f.b, g.b)
             assert f.t == g.t
@@ -289,9 +289,8 @@ class TestSettledPrefix:
         f0 = settling_field(data, p)
         cfg = SchemeConfig(scheme=scheme, t_end=2.0)
         left, _, right = SETTLING[data]
-        delta = ((0.0, 4.0), (left, right))
-        f, diag = run(f0, cfg, p, delta=delta)
-        g, mh, mb, res, series = reference_run(f0, cfg, p, delta)
+        f, diag = run(f0, cfg, p, delta_window=(0.0, 4.0))
+        g, mh, mb, res, series = reference_run(f0, cfg, p, ((0.0, 4.0), (left, right)))
         np.testing.assert_array_equal(f.h, g.h)
         np.testing.assert_array_equal(f.b, g.b)
         np.testing.assert_array_equal(f.t, g.t)
@@ -421,6 +420,15 @@ class TestFailurePaths:
                 advance(FVField(grid, h, b, 0.0), cfg, Params(0.5, 3.0))
             assert str(exc.value) == want
 
+    def test_time_step_collapses(self):
+        # dt = cfl*dx/lambda2 = 0.45e-301/1.5e60 underflows to 0
+        grid = Grid(0.0, 1e-300, 10)
+        h, b = np.full(10, 1e30), np.where(np.arange(10) < 5, 1e30, 2e30)
+        for advance in (step, run):
+            with pytest.raises(SchemeFailureError) as exc:
+                advance(FVField(grid, h, b, 0.0), SchemeConfig(t_end=1.0), P_FILM)
+            assert str(exc.value) == "time step collapsed at t=0.0"
+
     def test_finite_field_whose_mass_overflows_runs(self):
         # two cells of h = 1e308 sum to +inf, but every cell stays finite:
         # the vacuum left of them sends no flux, and they drain to the right
@@ -434,7 +442,29 @@ class TestFailurePaths:
         assert np.isfinite(f.h).all() and np.isfinite(f.b).all()
 
 
+class TestSetup:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Grid(0.0, 1.0, 0), "grid needs x_max > x_min and n_cells > 0"),
+        (lambda: Grid(1.0, 1.0, 10), "grid needs x_max > x_min and n_cells > 0"),
+        (lambda: SchemeConfig(scheme="weno"), "unknown scheme 'weno'"),
+        (lambda: SchemeConfig(cfl=0.0), "cfl must lie in (0, 1]"),
+        (lambda: SchemeConfig(cfl=1.5), "cfl must lie in (0, 1]"),
+    ], ids=["no-cells", "empty-range", "scheme", "cfl-zero", "cfl-above-one"])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
 class TestStep:
+    def test_at_t_end_leaves_field(self):
+        f = field_from_riemann(EX_JS, Grid(-2.0, 8.0, 50))
+        f.t = 1.0
+        fn = step(f, SchemeConfig(t_end=1.0), P_FILM)
+        np.testing.assert_array_equal(fn.h, f.h)
+        np.testing.assert_array_equal(fn.b, f.b)
+        assert fn.t == 1.0
+
     def test_constant_field_unchanged(self):
         grid = Grid(-1.0, 1.0, 64)
         f = FVField(grid, np.full(64, 1.2), np.full(64, 0.7), 0.0)
@@ -496,23 +526,16 @@ class TestRuns:
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] <= 0.12 * (10.0 / 1000) / 5.33e-3  # C*dx scaling ballpark
 
-    def test_cfl_sensitivity_report(self):
+    def test_error_grows_as_cfl_halves(self):
         # halving the cfl raises the effective viscosity of a
-        # first-order scheme, so the error grows; the report records
-        # the sequence and flags the non-monotonicity
-        from thinfilm.numerics import cfl_sensitivity_report
-
+        # first-order scheme, so the error grows
         fan = solve(EX_JS)
-        grid = Grid(-2.0, 8.0, 500)
-        rep = cfl_sensitivity_report(
-            field_from_riemann(EX_JS, grid),
-            SchemeConfig(t_end=1.0),
-            P_FILM,
-            lambda f: l1_error(f, fan),
-        )
-        assert len(rep["errors"]) == 3
-        assert rep["errors"][0] < rep["errors"][1] < rep["errors"][2]
-        assert not rep["monotone_within_tolerance"]
+        f0 = field_from_riemann(EX_JS, Grid(-2.0, 8.0, 500))
+        errs = [
+            l1_error(run(f0, SchemeConfig(cfl=cfl, t_end=1.0), P_FILM)[0], fan)
+            for cfl in (0.9, 0.45, 0.225)
+        ]
+        assert errs[0] < errs[1] < errs[2]
 
     def test_region_wise_orders(self):
         # shock window order >= 0.7, smooth fan interior >= 0.9
@@ -605,7 +628,7 @@ class TestDeltaDiagnostics:
             f0,
             SchemeConfig(scheme="llf", t_end=0.1),
             p,
-            delta=((-0.1, 0.5), (left, right)),
+            delta_window=(-0.1, 0.5),
         )
         series = diag["delta_mass"]
         assert len(series) > 10
@@ -643,6 +666,14 @@ class TestInvariantTransport:
         # upwinding on the radial flux preserves rays exactly, so the
         # w2 transport residual sits at rounding level on both grids
         assert res[0][1] < 1e-12 and res[1][1] < 1e-12
+
+    def test_window_without_interior_cells(self):
+        # the window holds cell 0 only, which has no left neighbour
+        grid = Grid(-1.0, 1.0, 64)
+        hist = [FVField(grid, np.full(64, 1.2), np.full(64, 0.7), t) for t in (0.0, 0.01, 0.02)]
+        with pytest.raises(ValueError) as exc:
+            invariant_transport_residual(hist, Params(0.5, 1.0), (-1.0, -0.98))
+        assert str(exc.value) == "window contains no interior smooth cells"
 
     def test_requires_three_snapshots(self):
         grid = Grid(-1.0, 1.0, 16)

@@ -230,6 +230,15 @@ class TestDeltaShock:
         with pytest.raises(NotADeltaError):
             delta_shock(RiemannData(State(2.0, 0.0), State(0.0, 1.0), Params(1.0, 0.0)))
 
+    @pytest.mark.parametrize("left, right, message", [
+        (State(2.0, 2.0), State(1.0, 1.0), "delta shock requires a vanishing right thickness"),
+        (State(0.0, 2.0), State(0.0, 1.0), "delta shock requires an interior left state"),
+    ], ids=["right-interior", "left-vanishing"])
+    def test_wrong_case_rejected(self, left, right, message):
+        with pytest.raises(WrongCaseError) as exc:
+            delta_shock(RiemannData(left, right, P))
+        assert str(exc.value) == message
+
 
 class TestSolve:
     def test_example_jr_structure(self):
@@ -395,6 +404,16 @@ class TestArrayProfile:
 
 
 class TestWeakResidual:
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 0.5, 1.0, 0.5), "test function must be supported in t > 0"),
+        ((0.0, 1.0, 0.0, 0.5), "radii must be positive"),
+        ((0.0, 1.0, 1.0, -0.5), "radii must be positive"),
+    ], ids=["touches-t0", "x-radius-zero", "t-radius-negative"])
+    def test_bump_rejects_bad_support(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            BumpTestFunction(*args)
+        assert str(exc.value) == message
+
     def test_constant_solution(self):
         d = RiemannData(State(1.0, 1.0), State(1.0, 1.0), P)
         fan = solve(d)
