@@ -204,7 +204,10 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
     Used by the ``entropy-check`` CLI command.  When alpha = 0 the
     first quadratic form degenerates and the verdict is reported as
     ``inconclusive`` instead of ``convex``, and so it is when a form
-    overflows to a non-finite value.  For alpha > 0 the r1 verdict is the
+    overflows to a non-finite value or when Psi' or Psi'' falls below the
+    smallest normal float somewhere on the grid (at alpha ~ 1e100 they
+    underflow, and the forms that carry them read 0 or rounding noise
+    where they are positive in exact arithmetic).  For alpha > 0 the r1 verdict is the
     sign of the form over 9*alpha^2, a factor that underflows to 0 for
     alpha below about 1e-162, with a Theta ODE residual that lies within
     its rounding bound (:data:`_ODE_ROUNDING` times eps times the size of
@@ -239,8 +242,13 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
                 + np.abs(pair.theta(pval))
             )
             r1 = np.where(np.abs(ode) <= bound, 0.0, ode) + psi_term
+            tiny = np.finfo(float).tiny
+            underflow = not (
+                (np.abs(pair.psi_prime(w1)) >= tiny).all()
+                and (np.abs(pair.psi_pprime(w1)) >= tiny).all()
+            )
         member = in_sufficient_family(pair)
-        if params.alpha == 0.0 or not finite:
+        if params.alpha == 0.0 or not finite or underflow:
             verdict = "inconclusive"
         elif r1.min() > 0.0 and min2 > 0.0:
             verdict = "convex"

@@ -25,11 +25,17 @@ the finiteness and positivity check each treat both components in one
 ufunc call, and it writes every intermediate into work buffers
 allocated once per run and sliced to the window.  This too changes no
 bit: every ufunc applies the same IEEE operation to the same operands
-in the same order as the array expression it replaces (``kappa*h*h``,
-computed once, then enters ``lambda2`` and ``phi`` exactly as it did in
-each), no matter which buffer receives the result, and a row-wise
-``np.add.reduce`` of the two rows is the same pairwise sum as
-``np.sum`` of each.
+in the same order as the array expression it replaces, no matter which
+buffer receives the result.  lambda2 and phi are the two rows of one
+buffer, indexed like the field, and one ``(2, m)`` pass computes
+``(3*alpha)*h*b`` and ``alpha*h*b`` in both; ``kappa*h*h`` is then added
+to the first and ``kappa*h*h/3`` to the second.  At kappa = 0 those
+terms are never computed: on a finite cell they equal ``0.0*kappa``,
++0.0 or -0.0 as kappa is, and that signed zero is added instead (adding
+it still turns a -0.0 into +0.0 at kappa = +0.0, as the full expression
+does).  phi always takes it; lambda2 takes it only under LLF, whose
+interface speeds carry the sign of a zero into the fluxes, while
+upwinding reads lambda2 only through its maximum.
 
 Inside the window, a run of cells at its left edge often keeps its bits
 for many steps: their flux differences are so small that ``u - c*d``
@@ -54,13 +60,26 @@ of the window.  A certification that settles nothing defers the next
 one by 16 steps, doubled for each such certification in a row up to
 256, so that a run where nothing settles pays for few.
 
-The kernel sums both rows with one ``np.add.reduce`` when it is built
-and after each update: these are the masses of :func:`run`.  A +inf
-cell passes the min reduction of the check but makes its row's sum
-+inf, so a step's cells are tested one by one only when that reduction
-or a sum is not finite.  The first step checks every cell.  The boundary
-fluxes are kept, and recomputed only after a step that computed cell 0
-or cell n - 1.
+The masses of :func:`run` are the row sums of ``np.add.reduce``, which
+sums pairwise: a run of more than 128 values is split at half its
+length rounded down to a multiple of 8, and each part is summed the same
+way.  The kernel keeps the sums of the four quarters that two levels of
+that split give (a part of at most 128 cells is a quarter of its own,
+beside an empty one) and after each update sums again only the quarters
+that meet the computed cells.  ``(q0 + q1) + (q2 + q3)`` is then the
+whole-row reduction bit for bit: it adds the quarters' pairwise sums in
+numpy's order, and as every reduction starts from +0.0, a zero total is
++0.0 either way.  A +inf cell passes the min reduction of the check but makes its
+row's sum +inf, so a step's cells are tested one by one only when that
+reduction or a sum is not finite.  The first step checks every cell.
+The boundary fluxes are kept, and recomputed only after a step that
+computed cell 0 or cell n - 1.
+
+:func:`run` and :func:`step` ignore floating-point overflow for their
+whole length, under one ``np.errstate``: an overflowing speed, flux or
+cell fails the step's own checks as a :class:`SchemeFailureError`,
+without a numpy warning before it, and a finite field whose mass
+overflows still runs.
 
 Delta shocks are run with the diffusive
 flux on fine meshes and measured through the windowed-mass diagnostic.
@@ -141,9 +160,9 @@ class FVField:
 class SchemeConfig:
     """Scheme selection and run control.
 
-    cfl defaults to 0.45; outflow (zero-gradient) boundaries are the
-    only supported kind since all example runs are Riemann-type with
-    waves leaving the domain.
+    cfl defaults to 0.45 and t_end must be finite and positive; outflow
+    (zero-gradient) boundaries are the only supported kind since all
+    example runs are Riemann-type with waves leaving the domain.
     """
 
     scheme: str = "godunov"
@@ -155,6 +174,8 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
 
 
 def godunov_flux(uL: State, uR: State, p: Params) -> np.ndarray:
@@ -180,6 +201,17 @@ def llf_flux(uL: State, uR: State, p: Params) -> np.ndarray:
 # steps a settled block lives; steps from a certification that settles
 # nothing to the next, doubled for each such certification in a row
 _SETTLED_STEPS, _RETRY_FIRST, _RETRY_MAX = 64, 16, 256
+
+
+def _split(m: int) -> int:
+    """Length of the first part where numpy's pairwise sum splits m values.
+
+    numpy sums up to 128 values in one block and splits longer runs at
+    ``m//2`` rounded down to a multiple of 8.  A block is returned whole.
+    """
+    if m <= 128:
+        return m
+    return m // 2 - (m // 2) % 8
 
 
 @dataclass(frozen=True)
@@ -209,7 +241,8 @@ class _Kernel:
     the maximum wave speed over it is the maximum over the field.  While
     ``settled`` holds a block at the window's left edge, a step computes
     only the cells from the block's last one to hi.  ``mass`` holds the
-    row sums of the field.  The work buffers are allocated here once and
+    row sums of the field, and ``quarters`` the sums of its cells between
+    consecutive ``cuts``.  The work buffers are allocated here once and
     sliced to the range.
     """
 
@@ -222,18 +255,27 @@ class _Kernel:
         self.U[:, 0], self.U[:, -1] = self.U[:, 1], self.U[:, -2]
         self.hv, self.bv = self.H.view(np.int64), self.B.view(np.int64)
         self.field = FVField(f.grid, self.H[1:-1], self.B[1:-1], f.t)
-        # kappa*h*h, lambda2 and lambda1 = phi per cell; cell fluxes;
-        # interface fluxes (LLF) and certification trials; interface differences
-        self.kh2, self.lam2, self.lam1 = np.empty((3, n + 2))
+        # lambda2 and lambda1 = phi per cell, at U's columns; kappa*h*h
+        # and the LLF speeds; cell fluxes; interface fluxes (LLF) and
+        # certification trials; interface differences
+        self.lam = np.empty((2, n + 2))
+        self.work = np.empty(n + 2)
         self.flux = np.empty((2, n + 2))
         self.iflux = np.empty((2, n + 1))
         self.diff = np.empty((2, n + 1))
+        self.coef = np.array([[3.0 * p.alpha], [p.alpha]])
+        # kappa*h*h on every finite cell when kappa is a zero of either sign
+        self.zero = 0.0 * p.kappa
         d = np.flatnonzero(
             (self.hv[1:n] != self.hv[2 : n + 1]) | (self.bv[1:n] != self.bv[2 : n + 1])
         )
         self.win = (int(d[0]), int(d[-1]) + 1) if d.size else (0, 0)
         self.boundary = self._boundary()
-        self.mass = self._sum()
+        half = _split(n)
+        self.cuts = (0, _split(half), half, half + _split(n - half), n)
+        # an empty quarter keeps the 0.0 that np.add.reduce gives it
+        self.quarters = [[0.0, 0.0]] * 4
+        self.mass = self._sum(0, n - 1)
         self.settled: _Settled | None = None
         self.steps = self.next_certify = 0
         # dt/dx of the last step, 0 before the first
@@ -266,9 +308,18 @@ class _Kernel:
         phi0, phin = phi((h0, b0), self.p), phi((hn, bn), self.p)
         return (h0 * phi0, hn * phin), (b0 * phi0, bn * phin)
 
-    def _sum(self) -> list[float]:
-        """Both row sums of the field, in the bits of ``np.add.reduce``."""
-        return np.add.reduce(self.U[:, 1:-1], axis=1).tolist()
+    def _sum(self, i0: int, i1: int) -> list[float]:
+        """Both row sums of the field after cells i0 .. i1 changed, in the bits of ``np.add.reduce``.
+
+        Only the quarters that meet [i0, i1] are summed again.
+        """
+        q = self.quarters
+        for k in range(4):
+            lo, hi = self.cuts[k], self.cuts[k + 1]
+            if lo <= i1 and i0 < hi:
+                q[k] = np.add.reduce(self.U[:, lo + 1 : hi + 1], axis=1).tolist()
+        (h0, b0), (h1, b1), (h2, b2), (h3, b3) = q
+        return [(h0 + h1) + (h2 + h3), (b0 + b1) + (b2 + b3)]
 
     def _check(self, i0: int, i1: int, what: str, t: float, positivity: bool) -> None:
         """Raise at the first non-finite (or, with ``positivity``, negative) cell in [i0, i1].
@@ -297,22 +348,31 @@ class _Kernel:
         h, b = u[:, k]
         raise SchemeFailureError(f"{msg}: cell {i0 + k} at x={x} has h={h}, b={b}")
 
-    def _speeds(self, s: int, i1: int) -> float:
-        """Largest lambda2 of cells s - 1 .. i1 + 1, leaving it and kappa*h*h in the buffers."""
-        p, m = self.p, i1 - s + 1
-        hs, bs = self.U[:, s : i1 + 3]
-        kh2, lam2 = self.kh2[: m + 2], self.lam2[: m + 2]
-        with np.errstate(over="ignore"):
-            # lambda2 as core.eigenvalues orders it, with kappa*h*h kept for
-            # phi; 3*phi is equal in exact arithmetic but not in bits (they
-            # differ in about half of random draws), so dt and the LLF
-            # speeds keep this form
-            np.multiply(p.kappa, hs, out=kh2)
-            kh2 *= hs
-            np.multiply(3.0 * p.alpha, hs, out=lam2)
-            lam2 *= bs
-            lam2 += kh2
-        return float(np.maximum.reduce(lam2))
+    def _speeds(self, j0: int, j1: int) -> float:
+        """lambda2 and phi of the cells at columns j0 .. j1 - 1 into ``lam``; returns the largest lambda2.
+
+        Both rows take the operations of ``core.eigenvalues`` in its order:
+        ``((3*alpha)*h)*b + kappa*h*h`` and ``(alpha*h)*b + kappa*h*h/3``.
+        3*phi is equal to lambda2 in exact arithmetic but not in bits (they
+        differ in about half of random draws), so dt and the LLF speeds
+        keep this form.  At kappa = 0 the kappa terms are the signed zero
+        ``zero``; upwinding reads lambda2 only through its maximum, where
+        the sign of a zero does not count, so only LLF adds it there.
+        """
+        h, b = self.U[:, j0:j1]
+        lam = np.multiply(self.coef, h, out=self.lam[:, j0:j1])
+        lam *= b
+        if self.p.kappa:
+            kh2 = np.multiply(self.p.kappa, h, out=self.work[j0:j1])
+            kh2 *= h
+            lam[0] += kh2
+            kh2 /= 3.0
+            lam[1] += kh2
+        elif self.cfg.scheme == "llf":
+            lam += self.zero
+        else:
+            lam[1] += self.zero
+        return float(np.maximum.reduce(lam[0]))
 
     def _start(self, i0: int, i1: int) -> int:
         """First cell the step computes: the settled block's last cell, or i0 without one."""
@@ -343,9 +403,8 @@ class _Kernel:
         self.certifications += 1
         length = d.shape[1]
         u = self.U[:, i0 + 1 : i0 + 1 + length]
-        with np.errstate(over="ignore"):
-            trial = np.multiply(d, c_hi, out=self.iflux[:, :length])
-            np.subtract(u, trial, out=trial)
+        trial = np.multiply(d, c_hi, out=self.iflux[:, :length])
+        np.subtract(u, trial, out=trial)
         eq = trial.view(np.int64) == u.view(np.int64)
         same = eq[0] & eq[1]
         run = int(same.argmin())
@@ -360,7 +419,7 @@ class _Kernel:
             self.retry = min(2 * self.retry, _RETRY_MAX)
             return
         self.retry = _RETRY_FIRST
-        lam_max = float(np.maximum.reduce(self.lam2[: run + 1]))
+        lam_max = float(np.maximum.reduce(self.lam[0, i0 : i0 + run + 1]))
         self.settled = _Settled(i0, i0 + run, c_hi, lam_max, self.steps + _SETTLED_STEPS)
 
     def advance(self) -> tuple[tuple[float, float], ...] | None:
@@ -370,14 +429,14 @@ class _Kernel:
         the step, as ``((h0, h_last), (b0, b_last))``.  The first step
         checks every cell; later ones check the cells they computed.
         """
-        cfg, p, n, f, U = self.cfg, self.p, self.n, self.field, self.U
+        cfg, n, f, U = self.cfg, self.n, self.field, self.U
         i0, i1 = self.win
         t, dx = f.t, f.grid.dx
         first = self.steps == 0
         if first:
             self._check(0, n - 1, "field", t, positivity=False)
         s = self._start(i0, i1)
-        lam_max = self._speeds(s, i1)
+        lam_max = self._speeds(s, i1 + 3)
         if s > i0:
             # a NaN from the computed cells stays first, so max keeps it
             lam_max = max(lam_max, self.settled.lam_max)
@@ -397,25 +456,21 @@ class _Kernel:
         c = dt / dx
         if s > i0 and c > self.settled.c_hi:
             self._drop("speed")
+            # the cells left of s that a full step also needs
+            self._speeds(i0, s)
             s = i0
-            self._speeds(s, i1)
 
         m = i1 - s + 1
         us = U[:, s : i1 + 3]
-        hs, bs = us
-        kh2, lam2, lam1 = self.kh2[: m + 2], self.lam2[: m + 2], self.lam1[: m + 2]
-        # core.phi, then the cell fluxes of both components at once
-        np.multiply(p.alpha, hs, out=lam1)
-        lam1 *= bs
-        kh2 /= 3.0
-        lam1 += kh2
+        lam2, lam1 = self.lam[:, s : i1 + 3]
+        # the cell fluxes of both components at once
         fl = np.multiply(us, lam1, out=self.flux[:, : m + 2])
         diff = self.diff[:, :m]
         if cfg.scheme == "godunov":
             # upwind: all characteristic speeds are >= 0 on the quadrant
             np.subtract(fl[:, 1:-1], fl[:, :-2], out=diff)
         else:
-            s_half = np.maximum(lam2[:-1], lam2[1:], out=kh2[:-1])
+            s_half = np.maximum(lam2[:-1], lam2[1:], out=self.work[: m + 1])
             s_half *= 0.5
             F = np.add(fl[:, :-1], fl[:, 1:], out=self.iflux[:, : m + 1])
             F *= 0.5
@@ -434,7 +489,7 @@ class _Kernel:
             last = self.hv[s + 1], self.bv[s + 1]
         diff *= c
         U[:, s + 1 : i1 + 2] -= diff
-        self.mass = self._sum()
+        self.mass = self._sum(s, i1)
         self._check(0 if first else s, n - 1 if first else i1, "update", t, positivity=True)
         if s > i0 and (self.hv[s + 1], self.bv[s + 1]) != last:
             self._drop("overlap")
@@ -461,8 +516,9 @@ def step(f: FVField, cfg: SchemeConfig, p: Params) -> FVField:
     NaNs or on loss of positivity beyond rounding noise, naming the
     first offending cell.
     """
-    k = _Kernel(f, cfg, p)
-    k.advance()
+    with np.errstate(over="ignore"):
+        k = _Kernel(f, cfg, p)
+        k.advance()
     return k.field
 
 
@@ -504,39 +560,41 @@ def run(
     ``settled_cell_steps`` (cells skipped as settled) and
     ``settled_drops`` by reason.  A failing step raises as :func:`step` does.
     """
-    k = _Kernel(initial, cfg, p)
-    f = k.field
-    if delta_window is not None:
-        background = (State(initial.h[0], initial.b[0]), State(initial.h[-1], initial.b[-1]))
-    dx = f.grid.dx
-    masses_h, masses_b = [k.mass[0] * dx], [k.mass[1] * dx]
-    cons_res = 0.0
-    delta_series: list[tuple[float, float]] = []
-    snapshots: list[FVField] = []
-    want = sorted(record_times) if record_times else []
-    wi = 0
-
-    n_steps = 0
-    while f.t < cfg.t_end - 1e-14:
-        t_prev = f.t
-        boundary = k.advance()
-        mass_h, mass_b = k.mass[0] * dx, k.mass[1] * dx
-        if boundary is not None:
-            # the realised step, as the field's times record it
-            dt = f.t - t_prev
-            for mass_prev, mass_new, (F0, Fn) in zip(
-                (masses_h[-1], masses_b[-1]), (mass_h, mass_b), boundary
-            ):
-                res = mass_new - mass_prev + dt * (Fn - F0)
-                cons_res = max(cons_res, abs(res))
-        masses_h.append(mass_h)
-        masses_b.append(mass_b)
+    with np.errstate(over="ignore"):
+        k = _Kernel(initial, cfg, p)
+        f = k.field
         if delta_window is not None:
-            delta_series.append((f.t, delta_mass(f, delta_window, background)))
-        while wi < len(want) and f.t >= want[wi] - 1e-12:
-            snapshots.append(f.copy())
-            wi += 1
-        n_steps += 1
+            background = (State(initial.h[0], initial.b[0]), State(initial.h[-1], initial.b[-1]))
+        dx = f.grid.dx
+        masses_h, masses_b = [k.mass[0] * dx], [k.mass[1] * dx]
+        cons_res = 0.0
+        delta_series: list[tuple[float, float]] = []
+        snapshots: list[FVField] = []
+        want = sorted(record_times) if record_times else []
+        wi = 0
+
+        n_steps = 0
+        while f.t < cfg.t_end - 1e-14:
+            t_prev = f.t
+            boundary = k.advance()
+            mass_h, mass_b = k.mass[0] * dx, k.mass[1] * dx
+            if boundary is not None:
+                # the realised step, as the field's times record it
+                dt = f.t - t_prev
+                (h0, hn), (b0, bn) = boundary
+                cons_res = max(
+                    cons_res,
+                    abs(mass_h - masses_h[-1] + dt * (hn - h0)),
+                    abs(mass_b - masses_b[-1] + dt * (bn - b0)),
+                )
+            masses_h.append(mass_h)
+            masses_b.append(mass_b)
+            if delta_window is not None:
+                delta_series.append((f.t, delta_mass(f, delta_window, background)))
+            while wi < len(want) and f.t >= want[wi] - 1e-12:
+                snapshots.append(f.copy())
+                wi += 1
+            n_steps += 1
 
     diagnostics = {
         "n_steps": n_steps,

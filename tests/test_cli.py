@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -286,6 +287,34 @@ class TestSchemeCommands:
         assert run_cli(["godunov", "--config", str(cfg), "--out", str(out)]) == 2
         where = f"config {section}" if section else "config"
         assert capsys.readouterr().err == f"error: {where} is missing '{key}'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    @pytest.mark.parametrize("initial", [
+        {"left": [1.5, 1.6], "right": [1.25, 1.15]},
+        {"left": [1.5, 1.6], "middle": [0.95, 1.62], "right": [1.25, 1.15], "epsilon": 0.1},
+    ], ids=["two-state", "perturbed"])
+    @pytest.mark.parametrize("t_end", [0.0, -1, math.nan], ids=["zero", "negative", "nan"])
+    def test_bad_t_end_exit_2(self, tmp_path, capsys, scheme, initial, t_end):
+        # a two-state run used to write field.csv and then fail on the exact
+        # profile's time; a perturbed run exited 0 after 0 steps, writing
+        # "t_end": NaN, which is not JSON
+        cfg = self._config(tmp_path, {"t_end": t_end, "initial": initial})
+        out = tmp_path / "x.csv"
+        assert run_cli([scheme, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: t_end must be finite and positive, got {t_end}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_infinite_t_end_exit_2(self, tmp_path, src_env):
+        # used to run forever; a child process, so that it cannot hang the suite
+        cfg = self._config(tmp_path, {"t_end": math.inf})
+        out = tmp_path / "x.csv"
+        res = subprocess.run(
+            [sys.executable, "-m", "thinfilm.cli", "godunov", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert res.returncode == 2
+        assert res.stderr == "error: t_end must be finite and positive, got inf\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["godunov", "llf"])
@@ -620,6 +649,32 @@ class TestEntropyCheckCommand:
         assert "Traceback" not in capsys.readouterr().err
         doc = json.loads(out.read_text())
         assert all(e["verdict"] == "inconclusive" for e in doc["pairs"])
+
+    @pytest.mark.parametrize("kappa", ["0", "1"])
+    def test_underflowing_psi_inconclusive(self, tmp_path, kappa):
+        # at w1 ~ 1e100 Psi' and Psi'' of the w1^-2 and w1^-3 pairs are
+        # subnormal or 0, so the forms read 0 or noise: four pairs used to
+        # read "fails" with exit 5
+        out = tmp_path / "entropy.json"
+        code = run_cli(["entropy-check", "--alpha", "1e100", "--kappa", kappa, "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert all(e["verdict"] == "inconclusive" for e in doc["pairs"])
+
+    # the benchmark's entropy-check runs (alpha 0.5, jittered, and 0), digests
+    # recorded before the underflow verdict existed; the report goes through
+    # np.float_power, so they assume a libm pow with glibc's roundings
+    @pytest.mark.parametrize("alpha, kappa, digest", [
+        ("0.5", "1.0", "af49b901006f8d9315fc1db98fafa9a44ebc6a47ed0c1cfa08c1606eb7667d02"),
+        ("0.49975", "1.0006", "9089cbfac5d32ea5dbed6b32efd33921b3215eff42417287b709482995a8adec"),
+        ("0.5004", "0.9993", "b0dfa041f47c2726efe3cc5064e9002e582f0755958e1978892fee893f4aafde"),
+        ("0.0", "1.0", "5cce34f6740824dbc1e4fd7c5a89e03938a0aebb49d5170437ae6b1252790cf9"),
+        ("0.0", "0.9993", "9518e622977091df485804fb5a08b3cc0b69ed0f1b78c6d968a2294c543768ce"),
+    ])
+    def test_benchmark_reports_unchanged(self, tmp_path, alpha, kappa, digest):
+        out = tmp_path / "entropy.json"
+        assert run_cli(["entropy-check", "--alpha", alpha, "--kappa", kappa, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_empty_grid_exit_2(self, tmp_path, capsys):
         # an empty grid used to end in an IndexError traceback

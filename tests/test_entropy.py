@@ -218,6 +218,16 @@ class TestReport:
         assert entry["verdict"] == "fails"
         assert entry["min_form1"] < 0.0 < entry["min_form2"]
 
+    def test_non_convex_pair_fails_at_large_alpha(self, monkeypatch):
+        # at alpha = 1e50 Psi' and Psi'' of Psi = w1^2 stay normal floats, so
+        # the underflow verdict does not hide the negative bracket
+        import thinfilm.entropy
+
+        monkeypatch.setattr(thinfilm.entropy, "pair_catalog", lambda: [power_pair(-2.0, 1.0, 0.0)])
+        [entry] = entropy_report(Params(1e50, 1.0), n_grid=8)["pairs"]
+        assert entry["verdict"] == "fails"
+        assert entry["min_form1"] < 0.0 < entry["min_form2"]
+
     def test_alpha_zero_inconclusive(self):
         rep = entropy_report(Params(0.0, 1.0), n_grid=8)
         assert all(e["verdict"] == "inconclusive" for e in rep["pairs"])

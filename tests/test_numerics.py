@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thinfilm import numerics
 from thinfilm.core import Params, State, eigenvalues, flux
@@ -240,12 +241,13 @@ def bits(values):
 
 class TestSignedZeros:
     @pytest.mark.parametrize("scheme", ["godunov", "llf"])
-    @pytest.mark.parametrize("kappa", [0.0, 0.7])
+    @pytest.mark.parametrize("kappa", [0.0, -0.0, 0.7])
     @pytest.mark.parametrize("rows", ["h", "b", "hb"])
     def test_negative_zero_cells_bit_identical(self, scheme, kappa, rows):
-        # -0.0 in h and/or b at both ends: the kernel must keep each zero's
-        # sign as the full-array reference does (x + 0.0 would turn -0.0 into
-        # +0.0), and some of them are still there at t_end
+        # -0.0 in h and/or b at both ends: the kernel must give each zero the
+        # sign the full-array reference does (its x + kappa*h*h turns -0.0
+        # into +0.0 at kappa = 0.0 but not at -0.0), and some of them are
+        # still there at t_end
         p = Params(0.5, kappa, h_tol=1e-9)
         f0 = piecewise_constant(np.random.RandomState(17), Grid(-1.0, 4.0, 300))
         for row in rows:
@@ -263,6 +265,39 @@ class TestSignedZeros:
         for row in rows:
             negative = np.signbit(f.h if row == "h" else f.b)
             assert negative[:30].any() and negative[-30:].any()
+
+
+# Row lengths around numpy's pairwise-sum block (128) and unroll (8),
+# and the criterion-7 grid; cell values with signed zeros, subnormals and
+# values whose sums overflow
+SUM_SIZES = [1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1000, 24390]
+CELL_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestRowSums:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from(SUM_SIZES), data=st.data())
+    def test_equal_to_full_reduce_after_changed_ranges(self, n, data):
+        # the kernel sums again only the quarters a step changed; its sums
+        # must keep the bits of np.add.reduce over the whole rows
+        def draw_cells(shape):
+            pool = np.array(data.draw(st.lists(CELL_VALUES, min_size=1, max_size=6)))
+            rng = np.random.RandomState(data.draw(st.integers(0, 2**32 - 1)))
+            return pool[rng.randint(pool.size, size=shape)]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            h, b = draw_cells((2, n))
+            k = numerics._Kernel(FVField(Grid(0.0, 1.0, n), h, b, 0.0), SchemeConfig(), P_FILM)
+            np.testing.assert_array_equal(bits(k.mass), bits(np.add.reduce(k.U[:, 1:-1], axis=1)))
+            for _ in range(data.draw(st.integers(1, 4))):
+                i0 = data.draw(st.integers(0, n - 1))
+                i1 = data.draw(st.integers(i0, n - 1))
+                k.U[:, i0 + 1 : i1 + 2] = draw_cells((2, i1 - i0 + 1))
+                got, want = k._sum(i0, i1), np.add.reduce(k.U[:, 1:-1], axis=1)
+                np.testing.assert_array_equal(bits(got), bits(want))
 
 
 # Data whose window holds a settled run at its left edge: perturbed J+S
@@ -386,12 +421,12 @@ class TestFailurePaths:
             times.append(k.field.t)
             return advance(k)
 
-        def inf_then_sum(k):
+        def inf_then_sum(k, i0, i1):
             # the third step's last computed cell, planted after its update
             if len(times) == 3 and not cells:
                 cells.append(k.win[1])
                 k.field.h[cells[0]] = math.inf
-            return total(k)
+            return total(k, i0, i1)
 
         monkeypatch.setattr(numerics._Kernel, "advance", timed_advance)
         monkeypatch.setattr(numerics._Kernel, "_sum", inf_then_sum)
@@ -449,7 +484,12 @@ class TestSetup:
         (lambda: SchemeConfig(scheme="weno"), "unknown scheme 'weno'"),
         (lambda: SchemeConfig(cfl=0.0), "cfl must lie in (0, 1]"),
         (lambda: SchemeConfig(cfl=1.5), "cfl must lie in (0, 1]"),
-    ], ids=["no-cells", "empty-range", "scheme", "cfl-zero", "cfl-above-one"])
+        (lambda: SchemeConfig(t_end=0.0), "t_end must be finite and positive, got 0.0"),
+        (lambda: SchemeConfig(t_end=-1.0), "t_end must be finite and positive, got -1.0"),
+        (lambda: SchemeConfig(t_end=math.nan), "t_end must be finite and positive, got nan"),
+        (lambda: SchemeConfig(t_end=math.inf), "t_end must be finite and positive, got inf"),
+    ], ids=["no-cells", "empty-range", "scheme", "cfl-zero", "cfl-above-one",
+            "t_end-zero", "t_end-negative", "t_end-nan", "t_end-inf"])
     def test_rejected(self, make, message):
         with pytest.raises(ValueError) as exc:
             make()
@@ -512,7 +552,8 @@ class TestRuns:
     def test_zero_length_run(self):
         grid = Grid(-1.0, 1.0, 32)
         f0 = field_from_riemann(EX_JR, grid)
-        f, diag = run(f0, SchemeConfig(t_end=0.0), P_FILM)
+        f0.t = 0.5
+        f, diag = run(f0, SchemeConfig(t_end=0.5), P_FILM)
         np.testing.assert_array_equal(f.h, f0.h)
         assert diag["n_steps"] == 0
 
