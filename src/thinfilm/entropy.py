@@ -207,12 +207,13 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
     overflows to a non-finite value or when Psi' or Psi'' falls below the
     smallest normal float somewhere on the grid (at alpha ~ 1e100 they
     underflow, and the forms that carry them read 0 or rounding noise
-    where they are positive in exact arithmetic).  For alpha > 0 the r1 verdict is the
-    sign of the form over 9*alpha^2, a factor that underflows to 0 for
-    alpha below about 1e-162, with a Theta ODE residual that lies within
-    its rounding bound (:data:`_ODE_ROUNDING` times eps times the size of
-    its terms) taken as the 0 it is in exact arithmetic: for large alpha
-    that rounding outweighs the -2*w1*Psi' term.
+    where they are positive in exact arithmetic).  For alpha > 0 the r1
+    verdict is the sign of the form over 9*alpha^2, a factor that
+    underflows to 0 for alpha below about 1e-162, with a Theta ODE
+    residual that lies within its rounding bound (:data:`_ODE_ROUNDING`
+    times eps times the size of its terms) taken as the 0 it is in exact
+    arithmetic: for large alpha that rounding outweighs the -2*w1*Psi'
+    term.
     """
     if n_grid < 1:
         raise InvalidDataError(f"n_grid must be at least 1, got {n_grid}")
