@@ -181,8 +181,13 @@ def cmd_fv(args) -> int:
         cfl=_number(cfg_doc.get("cfl", 0.45), "cfl"),
         t_end=_number(_key(cfg_doc, "t_end"), "t_end"),
     )
-    dw = cfg_doc.get("delta_window")
-    final, diag = numerics.run(field, cfg, p, delta_window=_pair(dw, "delta_window") if dw else None)
+    window = cfg_doc.get("delta_window")
+    if window is not None:
+        lo, hi = _pair(window, "delta_window")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise InvalidDataError(f"config delta_window must be finite, lower bound first, got {window!r}")
+        window = lo, hi
+    final, diag = numerics.run(field, cfg, p, delta_window=window)
     _write_csv(args.out, ["x", "h", "b", "w1", "w2"], _profile_rows(final, p))
     doc = {
         "scheme": scheme,

@@ -781,6 +781,8 @@ def run_timeline(
     """
     if n_fan < 1:
         raise InvalidDataError(f"n_fan must be at least 1, got {n_fan}")
+    if budget < 0:
+        raise InvalidDataError(f"budget must not be negative, got {budget}")
     p = d.params
     tol = p.h_tol
 

@@ -55,10 +55,9 @@ step taken, when ``c > c_hi``, when the window's left edge moves or its
 right edge cuts into the run, or after 64 steps, so that it can grow.
 c_hi is ``c + 64*dc``, where dc is how much c changed over the step
 before (c itself on the first step): the run lives while c keeps
-changing no faster than it did.  The run must hold at least an eighth
-of the window.  A certification that settles nothing defers the next
-one by 16 steps, doubled for each such certification in a row up to
-256, so that a run where nothing settles pays for few.
+changing no faster than it did.  Every full step certifies, and a run
+of two or more cells settles: with one cell, the next step would start
+at the window's left edge all the same.
 
 The masses of :func:`run` are the row sums of ``np.add.reduce``, which
 sums pairwise: a run of more than 128 values is split at half its
@@ -198,9 +197,8 @@ def llf_flux(uL: State, uR: State, p: Params) -> np.ndarray:
     )
 
 
-# steps a settled block lives; steps from a certification that settles
-# nothing to the next, doubled for each such certification in a row
-_SETTLED_STEPS, _RETRY_FIRST, _RETRY_MAX = 64, 16, 256
+# steps a settled block lives
+_SETTLED_STEPS = 64
 
 
 def _split(m: int) -> int:
@@ -277,12 +275,11 @@ class _Kernel:
         self.quarters = [[0.0, 0.0]] * 4
         self.mass = self._sum(0, n - 1)
         self.settled: _Settled | None = None
-        self.steps = self.next_certify = 0
+        self.steps = 0
         # dt/dx of the last step, 0 before the first
         self.c = 0.0
-        self.retry = _RETRY_FIRST
         self.cell_updates = self.max_active = 0
-        self.full_steps = self.certifications = self.settled_cell_steps = 0
+        self.full_steps = self.settled_cell_steps = 0
         self.drops = {"speed": 0, "overlap": 0, "edge": 0, "age": 0}
 
     def _window(self, i: int, j: int) -> tuple[int, int]:
@@ -398,9 +395,8 @@ class _Kernel:
         ``d`` holds the window's flux differences before the ``dt/dx``
         scaling.  A cell is certified when ``u - c_hi*d == u`` in bits on
         both rows; the block is the run of certified cells from i0, kept
-        if it holds at least an eighth of the window.
+        if it holds at least two cells.
         """
-        self.certifications += 1
         length = d.shape[1]
         u = self.U[:, i0 + 1 : i0 + 1 + length]
         trial = np.multiply(d, c_hi, out=self.iflux[:, :length])
@@ -410,15 +406,8 @@ class _Kernel:
         run = int(same.argmin())
         if same[run]:
             run = length
-        # on small windows, runs shorter than an eighth of the window die
-        # within a few steps, having saved less than their certification cost
-        if run < max(2, length // 8):
-            # nothing settles: the next attempt waits, so that a run where
-            # nothing settles pays for few
-            self.next_certify = self.steps + self.retry
-            self.retry = min(2 * self.retry, _RETRY_MAX)
+        if run < 2:
             return
-        self.retry = _RETRY_FIRST
         lam_max = float(np.maximum.reduce(self.lam[0, i0 : i0 + run + 1]))
         self.settled = _Settled(i0, i0 + run, c_hi, lam_max, self.steps + _SETTLED_STEPS)
 
@@ -480,9 +469,8 @@ class _Kernel:
             np.subtract(F[:, 1:], F[:, :-1], out=diff)
         if s == i0:
             self.full_steps += 1
-            if self.steps >= self.next_certify:
-                # dt/dx may keep changing at its last rate for the block's lifetime
-                self._certify(diff, c + _SETTLED_STEPS * abs(c - self.c), i0)
+            # dt/dx may keep changing at its last rate for the block's lifetime
+            self._certify(diff, c + _SETTLED_STEPS * abs(c - self.c), i0)
         else:
             self.settled_cell_steps += s - i0
             # the block's last cell: under LLF its right neighbour may move
@@ -556,8 +544,8 @@ def run(
     must be quadrant states) as the background, and snapshots at
     ``record_times``.  The
     kernel's work counts: ``cell_updates`` (cells computed),
-    ``full_steps`` (steps over the whole window), ``certifications``,
-    ``settled_cell_steps`` (cells skipped as settled) and
+    ``full_steps`` (steps over the whole window, each of which
+    certifies), ``settled_cell_steps`` (cells skipped as settled) and
     ``settled_drops`` by reason.  A failing step raises as :func:`step` does.
     """
     with np.errstate(over="ignore"):
@@ -604,7 +592,6 @@ def run(
         "cell_updates": k.cell_updates,
         "max_active_cells": k.max_active,
         "full_steps": k.full_steps,
-        "certifications": k.certifications,
         "settled_cell_steps": k.settled_cell_steps,
         "settled_drops": dict(k.drops),
         "delta_mass": delta_series,

@@ -329,6 +329,25 @@ class TestSchemeCommands:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    @pytest.mark.parametrize("window, message", [
+        ([], "a list of two"), (0, "a list of two"), (False, "a list of two"),
+        ("", "a list of two"), (5, "a list of two"), ([0.0, "1"], "a number"),
+        ([0.5, 0.1], "finite, lower bound first"), ([0.5, 0.5], "finite, lower bound first"),
+        ([0.0, math.inf], "finite, lower bound first"), ([math.nan, 1.0], "finite, lower bound first"),
+    ], ids=["empty", "zero", "false", "empty-string", "number", "string-bound", "reversed",
+            "empty-range", "inf", "nan"])
+    def test_malformed_delta_window_exit_2(self, tmp_path, capsys, scheme, window, message):
+        # [], 0, false and "" used to be ignored (exit 0, no delta series),
+        # and a reversed window failed at the first step
+        cfg = self._config(tmp_path, {"delta_window": window})
+        out = tmp_path / "x.csv"
+        assert run_cli([scheme, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config delta_window must be {message}")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_delta_config_records_series(self, tmp_path):
         extras = {"delta_window": [0.0, 1.0], "delta_background": [[1.5, 1.6], [1.25, 1.15]]}
         cfg = self._config(tmp_path, extras)
@@ -439,6 +458,25 @@ class TestInteractCommand:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("kappa, left, middle, right", [
+        ("1", "1.0,1.0", "1.3,1.3", "0.9,0.8"), ("0", "1.5,1.6", "0.95,1.62", "1.25,1.15"),
+    ], ids=["generic", "closed-form"])
+    def test_negative_budget_exit_2(self, tmp_path, capsys, kappa, left, middle, right):
+        # -1 used to exit 4 ("exceeded -1 events") on the generic engine's
+        # JR+JS data and 0 on closed-form JS+JS data
+        out = tmp_path / "tl.json"
+        code = run_cli(
+            [
+                "interact",
+                "--alpha", "0.5", "--kappa", kappa, "--epsilon", "0.1",
+                "--left", left, "--middle", middle, "--right", right,
+                "--budget", "-1", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: budget must not be negative, got -1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--x-min", "nan"), ("--x-max", "inf"),
                                              ("--t-max", "nan")])

@@ -315,6 +315,19 @@ def settling_field(name, p):
     return field_from_perturbed(PerturbedData(0.2, left, middle, right, p), Grid(-1.0, 9.0, 2000))
 
 
+def assert_run_is_reference(f0, cfg, p):
+    """Check that run gives reference_run's bits; returns run's diagnostics."""
+    f, diag = run(f0, cfg, p)
+    g, mh, mb, res, _ = reference_run(f0, cfg, p)
+    np.testing.assert_array_equal(bits(f.h), bits(g.h))
+    np.testing.assert_array_equal(bits(f.b), bits(g.b))
+    assert f.t == g.t
+    np.testing.assert_array_equal(bits(diag["mass_h"]), bits(mh))
+    np.testing.assert_array_equal(bits(diag["mass_b"]), bits(mb))
+    assert diag["max_conservation_residual"] == res
+    return diag
+
+
 class TestSettledPrefix:
     @pytest.mark.parametrize("data", list(SETTLING))
     @pytest.mark.parametrize("scheme", ["godunov", "llf"])
@@ -338,7 +351,6 @@ class TestSettledPrefix:
         # data dt/dx is constant, so only the age expiry lets a block grow
         assert diag["settled_cell_steps"] > diag["n_steps"] * (100 if data == "shock" else 10)
         assert 0 < diag["full_steps"] < diag["n_steps"]
-        assert diag["certifications"] <= diag["full_steps"]
         if data == "perturbed":
             assert diag["settled_drops"]["speed"] > 0
         assert (diag["settled_drops"]["overlap"] > 0) == (scheme == "llf")
@@ -368,17 +380,23 @@ class TestSettledPrefix:
         run(f0, SchemeConfig(scheme=scheme, t_end=2.0), p)
         assert len({blk.lam_max for blk in certified}) > 10
 
-    def test_certification_waits_where_nothing_settles(self):
-        # nothing settles in this fan's window, so certification is tried
-        # after 16 steps, then after twice as many each time, up to 256
-        grid = Grid(-2.0, 8.0, 400)
-        _, diag = run(field_from_riemann(EX_JR, grid), SchemeConfig(t_end=3.0), P_FILM)
-        assert diag["settled_cell_steps"] == 0
-        assert diag["full_steps"] == diag["n_steps"]
-        attempts, at, wait = 0, 0, 16
-        while at < diag["n_steps"]:
-            attempts, at, wait = attempts + 1, at + wait, min(2 * wait, 256)
-        assert diag["certifications"] == attempts
+    def test_fan_window_settles(self):
+        # every full step certifies, so the run of cells at the left edge
+        # of this fan's window settles too
+        f0 = field_from_riemann(EX_JR, Grid(-2.0, 8.0, 400))
+        diag = assert_run_is_reference(f0, SchemeConfig(t_end=3.0), P_FILM)
+        assert diag["settled_cell_steps"] > 0
+        assert diag["full_steps"] < diag["n_steps"]
+
+    @pytest.mark.parametrize("scheme, kappa", [("godunov", 0.0), ("godunov", 0.7), ("llf", 0.0)])
+    def test_block_dropped_when_window_edge_cuts_in(self, scheme, kappa):
+        # the shock leaves the grid, and the window's right edge then
+        # moves into the settled block
+        p = Params(0.5, kappa)
+        left, middle, right = SETTLING["shock"]
+        f0 = field_from_perturbed(PerturbedData(0.2, left, middle, right, p), Grid(-1.0, 2.0, 600))
+        diag = assert_run_is_reference(f0, SchemeConfig(scheme=scheme, t_end=6.0), p)
+        assert diag["settled_drops"]["edge"] > 0
 
 
 # Later-step failures of run, which after its first step checks only the
