@@ -7,8 +7,10 @@ In Riemann-invariant coordinates every entropy has the separated form
 
 and eta is strictly convex on the open quadrant whenever Psi'' > 0,
 Psi' < 0, 2*w1*Psi'' + Psi' > 0 and Theta(p) = A*sqrt(p) + B/sqrt(p)
-with A, B >= 0.  The antiderivative of Psi is normalized to vanish at
-w1 = 1 so entropy-flux values are reproducible.
+with A, B >= 0.  Every pair here is a power pair, Psi = scale*w1^-n:
+its convexity forms and verdicts are closed forms in (n, A, B, scale).
+The antiderivative of Psi is normalized to vanish at w1 = 1 so
+entropy-flux values are reproducible.
 Everything here takes a State or a (2, n) array of states; powers use
 ``np.float_power``, which has the bits of Python's ``**`` on floats and
 arrays alike (numpy's ``**`` on arrays does not).
@@ -39,45 +41,39 @@ __all__ = [
     "entropy_report",
 ]
 
-ArrayFn = Callable[[float | np.ndarray], float | np.ndarray]
-
 
 @dataclass(frozen=True)
 class EntropyPair:
-    """Generator functions of one entropy pair, with derivatives.
+    """The pair Psi(w1) = scale*w1^-n, Theta(p) = A*sqrt(p) + B/sqrt(p).
 
-    Each takes a float or an array.  ``psi_antideriv`` must satisfy
-    psi_antideriv(1) == 0; the free integration constant cancels in jump
-    brackets but has to be pinned for reproducible flux values.
+    Each method takes a float or an array.  ``psi_antideriv`` vanishes
+    at w1 = 1; the free integration constant cancels in jump brackets
+    but has to be pinned for reproducible flux values.
     """
 
-    psi: ArrayFn
-    psi_prime: ArrayFn
-    psi_pprime: ArrayFn
-    psi_antideriv: ArrayFn
-    theta: ArrayFn
-    theta_prime: ArrayFn
-    theta_pprime: ArrayFn
+    n: float
+    A: float
+    B: float
+    scale: float = 1.0
     name: str = ""
+
+    def psi(self, w1):
+        return self.scale * np.float_power(w1, -self.n)
+
+    def psi_antideriv(self, w1):
+        if self.n == 1.0:
+            return self.scale * np.log(w1)
+        return self.scale * (np.float_power(w1, 1.0 - self.n) - 1.0) / (1.0 - self.n)
+
+    def theta(self, p):
+        return self.A * np.sqrt(p) + self.B / np.sqrt(p)
 
 
 def power_pair(n: float, A: float, B: float, scale: float = 1.0) -> EntropyPair:
     """Pair with Psi(w1) = scale*w1^-n and Theta(p) = A*sqrt(p) + B/sqrt(p)."""
-    pw = np.float_power
-    if n == 1.0:
-        anti = lambda w1: scale * np.log(w1)
-    else:
-        anti = lambda w1: scale * (pw(w1, 1.0 - n) - 1.0) / (1.0 - n)
-    return EntropyPair(
-        psi=lambda w1: scale * pw(w1, -n),
-        psi_prime=lambda w1: -n * scale * pw(w1, -n - 1.0),
-        psi_pprime=lambda w1: n * (n + 1.0) * scale * pw(w1, -n - 2.0),
-        psi_antideriv=anti,
-        theta=lambda p: A * np.sqrt(p) + B / np.sqrt(p),
-        theta_prime=lambda p: 0.5 * A / np.sqrt(p) - 0.5 * B * pw(p, -1.5),
-        theta_pprime=lambda p: -0.25 * A * pw(p, -1.5) + 0.75 * B * pw(p, -2.5),
-        name=f"psi=w1^-{n:g}*{scale:g},theta={A:g}*sqrt(p)+{B:g}/sqrt(p)",
-    )
+    # 0.0 - n renders w1^2 for n = -2 and w1^0 for n = 0, not w1^--2 or w1^-0
+    name = f"psi=w1^{0.0 - n:g}*{scale:g},theta={A:g}*sqrt(p)+{B:g}/sqrt(p)"
+    return EntropyPair(n, A, B, scale, name)
 
 
 def canonical_pair() -> EntropyPair:
@@ -151,69 +147,56 @@ def convexity_forms(u, pair: EntropyPair, p: Params) -> tuple:
     differences) to
 
         r1: 9*alpha^2*(4*p^2*Theta'' + 4*p*Theta' - Theta - 2*w1*Psi'),
-        r2: 2*w1*(2*w1*Psi'' + Psi').
+        r2: 2*w1*(2*w1*Psi'' + Psi'),
 
-    Both strictly positive means eta is strictly convex at ``u``.  The
-    r1 form vanishes identically when alpha = 0, which leaves the
-    sufficient criterion silent for the pure-gravity case.
+    and, as Theta annihilates the ODE in the bracket, to
+    9*alpha^2*2*n*scale*w1^-n and 2*n*(2*n + 1)*scale*w1^-n.  Both
+    strictly positive means eta is strictly convex at ``u``.  The r1
+    form vanishes identically when alpha = 0, which leaves the
+    sufficient criterion silent for the pure-gravity case.  alpha is
+    folded into w1^(-n/2) before squaring: 9*alpha^2 alone overflows
+    to inf at alpha = 1e200, where w1^-3 underflows to 0, and their
+    product would read NaN.
     """
-    ode, psi_term, form_r2 = _r1_terms_and_r2_form(*_w1_p(u, p), pair)
-    return 9.0 * np.float_power(p.alpha, 2.0) * (ode + psi_term), form_r2
-
-
-def _r1_terms_and_r2_form(w1, pval, pair: EntropyPair) -> tuple:
-    """The r1 form of :func:`convexity_forms` over 9*alpha^2 as its two terms,
-    the Theta ODE residual and -2*w1*Psi'(w1), then the r2 form."""
-    return (
-        theta_ode_residual(pair, pval),
-        -2.0 * w1 * pair.psi_prime(w1),
-        2.0 * w1 * (2.0 * w1 * pair.psi_pprime(w1) + pair.psi_prime(w1)),
-    )
-
-
-# Each term of the Theta ODE residual carries a power or square root, up to
-# three products and its share of the sum: on the catalog the computed
-# residual stays within 1.1*eps*(4p^2|Theta''| + 4p|Theta'| + |Theta|), and
-# this factor times that scale bounds it.
-_ODE_ROUNDING = 8.0
+    w1, _ = _w1_p(u, p)
+    pw = np.float_power
+    n, s = pair.n, pair.scale
+    form1 = 18.0 * n * s * pw(p.alpha * pw(w1, -0.5 * n), 2.0)
+    return form1, 2.0 * n * (2.0 * n + 1.0) * s * pw(w1, -n)
 
 
 def theta_ode_residual(pair: EntropyPair, pval):
-    """4*p^2*Theta'' + 4*p*Theta' - Theta; zero exactly for A*sqrt(p)+B/sqrt(p)."""
-    return (
-        4.0 * pval * pval * pair.theta_pprime(pval)
-        + 4.0 * pval * pair.theta_prime(pval)
-        - pair.theta(pval)
-    )
+    """4*p^2*Theta'' + 4*p*Theta' - Theta, evaluated term by term; zero in
+    exact arithmetic for every pair, so this checks only the implementation."""
+    A, B, pw = pair.A, pair.B, np.float_power
+    d1 = 0.5 * A / np.sqrt(pval) - 0.5 * B * pw(pval, -1.5)
+    d2 = -0.25 * A * pw(pval, -1.5) + 0.75 * B * pw(pval, -2.5)
+    return 4.0 * pval * pval * d2 + 4.0 * pval * d1 - pair.theta(pval)
+
+
+def _convex(pair: EntropyPair) -> bool:
+    """Psi' < 0 and 2*w1*Psi'' + Psi' > 0: both forms positive where alpha > 0."""
+    n, s = pair.n, pair.scale
+    return n * s > 0.0 and n * (2.0 * n + 1.0) * s > 0.0
 
 
 def in_sufficient_family(pair: EntropyPair) -> bool:
-    """Check the strict-convexity sufficient conditions at 25 log-spaced
-    w1 and p samples on [1e-2, 1e2], the Theta ODE to 1e-12 relative."""
-    s = np.geomspace(1e-2, 1e2, 25)
-    d1, d2, theta = pair.psi_prime(s), pair.psi_pprime(s), pair.theta(s)
-    psi_ok = np.all((d2 > 0.0) & (d1 < 0.0) & (2.0 * s * d2 + d1 > 0.0))
-    ode_off = np.abs(theta_ode_residual(pair, s)) > 1e-12 * np.maximum(1.0, np.abs(theta))
-    return bool(psi_ok and not np.any(ode_off) and not np.any(theta < 0.0))
+    """Psi' < 0, Psi'' > 0, 2*w1*Psi'' + Psi' > 0 and A, B >= 0, read off
+    the coefficients."""
+    n, s = pair.n, pair.scale
+    return _convex(pair) and n * (n + 1.0) * s > 0.0 and pair.A >= 0.0 and pair.B >= 0.0
 
 
 def entropy_report(params: Params, n_grid: int = 50) -> dict:
     """Compatibility and convexity summary of :func:`pair_catalog` over an
     ``n_grid`` x ``n_grid`` log grid of states on [1e-2, 1e2]^2.
 
-    Used by the ``entropy-check`` CLI command.  When alpha = 0 the
-    first quadratic form degenerates and the verdict is reported as
-    ``inconclusive`` instead of ``convex``, and so it is when a form
-    overflows to a non-finite value or when Psi' or Psi'' falls below the
-    smallest normal float somewhere on the grid (at alpha ~ 1e100 they
-    underflow, and the forms that carry them read 0 or rounding noise
-    where they are positive in exact arithmetic).  For alpha > 0 the r1
-    verdict is the sign of the form over 9*alpha^2, a factor that
-    underflows to 0 for alpha below about 1e-162, with a Theta ODE
-    residual that lies within its rounding bound (:data:`_ODE_ROUNDING`
-    times eps times the size of its terms) taken as the 0 it is in exact
-    arithmetic: for large alpha that rounding outweighs the -2*w1*Psi'
-    term.
+    Used by the ``entropy-check`` CLI command.  The verdict is exact:
+    ``inconclusive`` when alpha = 0, where the first form degenerates,
+    else ``convex`` when both forms' coefficients are positive and
+    ``fails`` otherwise.  ``min_form1`` and ``min_form2`` are the
+    floating-point minima over the grid, which may underflow to 0 or
+    overflow to inf at extreme alpha; the verdict never reads them.
     """
     if n_grid < 1:
         raise InvalidDataError(f"n_grid must be at least 1, got {n_grid}")
@@ -226,41 +209,21 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
         "grid": {"h": [hs[0], hs[-1]], "b": [bs[0], bs[-1]], "n": n_grid},
         "pairs": [],
     }
-    # a large alpha overflows the forms; the verdict reads the non-finite values
-    with np.errstate(all="ignore"):
-        w1, pval = _w1_p(grid, params)
     for pair in pair_catalog():
+        # at extreme alpha the forms and the probe's differences over- or underflow
         with np.errstate(all="ignore"):
-            ode, psi_term, f2 = _r1_terms_and_r2_form(w1, pval, pair)
-            bracket = ode + psi_term
-            min1 = float((9.0 * np.float_power(params.alpha, 2.0) * bracket).min())
-            min2 = float(f2.min())
+            f1, f2 = convexity_forms(grid, pair, params)
             compat = max(compatibility_residual(u, pair, params) for u in probe)
-            finite = np.isfinite(bracket).all() and np.isfinite(f2).all()
-            bound = _ODE_ROUNDING * np.finfo(float).eps * (
-                4.0 * pval * pval * np.abs(pair.theta_pprime(pval))
-                + 4.0 * pval * np.abs(pair.theta_prime(pval))
-                + np.abs(pair.theta(pval))
-            )
-            r1 = np.where(np.abs(ode) <= bound, 0.0, ode) + psi_term
-            tiny = np.finfo(float).tiny
-            underflow = not (
-                (np.abs(pair.psi_prime(w1)) >= tiny).all()
-                and (np.abs(pair.psi_pprime(w1)) >= tiny).all()
-            )
-        member = in_sufficient_family(pair)
-        if params.alpha == 0.0 or not finite or underflow:
+        if params.alpha == 0.0:
             verdict = "inconclusive"
-        elif r1.min() > 0.0 and min2 > 0.0:
-            verdict = "convex"
         else:
-            verdict = "fails"
+            verdict = "convex" if _convex(pair) else "fails"
         report["pairs"].append(
             {
                 "name": pair.name,
-                "sufficient_family": member,
-                "min_form1": min1,
-                "min_form2": min2,
+                "sufficient_family": in_sufficient_family(pair),
+                "min_form1": float(f1.min()),
+                "min_form2": float(f2.min()),
                 "max_compatibility_residual": compat,
                 "verdict": verdict,
             }

@@ -677,7 +677,10 @@ class TestEntropyCheckCommand:
         assert all(e["verdict"] == "convex" for e in doc["pairs"])
 
     def test_overflowing_alpha_inconclusive(self, tmp_path, capsys):
-        # alpha**2 used to raise an OverflowError traceback with exit 1
+        # named for the verdict it used to pin: alpha**2 raised an
+        # OverflowError traceback with exit 1, then the forms read NaN and
+        # the verdict inconclusive; the closed r1 form, alpha folded into
+        # w1^(-n/2), stays finite and the verdict reads the coefficients
         out = tmp_path / "entropy.json"
         code = run_cli(
             ["entropy-check", "--alpha", "1e200", "--kappa", "1", "--n-grid", "8",
@@ -686,33 +689,39 @@ class TestEntropyCheckCommand:
         assert code == 0
         assert "Traceback" not in capsys.readouterr().err
         doc = json.loads(out.read_text())
-        assert all(e["verdict"] == "inconclusive" for e in doc["pairs"])
+        assert all(e["verdict"] == "convex" for e in doc["pairs"])
+        assert all(0.0 < e["min_form1"] < math.inf for e in doc["pairs"])
 
     @pytest.mark.parametrize("kappa", ["0", "1"])
     def test_underflowing_psi_inconclusive(self, tmp_path, kappa):
-        # at w1 ~ 1e100 Psi' and Psi'' of the w1^-2 and w1^-3 pairs are
-        # subnormal or 0, so the forms read 0 or noise: four pairs used to
-        # read "fails" with exit 5
+        # named for the verdict it used to pin: at w1 ~ 1e100 Psi'' of the
+        # w1^-2 and w1^-3 pairs underflows to 0, and the canonical pair's r1
+        # form read -2.73e137 through rounding in the Theta terms; the
+        # verdict reads the coefficients instead
         out = tmp_path / "entropy.json"
         code = run_cli(["entropy-check", "--alpha", "1e100", "--kappa", kappa, "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert all(e["verdict"] == "inconclusive" for e in doc["pairs"])
+        assert all(e["verdict"] == "convex" and e["min_form1"] > 0.0 for e in doc["pairs"])
 
     # the benchmark's entropy-check runs (alpha 0.5, jittered, and 0), digests
-    # recorded before the underflow verdict existed; the report goes through
-    # np.float_power, so they assume a libm pow with glibc's roundings
-    @pytest.mark.parametrize("alpha, kappa, digest", [
-        ("0.5", "1.0", "af49b901006f8d9315fc1db98fafa9a44ebc6a47ed0c1cfa08c1606eb7667d02"),
-        ("0.49975", "1.0006", "9089cbfac5d32ea5dbed6b32efd33921b3215eff42417287b709482995a8adec"),
-        ("0.5004", "0.9993", "b0dfa041f47c2726efe3cc5064e9002e582f0755958e1978892fee893f4aafde"),
-        ("0.0", "1.0", "5cce34f6740824dbc1e4fd7c5a89e03938a0aebb49d5170437ae6b1252790cf9"),
-        ("0.0", "0.9993", "9518e622977091df485804fb5a08b3cc0b69ed0f1b78c6d968a2294c543768ce"),
-    ])
-    def test_benchmark_reports_unchanged(self, tmp_path, alpha, kappa, digest):
+    # recorded with the closed-form minima once they matched the exact oracle
+    # of tests/test_entropy.py; the report goes through np.float_power, so
+    # they assume a libm pow with glibc's roundings; keyed by (alpha, kappa)
+    # alone, so that the test ids outlive a re-recording
+    REPORT_DIGESTS = {
+        ("0.5", "1.0"): "1d90af42ca952fe8ccba6929441895c5b53e977c9890d8f4e5bd530415d63d2e",
+        ("0.49975", "1.0006"): "9a29bf2c96d2c113908f3cf6890ad4856dae14512d6561deef63bb44c88bef98",
+        ("0.5004", "0.9993"): "5ac7f6cb8c277cfcbc5cb70246b4309eeada5913429f0033317306bd1aff8db8",
+        ("0.0", "1.0"): "4c84d132d54b98e1f7bc00380f8e69d9502b2585929296de6359c0ee8ee47bc5",
+        ("0.0", "0.9993"): "e18182c8268ad1e0ada4f9fbb2df4213f0d4f5a77996e9862ee945dc2eae8f03",
+    }
+
+    @pytest.mark.parametrize("alpha, kappa", REPORT_DIGESTS)
+    def test_benchmark_reports_unchanged(self, tmp_path, alpha, kappa):
         out = tmp_path / "entropy.json"
         assert run_cli(["entropy-check", "--alpha", alpha, "--kappa", kappa, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.REPORT_DIGESTS[alpha, kappa]
 
     def test_empty_grid_exit_2(self, tmp_path, capsys):
         # an empty grid used to end in an IndexError traceback

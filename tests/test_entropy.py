@@ -1,11 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from thinfilm.core import Params, State, eigenstructure, eigenvalues
+from thinfilm.core import Params, State, eigenstructure, eigenvalues, riemann_invariants
 from thinfilm.entropy import (
-    EntropyPair,
     canonical_pair,
     compatibility_residual,
     convexity_forms,
@@ -28,30 +28,11 @@ def random_states(n, lo=0.1, hi=3.0, seed=0):
 
 
 def constant_pair(c):
-    zero = lambda _: 0.0
-    return EntropyPair(
-        psi=lambda w1: c,
-        psi_prime=zero,
-        psi_pprime=zero,
-        psi_antideriv=lambda w1: c * (w1 - 1.0),
-        theta=zero,
-        theta_prime=zero,
-        theta_pprime=zero,
-        name="constant",
-    )
+    return power_pair(0.0, 0.0, 0.0, c)
 
 
 def identity_pair():
-    return EntropyPair(
-        psi=lambda w1: w1,
-        psi_prime=lambda w1: 1.0,
-        psi_pprime=lambda w1: 0.0,
-        psi_antideriv=lambda w1: 0.5 * (w1 * w1 - 1.0),
-        theta=lambda p: 0.0,
-        theta_prime=lambda p: 0.0,
-        theta_pprime=lambda p: 0.0,
-        name="psi=w1",
-    )
+    return power_pair(-1.0, 0.0, 0.0)
 
 
 class TestEntropyValues:
@@ -154,12 +135,15 @@ class TestConvexity:
                 assert f1 > 0.0 and f2 > 0.0
 
     def test_forms_match_fd_hessian(self):
-        pair = canonical_pair()
+        # the closed forms never evaluate Theta, so the finite-difference
+        # Hessian of entropy() is what checks that its terms cancel; the
+        # constant pair's forms and Hessian are both exactly 0
+        pairs = [*pair_catalog(), power_pair(-2.0, 1.0, 0.0), identity_pair(), constant_pair(0.7)]
         for u in random_states(10, lo=0.5, hi=2.0, seed=5):
             es = eigenstructure(u, P)
-            f1, f2 = convexity_forms(u, pair, P)
-            assert abs(f1 - fd_quadratic_form(u, pair, P, es.r1)) <= 1e-5 * abs(f1)
-            assert abs(f2 - fd_quadratic_form(u, pair, P, es.r2)) <= 1e-5 * abs(f2)
+            for pair in pairs:
+                for f, r in zip(convexity_forms(u, pair, P), (es.r1, es.r2)):
+                    assert abs(f - fd_quadratic_form(u, pair, P, r)) <= 1e-5 * abs(f)
 
     def test_theta_annihilates_its_ode(self):
         rng = np.random.RandomState(6)
@@ -181,6 +165,25 @@ class TestConvexity:
     def test_catalog_members_in_family(self):
         for pair in pair_catalog():
             assert in_sufficient_family(pair)
+
+    @pytest.mark.parametrize("n, A, B, scale, member", [
+        (-0.25, 1.0, 0.0, -1.0, True),  # Psi = -w1^(1/4) is decreasing and convex
+        (-0.75, 1.0, 0.0, -1.0, False),  # 2*w1*Psi'' + Psi' < 0
+        (0.0, 1.0, 0.0, 1.0, False),  # Psi' = 0
+        (1.0, -1.0, 0.0, 1.0, False),  # A < 0
+        (1.0, 0.0, -1.0, 1.0, False),  # B < 0
+        (1.0, 0.0, 0.0, 1.0, True),  # Theta = 0 is allowed
+    ])
+    def test_family_predicate_reads_coefficients(self, n, A, B, scale, member):
+        assert in_sufficient_family(power_pair(n, A, B, scale)) is member
+
+    def test_power_pair_names(self):
+        assert power_pair(-2.0, 1.0, 0.0).name == "psi=w1^2*1,theta=1*sqrt(p)+0/sqrt(p)"
+        assert constant_pair(0.7).name == "psi=w1^0*0.7,theta=0*sqrt(p)+0/sqrt(p)"
+        assert [pair.name for pair in pair_catalog()] == ["canonical"] + [
+            f"psi=w1^-{n}*1,theta={theta}" for n in (1, 2, 3)
+            for theta in ("0*sqrt(p)+1.73205/sqrt(p)", "1*sqrt(p)+0/sqrt(p)")
+        ]
 
     def test_entropy_dissipation_across_shocks(self):
         from thinfilm.riemann import CASE_JS, RiemannData, Shock, classify, solve
@@ -219,8 +222,6 @@ class TestReport:
         assert entry["min_form1"] < 0.0 < entry["min_form2"]
 
     def test_non_convex_pair_fails_at_large_alpha(self, monkeypatch):
-        # at alpha = 1e50 Psi' and Psi'' of Psi = w1^2 stay normal floats, so
-        # the underflow verdict does not hide the negative bracket
         import thinfilm.entropy
 
         monkeypatch.setattr(thinfilm.entropy, "pair_catalog", lambda: [power_pair(-2.0, 1.0, 0.0)])
@@ -231,6 +232,19 @@ class TestReport:
     def test_alpha_zero_inconclusive(self):
         rep = entropy_report(Params(0.0, 1.0), n_grid=8)
         assert all(e["verdict"] == "inconclusive" for e in rep["pairs"])
+
+    @pytest.mark.parametrize("alpha, kappa", [(0.5, 1.0), (0.49975, 1.0006), (0.5004, 0.9993)])
+    def test_minima_match_exact_oracle(self, alpha, kappa):
+        # the exact grid minima of both forms, in rational arithmetic from
+        # the report's own float w1 (w1^-n is rational for n = 1, 2, 3)
+        p = Params(alpha, kappa)
+        w1 = [Fraction(x) for x in riemann_invariants(report_grid()[1], p).w1.tolist()]
+        for pair, entry in zip(pair_catalog(), entropy_report(p)["pairs"]):
+            n, s = int(pair.n), Fraction(pair.scale)
+            coefs = (9 * Fraction(alpha) ** 2 * 2 * n * s, 2 * n * (2 * n + 1) * s)
+            for got, coef in zip((entry["min_form1"], entry["min_form2"]), coefs):
+                exact = min(coef * x**-n for x in w1)
+                assert abs(Fraction(got) - exact) <= 4 * Fraction(np.finfo(float).eps) * exact
 
     @pytest.mark.parametrize("n_grid", [-1, 0])
     def test_rejects_empty_grid(self, n_grid):
