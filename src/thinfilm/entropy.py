@@ -195,8 +195,9 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
     ``inconclusive`` when alpha = 0, where the first form degenerates,
     else ``convex`` when both forms' coefficients are positive and
     ``fails`` otherwise.  ``min_form1`` and ``min_form2`` are the
-    floating-point minima over the grid, which may underflow to 0 or
-    overflow to inf at extreme alpha; the verdict never reads them.
+    floating-point minima over the grid, which may underflow to 0; a
+    minimum or residual that is inf or NaN reads None (JSON null).  The
+    verdict never reads them.
     """
     if n_grid < 1:
         raise InvalidDataError(f"n_grid must be at least 1, got {n_grid}")
@@ -209,6 +210,7 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
         "grid": {"h": [hs[0], hs[-1]], "b": [bs[0], bs[-1]], "n": n_grid},
         "pairs": [],
     }
+    finite_or_none = lambda v: float(v) if math.isfinite(v) else None
     for pair in pair_catalog():
         # at extreme alpha the forms and the probe's differences over- or underflow
         with np.errstate(all="ignore"):
@@ -222,9 +224,9 @@ def entropy_report(params: Params, n_grid: int = 50) -> dict:
             {
                 "name": pair.name,
                 "sufficient_family": in_sufficient_family(pair),
-                "min_form1": float(f1.min()),
-                "min_form2": float(f2.min()),
-                "max_compatibility_residual": compat,
+                "min_form1": finite_or_none(f1.min()),
+                "min_form2": finite_or_none(f2.min()),
+                "max_compatibility_residual": finite_or_none(compat),
                 "verdict": verdict,
             }
         )

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import Params
 from .errors import InvalidDataError
+from .interactions import l1_distance
 from .riemann import (
     CASE_DELTA,
     BumpTestFunction,
@@ -106,46 +107,26 @@ def bump_catalog(sigma_ray: float) -> list[BumpTestFunction]:
     ]
 
 
-def convergence_table(study: LimitStudy, n_samples: int = 10000) -> list[dict]:
+def convergence_table(study: LimitStudy) -> list[dict]:
     """Distance columns per parameter value, all shrinking toward 0.
 
-    Classical cases: L1 distance of the sampled profiles at t = 1, a
-    Riemann sum over ``n_samples`` equispaced points running from 0.5
-    left of the slowest wave (or of x = 0, whichever is further left)
-    to 0.5 right of the fastest wave of either fan.  Where the two fans
-    put a jump at different places the sum can miscount the strip
-    between them by one sample, so the column carries an error up to
-    the jump times the sample spacing.  Singular cases: speed and
+    Classical cases: the exact L1 distance of the two fans at t = 1
+    (:func:`interactions.l1_distance`).  Singular cases: speed and
     strength-rate mismatches of the fronts plus weak pairings against
     the three-bump catalog (L1 of the regular parts is reported as
     well).
     """
-    if n_samples < 2:
-        raise InvalidDataError(f"n_samples must be at least 2, got {n_samples}")
     d0 = study.data
-    target = limit_target(
-        RiemannData(d0.left, d0.right, study_params(study, study.values[0])),
-        study.varying,
-    )
-    speeds = [s for w in target.waves for s in w.speed_range()] or [0.0]
+    target = limit_target(d0, study.varying)
 
     def one_row(value: float) -> dict:
-        p = study_params(study, value)
-        d = RiemannData(d0.left, d0.right, p)
+        d = replace(d0, params=study_params(study, value))
         fan = solve(d)
         case = classify(d)
-        edges = [s for w in fan.waves for s in w.speed_range()]
-        lo = min(0.0, min(edges), min(speeds)) - 0.5
-        hi = max(max(edges), max(speeds)) + 0.5
-        xs = np.linspace(lo, hi, n_samples)
-        h_a, b_a, _ = profile(fan, 1.0, xs)
-        h_b, b_b, _ = profile(target, 1.0, xs)
-        l1 = float(np.sum(np.abs(h_a - h_b) + np.abs(b_a - b_b)) * (xs[1] - xs[0]))
-
         row = {
             "value": value,
             "case": case,
-            "l1": l1,
+            "l1": l1_distance(fan, target, 1.0),
             "dsigma": None,
             "dbeta_rate": None,
             "weak_pairings": None,

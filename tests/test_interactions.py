@@ -28,6 +28,7 @@ from thinfilm.interactions import (
     epsilon_limit_report,
     interact_shock_contact,
     interact_shock_shock_chase,
+    l1_distance,
     run_timeline,
     shock_overtakes_delta,
     shock_through_fan,
@@ -62,6 +63,8 @@ CASE2_SUB1 = PerturbedData(0.1, State(2.0, 1.5), State(1.0, 1.0), State(1.2, 1.0
 # delta cases with gravity
 CASE6 = PerturbedData(0.1, State(2.0, 1.5), State(1.0, 1.0), State(0.0, 2.0), P1)
 CASE7 = PerturbedData(0.1, State(1.0, 1.0), State(1.0, 1.5), State(0.0, 2.0), P1)
+# the generic engine's fan-fan pattern
+JR_JS = PerturbedData(0.1, State(1.0, 1.0), State(1.3, 1.3), State(0.9, 0.8), P1)
 
 
 def curved_front(tl):
@@ -578,17 +581,11 @@ class TestGenericEngine:
             np.testing.assert_allclose(a.point, b.point, rtol=1e-12)
 
     def test_jr_js_cascade_terminates(self):
-        d = PerturbedData(0.1, State(1.0, 1.0), State(1.3, 1.3), State(0.9, 0.8), P1)
-        assert classify_case(d) == "JR+JS"
-        tl = run_timeline(d, n_fan=24)
+        assert classify_case(JR_JS) == "JR+JS"
+        tl = run_timeline(JR_JS, n_fan=24)
         assert len(tl.events) > 0
         # late profile approximates the exact outer solution
-        xs = np.linspace(-2.0, 40.0, 3000)
-        t = 8.0
-        h, b = tl.profile(t, xs)
-        he, be, _ = profile(solve(d.outer_data()), t, xs)
-        l1 = float(np.sum(np.abs(h - he) + np.abs(b - be)) * (xs[1] - xs[0]))
-        assert l1 < 0.5
+        assert l1_distance(tl, solve(JR_JS.outer_data()), 8.0) < 0.5
 
     def test_jr_jr_runs(self):
         d = PerturbedData(0.1, State(0.8, 0.8), State(1.0, 1.1), State(1.5, 1.5), P1)
@@ -599,17 +596,11 @@ class TestGenericEngine:
         for e in tl.events:
             assert e.point[1] > 0.0
         # late profile approximates the exact outer fan (same bound as JR+JS)
-        xs = np.linspace(-2.0, 40.0, 3000)
-        t = 8.0
-        h, b = tl.profile(t, xs)
-        he, be, _ = profile(solve(d.outer_data()), t, xs)
-        l1 = float(np.sum(np.abs(h - he) + np.abs(b - be)) * (xs[1] - xs[0]))
-        assert l1 < 0.5
+        assert l1_distance(tl, solve(d.outer_data()), 8.0) < 0.5
 
     def test_budget_exhaustion(self):
-        d = PerturbedData(0.1, State(1.0, 1.0), State(1.3, 1.3), State(0.9, 0.8), P1)
         with pytest.raises(EventBudgetError):
-            run_timeline(d, n_fan=48, budget=3)
+            run_timeline(JR_JS, n_fan=48, budget=3)
 
 
 def reference_generic_timeline(
@@ -744,15 +735,11 @@ class TestGenericEngineMatchesReference:
         assert assert_same_as_reference(d, n_fan=64, budget=164) is None
 
     def test_converges_to_curved_shock_at_first_order(self):
-        # JS+JR while the shock is inside the fan (it exits at t = 0.184):
+        # JS+JR while the shock is inside the fan (from t = 0.146 to 0.184):
         # the closed-form curved shock is the oracle of the discretized fan
-        xs = np.linspace(-1.0, 2.0, 300001)
-        t = 0.12
-        he, be = run_timeline(CASE2_SUB1).profile(t, xs)
-        l1 = []
-        for n in (16, 64, 256, 1024):
-            h, b = run_timeline(CASE2_SUB1, force_generic=True, n_fan=n).profile(t, xs)
-            l1.append(float(np.sum(np.abs(h - he) + np.abs(b - be)) * (xs[1] - xs[0])))
+        exact = run_timeline(CASE2_SUB1)
+        l1 = [l1_distance(run_timeline(CASE2_SUB1, force_generic=True, n_fan=n), exact, 0.16)
+              for n in (16, 64, 256, 1024)]
         for coarse, fine in zip(l1[:-1], l1[1:]):
             assert 0.95 <= math.log(coarse / fine, 4.0) <= 1.05
 
@@ -803,7 +790,7 @@ class TestTimelineSampling:
 
     @pytest.mark.parametrize("d", [
         EX_PER_JS, EX_PER_JR, CASE2_SUB1, EX_PER_DS, CASE6, CASE7,
-        PerturbedData(0.1, State(1.0, 1.0), State(1.3, 1.3), State(0.9, 0.8), P1),
+        JR_JS,
     ], ids=["JS+JS", "JS+JR", "JS+JR-exit", "dS+JR", "JS+dS", "JR+dS", "JR+JS-generic"])
     def test_profile_is_sample_loop(self, d):
         tl = run_timeline(d, n_fan=16)
@@ -832,14 +819,8 @@ class TestTimelineSampling:
 
     def test_profile_converges_to_exact_long_time(self):
         # perturbed J+R example: by t=15 the exact outer fan dominates
-        xs = np.linspace(-20.0, 40.0, 4000)
         exact = solve(EX_PER_JR.outer_data())
-        he, be, _ = profile(exact, 15.0, xs)
-        errs = []
-        for eps in (0.1, 0.05):
-            tl = run_timeline(replace(EX_PER_JR, epsilon=eps))
-            h, b = tl.profile(15.0, xs)
-            errs.append(float(np.sum(np.abs(h - he) + np.abs(b - be)) * (xs[1] - xs[0])))
+        errs = [l1_distance(run_timeline(replace(EX_PER_JR, epsilon=e)), exact, 15.0) for e in (0.1, 0.05)]
         assert errs[1] < errs[0]
         assert errs[0] < 0.5
 
@@ -862,8 +843,7 @@ class TestTimelineSampling:
         assert tl.sample(50.0, t) == EX_PER_JS.right
 
     def test_generic_engine_serializes(self):
-        d = PerturbedData(0.1, State(1.0, 1.0), State(1.3, 1.3), State(0.9, 0.8), P1)
-        tl = run_timeline(d, n_fan=16)
+        tl = run_timeline(JR_JS, n_fan=16)
         doc = timeline_to_json(tl)
         text = json.dumps(doc, sort_keys=True)
         assert json.dumps(json.loads(text), sort_keys=True) == text
@@ -874,9 +854,8 @@ class TestEpsilonLimitReport:
     def test_case1_linear_rate(self):
         rows = epsilon_limit_report(EX_PER_JS, [0.1, 0.05, 0.025], t_eval=1.0)
         l1s = [r["l1"] for r in rows]
-        assert l1s[0] > l1s[1] > l1s[2]
         for a, b in zip(l1s[:-1], l1s[1:]):
-            assert 1.5 <= a / b <= 2.5
+            assert abs(a / b - 2.0) <= 1e-12
 
     def test_requires_decreasing_positive(self):
         with pytest.raises(InvalidDataError):
@@ -891,6 +870,37 @@ class TestEpsilonLimitReport:
         for r in rows:
             assert r["delta_rate_err"] <= 1e-12
         assert rows[1]["delta_strength_err"] < rows[0]["delta_strength_err"]
+
+
+class TestL1Distance:
+    @pytest.mark.parametrize("d, t", [
+        (EX_PER_JS, 1.0), (EX_PER_JR, 2.0), (CASE2_SUB1, 0.16), (EX_PER_DS, 1.0), (CASE6, 1.0),
+        (CASE7, 0.12), (JR_JS, 8.0),
+    ], ids=["JS+JS", "JS+JR", "JS+JR-exit", "dS+JR", "JS+dS", "JR+dS", "JR+JS-generic"])
+    def test_matches_sampled_sum(self, d, t):
+        # a Riemann sum of an integrand that vanishes at both ends errs by
+        # at most the integrand's total variation times the spacing
+        tl = run_timeline(d, n_fan=24)
+        xs = np.linspace(-2.0, 40.0, 2000001)
+        h, b = tl.profile(t, xs)
+        he, be, _ = profile(tl.final_fan, t, xs)
+        g, dx = np.abs(h - he) + np.abs(b - be), xs[1] - xs[0]
+        assert abs(l1_distance(tl, tl.final_fan, t) - np.sum(g) * dx) <= np.sum(np.abs(np.diff(g))) * dx
+
+    def test_symmetric_and_zero_on_identical(self):
+        tl, gen = run_timeline(CASE2_SUB1), run_timeline(CASE2_SUB1, force_generic=True, n_fan=16)
+        fan_p1 = solve(replace(CASE2_SUB1.outer_data(), params=P1))
+        for a, b in ((tl, tl.final_fan), (tl, gen), (tl.final_fan, fan_p1)):
+            assert l1_distance(a, b, 0.16) == l1_distance(b, a, 0.16) > 0.0
+            assert l1_distance(a, a, 0.16) == 0.0
+
+    def test_rejects_bad_time_and_other_outer_states(self):
+        tl = run_timeline(EX_PER_JR)
+        for t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidDataError, match="finite and positive"):
+                l1_distance(tl, tl.final_fan, t)
+        with pytest.raises(InvalidDataError, match="outer states"):
+            l1_distance(tl, solve(EX_PER_JS.outer_data()), 1.0)
 
 
 class TestSerialization:

@@ -94,7 +94,7 @@ class TestConvergenceTable:
     def test_classical_column_monotone(self):
         d = RiemannData(*EX_JR_DATA, Params(0.5, 1.0))
         study = LimitStudy("kappa", KAPPAS, d)
-        rows = convergence_table(study, n_samples=3000)
+        rows = convergence_table(study)
         l1 = [r["l1"] for r in rows]
         assert all(a > b for a, b in zip(l1[:-1], l1[1:]))
         assert all(r["case"] == "J+R" for r in rows)
@@ -102,7 +102,7 @@ class TestConvergenceTable:
     def test_delta_affine_identities(self):
         d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
         study = LimitStudy("kappa", KAPPAS, d)
-        rows = convergence_table(study, n_samples=1500)
+        rows = convergence_table(study)
         for r in rows:
             expected = r["value"] * 2.9**2 / 3.0
             assert abs(r["dsigma"] - expected) <= 1e-14 * max(1.0, expected)
@@ -111,7 +111,7 @@ class TestConvergenceTable:
     def test_alpha_study_affine_identity(self):
         d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
         study = LimitStudy("alpha", (1.0, 0.1, 0.01), d)
-        rows = convergence_table(study, n_samples=1500)
+        rows = convergence_table(study)
         for r in rows:
             expected = r["value"] * 2.9 * 1.70
             assert abs(r["dsigma"] - expected) <= 1e-14 * max(1.0, expected)
@@ -119,7 +119,7 @@ class TestConvergenceTable:
     def test_weak_pairings_decrease(self):
         d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
         study = LimitStudy("kappa", (1.0, 0.1, 0.01), d)
-        rows = convergence_table(study, n_samples=1000)
+        rows = convergence_table(study)
         pair_seq = [r["weak_pairings"] for r in rows]
         for i in range(3):
             vals = [p[i] for p in pair_seq]
@@ -129,12 +129,6 @@ class TestConvergenceTable:
         straddle = [p[0] for p in pair_seq]
         assert straddle[1] <= straddle[0] * 0.2
         assert straddle[2] <= straddle[1] * 0.2
-
-    @pytest.mark.parametrize("n_samples", [-3, 0, 1])
-    def test_rejects_fewer_than_two_samples(self, n_samples):
-        d = RiemannData(*EX_JR_DATA, Params(0.5, 1.0))
-        with pytest.raises(InvalidDataError, match="n_samples must be at least 2"):
-            convergence_table(LimitStudy("kappa", (1.0, 0.1), d), n_samples=n_samples)
 
 
 class TestWeakPairing:
