@@ -165,7 +165,7 @@ def cmd_fv(args) -> int:
     grid = numerics.Grid(*(_key(grid_doc, k, "grid") for k in ("xmin", "xmax", "ncells")))
     init = _object(_key(cfg_doc, "initial"), "initial")
     left, right = (State(*_pair(_key(init, k, "initial"), k)) for k in ("left", "right"))
-    exact_fan = None
+    data = None
     if "middle" in init:
         middle = State(*_pair(init["middle"], "middle"))
         epsilon = _number(_key(init, "epsilon", "initial"), "epsilon")
@@ -174,7 +174,6 @@ def cmd_fv(args) -> int:
     else:
         data = riemann.RiemannData(left, right, p)
         field = numerics.field_from_riemann(data, grid)
-        exact_fan = riemann.solve(data)
     cfg = numerics.SchemeConfig(
         scheme=scheme,
         cfl=_number(cfg_doc.get("cfl", 0.45), "cfl"),
@@ -187,6 +186,9 @@ def cmd_fv(args) -> int:
             raise InvalidDataError(f"config delta_window must be finite, lower bound first, got {window!r}")
         window = lo, hi
     final, diag = numerics.run(field, cfg, p, delta_window=window)
+    # solved after the run, so that data whose wave speeds overflow fail as
+    # the scheme does (exit 3), with or without a middle state
+    exact_fan = None if data is None else riemann.solve(data)
     _write_csv(args.out, ["x", "h", "b", "w1", "w2"], _profile_rows(final, p))
     doc = {
         "scheme": scheme,

@@ -22,20 +22,16 @@ bit-identical to a full-array update.
 The kernel holds h and b as the two rows of one padded array, so the
 cell fluxes, their differences, the ``dt/dx`` scaling, the update and
 the finiteness and positivity check each treat both components in one
-ufunc call, and it writes every intermediate into work buffers
-allocated once per run and sliced to the window.  This too changes no
-bit: every ufunc applies the same IEEE operation to the same operands
-in the same order as the array expression it replaces, no matter which
-buffer receives the result.  lambda2 and phi are the two rows of one
-buffer, indexed like the field, and one ``(2, m)`` pass computes
-``(3*alpha)*h*b`` and ``alpha*h*b`` in both; ``kappa*h*h`` is then added
-to the first and ``kappa*h*h/3`` to the second.  At kappa = 0 those
-terms are never computed: on a finite cell they equal ``0.0*kappa``,
-+0.0 or -0.0 as kappa is, and that signed zero is added instead (adding
-it still turns a -0.0 into +0.0 at kappa = +0.0, as the full expression
-does).  phi always takes it; lambda2 takes it only under LLF, whose
-interface speeds carry the sign of a zero into the fluxes, while
-upwinding reads lambda2 only through its maximum.
+ufunc call.  lambda2 and phi of the cells a step reads are the two rows
+of one array, and one ``(2, m)`` pass computes ``(3*alpha)*h*b`` and
+``alpha*h*b`` in both; ``kappa*h*h`` is then added to the first and
+``kappa*h*h/3`` to the second.  At kappa = 0 those terms are never
+computed: on a finite cell they equal ``0.0*kappa``, +0.0 or -0.0 as
+kappa is, and that signed zero is added instead (adding it still turns
+a -0.0 into +0.0 at kappa = +0.0, as the full expression does).  phi
+always takes it; lambda2 takes it only under LLF, whose interface
+speeds carry the sign of a zero into the fluxes, while upwinding reads
+lambda2 only through its maximum.
 
 Inside the window, a run of cells at its left edge often keeps its bits
 for many steps: their flux differences are so small that ``u - c*d``
@@ -240,8 +236,7 @@ class _Kernel:
     ``settled`` holds a block at the window's left edge, a step computes
     only the cells from the block's last one to hi.  ``mass`` holds the
     row sums of the field, and ``quarters`` the sums of its cells between
-    consecutive ``cuts``.  The work buffers are allocated here once and
-    sliced to the range.
+    consecutive ``cuts``.
     """
 
     def __init__(self, f: FVField, cfg: SchemeConfig, p: Params):
@@ -253,14 +248,6 @@ class _Kernel:
         self.U[:, 0], self.U[:, -1] = self.U[:, 1], self.U[:, -2]
         self.hv, self.bv = self.H.view(np.int64), self.B.view(np.int64)
         self.field = FVField(f.grid, self.H[1:-1], self.B[1:-1], f.t)
-        # lambda2 and lambda1 = phi per cell, at U's columns; kappa*h*h
-        # and the LLF speeds; cell fluxes; interface fluxes (LLF) and
-        # certification trials; interface differences
-        self.lam = np.empty((2, n + 2))
-        self.work = np.empty(n + 2)
-        self.flux = np.empty((2, n + 2))
-        self.iflux = np.empty((2, n + 1))
-        self.diff = np.empty((2, n + 1))
         self.coef = np.array([[3.0 * p.alpha], [p.alpha]])
         # kappa*h*h on every finite cell when kappa is a zero of either sign
         self.zero = 0.0 * p.kappa
@@ -345,8 +332,8 @@ class _Kernel:
         h, b = u[:, k]
         raise SchemeFailureError(f"{msg}: cell {i0 + k} at x={x} has h={h}, b={b}")
 
-    def _speeds(self, j0: int, j1: int) -> float:
-        """lambda2 and phi of the cells at columns j0 .. j1 - 1 into ``lam``; returns the largest lambda2.
+    def _speeds(self, j0: int, j1: int) -> np.ndarray:
+        """lambda2 and phi of the cells at columns j0 .. j1 - 1, as the two rows of one array.
 
         Both rows take the operations of ``core.eigenvalues`` in its order:
         ``((3*alpha)*h)*b + kappa*h*h`` and ``(alpha*h)*b + kappa*h*h/3``.
@@ -357,19 +344,16 @@ class _Kernel:
         the sign of a zero does not count, so only LLF adds it there.
         """
         h, b = self.U[:, j0:j1]
-        lam = np.multiply(self.coef, h, out=self.lam[:, j0:j1])
-        lam *= b
+        lam = self.coef * h * b
         if self.p.kappa:
-            kh2 = np.multiply(self.p.kappa, h, out=self.work[j0:j1])
-            kh2 *= h
+            kh2 = self.p.kappa * h * h
             lam[0] += kh2
-            kh2 /= 3.0
-            lam[1] += kh2
+            lam[1] += kh2 / 3.0
         elif self.cfg.scheme == "llf":
             lam += self.zero
         else:
             lam[1] += self.zero
-        return float(np.maximum.reduce(lam[0]))
+        return lam
 
     def _start(self, i0: int, i1: int) -> int:
         """First cell the step computes: the settled block's last cell, or i0 without one."""
@@ -389,18 +373,18 @@ class _Kernel:
         self.settled = None
         self.drops[reason] += 1
 
-    def _certify(self, d: np.ndarray, c_hi: float, i0: int) -> None:
+    def _certify(self, d: np.ndarray, lam2: np.ndarray, c_hi: float, i0: int) -> None:
         """Settle the cells at the window's left edge that keep their bits at ``dt/dx <= c_hi``.
 
         ``d`` holds the window's flux differences before the ``dt/dx``
-        scaling.  A cell is certified when ``u - c_hi*d == u`` in bits on
-        both rows; the block is the run of certified cells from i0, kept
-        if it holds at least two cells.
+        scaling, and ``lam2`` the lambda2 of cells i0 - 1 onwards.  A cell
+        is certified when ``u - d*c_hi == u`` in bits on both rows; the
+        block is the run of certified cells from i0, kept if it holds at
+        least two cells.
         """
         length = d.shape[1]
         u = self.U[:, i0 + 1 : i0 + 1 + length]
-        trial = np.multiply(d, c_hi, out=self.iflux[:, :length])
-        np.subtract(u, trial, out=trial)
+        trial = u - d * c_hi
         eq = trial.view(np.int64) == u.view(np.int64)
         same = eq[0] & eq[1]
         run = int(same.argmin())
@@ -408,7 +392,7 @@ class _Kernel:
             run = length
         if run < 2:
             return
-        lam_max = float(np.maximum.reduce(self.lam[0, i0 : i0 + run + 1]))
+        lam_max = float(np.maximum.reduce(lam2[: run + 1]))
         self.settled = _Settled(i0, i0 + run, c_hi, lam_max, self.steps + _SETTLED_STEPS)
 
     def advance(self) -> tuple[tuple[float, float], ...] | None:
@@ -425,7 +409,8 @@ class _Kernel:
         if first:
             self._check(0, n - 1, "field", t, positivity=False)
         s = self._start(i0, i1)
-        lam_max = self._speeds(s, i1 + 3)
+        lam = self._speeds(s, i1 + 3)
+        lam_max = float(np.maximum.reduce(lam[0]))
         if s > i0:
             # a NaN from the computed cells stays first, so max keeps it
             lam_max = max(lam_max, self.settled.lam_max)
@@ -445,38 +430,30 @@ class _Kernel:
         c = dt / dx
         if s > i0 and c > self.settled.c_hi:
             self._drop("speed")
-            # the cells left of s that a full step also needs
-            self._speeds(i0, s)
             s = i0
+            lam = self._speeds(s, i1 + 3)
 
         m = i1 - s + 1
         us = U[:, s : i1 + 3]
-        lam2, lam1 = self.lam[:, s : i1 + 3]
+        lam2, lam1 = lam
         # the cell fluxes of both components at once
-        fl = np.multiply(us, lam1, out=self.flux[:, : m + 2])
-        diff = self.diff[:, :m]
+        fl = us * lam1
         if cfg.scheme == "godunov":
             # upwind: all characteristic speeds are >= 0 on the quadrant
-            np.subtract(fl[:, 1:-1], fl[:, :-2], out=diff)
+            diff = fl[:, 1:-1] - fl[:, :-2]
         else:
-            s_half = np.maximum(lam2[:-1], lam2[1:], out=self.work[: m + 1])
-            s_half *= 0.5
-            F = np.add(fl[:, :-1], fl[:, 1:], out=self.iflux[:, : m + 1])
-            F *= 0.5
-            du = np.subtract(us[:, 1:], us[:, :-1], out=self.diff[:, : m + 1])
-            du *= s_half
-            F -= du
-            np.subtract(F[:, 1:], F[:, :-1], out=diff)
+            s_half = np.maximum(lam2[:-1], lam2[1:]) * 0.5
+            F = (fl[:, :-1] + fl[:, 1:]) * 0.5 - (us[:, 1:] - us[:, :-1]) * s_half
+            diff = F[:, 1:] - F[:, :-1]
         if s == i0:
             self.full_steps += 1
             # dt/dx may keep changing at its last rate for the block's lifetime
-            self._certify(diff, c + _SETTLED_STEPS * abs(c - self.c), i0)
+            self._certify(diff, lam2, c + _SETTLED_STEPS * abs(c - self.c), i0)
         else:
             self.settled_cell_steps += s - i0
             # the block's last cell: under LLF its right neighbour may move
             last = self.hv[s + 1], self.bv[s + 1]
-        diff *= c
-        U[:, s + 1 : i1 + 2] -= diff
+        U[:, s + 1 : i1 + 2] -= diff * c
         self.mass = self._sum(s, i1)
         self._check(0 if first else s, n - 1 if first else i1, "update", t, positivity=True)
         if s > i0 and (self.hv[s + 1], self.bv[s + 1]) != last:

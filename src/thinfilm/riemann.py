@@ -193,13 +193,22 @@ def classify(d: RiemannData) -> str:
     Interior data are ordered by w1 = phi (equivalently by
     h*(3*alpha*b + kappa*h), which is 3*w1): rising w1 gives J+R,
     falling gives J+S, a tie gives a lone contact.  A vanishing left
-    (right) thickness gives the composite (delta-shock) case.
+    (right) thickness gives the composite (delta-shock) case.  Data
+    whose lambda2 overflows on either side are rejected: their wave
+    speeds are not finite, and a finite w1 would read as tied with an
+    infinite one.
     """
     if not d.assumption_holds():
         raise InvalidDataError(
             "at most one of h-, b-, h+, b+ may vanish; got "
             f"left={d.left}, right={d.right}"
         )
+    for side, u in (("left", d.left), ("right", d.right)):
+        if not math.isfinite(eigenvalues(u, d.params)[1]):
+            raise InvalidDataError(
+                f"lambda2 of the {side} state {u} overflows at "
+                f"alpha={d.params.alpha}, kappa={d.params.kappa}"
+            )
     tol = d.params.h_tol
     if d.left.h <= tol:
         return CASE_COMPOSITE

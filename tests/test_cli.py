@@ -159,6 +159,23 @@ class TestRiemannCommand:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "left, right, side",
+        [("1.24,0.90", "1.5,1.56", "right"), ("2,2", "0,1", "left"), ("0,1", "2,2", "right")],
+    )
+    def test_infinite_lambda2_exit_2(self, tmp_path, capsys, left, right, side):
+        # used to exit 0 with a pure-J fan, an inf row or an Infinity in the JSON
+        out = tmp_path / "prof.csv"
+        code = run_cli(
+            [
+                "riemann", "--alpha", "0.5", "--kappa", "1e308",
+                "--left", left, "--right", right, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: lambda2 of the {side} state")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSchemeCommands:
     def _config(self, tmp_path, scheme_extras=None):
@@ -602,6 +619,19 @@ class TestLimitsCommand:
         err = capsys.readouterr().err
         assert "--values" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_infinite_lambda2_exit_2(self, tmp_path, capsys):
+        # used to write a pure-J row with l1 = 4.7e307
+        out = tmp_path / "table.csv"
+        code = run_cli(
+            [
+                "limits", "--study", "kappa", "--values", "1e308,1", "--fixed", "0.5",
+                "--left", "1.24,0.90", "--right", "1.5,1.56", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: lambda2 of the right state")
         assert not out.exists()
 
 

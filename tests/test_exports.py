@@ -1,5 +1,7 @@
 import importlib
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -26,3 +28,21 @@ def test_all_lists_exactly_the_public_api(name):
         and obj.__module__ == name
     ]
     assert [n for n in defined if n not in mod.__all__] == []
+
+
+def test_numpy_is_the_only_runtime_dependency(src_env):
+    # a fresh interpreter imports every module of the package and none of
+    # the test-only packages comes with it
+    code = (
+        "import importlib, pkgutil, sys, thinfilm\n"
+        "names = [m.name for m in pkgutil.iter_modules(thinfilm.__path__, 'thinfilm.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "print(' '.join(names))\n"
+        "print([m for m in ('scipy', 'sympy', 'hypothesis') if m in sys.modules])\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    names, loaded = res.stdout.splitlines()
+    assert set(MODULES[1:]) | {"thinfilm.cli", "thinfilm.errors"} <= set(names.split())
+    assert loaded == "[]"

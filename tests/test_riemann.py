@@ -81,6 +81,20 @@ class TestClassify:
         with pytest.raises(InvalidDataError):
             classify(RiemannData(State(1.0, 0.0), State(2.0, 0.0), P))
 
+    @pytest.mark.parametrize(
+        "left, right, side",
+        [
+            ((1.24, 0.90), (1.5, 1.56), "right"),  # phi(left) = 5.1e307 used to tie with inf
+            ((2.0, 2.0), (0.0, 1.0), "left"),
+            ((0.0, 1.0), (2.0, 2.0), "right"),
+        ],
+    )
+    def test_infinite_lambda2_raises_naming_the_side(self, left, right, side):
+        d = RiemannData(State(*left), State(*right), Params(0.5, 1e308))
+        assert not math.isfinite(eigenvalues(getattr(d, side), d.params)[1])
+        with pytest.raises(InvalidDataError, match=f"lambda2 of the {side} state"):
+            classify(d)
+
 
 class TestIntermediateState:
     def test_same_ray_keeps_state(self):
