@@ -9,6 +9,7 @@ budget exhausted.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -33,24 +34,156 @@ EXIT_SCHEME = 3
 EXIT_BUDGET = 4
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    return f"{float(v):.17g}"
+# rows of a CSV file, or items of a JSON list, formatted and written at once
+_CHUNK = 1024
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _csv_cells(values: np.ndarray, blank: np.ndarray) -> list[str]:
+    """One chunk of a column as CSV cells: strings as they are, floats with
+    17 significant digits (each distinct bit pattern formatted once), and
+    blank where ``blank`` is set."""
+    if values.dtype.kind == "U":
+        return values.tolist()
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(list(map("{:.17g}".format, bits.view(float).tolist())), dtype=object)
+    cells = text[where.ravel()]
+    cells[blank] = ""
+    return cells.tolist()
+
+
+def _blank_none(values) -> tuple[np.ndarray, np.ndarray]:
+    """A float column that is blank where ``values`` holds None."""
+    blank = np.array([v is None for v in values])
+    return np.array([0.0 if v is None else v for v in values], dtype=float), blank
+
+
+def _write_csv(path: str, header: list[str], columns: list) -> None:
+    """A header line and one row per index of the equal-length ``columns``,
+    written ``_CHUNK`` rows at a time.  A column is an array of floats or
+    strings, or a pair (floats, blank) of arrays whose cells are blank
+    where ``blank`` is True."""
+    pairs = [c if isinstance(c, tuple) else (c, np.zeros(len(c), bool)) for c in columns]
+    row = ",".join(["{}"] * len(pairs)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, len(pairs[0][0]), _CHUNK):
+            hi = lo + _CHUNK
+            fh.writelines(map(row.format, *(_csv_cells(v[lo:hi], b[lo:hi]) for v, b in pairs)))
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _json_scalar(v) -> str | None:
+    """The JSON text of a str, None, bool, int or float; None for containers."""
+    if isinstance(v, str):
+        return _json_str(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _json_float(v)
+    return None
+
+
+def _floats(types: set) -> bool:
+    return all(issubclass(t, float) for t in types)
+
+
+def _flat_items(items, indent: str) -> str | None:
+    """The JSON text of list ``items`` at ``indent``, comma-separated, when
+    each is a scalar, or each is a list or tuple of as many floats; else
+    None.  Floats go through ``float.__repr__`` in one pass."""
+    types = set(map(type, items))
+    if _floats(types):
+        columns, form, fmt = [items], "{}", float.__repr__
+    elif types <= {str, int, bool, float, type(None)}:
+        columns, form, fmt = [items], "{}", _json_scalar
+    elif (types <= {list, tuple} and len(set(map(len, items))) == 1 and items[0]
+          and _floats(set(map(type, itertools.chain.from_iterable(items))))):
+        columns, fmt = list(zip(*items)), float.__repr__
+        inner = indent + "  "
+        form = "[\n" + inner + (",\n" + inner).join(["{}"] * len(columns)) + "\n" + indent + "]"
+    else:
+        return None
+    sep = ",\n" + indent
+    text = sep.join(map(form.format, *(map(fmt, c) for c in columns)))
+    if fmt is float.__repr__ and "n" in text:
+        # nan or inf, which JSON writes as NaN, Infinity and -Infinity
+        text = sep.join(map(form.format, *(map(_json_float, c) for c in columns)))
+    return text
+
+
+def _json_write(doc, indent: str, emit) -> None:
+    """Pass the text of ``json.dump(doc, fh, indent=2, sort_keys=True)``,
+    nested at ``indent``, to ``emit`` piece by piece; a list's scalars or
+    float tuples are one piece per ``_CHUNK`` items."""
+    text = _json_scalar(doc)
+    if text is not None:
+        emit(text)
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            emit("[]")
+            return
+        emit("[\n" + inner)
+        for lo in range(0, len(doc), _CHUNK):
+            chunk = doc[lo:lo + _CHUNK]
+            if lo:
+                emit(sep)
+            text = _flat_items(chunk, inner)
+            if text is not None:
+                emit(text)
+                continue
+            for i, v in enumerate(chunk):
+                if i:
+                    emit(sep)
+                _json_write(v, inner, emit)
+        emit("\n" + indent + "]")
+    elif isinstance(doc, dict):
+        if not doc:
+            emit("{}")
+            return
+        for i, (key, v) in enumerate(sorted(doc.items())):
+            name = key if isinstance(key, str) else _json_scalar(key)
+            if name is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            head = ("{\n" + inner if i == 0 else sep) + _json_str(name) + ": "
+            text = _json_scalar(v)
+            if text is None:
+                emit(head)
+                _json_write(v, inner, emit)
+            else:
+                emit(head + text)
+        emit("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
 def _write_json(path: str, doc) -> None:
+    """``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline, in the
+    same bytes, written as it is encoded."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        _json_write(doc, "", fh.write)
         fh.write("\n")
 
 
@@ -134,24 +267,28 @@ def cmd_riemann(args) -> int:
     fan = riemann.solve(data)
     xs = np.linspace(args.x_min, args.x_max, args.samples)
     h, b, _ = riemann.profile(fan, args.t, xs)
-    rows = [(x, hv, bv, 0.0) for x, hv, bv in zip(xs, h, b)]
     # the singular row carries the right state, as `sample` does on the ray
-    rows += [(w.speed * args.t, w.right.h, w.right.b, w.strength_rate * args.t)
-             for w in fan.waves if isinstance(w, riemann.DeltaShock)]
-    rows.sort(key=lambda r: r[0])
-    _write_csv(args.out, ["x", "h", "b", "singular_weight"], rows)
+    singular = [w for w in fan.waves if isinstance(w, riemann.DeltaShock)]
+    columns = [
+        np.concatenate([xs, [w.speed * args.t for w in singular]]),
+        np.concatenate([h, [w.right.h for w in singular]]),
+        np.concatenate([b, [w.right.b for w in singular]]),
+        np.concatenate([np.zeros(xs.size), [w.strength_rate * args.t for w in singular]]),
+    ]
+    order = np.argsort(columns[0], kind="stable")
+    _write_csv(args.out, ["x", "h", "b", "singular_weight"], [c[order] for c in columns])
     fan_out = args.fan_out or os.path.splitext(args.out)[0] + ".json"
     _write_json(fan_out, riemann.fan_to_json(fan))
     return EXIT_OK
 
 
-def _profile_rows(f: numerics.FVField, p: Params):
-    """(x, h, b, w1, w2) per cell; w1 and w2 stay blank where h <= h_tol."""
+def _profile_columns(f: numerics.FVField, p: Params) -> list:
+    """x, h, b, w1, w2 per cell; w1 and w2 stay blank where h <= h_tol."""
     on = f.h > p.h_tol
     inv = riemann_invariants((f.h[on], f.b[on]), p)
-    w = np.full((2, f.h.size), None)
+    w = np.zeros((2, f.h.size))
     w[0, on], w[1, on] = inv.w1, inv.w2
-    return zip(f.grid.centers(), f.h, f.b, *w)
+    return [f.grid.centers(), f.h, f.b, (w[0], ~on), (w[1], ~on)]
 
 
 def cmd_fv(args) -> int:
@@ -189,7 +326,7 @@ def cmd_fv(args) -> int:
     # solved after the run, so that data whose wave speeds overflow fail as
     # the scheme does (exit 3), with or without a middle state
     exact_fan = None if data is None else riemann.solve(data)
-    _write_csv(args.out, ["x", "h", "b", "w1", "w2"], _profile_rows(final, p))
+    _write_csv(args.out, ["x", "h", "b", "w1", "w2"], _profile_columns(final, p))
     doc = {
         "scheme": scheme,
         "alpha": p.alpha,
@@ -232,8 +369,7 @@ def cmd_interact(args) -> int:
         for t in args.profile_times:
             xs = np.linspace(args.x_min, args.x_max, args.samples)
             h, b = tl.profile(t, xs)
-            rows = list(zip(xs, h, b))
-            _write_csv(f"{base}_t{_fmt(t)}.csv", ["x", "h", "b"], rows)
+            _write_csv(f"{base}_t{t:.17g}.csv", ["x", "h", "b"], [xs, h, b])
     return EXIT_OK
 
 
@@ -248,7 +384,8 @@ def cmd_limits(args) -> int:
         for r in limits.convergence_table(study)
     ]
     header = ["value", "case", "l1", "dsigma", "dbeta_rate", "weak1", "weak2", "weak3"]
-    _write_csv(args.out, header, rows)
+    value, case, *numbers = zip(*rows)
+    _write_csv(args.out, header, [np.array(value), np.array(case), *map(_blank_none, numbers)])
     return EXIT_OK
 
 

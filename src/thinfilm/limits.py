@@ -25,8 +25,8 @@ from .riemann import (
     RiemannData,
     WaveFan,
     classify,
-    profile,
     solve,
+    _ray_states,
     _space_time_gauss,
 )
 
@@ -83,10 +83,11 @@ def weak_pairing(
     quadrature as the weak-form residual, on 24 t panels; each singular
     front adds its line pairing int beta(t) phi(sigma t, t) dt.
     """
-    def regular(xs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        ha, ba, _ = profile(fan_a, t, xs)
-        hb, bb, _ = profile(fan_b, t, xs)
-        vals = testfn.value(xs, t)
+    def regular(xs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        xi = xs / ts
+        ha, ba = _ray_states(fan_a, xi)
+        hb, bb = _ray_states(fan_b, xi)
+        vals = testfn.value(xs, ts)
         return (ha - hb) * vals, (ba - bb) * vals
 
     acc = _space_time_gauss(

@@ -378,11 +378,22 @@ def profile(
     fan: WaveFan, t: float, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float]]]:
     """Regular (h, b) arrays at time t > 0 plus [(x, mass)] for point
-    masses: :func:`sample` on the rays xs / t, bit for bit (waves are
-    painted last to first, so the first to decide a ray wins)."""
+    masses: :func:`sample` on the rays xs / t, bit for bit."""
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidDataError(f"profile time must be finite and positive, got t={t}")
-    xi = np.asarray(xs, dtype=float) / t
+    hs, bs = _ray_states(fan, np.asarray(xs, dtype=float) / t)
+    deltas = [
+        (w.speed * t, w.strength_rate * t)
+        for w in fan.waves
+        if isinstance(w, DeltaShock)
+    ]
+    return hs, bs, deltas
+
+
+def _ray_states(fan: WaveFan, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Regular (h, b) arrays on the rays ``xi``: :func:`sample` per ray, bit
+    for bit (waves are painted last to first, so the first to decide a ray
+    wins).  The rays may come from different times."""
     states = [fan.data.left] + [w.right for w in fan.waves]
     hs, bs = np.full(xi.shape, states[-1].h), np.full(xi.shape, states[-1].b)
     for w, before in zip(reversed(fan.waves), reversed(states[:-1])):
@@ -391,12 +402,7 @@ def profile(
             on = (xi >= lo) & (xi <= hi)
             hs[on], bs[on] = rarefaction_state(xi[on], w.anchor, fan.data.params)
         hs[xi < lo], bs[xi < lo] = before.h, before.b
-    deltas = [
-        (w.speed * t, w.strength_rate * t)
-        for w in fan.waves
-        if isinstance(w, DeltaShock)
-    ]
-    return hs, bs, deltas
+    return hs, bs
 
 
 def rankine_hugoniot_residual(w: Shock, p: Params) -> np.ndarray:
@@ -482,17 +488,23 @@ def _space_time_gauss(
     testfn: BumpTestFunction,
     resolution: int,
     fans: list[tuple[WaveFan, float]],
-    regular: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]],
+    regular: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     probe: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None,
 ) -> np.ndarray:
     """Two-component integral over the box of ``testfn``.
 
     ``resolution`` t panels of 6 Gauss-Legendre nodes; at each t node
     the x range is split at the wave rays of ``fans`` and each piece
-    into subpanels of 8 nodes, where ``regular(xs, t)`` gives both
+    into subpanels of 8 nodes, where ``regular(xs, ts)`` gives both
     integrands elementwise.  Unless ``probe`` is None, each delta shock
     of each (fan, sign) then adds sign * int beta(t) probe(sigma t, t, sigma) dt
     to the second component.
+
+    The nodes of all t nodes go to one ``regular`` call (and each delta
+    shock's to one ``probe`` call).  The subpanel ends are the values of
+    ``np.linspace(xa, xb, n_sub + 1)`` (k * step + xa, the last one xb),
+    and each x piece adds its own dot product in t-node order, so the
+    result has the bits of one integrand call per t node.
     """
     x0, x1, t0, t1 = testfn.box
     t0 = max(t0, 1e-12)
@@ -501,27 +513,39 @@ def _space_time_gauss(
     gx_nodes, gx_wts = np.polynomial.legendre.leggauss(8)
     x_target = (x1 - x0) / max(resolution, 4)
 
-    acc = np.zeros(2)
     t_panels = np.linspace(t0, t1, resolution + 1)
-    for ta, tb in zip(t_panels[:-1], t_panels[1:]):
-        tm, th = 0.5 * (ta + tb), 0.5 * (tb - ta)
-        for tn, tw in zip(gt_nodes, gt_wts):
-            t = tm + th * tn
-            breaks = sorted({x0, x1, *(s * t for s in edges if x0 < s * t < x1)})
-            nodes, weights = [], []
-            for xa, xb in zip(breaks[:-1], breaks[1:]):
-                n_sub = max(1, int(math.ceil((xb - xa) / x_target)))
-                sub = np.linspace(xa, xb, n_sub + 1)
-                xm = 0.5 * (sub[:-1] + sub[1:])
-                xh = 0.5 * (sub[1] - sub[0])
-                nodes.append((xm[:, None] + xh * gx_nodes[None, :]).ravel())
-                weights.append(np.tile(xh * gx_wts, n_sub))
-            # one integrand call per t node; summing per piece keeps every bit
-            g0, g1 = regular(np.concatenate(nodes), t)
-            cuts = np.cumsum([len(w) for w in weights])[:-1]
-            for wts, v0, v1 in zip(weights, np.split(g0, cuts), np.split(g1, cuts)):
-                acc[0] += tw * th * float(np.dot(wts, v0))
-                acc[1] += tw * th * float(np.dot(wts, v1))
+    tm = 0.5 * (t_panels[:-1] + t_panels[1:])
+    th = 0.5 * (t_panels[1:] - t_panels[:-1])
+    ts = tm[:, None] + th[:, None] * gt_nodes
+    tw = gt_wts * th[:, None]
+
+    # the x pieces of every t node, and the t node each belongs to
+    xa, xb, owner = [], [], []
+    for i, t in enumerate(ts.ravel()):
+        breaks = sorted({x0, x1, *(s * t for s in edges if x0 < s * t < x1)})
+        xa += breaks[:-1]
+        xb += breaks[1:]
+        owner += [i] * (len(breaks) - 1)
+    xa, xb = np.array(xa), np.array(xb)
+    n_sub = np.maximum(1, np.ceil((xb - xa) / x_target)).astype(np.intp)
+    # the n_sub + 1 subpanel ends of each piece, one piece after another
+    first = np.cumsum(n_sub + 1) - (n_sub + 1)
+    k = np.arange(first[-1] + n_sub[-1] + 1) - np.repeat(first, n_sub + 1)
+    ends = k * np.repeat((xb - xa) / n_sub, n_sub + 1) + np.repeat(xa, n_sub + 1)
+    ends[first + n_sub] = xb
+    lo = np.delete(np.arange(ends.size), first + n_sub)
+    xm = 0.5 * (ends[lo] + ends[lo + 1])
+    # one half width per piece, as the first subpanel has it
+    xh = np.repeat(0.5 * (ends[first + 1] - ends[first]), n_sub)[:, None]
+    nodes = (xm[:, None] + xh * gx_nodes).ravel()
+    weights = (xh * gx_wts).ravel()
+    g0, g1 = regular(nodes, np.repeat(ts.ravel()[owner], 8 * n_sub))
+
+    acc = np.zeros(2)
+    stop = np.cumsum(8 * n_sub)
+    for i, a, b in zip(owner, (stop - 8 * n_sub).tolist(), stop.tolist()):
+        acc[0] += tw.flat[i] * float(np.dot(weights[a:b], g0[a:b]))
+        acc[1] += tw.flat[i] * float(np.dot(weights[a:b], g1[a:b]))
     if probe is None:
         return acc
 
@@ -529,11 +553,9 @@ def _space_time_gauss(
         for w in fan.waves:
             if not isinstance(w, DeltaShock):
                 continue
-            for ta, tb in zip(t_panels[:-1], t_panels[1:]):
-                tm, th = 0.5 * (ta + tb), 0.5 * (tb - ta)
-                ts = tm + th * gt_nodes
-                vals = w.strength_rate * ts * probe(w.speed * ts, ts, w.speed)
-                acc[1] += sign * th * float(np.dot(gt_wts, vals))
+            vals = w.strength_rate * ts * probe(w.speed * ts, ts, w.speed)
+            for thp, v in zip(th, vals):
+                acc[1] += sign * thp * float(np.dot(gt_wts, v))
     return acc
 
 
@@ -557,10 +579,10 @@ def weak_residual(
     """
     p = fan.data.params
 
-    def regular(xs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        h, b, _ = profile(fan, t, xs)
+    def regular(xs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h, b = _ray_states(fan, xs / ts)
         w1 = phi((h, b), p)
-        phit, phix = testfn.dt(xs, t), testfn.dx(xs, t)
+        phit, phix = testfn.dt(xs, ts), testfn.dx(xs, ts)
         return h * phit + h * w1 * phix, b * phit + b * w1 * phix
 
     def along_support(x: np.ndarray, t: np.ndarray, sigma: float) -> np.ndarray:
