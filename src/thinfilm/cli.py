@@ -34,7 +34,7 @@ EXIT_SCHEME = 3
 EXIT_BUDGET = 4
 
 
-# rows of a CSV file, or items of a JSON list, formatted and written at once
+# rows of a CSV file, or items of a JSON float list, formatted and written at once
 _CHUNK = 1024
 
 
@@ -72,118 +72,54 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
             fh.writelines(map(row.format, *(_csv_cells(v[lo:hi], b[lo:hi]) for v, b in pairs)))
 
 
-_json_str = json.encoder.encode_basestring_ascii
-
-
-def _json_float(v: float) -> str:
-    if v != v:
-        return "NaN"
-    if v == math.inf:
-        return "Infinity"
-    if v == -math.inf:
-        return "-Infinity"
-    return float.__repr__(v)
-
-
-def _json_scalar(v) -> str | None:
-    """The JSON text of a str, None, bool, int or float; None for containers."""
-    if isinstance(v, str):
-        return _json_str(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _json_float(v)
-    return None
-
-
-def _floats(types: set) -> bool:
-    return all(issubclass(t, float) for t in types)
-
-
-def _flat_items(items, indent: str) -> str | None:
-    """The JSON text of list ``items`` at ``indent``, comma-separated, when
-    each is a scalar, or each is a list or tuple of as many floats; else
-    None.  Floats go through ``float.__repr__`` in one pass."""
-    types = set(map(type, items))
-    if _floats(types):
-        columns, form, fmt = [items], "{}", float.__repr__
-    elif types <= {str, int, bool, float, type(None)}:
-        columns, form, fmt = [items], "{}", _json_scalar
-    elif (types <= {list, tuple} and len(set(map(len, items))) == 1 and items[0]
-          and _floats(set(map(type, itertools.chain.from_iterable(items))))):
-        columns, fmt = list(zip(*items)), float.__repr__
-        inner = indent + "  "
-        form = "[\n" + inner + (",\n" + inner).join(["{}"] * len(columns)) + "\n" + indent + "]"
-    else:
+def _float_form(value, indent: str) -> str | None:
+    """The text template of one item of ``value``, nested at ``indent``,
+    when ``value`` is a non-empty list of floats, or of lists or tuples of
+    as many floats each; None for any other value."""
+    if not isinstance(value, list) or not value:
         return None
-    sep = ",\n" + indent
-    text = sep.join(map(form.format, *(map(fmt, c) for c in columns)))
-    if fmt is float.__repr__ and "n" in text:
-        # nan or inf, which JSON writes as NaN, Infinity and -Infinity
-        text = sep.join(map(form.format, *(map(_json_float, c) for c in columns)))
-    return text
-
-
-def _json_write(doc, indent: str, emit) -> None:
-    """Pass the text of ``json.dump(doc, fh, indent=2, sort_keys=True)``,
-    nested at ``indent``, to ``emit`` piece by piece; a list's scalars or
-    float tuples are one piece per ``_CHUNK`` items."""
-    text = _json_scalar(doc)
-    if text is not None:
-        emit(text)
-        return
+    types = set(map(type, value))
+    if all(issubclass(t, float) for t in types):
+        return "{}"
+    if not types <= {list, tuple} or len(set(map(len, value))) != 1 or not value[0]:
+        return None
+    if not all(issubclass(t, float) for t in set(map(type, itertools.chain.from_iterable(value)))):
+        return None
     inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(doc, (list, tuple)):
-        if not doc:
-            emit("[]")
-            return
-        emit("[\n" + inner)
-        for lo in range(0, len(doc), _CHUNK):
-            chunk = doc[lo:lo + _CHUNK]
-            if lo:
-                emit(sep)
-            text = _flat_items(chunk, inner)
-            if text is not None:
-                emit(text)
-                continue
-            for i, v in enumerate(chunk):
-                if i:
-                    emit(sep)
-                _json_write(v, inner, emit)
-        emit("\n" + indent + "]")
-    elif isinstance(doc, dict):
-        if not doc:
-            emit("{}")
-            return
-        for i, (key, v) in enumerate(sorted(doc.items())):
-            name = key if isinstance(key, str) else _json_scalar(key)
-            if name is None:
-                raise TypeError(f"keys must be str, int, float, bool or None, "
-                                f"not {type(key).__name__}")
-            head = ("{\n" + inner if i == 0 else sep) + _json_str(name) + ": "
-            text = _json_scalar(v)
-            if text is None:
-                emit(head)
-                _json_write(v, inner, emit)
-            else:
-                emit(head + text)
-        emit("\n" + indent + "}")
-    else:
-        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+    return "[\n" + inner + (",\n" + inner).join(["{}"] * len(value[0])) + "\n" + indent + "]"
 
 
 def _write_json(path: str, doc) -> None:
     """``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline, in the
-    same bytes, written as it is encoded."""
+    same bytes.  When a dict with str keys has a member that is a list of
+    floats, or of equal-length lists or tuples of floats, its members are
+    written one at a time: such a list ``_CHUNK`` items at a time through
+    ``float.__repr__``, every other value by ``json``'s own encoder."""
+    encode = json.JSONEncoder(indent=2, sort_keys=True).iterencode
+    forms = {}
+    if isinstance(doc, dict) and all(isinstance(k, str) for k in doc):
+        forms = {k: _float_form(v, "    ") for k, v in doc.items()}
     with open(path, "w") as fh:
-        _json_write(doc, "", fh.write)
+        if not any(forms.values()):
+            fh.writelines(encode(doc))
+        else:
+            for i, (key, value) in enumerate(sorted(doc.items())):
+                fh.write(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
+                form = forms[key]
+                if form is None:
+                    fh.writelines(piece.replace("\n", "\n  ") for piece in encode(value))
+                    continue
+                fh.write("[\n    ")
+                for lo in range(0, len(value), _CHUNK):
+                    chunk = value[lo:lo + _CHUNK]
+                    columns = [chunk] if form == "{}" else list(zip(*chunk))
+                    text = ",\n    ".join(map(form.format, *(map(float.__repr__, c) for c in columns)))
+                    if "n" in text:
+                        # nan and inf, which JSON spells NaN and Infinity
+                        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+                    fh.write((",\n    " if lo else "") + text)
+                fh.write("\n  ]")
+            fh.write("\n}")
         fh.write("\n")
 
 

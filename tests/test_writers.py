@@ -67,7 +67,7 @@ documents = st.recursive(
 
 class TestJson:
     @settings(max_examples=300, deadline=None)
-    @given(documents)
+    @given(st.one_of(documents, st.dictionaries(texts, documents, max_size=6)))
     def test_bytes_of_json_dump(self, out_dir, doc):
         path = out_dir / "doc.json"
         cli._write_json(str(path), doc)
