@@ -9,7 +9,6 @@ budget exhausted.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -34,7 +33,7 @@ EXIT_SCHEME = 3
 EXIT_BUDGET = 4
 
 
-# rows of a CSV file, or items of a JSON float list, formatted and written at once
+# rows of a CSV file formatted and written at once
 _CHUNK = 1024
 
 
@@ -72,54 +71,10 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
             fh.writelines(map(row.format, *(_csv_cells(v[lo:hi], b[lo:hi]) for v, b in pairs)))
 
 
-def _float_form(value, indent: str) -> str | None:
-    """The text template of one item of ``value``, nested at ``indent``,
-    when ``value`` is a non-empty list of floats, or of lists or tuples of
-    as many floats each; None for any other value."""
-    if not isinstance(value, list) or not value:
-        return None
-    types = set(map(type, value))
-    if all(issubclass(t, float) for t in types):
-        return "{}"
-    if not types <= {list, tuple} or len(set(map(len, value))) != 1 or not value[0]:
-        return None
-    if not all(issubclass(t, float) for t in set(map(type, itertools.chain.from_iterable(value)))):
-        return None
-    inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(["{}"] * len(value[0])) + "\n" + indent + "]"
-
-
 def _write_json(path: str, doc) -> None:
-    """``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline, in the
-    same bytes.  When a dict with str keys has a member that is a list of
-    floats, or of equal-length lists or tuples of floats, its members are
-    written one at a time: such a list ``_CHUNK`` items at a time through
-    ``float.__repr__``, every other value by ``json``'s own encoder."""
-    encode = json.JSONEncoder(indent=2, sort_keys=True).iterencode
-    forms = {}
-    if isinstance(doc, dict) and all(isinstance(k, str) for k in doc):
-        forms = {k: _float_form(v, "    ") for k, v in doc.items()}
+    """``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline."""
     with open(path, "w") as fh:
-        if not any(forms.values()):
-            fh.writelines(encode(doc))
-        else:
-            for i, (key, value) in enumerate(sorted(doc.items())):
-                fh.write(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
-                form = forms[key]
-                if form is None:
-                    fh.writelines(piece.replace("\n", "\n  ") for piece in encode(value))
-                    continue
-                fh.write("[\n    ")
-                for lo in range(0, len(value), _CHUNK):
-                    chunk = value[lo:lo + _CHUNK]
-                    columns = [chunk] if form == "{}" else list(zip(*chunk))
-                    text = ",\n    ".join(map(form.format, *(map(float.__repr__, c) for c in columns)))
-                    if "n" in text:
-                        # nan and inf, which JSON spells NaN and Infinity
-                        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-                    fh.write((",\n    " if lo else "") + text)
-                fh.write("\n  ]")
-            fh.write("\n}")
+        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc))
         fh.write("\n")
 
 
@@ -258,7 +213,13 @@ def cmd_fv(args) -> int:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise InvalidDataError(f"config delta_window must be finite, lower bound first, got {window!r}")
         window = lo, hi
-    final, diag = numerics.run(field, cfg, p, delta_window=window)
+    final, diag = numerics.run(field, cfg, p)
+    delta = []
+    if window is not None and diag["n_steps"] > 0:
+        # against the initial outer states, before any file is written, so
+        # that a window off the grid leaves no output
+        background = (State(field.h[0], field.b[0]), State(field.h[-1], field.b[-1]))
+        delta = [[final.t, numerics.delta_mass(final, window, background)]]
     # solved after the run, so that data whose wave speeds overflow fail as
     # the scheme does (exit 3), with or without a middle state
     exact_fan = None if data is None else riemann.solve(data)
@@ -271,10 +232,10 @@ def cmd_fv(args) -> int:
         "grid": diag["grid"],
         "t_end": cfg.t_end,
         "n_steps": diag["n_steps"],
-        "mass_h": diag["mass_h"],
-        "mass_b": diag["mass_b"],
+        "mass_h": [diag["mass_h"][0], diag["mass_h"][-1]],
+        "mass_b": [diag["mass_b"][0], diag["mass_b"][-1]],
         "max_conservation_residual": diag["max_conservation_residual"],
-        "delta_mass": diag["delta_mass"],
+        "delta_mass": delta,
     }
     if exact_fan is not None:
         # cell centres, not interactions.l1_distance: the godunov/llf digests pin this value

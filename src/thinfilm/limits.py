@@ -12,6 +12,7 @@ functions when a point mass is present.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,10 +125,16 @@ def convergence_table(study: LimitStudy) -> list[dict]:
         d = replace(d0, params=study_params(study, value))
         fan = solve(d)
         case = classify(d)
+        try:
+            l1 = l1_distance(fan, target, 1.0)
+        except OverflowError:
+            l1 = math.inf
+        if not math.isfinite(l1):
+            raise InvalidDataError(f"the exact L1 distance at {study.varying}={value} is not finite")
         row = {
             "value": value,
             "case": case,
-            "l1": l1_distance(fan, target, 1.0),
+            "l1": l1,
             "dsigma": None,
             "dbeta_rate": None,
             "weak_pairings": None,

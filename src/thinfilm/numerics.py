@@ -86,7 +86,6 @@ the ray even at dx = 1e-4.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import warnings
@@ -510,16 +509,13 @@ def run(
     cfg: SchemeConfig,
     p: Params,
     record_times: list[float] | None = None,
-    delta_window: tuple[float, float] | None = None,
 ) -> tuple[FVField, dict]:
     """Advance to cfg.t_end collecting conservation and mass diagnostics.
 
     Diagnostics: per-step mass series for both components, worst
     telescoping conservation residual (mass change minus boundary flux
-    balance), with ``delta_window`` the per-step :func:`delta_mass`
-    series of that window against the initial field's outer cells (which
-    must be quadrant states) as the background, and snapshots at
-    ``record_times``.  The
+    balance) and snapshots at ``record_times``; a point mass is measured
+    on the final field or a snapshot with :func:`delta_mass`.  The
     kernel's work counts: ``cell_updates`` (cells computed),
     ``full_steps`` (steps over the whole window, each of which
     certifies), ``settled_cell_steps`` (cells skipped as settled) and
@@ -528,12 +524,9 @@ def run(
     with np.errstate(over="ignore"):
         k = _Kernel(initial, cfg, p)
         f = k.field
-        if delta_window is not None:
-            background = (State(initial.h[0], initial.b[0]), State(initial.h[-1], initial.b[-1]))
         dx = f.grid.dx
         masses_h, masses_b = [k.mass[0] * dx], [k.mass[1] * dx]
         cons_res = 0.0
-        delta_series: list[tuple[float, float]] = []
         snapshots: list[FVField] = []
         want = sorted(record_times) if record_times else []
         wi = 0
@@ -554,8 +547,6 @@ def run(
                 )
             masses_h.append(mass_h)
             masses_b.append(mass_b)
-            if delta_window is not None:
-                delta_series.append((f.t, delta_mass(f, delta_window, background)))
             while wi < len(want) and f.t >= want[wi] - 1e-12:
                 snapshots.append(f.copy())
                 wi += 1
@@ -571,7 +562,6 @@ def run(
         "full_steps": k.full_steps,
         "settled_cell_steps": k.settled_cell_steps,
         "settled_drops": dict(k.drops),
-        "delta_mass": delta_series,
         "snapshots": snapshots,
         "grid": {"x_min": f.grid.x_min, "x_max": f.grid.x_max, "n_cells": f.grid.n_cells},
     }
@@ -580,19 +570,17 @@ def run(
 
 def peak_location(f: FVField, window: tuple[float, float]) -> float:
     """Cell center of the largest b value inside the window."""
-    cells = _window_cells(f.grid, float(window[0]), float(window[1]))
+    cells = _window_cells(f.grid, window)
     return float(f.grid.centers()[cells][np.argmax(f.b[cells])])
 
 
-@functools.lru_cache(maxsize=16)
-def _window_cells(grid: Grid, lo: float, hi: float) -> slice:
-    """The cells whose centers lie in [lo, hi], as a slice.
+def _window_cells(grid: Grid, window: tuple[float, float]) -> slice:
+    """The cells whose centers lie in the closed window, as a slice.
 
-    Cached, so a run that measures the same window every step builds it
-    once.  Centers increase with the index, so the cells are contiguous.
+    Centers increase with the index, so the cells are contiguous.
     """
     x = grid.centers()
-    idx = np.flatnonzero((x >= lo) & (x <= hi))
+    idx = np.flatnonzero((x >= window[0]) & (x <= window[1]))
     if idx.size == 0:
         raise ValueError("window lies outside the grid")
     return slice(int(idx[0]), int(idx[-1]) + 1)
@@ -607,7 +595,7 @@ def delta_mass(
     at the b peak inside the window; the excess estimates the point
     mass carried by a captured singular front.
     """
-    bw = f.b[_window_cells(f.grid, float(window[0]), float(window[1]))]
+    bw = f.b[_window_cells(f.grid, window)]
     k = int(bw.argmax())
     excess = np.empty_like(bw)
     np.subtract(bw[:k], background[0].b, out=excess[:k])

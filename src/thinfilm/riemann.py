@@ -196,7 +196,8 @@ def classify(d: RiemannData) -> str:
     (right) thickness gives the composite (delta-shock) case.  Data
     whose lambda2 overflows on either side are rejected: their wave
     speeds are not finite, and a finite w1 would read as tied with an
-    infinite one.
+    infinite one.  So are interior data whose right state has
+    3*alpha*b + kappa*h = 0: the 2-wave's closed forms divide by it.
     """
     if not d.assumption_holds():
         raise InvalidDataError(
@@ -214,6 +215,11 @@ def classify(d: RiemannData) -> str:
         return CASE_COMPOSITE
     if d.right.h <= tol:
         return CASE_DELTA
+    if 3.0 * d.params.alpha * d.right.b + d.params.kappa * d.right.h == 0.0:
+        raise InvalidDataError(
+            f"3*alpha*b + kappa*h of the right state {d.right} is 0 at "
+            f"alpha={d.params.alpha}, kappa={d.params.kappa}"
+        )
     w1l = phi(d.left, d.params)
     w1r = phi(d.right, d.params)
     if _close(w1l, w1r):
@@ -302,9 +308,15 @@ def delta_shock(d: RiemannData) -> DeltaShock:
     speed = phi(d.left, d.params)
     if speed <= 0.0:
         raise NotADeltaError("overcompressibility fails: lambda1(left) must be > 0")
+    rate = d.right.b * speed
+    if not math.isfinite(rate):
+        raise InvalidDataError(
+            f"the point-mass growth rate b * sigma of the right state {d.right} "
+            f"overflows: sigma={speed}"
+        )
     return DeltaShock(
         speed=speed,
-        strength_rate=d.right.b * speed,
+        strength_rate=rate,
         left=d.left,
         right=d.right,
     )

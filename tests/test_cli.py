@@ -4,10 +4,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from thinfilm import numerics
 from thinfilm.cli import main
-from thinfilm.riemann import fan_from_json
+from thinfilm.core import Params, State
+from thinfilm.riemann import RiemannData, fan_from_json
 
 
 def run_cli(args):
@@ -177,6 +180,23 @@ class TestRiemannCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+    def test_infinite_strength_rate_exit_2(self, tmp_path, capsys):
+        # b+ * sigma overflows: used to exit 0 with an inf singular weight
+        # and "strength_rate": Infinity, which is not JSON
+        code = run_cli(
+            [
+                "riemann", "--alpha", "0.5", "--kappa", "0", "--left", "2,1e300",
+                "--right", "0,1e300", "--out", str(tmp_path / "d.csv"),
+                "--fan-out", str(tmp_path / "fan.json"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the point-mass growth rate b * sigma of the right state")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSchemeCommands:
     def _config(self, tmp_path, scheme_extras=None):
         doc = {
@@ -237,15 +257,16 @@ class TestSchemeCommands:
                              ids=["window-only", "background-only"])
     def test_delta_key_alone(self, tmp_path, scheme, key):
         # the point mass is measured against the initial outer states:
-        # delta_window alone records the series that window plus background
-        # records, and delta_background alone is ignored
+        # delta_window alone records the final [t, mass] pair that window
+        # plus background records, and delta_background alone is ignored
         both = {"delta_window": [0.0, 1.0], "delta_background": [[1.5, 1.6], [1.25, 1.15]]}
         diags = []
         for extras in (both, {key: both[key]}):
             cfg = self._config(tmp_path, extras)
             assert run_cli([scheme, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
             diags.append(json.loads((tmp_path / "x_diag.json").read_text()))
-        assert len(diags[0]["delta_mass"]) == diags[0]["n_steps"] > 0
+        [[t, _]] = diags[0]["delta_mass"]
+        assert t == 0.5 and diags[0]["n_steps"] > 0
         if key == "delta_window":
             assert diags[1] == diags[0]
         else:
@@ -366,12 +387,42 @@ class TestSchemeCommands:
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_delta_config_records_series(self, tmp_path):
+        # named for the per-step series it used to pin: one [t, mass] pair
+        # at the final time is written
         extras = {"delta_window": [0.0, 1.0], "delta_background": [[1.5, 1.6], [1.25, 1.15]]}
         cfg = self._config(tmp_path, extras)
         out = tmp_path / "d.csv"
         assert run_cli(["llf", "--config", str(cfg), "--out", str(out)]) == 0
         diag = json.loads((tmp_path / "d_diag.json").read_text())
-        assert len(diag["delta_mass"]) == diag["n_steps"]
+        [[t, mass]] = diag["delta_mass"]
+        assert t == 0.5 and math.isfinite(mass)
+
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    def test_diag_holds_ends_of_run_series(self, tmp_path, scheme):
+        # the file holds the first and last entries of run()'s per-step
+        # mass series and delta_mass of the final field, bit for bit
+        cfg = self._config(tmp_path, {"delta_window": [0.0, 1.0]})
+        assert run_cli([scheme, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+        diag = json.loads((tmp_path / "x_diag.json").read_text())
+        p, left, right = Params(0.5, 0.0), State(1.5, 1.6), State(1.25, 1.15)
+        f0 = numerics.field_from_riemann(RiemannData(left, right, p), numerics.Grid(-2.0, 6.0, 200))
+        final, ref = numerics.run(f0, numerics.SchemeConfig(scheme=scheme, t_end=0.5), p)
+        mass = numerics.delta_mass(final, (0.0, 1.0), (left, right))
+        want = {
+            "mass_h": [ref["mass_h"][0], ref["mass_h"][-1]],
+            "mass_b": [ref["mass_b"][0], ref["mass_b"][-1]],
+            "delta_mass": [[final.t, mass]],
+        }
+        for key, values in want.items():
+            assert [x.hex() for x in np.ravel(diag[key])] == [x.hex() for x in np.ravel(values)]
+
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    def test_window_off_grid_exit_2(self, tmp_path, capsys, scheme):
+        cfg = self._config(tmp_path, {"delta_window": [10.0, 20.0]})
+        assert run_cli([scheme, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: window lies outside the grid\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_scheme_failure_exit_3(self, tmp_path):
         # overflowing states blow the wave speeds past float range
@@ -635,6 +686,26 @@ class TestLimitsCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("fixed, left, right, values", [
+        ("0.5", "1.24,0.9", "1e154,0.5", "1,0.1"),
+        ("3", "0.109,1.03", "1.63,1e200", "1,0.1,0.01"),
+    ], ids=["overflow", "nan"])
+    def test_non_finite_l1_exit_2(self, tmp_path, capsys, fixed, left, right, values):
+        # used to end in an OverflowError traceback (exit 1), and to exit 0
+        # with nan in every l1 cell
+        out = tmp_path / "table.csv"
+        code = run_cli(
+            [
+                "limits", "--study", "kappa", "--values", values, "--fixed", fixed,
+                "--left", left, "--right", right, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: the exact L1 distance at kappa=1.0 is not finite\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestEntropyCheckCommand:
     def test_report_ok(self, tmp_path):
         out = tmp_path / "entropy.json"
@@ -752,6 +823,24 @@ class TestEntropyCheckCommand:
         assert err.startswith("error: n_grid must be at least 1")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["riemann", "--alpha", "0.5", "--kappa", "0", "--left", "1.5,1.0", "--right", "2.0,0.0"],
+     "p.csv"),
+    (["interact", "--alpha", "0.5", "--kappa", "0", "--epsilon", "0.1", "--left", "1.5,1.6",
+      "--middle", "0.95,1.62", "--right", "2.0,0.0"], "timeline.json"),
+    (["limits", "--study", "kappa", "--values", "1,0.1", "--fixed", "0.5",
+      "--left", "1.5,1.0", "--right", "2.0,0.0"], "table.csv"),
+], ids=["riemann", "interact", "limits-target"])
+def test_zero_right_coefficient_exit_2(tmp_path, capsys, argv, out):
+    # kappa = 0 and b+ = 0: 3*alpha*b+ + kappa*h+ = 0 on interior data used
+    # to end in a ZeroDivisionError traceback from intermediate_state (exit 1)
+    assert run_cli([*argv, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 3*alpha*b + kappa*h of the right state State(h=2.0, b=0.0) is 0")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestEntryPoint:

@@ -60,14 +60,15 @@ def reference_delta_mass(f, window, background):
     return float(np.sum(bw - bg) * f.grid.dx)
 
 
-def reference_run(f, cfg, p, delta=None):
+def reference_run(f, cfg, p, record_times=()):
     """The run loop over reference_step.
 
     Returns the final field, both mass series, the conservation residual
-    and, with ``delta = (window, background)``, the delta-mass series.
+    and the snapshots at ``record_times``, taken as run takes them.
     """
     dx = f.grid.dx
-    mh, mb, res, series = [float(np.sum(f.h) * dx)], [float(np.sum(f.b) * dx)], 0.0, []
+    mh, mb, res, snapshots = [float(np.sum(f.h) * dx)], [float(np.sum(f.b) * dx)], 0.0, []
+    want = sorted(record_times)
     while f.t < cfg.t_end - 1e-14:
         fn, F1, F2 = reference_step(f, cfg, p)
         for m, arr, F in ((mh, fn.h, F1), (mb, fn.b, F2)):
@@ -75,9 +76,20 @@ def reference_run(f, cfg, p, delta=None):
             r = m[-1] - m[-2] + (fn.t - f.t) * (float(F[-1]) - float(F[0]))
             res = max(res, abs(r))
         f = fn
-        if delta is not None:
-            series.append((f.t, reference_delta_mass(f, *delta)))
-    return f, mh, mb, res, series
+        while len(snapshots) < len(want) and f.t >= want[len(snapshots)] - 1e-12:
+            snapshots.append(f)
+    return f, mh, mb, res, snapshots
+
+
+def assert_same_delta_masses(f, diag, g, snapshots, window, bg):
+    """run's final field and snapshots against reference_run's: the same
+    bits, and the same delta_mass as reference_delta_mass."""
+    assert len(diag["snapshots"]) == len(snapshots) > 0
+    for fs, gs in zip([f, *diag["snapshots"]], [g, *snapshots]):
+        np.testing.assert_array_equal(bits(fs.h), bits(gs.h))
+        np.testing.assert_array_equal(bits(fs.b), bits(gs.b))
+        assert fs.t == gs.t
+        assert delta_mass(fs, window, bg) == reference_delta_mass(gs, window, bg)
 
 
 def piecewise_constant(rng, grid):
@@ -179,15 +191,15 @@ class TestWindowKernel:
                 f0.h[0], f0.b[-1] = 1.7, 0.3
             window = (-1.0, 1.5) if draw % 2 else (0.5, 4.0)
             bg = (State(f0.h[0], f0.b[0]), State(f0.h[-1], f0.b[-1]))
-            f, diag = run(f0, cfg, p, delta_window=window)
-            g, mh, mb, res, series = reference_run(f0, cfg, p, (window, bg))
+            f, diag = run(f0, cfg, p, record_times=[0.2, 0.4])
+            g, mh, mb, res, snapshots = reference_run(f0, cfg, p, [0.2, 0.4])
             np.testing.assert_array_equal(f.h, g.h)
             np.testing.assert_array_equal(f.b, g.b)
             assert f.t == g.t
             np.testing.assert_array_equal(diag["mass_h"], mh)
             np.testing.assert_array_equal(diag["mass_b"], mb)
             assert diag["max_conservation_residual"] == res
-            assert diag["delta_mass"] == series
+            assert_same_delta_masses(f, diag, g, snapshots, window, bg)
             if draw == 4:
                 assert diag["max_active_cells"] == f0.grid.n_cells
             s, r = step(f0, cfg, p), reference_step(f0, cfg, p)[0]
@@ -337,15 +349,15 @@ class TestSettledPrefix:
         f0 = settling_field(data, p)
         cfg = SchemeConfig(scheme=scheme, t_end=2.0)
         left, _, right = SETTLING[data]
-        f, diag = run(f0, cfg, p, delta_window=(0.0, 4.0))
-        g, mh, mb, res, series = reference_run(f0, cfg, p, ((0.0, 4.0), (left, right)))
+        f, diag = run(f0, cfg, p, record_times=[0.5, 1.0, 1.5])
+        g, mh, mb, res, snapshots = reference_run(f0, cfg, p, [0.5, 1.0, 1.5])
         np.testing.assert_array_equal(f.h, g.h)
         np.testing.assert_array_equal(f.b, g.b)
         np.testing.assert_array_equal(f.t, g.t)
         np.testing.assert_array_equal(diag["mass_h"], mh)
         np.testing.assert_array_equal(diag["mass_b"], mb)
         np.testing.assert_array_equal(diag["max_conservation_residual"], res)
-        np.testing.assert_array_equal(diag["delta_mass"], series)
+        assert_same_delta_masses(f, diag, g, snapshots, (0.0, 4.0), (left, right))
         # the settled path ran, and was dropped when dt/dx outgrew c_hi
         # and, under LLF, when the block's last cell changed; on the shock
         # data dt/dx is constant, so only the age expiry lets a block grow
@@ -687,12 +699,12 @@ class TestDeltaDiagnostics:
             f0,
             SchemeConfig(scheme="llf", t_end=0.1),
             p,
-            delta_window=(-0.1, 0.5),
+            record_times=[0.1 / 3, 0.2 / 3, 0.1],
         )
-        series = diag["delta_mass"]
-        assert len(series) > 10
-        third = len(series) // 3
-        assert series[third][1] < series[2 * third][1] < series[-1][1]
+        bg = (left, right)
+        masses = [delta_mass(s, (-0.1, 0.5), bg) for s in diag["snapshots"]]
+        assert diag["n_steps"] > 10 and len(masses) == 3
+        assert masses[0] < masses[1] < masses[2]
 
 
 class TestInvariantTransport:

@@ -74,19 +74,19 @@ DIGESTS = {
     },
     "godunov": {
         "result.csv": "4206028f522508f374b7e098d287d82e3d501f2c9bed9b57526df0e26883e7f6",
-        "result_diag.json": "c9f3c8ce6c3cd7f550f49b0af9272075db1fa13f7da9c9ccb2be3331e32e3f67",
+        "result_diag.json": "77cddee7cff5d1b76caa94b1b42a682cdf16bebded9515ef1c1516780b3c51e8",
     },
     "llf": {
         "result.csv": "df78b180598a8d1c18bad84ec5f6590b1775e8f3b481966d7d954617c0c54ccb",
-        "result_diag.json": "2de8bac0128a350423f332eff9c2c2aca9e31862331f5600219d80d8681e0157",
+        "result_diag.json": "b35fcd93da27835eb40919b9d9c6f902e67d74e114ad5be420dd54065e72be60",
     },
     "godunov-fine": {
         "result.csv": "b4be3f218756ffd6102b84087041b3722964fd2d124fcbae914b41ca64fbfc98",
-        "result_diag.json": "43f4807af6156a8016516698a88257313cec2ed1fdb3afe6984b0eeba6a570d1",
+        "result_diag.json": "765130b305bffaf8a1f0d5c366f3d49e57cdc4452cf8809a05cb4fd7c6203d04",
     },
     "llf-delta-fine": {
         "result.csv": "d28a7629655bee7e9628243492b905c28103096fa4ec493dc16ba4432df7808a",
-        "result_diag.json": "0de1f20473b0e1edbcdeeaf8958bb474971fe3ad840e6f0f44fa9f13458a7021",
+        "result_diag.json": "6b4a65f05768a1ae2d2cc5aef422af0c8eb45de00cb0e41f9dd2ecf98692d78d",
     },
 }
 DIGESTS["llf-delta-fine-derived"] = DIGESTS["llf-delta-fine"]
