@@ -86,9 +86,14 @@ def _parse_state(text: str) -> State:
 
 
 def _number(value, what: str):
-    """A number of the JSON config, as given; any other type is invalid input."""
+    """A number of the JSON config, as given; any other type, or an integer
+    that no float can hold, is invalid input."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidDataError(f"config {what} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise InvalidDataError(f"config {what} must be a number in float range") from None
     return value
 
 
@@ -190,7 +195,10 @@ def cmd_fv(args) -> int:
     p = Params(*(_number(_key(cfg_doc, k), k) for k in ("alpha", "kappa")),
                h_tol=_number(cfg_doc.get("h_tol", 1e-10), "h_tol"))
     grid_doc = _object(_key(cfg_doc, "grid"), "grid")
-    grid = numerics.Grid(*(_key(grid_doc, k, "grid") for k in ("xmin", "xmax", "ncells")))
+    grid = numerics.Grid(
+        *(_number(_key(grid_doc, k, "grid"), f"grid.{k}") for k in ("xmin", "xmax")),
+        _key(grid_doc, "ncells", "grid"),
+    )
     init = _object(_key(cfg_doc, "initial"), "initial")
     left, right = (State(*_pair(_key(init, k, "initial"), k)) for k in ("left", "right"))
     data = None

@@ -89,6 +89,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -512,20 +513,22 @@ def run(
 ) -> tuple[FVField, dict]:
     """Advance to cfg.t_end collecting conservation and mass diagnostics.
 
-    Diagnostics: per-step mass series for both components, worst
-    telescoping conservation residual (mass change minus boundary flux
-    balance) and snapshots at ``record_times``; a point mass is measured
-    on the final field or a snapshot with :func:`delta_mass`.  The
-    kernel's work counts: ``cell_updates`` (cells computed),
-    ``full_steps`` (steps over the whole window, each of which
-    certifies), ``settled_cell_steps`` (cells skipped as settled) and
-    ``settled_drops`` by reason.  A failing step raises as :func:`step` does.
+    Diagnostics: per-step mass series for both components, each a float64
+    ``array('d')`` of ``n_steps + 1`` values (8 B per step, where a list
+    of floats holds 32), worst telescoping conservation residual (mass
+    change minus boundary flux balance) and snapshots at
+    ``record_times``; a point mass is measured on the final field or a
+    snapshot with :func:`delta_mass`.  The kernel's work counts:
+    ``cell_updates`` (cells computed), ``full_steps`` (steps over the
+    whole window, each of which certifies), ``settled_cell_steps`` (cells
+    skipped as settled) and ``settled_drops`` by reason.  A failing step
+    raises as :func:`step` does.
     """
     with np.errstate(over="ignore"):
         k = _Kernel(initial, cfg, p)
         f = k.field
         dx = f.grid.dx
-        masses_h, masses_b = [k.mass[0] * dx], [k.mass[1] * dx]
+        masses_h, masses_b = array("d", [k.mass[0] * dx]), array("d", [k.mass[1] * dx])
         cons_res = 0.0
         snapshots: list[FVField] = []
         want = sorted(record_times) if record_times else []

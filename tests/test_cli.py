@@ -305,6 +305,35 @@ class TestSchemeCommands:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, path", [
+        ("alpha", ["alpha"]), ("kappa", ["kappa"]), ("h_tol", ["h_tol"]), ("cfl", ["cfl"]),
+        ("t_end", ["t_end"]), ("grid.xmin", ["grid", "xmin"]), ("grid.xmax", ["grid", "xmax"]),
+        ("left", ["initial", "left", 0]), ("middle", ["initial", "middle", 1]),
+        ("right", ["initial", "right", 0]), ("epsilon", ["initial", "epsilon"]),
+        ("delta_window", ["delta_window", 0]), ("delta_window", ["delta_window", 1]),
+    ], ids=["alpha", "kappa", "h_tol", "cfl", "t_end", "xmin", "xmax", "left", "middle",
+            "right", "epsilon", "window-lower", "window-upper"])
+    def test_huge_integer_exit_2(self, tmp_path, capsys, key, path):
+        # a 401-digit integer no float can hold used to end in an
+        # OverflowError traceback with exit 1
+        doc = {
+            "alpha": 0.5, "kappa": 0.0, "h_tol": 1e-10, "cfl": 0.45, "t_end": 0.5,
+            "grid": {"xmin": -2.0, "xmax": 6.0, "ncells": 200},
+            "initial": {"left": [1.5, 1.6], "middle": [0.95, 1.62], "epsilon": 0.1,
+                        "right": [1.25, 1.15]},
+            "delta_window": [0.0, 1.0],
+        }
+        *parents, last = path
+        target = doc
+        for k in parents:
+            target = target[k]
+        target[last] = 10**400
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(["godunov", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: config {key} must be a number in float range\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("section, key", [
         ("", "alpha"), ("", "kappa"), ("", "t_end"), ("", "grid"), ("", "initial"),
         ("grid", "xmin"), ("grid", "xmax"), ("grid", "ncells"),

@@ -555,6 +555,19 @@ class TestStep:
         _, diag = run(f, SchemeConfig(scheme="llf", t_end=0.2), P_FILM)
         assert diag["max_conservation_residual"] <= 1e-12
 
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    def test_mass_series_are_float64_storage(self, scheme):
+        # 8 B per step and component, where a list holds a 32 B float object
+        f = field_from_riemann(EX_JS, Grid(-2.0, 8.0, 200))
+        _, diag = run(f, SchemeConfig(scheme=scheme, t_end=0.2), P_FILM)
+        assert diag["n_steps"] > 0
+        for key in ("mass_h", "mass_b"):
+            series = diag[key]
+            assert not isinstance(series, list)
+            view = memoryview(series)
+            assert (view.format, view.itemsize, view.ndim) == ("d", 8, 1)
+            assert len(series) == view.nbytes // 8 == diag["n_steps"] + 1
+
     def test_stagnation_warning(self):
         grid = Grid(-1.0, 1.0, 32)
         b = np.linspace(0.5, 1.5, 32)
