@@ -74,15 +74,19 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
 def _write_json(path: str, doc) -> None:
     """``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline."""
     with open(path, "w") as fh:
-        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc))
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _parse_state(text: str) -> State:
+    """A state option ``h,b`` in the quadrant."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise ThinFilmError(f"state must be 'h,b', got {text!r}")
-    return State(float(parts[0]), float(parts[1]))
+        raise argparse.ArgumentTypeError(f"state must be 'h,b', got {text!r}")
+    try:
+        return State(float(parts[0]), float(parts[1]))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _number(value, what: str):
@@ -111,12 +115,15 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _numbers(text: str) -> list[float]:
-    """The comma list of ``--values``."""
+def _numbers(text: str, ok=math.isfinite, what: str = "finite numbers") -> list[float]:
+    """The comma list of ``--values``: finite numbers; or of floats that pass ``ok``."""
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
+        if all(map(ok, values)):
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"not a comma list of {what}: {text!r}")
 
 
 def _finite(text: str) -> float:
@@ -129,10 +136,7 @@ def _finite(text: str) -> float:
 
 def _times(text: str) -> list[float]:
     """The comma list of ``--profile-times``: finite times after t = 0."""
-    times = _numbers(text)
-    if not all(math.isfinite(t) and t > 0.0 for t in times):
-        raise argparse.ArgumentTypeError(f"not a comma list of finite positive times: {text!r}")
-    return times
+    return _numbers(text, lambda t: math.isfinite(t) and t > 0.0, "finite positive times")
 
 
 def _count(text: str) -> int:
@@ -159,8 +163,7 @@ def _add_param_args(sp) -> None:
 
 def cmd_riemann(args) -> int:
     p = Params(args.alpha, args.kappa, h_tol=args.h_tol)
-    data = riemann.RiemannData(_parse_state(args.left), _parse_state(args.right), p)
-    fan = riemann.solve(data)
+    fan = riemann.solve(riemann.RiemannData(args.left, args.right, p))
     xs = np.linspace(args.x_min, args.x_max, args.samples)
     h, b, _ = riemann.profile(fan, args.t, xs)
     # the singular row carries the right state, as `sample` does on the ray
@@ -258,30 +261,24 @@ def cmd_fv(args) -> int:
 
 def cmd_interact(args) -> int:
     p = Params(args.alpha, args.kappa, h_tol=args.h_tol)
-    pd = interactions.PerturbedData(
-        args.epsilon,
-        _parse_state(args.left),
-        _parse_state(args.middle),
-        _parse_state(args.right),
-        p,
-    )
+    pd = interactions.PerturbedData(args.epsilon, args.left, args.middle, args.right, p)
     tl = interactions.run_timeline(
         pd, t_max=args.t_max, n_fan=args.n_fan, budget=args.budget
     )
+    # every profile before any file, so that a failing one leaves none
+    times = args.profile_times or []
+    xs = np.linspace(args.x_min, args.x_max, args.samples) if times else None
+    profiles = [tl.profile(t, xs) for t in times]
     _write_json(args.out, interactions.timeline_to_json(tl))
-    if args.profile_times:
-        base, ext = os.path.splitext(args.out)
-        for t in args.profile_times:
-            xs = np.linspace(args.x_min, args.x_max, args.samples)
-            h, b = tl.profile(t, xs)
-            _write_csv(f"{base}_t{t:.17g}.csv", ["x", "h", "b"], [xs, h, b])
+    for t, (h, b) in zip(times, profiles):
+        _write_csv(f"{os.path.splitext(args.out)[0]}_t{t:.17g}.csv", ["x", "h", "b"], [xs, h, b])
     return EXIT_OK
 
 
 def cmd_limits(args) -> int:
     p = Params(**{"alpha": args.fixed, "kappa": args.fixed, args.study: args.values[0]},
                h_tol=args.h_tol)
-    data = riemann.RiemannData(_parse_state(args.left), _parse_state(args.right), p)
+    data = riemann.RiemannData(args.left, args.right, p)
     study = limits.LimitStudy(args.study, tuple(args.values), data)
     rows = [
         (r["value"], r["case"], r["l1"], r["dsigma"], r["dbeta_rate"],
@@ -306,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("riemann", help="exact Riemann solution sampler")
     _add_param_args(sp)
-    sp.add_argument("--left", required=True, help="left state 'h,b'")
-    sp.add_argument("--right", required=True, help="right state 'h,b'")
+    sp.add_argument("--left", type=_parse_state, required=True, help="left state 'h,b'")
+    sp.add_argument("--right", type=_parse_state, required=True, help="right state 'h,b'")
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--samples", type=_count, default=1000)
     sp.add_argument("--x-min", type=_finite, default=-5.0)
@@ -326,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("interact", help="perturbed Riemann front tracking")
     _add_param_args(sp)
     sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--left", required=True)
-    sp.add_argument("--middle", required=True)
-    sp.add_argument("--right", required=True)
+    sp.add_argument("--left", type=_parse_state, required=True)
+    sp.add_argument("--middle", type=_parse_state, required=True)
+    sp.add_argument("--right", type=_parse_state, required=True)
     sp.add_argument("--t-max", type=_finite, default=math.inf, help="default: no limit")
     sp.add_argument("--n-fan", type=int, default=64)
     sp.add_argument("--budget", type=int, default=10000)
@@ -344,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--values", type=_numbers, required=True, help="comma list, decreasing")
     sp.add_argument("--fixed", type=float, required=True)
     sp.add_argument("--h-tol", type=float, default=1e-10)
-    sp.add_argument("--left", required=True)
-    sp.add_argument("--right", required=True)
+    sp.add_argument("--left", type=_parse_state, required=True)
+    sp.add_argument("--right", type=_parse_state, required=True)
     sp.add_argument("--samples", type=int, help="ignored: the l1 column is exact")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_limits)
@@ -373,7 +370,7 @@ def main(argv=None) -> int:
     except SchemeFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEME
-    except (ThinFilmError, ValueError, KeyError) as exc:
+    except (ThinFilmError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

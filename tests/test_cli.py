@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
 import math
+import operator
+import os
 import subprocess
 import sys
 
@@ -15,6 +21,17 @@ from thinfilm.riemann import RiemannData, fan_from_json
 
 def run_cli(args):
     return main(args)
+
+
+# a two-state godunov/llf config that runs; tests and rows change copies
+CFG = {
+    "alpha": 0.5,
+    "kappa": 0.0,
+    "grid": {"xmin": -2.0, "xmax": 6.0, "ncells": 200},
+    "cfl": 0.45,
+    "t_end": 0.5,
+    "initial": {"left": [1.5, 1.6], "right": [1.25, 1.15]},
+}
 
 
 class TestRiemannCommand:
@@ -77,81 +94,6 @@ class TestRiemannCommand:
         assert singular == [",".join(f"{v:.17g}" for v in (
             ds.speed * 1.5, 0.0, 1.5819176697626334, ds.strength_rate * 1.5))]
 
-    def test_malformed_state_exit_2(self, tmp_path):
-        code = run_cli(
-            [
-                "riemann", "--alpha", "0.5", "--kappa", "1",
-                "--left", "nonsense", "--right", "1,1",
-                "--out", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert code == 2
-
-    @pytest.mark.parametrize("flag, value", [("--x-min", "nan"), ("--x-max", "inf"),
-                                             ("--x-min", "-inf")])
-    def test_non_finite_range_exit_2(self, tmp_path, capsys, flag, value):
-        # used to write rows at x = nan or x = inf with exit 0
-        out = tmp_path / "prof.csv"
-        code = run_cli(
-            [
-                "riemann", "--alpha", "0.5", "--kappa", "0",
-                "--left", "1.24,0.90", "--right", "1.5,1.56", "--samples", "3",
-                f"{flag}={value}", "--out", str(out),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"error: argument {flag}: not a finite number: '{value}'" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    def test_negative_samples_exit_2(self, tmp_path, capsys):
-        # used to reach np.linspace, whose ValueError named no option
-        out = tmp_path / "prof.csv"
-        code = run_cli(
-            [
-                "riemann", "--alpha", "0.5", "--kappa", "0",
-                "--left", "1.24,0.90", "--right", "1.5,1.56", "--samples=-1", "--out", str(out),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "error: argument --samples: not a non-negative integer: '-1'" in err
-        assert not list(tmp_path.iterdir())
-
-    def test_assumption_violation_exit_2(self, tmp_path):
-        code = run_cli(
-            [
-                "riemann", "--alpha", "0.5", "--kappa", "1",
-                "--left", "0,1", "--right", "0,2",
-                "--out", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert code == 2
-
-    def test_io_error_exit_1(self):
-        code = run_cli(
-            [
-                "riemann", "--alpha", "0.5", "--kappa", "1",
-                "--left", "1,1", "--right", "2,2",
-                "--out", "/nonexistent-dir/x.csv",
-            ]
-        )
-        assert code == 1
-
-    @pytest.mark.parametrize("t", ["0", "-1", "nan"])
-    def test_bad_time_exit_2(self, tmp_path, t):
-        out = tmp_path / "prof.csv"
-        code = run_cli(
-            [
-                "riemann", "--alpha", "0.5", "--kappa", "0",
-                "--left", "1.24,0.90", "--right", "1.5,1.56",
-                "--t", t, "--out", str(out),
-            ]
-        )
-        assert code == 2
-        assert not out.exists()
-
     def test_deterministic_output(self, tmp_path):
         args = [
             "riemann", "--alpha", "0.5", "--kappa", "1",
@@ -162,55 +104,11 @@ class TestRiemannCommand:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    @pytest.mark.parametrize(
-        "left, right, side",
-        [("1.24,0.90", "1.5,1.56", "right"), ("2,2", "0,1", "left"), ("0,1", "2,2", "right")],
-    )
-    def test_infinite_lambda2_exit_2(self, tmp_path, capsys, left, right, side):
-        # used to exit 0 with a pure-J fan, an inf row or an Infinity in the JSON
-        out = tmp_path / "prof.csv"
-        code = run_cli(
-            [
-                "riemann", "--alpha", "0.5", "--kappa", "1e308",
-                "--left", left, "--right", right, "--out", str(out),
-            ]
-        )
-        assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: lambda2 of the {side} state")
-        assert list(tmp_path.iterdir()) == []
-
-
-    def test_infinite_strength_rate_exit_2(self, tmp_path, capsys):
-        # b+ * sigma overflows: used to exit 0 with an inf singular weight
-        # and "strength_rate": Infinity, which is not JSON
-        code = run_cli(
-            [
-                "riemann", "--alpha", "0.5", "--kappa", "0", "--left", "2,1e300",
-                "--right", "0,1e300", "--out", str(tmp_path / "d.csv"),
-                "--fan-out", str(tmp_path / "fan.json"),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: the point-mass growth rate b * sigma of the right state")
-        assert "Traceback" not in err
-        assert list(tmp_path.iterdir()) == []
-
 
 class TestSchemeCommands:
     def _config(self, tmp_path, scheme_extras=None):
-        doc = {
-            "alpha": 0.5,
-            "kappa": 0.0,
-            "grid": {"xmin": -2.0, "xmax": 6.0, "ncells": 200},
-            "cfl": 0.45,
-            "t_end": 0.5,
-            "initial": {"left": [1.5, 1.6], "right": [1.25, 1.15]},
-        }
-        if scheme_extras:
-            doc.update(scheme_extras)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps({**CFG, **(scheme_extras or {})}))
         return path
 
     def test_godunov_run(self, tmp_path):
@@ -247,11 +145,6 @@ class TestSchemeCommands:
         cfg.write_text(json.dumps(doc))
         assert run_cli(["godunov", "--config", str(cfg), "--out", str(tmp_path / "p.csv")]) == 0
 
-    def test_bad_config_exit_2(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alpha": 0.5}))
-        assert run_cli(["godunov", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
-
     @pytest.mark.parametrize("scheme", ["godunov", "llf"])
     @pytest.mark.parametrize("key", ["delta_window", "delta_background"],
                              ids=["window-only", "background-only"])
@@ -272,106 +165,6 @@ class TestSchemeCommands:
         else:
             assert diags[1] == {**diags[0], "delta_mass": []}
 
-    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
-    @pytest.mark.parametrize("bad", [
-        {"ncells": 100.5}, {"ncells": 100.0}, {"ncells": "100"}, {"ncells": True},
-        {"xmin": math.nan}, {"xmax": math.inf},
-    ], ids=["ncells-fraction", "ncells-float", "ncells-string", "ncells-bool", "xmin-nan", "xmax-inf"])
-    def test_malformed_grid_exit_2(self, tmp_path, capsys, scheme, bad):
-        # a float or string ncells used to escape as a TypeError (exit 1) and
-        # true ran a one-cell grid
-        cfg = self._config(tmp_path, {"grid": {"xmin": -2.0, "xmax": 6.0, "ncells": 200, **bad}})
-        out = tmp_path / "x.csv"
-        assert run_cli([scheme, "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: grid needs")
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
-    @pytest.mark.parametrize("key, bad", [
-        ("cfl", {"cfl": "0.4"}), ("t_end", {"t_end": "0.5"}), ("alpha", {"alpha": "0.5"}),
-        ("left", {"initial": {"left": [1.5], "right": [1.25, 1.15]}}),
-        ("grid", {"grid": [1]}), ("initial", {"initial": [1]}),
-    ], ids=["cfl-string", "t_end-string", "alpha-string", "left-one-number", "grid-list",
-            "initial-list"])
-    def test_mistyped_config_exit_2(self, tmp_path, capsys, scheme, key, bad):
-        # each used to escape as a TypeError traceback with exit 1, the I/O code
-        cfg = self._config(tmp_path, bad)
-        out = tmp_path / "x.csv"
-        assert run_cli([scheme, "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config {key} must be")
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key, path", [
-        ("alpha", ["alpha"]), ("kappa", ["kappa"]), ("h_tol", ["h_tol"]), ("cfl", ["cfl"]),
-        ("t_end", ["t_end"]), ("grid.xmin", ["grid", "xmin"]), ("grid.xmax", ["grid", "xmax"]),
-        ("left", ["initial", "left", 0]), ("middle", ["initial", "middle", 1]),
-        ("right", ["initial", "right", 0]), ("epsilon", ["initial", "epsilon"]),
-        ("delta_window", ["delta_window", 0]), ("delta_window", ["delta_window", 1]),
-    ], ids=["alpha", "kappa", "h_tol", "cfl", "t_end", "xmin", "xmax", "left", "middle",
-            "right", "epsilon", "window-lower", "window-upper"])
-    def test_huge_integer_exit_2(self, tmp_path, capsys, key, path):
-        # a 401-digit integer no float can hold used to end in an
-        # OverflowError traceback with exit 1
-        doc = {
-            "alpha": 0.5, "kappa": 0.0, "h_tol": 1e-10, "cfl": 0.45, "t_end": 0.5,
-            "grid": {"xmin": -2.0, "xmax": 6.0, "ncells": 200},
-            "initial": {"left": [1.5, 1.6], "middle": [0.95, 1.62], "epsilon": 0.1,
-                        "right": [1.25, 1.15]},
-            "delta_window": [0.0, 1.0],
-        }
-        *parents, last = path
-        target = doc
-        for k in parents:
-            target = target[k]
-        target[last] = 10**400
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        assert run_cli(["godunov", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
-        assert capsys.readouterr().err == f"error: config {key} must be a number in float range\n"
-        assert list(tmp_path.iterdir()) == [cfg]
-
-    @pytest.mark.parametrize("section, key", [
-        ("", "alpha"), ("", "kappa"), ("", "t_end"), ("", "grid"), ("", "initial"),
-        ("grid", "xmin"), ("grid", "xmax"), ("grid", "ncells"),
-        ("initial", "left"), ("initial", "right"), ("initial", "epsilon"),
-    ], ids=lambda v: v or "top")
-    def test_missing_key_exit_2(self, tmp_path, capsys, section, key):
-        # used to print the bare KeyError: "error: 'grid'"
-        doc = {
-            "alpha": 0.5, "kappa": 0.0, "t_end": 0.5,
-            "grid": {"xmin": -2.0, "xmax": 6.0, "ncells": 200},
-            "initial": {"left": [1.5, 1.6], "middle": [0.95, 1.62], "epsilon": 0.1,
-                        "right": [1.25, 1.15]},
-        }
-        (doc[section] if section else doc).pop(key)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        out = tmp_path / "x.csv"
-        assert run_cli(["godunov", "--config", str(cfg), "--out", str(out)]) == 2
-        where = f"config {section}" if section else "config"
-        assert capsys.readouterr().err == f"error: {where} is missing '{key}'\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
-    @pytest.mark.parametrize("initial", [
-        {"left": [1.5, 1.6], "right": [1.25, 1.15]},
-        {"left": [1.5, 1.6], "middle": [0.95, 1.62], "right": [1.25, 1.15], "epsilon": 0.1},
-    ], ids=["two-state", "perturbed"])
-    @pytest.mark.parametrize("t_end", [0.0, -1, math.nan], ids=["zero", "negative", "nan"])
-    def test_bad_t_end_exit_2(self, tmp_path, capsys, scheme, initial, t_end):
-        # a two-state run used to write field.csv and then fail on the exact
-        # profile's time; a perturbed run exited 0 after 0 steps, writing
-        # "t_end": NaN, which is not JSON
-        cfg = self._config(tmp_path, {"t_end": t_end, "initial": initial})
-        out = tmp_path / "x.csv"
-        assert run_cli([scheme, "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: t_end must be finite and positive, got {t_end}\n"
-        assert list(tmp_path.iterdir()) == [cfg]
-
     def test_infinite_t_end_exit_2(self, tmp_path, src_env):
         # used to run forever; a child process, so that it cannot hang the suite
         cfg = self._config(tmp_path, {"t_end": math.inf})
@@ -383,37 +176,6 @@ class TestSchemeCommands:
         assert res.returncode == 2
         assert res.stderr == "error: t_end must be finite and positive, got inf\n"
         assert not out.exists()
-
-    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
-    def test_list_config_exit_2(self, tmp_path, capsys, scheme):
-        # used to escape as an AttributeError traceback with exit 1, the I/O code
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2]")
-        out = tmp_path / "x.csv"
-        assert run_cli([scheme, "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: config document must be a JSON object")
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
-    @pytest.mark.parametrize("window, message", [
-        ([], "a list of two"), (0, "a list of two"), (False, "a list of two"),
-        ("", "a list of two"), (5, "a list of two"), ([0.0, "1"], "a number"),
-        ([0.5, 0.1], "finite, lower bound first"), ([0.5, 0.5], "finite, lower bound first"),
-        ([0.0, math.inf], "finite, lower bound first"), ([math.nan, 1.0], "finite, lower bound first"),
-    ], ids=["empty", "zero", "false", "empty-string", "number", "string-bound", "reversed",
-            "empty-range", "inf", "nan"])
-    def test_malformed_delta_window_exit_2(self, tmp_path, capsys, scheme, window, message):
-        # [], 0, false and "" used to be ignored (exit 0, no delta series),
-        # and a reversed window failed at the first step
-        cfg = self._config(tmp_path, {"delta_window": window})
-        out = tmp_path / "x.csv"
-        assert run_cli([scheme, "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config delta_window must be {message}")
-        assert "Traceback" not in err
-        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_delta_config_records_series(self, tmp_path):
         # named for the per-step series it used to pin: one [t, mass] pair
@@ -444,27 +206,6 @@ class TestSchemeCommands:
         }
         for key, values in want.items():
             assert [x.hex() for x in np.ravel(diag[key])] == [x.hex() for x in np.ravel(values)]
-
-    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
-    def test_window_off_grid_exit_2(self, tmp_path, capsys, scheme):
-        cfg = self._config(tmp_path, {"delta_window": [10.0, 20.0]})
-        assert run_cli([scheme, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: window lies outside the grid\n"
-        assert list(tmp_path.iterdir()) == [cfg]
-
-    def test_scheme_failure_exit_3(self, tmp_path):
-        # overflowing states blow the wave speeds past float range
-        doc = {
-            "alpha": 0.5,
-            "kappa": 0.0,
-            "grid": {"xmin": -1.0, "xmax": 1.0, "ncells": 16},
-            "t_end": 1.0,
-            "initial": {"left": [1e200, 1e200], "right": [1.0, 1.0]},
-        }
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        assert run_cli(["godunov", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
 
     def test_blank_w_columns_near_vacuum(self, tmp_path):
         doc = {
@@ -508,22 +249,6 @@ class TestInteractCommand:
             json.loads(out.read_text()), sort_keys=True
         )
 
-    def test_bad_profile_time_exit_2(self, tmp_path):
-        out = tmp_path / "tl.json"
-        code = run_cli(
-            [
-                "interact",
-                "--alpha", "0.5", "--kappa", "0",
-                "--epsilon", "0.1",
-                "--left", "1.5,1.6", "--middle", "0.95,1.62", "--right", "1.25,1.15",
-                "--profile-times", "0",
-                "--samples", "100", "--x-min", "-2", "--x-max", "4",
-                "--out", str(out),
-            ]
-        )
-        assert code == 2
-        assert not list(tmp_path.glob("*.csv"))
-
     def test_delta_case_timeline(self, tmp_path):
         out = tmp_path / "tl.json"
         code = run_cli(
@@ -541,119 +266,6 @@ class TestInteractCommand:
         assert doc["residual_delta_contact"]["strength"] == pytest.approx(2 * 5.5 * 0.1)
         curved = [f for f in doc["fronts"] if "curve" in f]
         assert curved and len(curved[0]["curve"]) > 2
-
-    def test_budget_exit_4(self, tmp_path):
-        code = run_cli(
-            [
-                "interact",
-                "--alpha", "0.5", "--kappa", "1",
-                "--epsilon", "0.1",
-                "--left", "1.0,1.0", "--middle", "1.3,1.3", "--right", "0.9,0.8",
-                "--n-fan", "48", "--budget", "3",
-                "--out", str(tmp_path / "tl.json"),
-            ]
-        )
-        assert code == 4
-
-    @pytest.mark.parametrize("kappa, left, middle, right", [
-        ("1", "1.0,1.0", "1.3,1.3", "0.9,0.8"), ("0", "1.5,1.6", "0.95,1.62", "1.25,1.15"),
-    ], ids=["generic", "closed-form"])
-    def test_negative_budget_exit_2(self, tmp_path, capsys, kappa, left, middle, right):
-        # -1 used to exit 4 ("exceeded -1 events") on the generic engine's
-        # JR+JS data and 0 on closed-form JS+JS data
-        out = tmp_path / "tl.json"
-        code = run_cli(
-            [
-                "interact",
-                "--alpha", "0.5", "--kappa", kappa, "--epsilon", "0.1",
-                "--left", left, "--middle", middle, "--right", right,
-                "--budget", "-1", "--out", str(out),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: budget must not be negative, got -1\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag, value", [("--x-min", "nan"), ("--x-max", "inf"),
-                                             ("--t-max", "nan")])
-    def test_non_finite_option_exit_2(self, tmp_path, capsys, flag, value):
-        # non-finite ranges used to be sampled, and --t-max nan ran as no limit
-        out = tmp_path / "tl.json"
-        code = run_cli(
-            [
-                "interact", "--alpha", "0.5", "--kappa", "0", "--epsilon", "0.1",
-                "--left", "1.5,1.6", "--middle", "0.95,1.62", "--right", "1.25,1.15",
-                "--profile-times", "1", "--samples", "3", flag, value, "--out", str(out),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"error: argument {flag}: not a finite number: '{value}'" in err
-        assert "Traceback" not in err
-        assert not list(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--profile-times", "1,nan", "not a comma list of finite positive times: '1,nan'"),
-        ("--profile-times", "1,-2", "not a comma list of finite positive times: '1,-2'"),
-        ("--samples", "-1", "not a non-negative integer: '-1'"),
-    ], ids=["time-nan", "time-negative", "samples-negative"])
-    def test_bad_profile_option_writes_nothing(self, tmp_path, capsys, flag, value, message):
-        # each used to exit 2 after the timeline JSON, and the t = 1 profile
-        # before the bad time, had been written
-        opts = {"--profile-times": "1", "--samples": "5", flag: value}
-        out = tmp_path / "tl.json"
-        code = run_cli(
-            [
-                "interact", "--alpha", "0.5", "--kappa", "0", "--epsilon", "0.1",
-                "--left", "1.5,1.6", "--middle", "0.95,1.62", "--right", "1.25,1.15",
-                *(f"{k}={v}" for k, v in opts.items()), "--out", str(out),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"error: argument {flag}: {message}" in err
-        assert "Traceback" not in err
-        assert not list(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--left", "a,b", "could not convert string to float: 'a'"),
-        ("--left", "-1,2", "state outside quadrant (-1.0, 2.0)"),
-        ("--middle", "1", "state must be 'h,b', got '1'"),
-    ])
-    def test_malformed_state_exit_2(self, tmp_path, capsys, flag, value, message):
-        states = {"--left": "1.5,1.6", "--middle": "0.95,1.62", "--right": "1.25,1.15", flag: value}
-        out = tmp_path / "tl.json"
-        code = run_cli(
-            [
-                "interact", "--alpha", "0.5", "--kappa", "0", "--epsilon", "0.1",
-                *(f"{k}={v}" for k, v in states.items()), "--out", str(out),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {message}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("n_fan", ["0", "-5"])
-    def test_nonpositive_n_fan_exit_2(self, tmp_path, capsys, n_fan):
-        # JR+JS data run the generic engine, which splits each fan into n_fan
-        # shocklets: 0 used to divide by zero (exit 1), -5 ran with one
-        out = tmp_path / "tl.json"
-        code = run_cli(
-            [
-                "interact",
-                "--alpha", "0.5", "--kappa", "1.0", "--epsilon", "0.1",
-                "--left", "1.0,1.0", "--middle", "2.0,2.0", "--right", "0.5,0.5",
-                "--n-fan", n_fan, "--t-max", "5",
-                "--out", str(out),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: n_fan must be at least 1")
-        assert "Traceback" not in err
-        assert not out.exists()
 
 
 class TestLimitsCommand:
@@ -686,53 +298,6 @@ class TestLimitsCommand:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[1].split(",")[1] == "delta-shock"
-
-    def test_malformed_values_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "table.csv"
-        code = run_cli(
-            [
-                "limits", "--study", "kappa", "--values", "1,x", "--fixed", "0.5",
-                "--left", "1.24,0.90", "--right", "1.5,1.56", "--out", str(out),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--values" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    def test_infinite_lambda2_exit_2(self, tmp_path, capsys):
-        # used to write a pure-J row with l1 = 4.7e307
-        out = tmp_path / "table.csv"
-        code = run_cli(
-            [
-                "limits", "--study", "kappa", "--values", "1e308,1", "--fixed", "0.5",
-                "--left", "1.24,0.90", "--right", "1.5,1.56", "--out", str(out),
-            ]
-        )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: lambda2 of the right state")
-        assert not out.exists()
-
-
-    @pytest.mark.parametrize("fixed, left, right, values", [
-        ("0.5", "1.24,0.9", "1e154,0.5", "1,0.1"),
-        ("3", "0.109,1.03", "1.63,1e200", "1,0.1,0.01"),
-    ], ids=["overflow", "nan"])
-    def test_non_finite_l1_exit_2(self, tmp_path, capsys, fixed, left, right, values):
-        # used to end in an OverflowError traceback (exit 1), and to exit 0
-        # with nan in every l1 cell
-        out = tmp_path / "table.csv"
-        code = run_cli(
-            [
-                "limits", "--study", "kappa", "--values", values, "--fixed", fixed,
-                "--left", left, "--right", right, "--out", str(out),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: the exact L1 distance at kappa=1.0 is not finite\n"
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestEntropyCheckCommand:
@@ -841,36 +406,6 @@ class TestEntropyCheckCommand:
         assert run_cli(["entropy-check", "--alpha", alpha, "--kappa", kappa, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.REPORT_DIGESTS[alpha, kappa]
 
-    def test_empty_grid_exit_2(self, tmp_path, capsys):
-        # an empty grid used to end in an IndexError traceback
-        out = tmp_path / "entropy.json"
-        code = run_cli(
-            ["entropy-check", "--alpha", "0.5", "--kappa", "1", "--n-grid", "0", "--out", str(out)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: n_grid must be at least 1")
-        assert "Traceback" not in err
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("argv, out", [
-    (["riemann", "--alpha", "0.5", "--kappa", "0", "--left", "1.5,1.0", "--right", "2.0,0.0"],
-     "p.csv"),
-    (["interact", "--alpha", "0.5", "--kappa", "0", "--epsilon", "0.1", "--left", "1.5,1.6",
-      "--middle", "0.95,1.62", "--right", "2.0,0.0"], "timeline.json"),
-    (["limits", "--study", "kappa", "--values", "1,0.1", "--fixed", "0.5",
-      "--left", "1.5,1.0", "--right", "2.0,0.0"], "table.csv"),
-], ids=["riemann", "interact", "limits-target"])
-def test_zero_right_coefficient_exit_2(tmp_path, capsys, argv, out):
-    # kappa = 0 and b+ = 0: 3*alpha*b+ + kappa*h+ = 0 on interior data used
-    # to end in a ZeroDivisionError traceback from intermediate_state (exit 1)
-    assert run_cli([*argv, "--out", str(tmp_path / out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: 3*alpha*b + kappa*h of the right state State(h=2.0, b=0.0) is 0")
-    assert "Traceback" not in err
-    assert list(tmp_path.iterdir()) == []
-
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path, src_env):
@@ -888,3 +423,244 @@ class TestEntryPoint:
         doc = json.loads((tmp_path / "d.json").read_text())
         assert doc["case"] == "delta-shock"
         assert doc["waves"][0]["strength_rate"] == pytest.approx(10.0 / 3.0)
+
+
+# Rejected input: the contract is stated once, in assert_rejected, and every input the CLI must
+# reject is a row of REJECTED.  A row keeps the id it had as a test of its own and is collected
+# under it; rows added since are test_rejected[...].
+
+
+def assert_rejected(argv, code, text):
+    """Run ``main(argv)`` in the working directory on input it must reject and
+    check the README's contract: it returns ``code`` and prints nothing to
+    stdout; stderr holds no traceback and one line with ``error:``, whose
+    message from ``error:`` on starts with ``text`` (is ``text``, if that ends
+    in a newline); and no file is left beside those there before."""
+    before = sorted(os.listdir())
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        got = main(argv)
+    err = err.getvalue()
+    lines = [line for line in err.splitlines(keepends=True) if "error:" in line]
+    assert (got, out.getvalue(), len(lines), "Traceback" in err) == (code, "", 1, False), err
+    assert lines[0][lines[0].index("error:"):].startswith(text), err
+    assert sorted(os.listdir()) == before
+
+
+def edited(doc, edits):
+    """A copy of the config ``doc`` with each dotted path of ``edits`` (list
+    items by index) set to its value, or removed where that is DROP."""
+    doc = copy.deepcopy(doc)
+    for path, value in edits.items():
+        *parents, last = (int(k) if k.isdigit() else k for k in path.split("."))
+        target = functools.reduce(operator.getitem, parents, doc)
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
+    return doc
+
+
+def row(test, argv, text, code=2, config=None):
+    """A row of REJECTED; ``config``, if given, is written to cfg.json first."""
+    return test, argv.split(), code, text, config
+
+
+def fv(test, scheme, config, text, code=2):
+    return row(test, f"{scheme} --config cfg.json --out x.csv", text, code, config)
+
+
+DROP = object()  # an edited() value that removes the key
+FV = ("godunov", "llf")
+PERTURBED = edited(CFG, {"initial.middle": [0.95, 1.62], "initial.epsilon": 0.1})
+RIEMANN = "riemann --alpha 0.5 --kappa 0 --left 1.24,0.90 --right 1.5,1.56"
+INTERACT = "interact --alpha 0.5 --kappa 0 --epsilon 0.1 --left 1.5,1.6 --middle 0.95,1.62 --right 1.25,1.15"
+# JR+JS data: the generic engine, which splits the fan into n_fan shocklets
+GENERIC = "interact --alpha 0.5 --kappa 1.0 --epsilon 0.1 --left 1.0,1.0 --middle 2.0,2.0 --right 0.5,0.5"
+LIMITS = "limits --study kappa --fixed 0.5 --left 1.24,0.90 --right 1.5,1.56"
+# never fewer elements: 8e17 bytes exceed any 57-bit address space, so the
+# allocation fails at once whatever the overcommit setting
+HUGE = 10**17
+ALLOC = f"error: Unable to allocate 711. PiB for an array with shape ({HUGE},) and data type %s\n"
+ARG = "error: argument"
+TIMES = f"{ARG} --profile-times: not a comma list of finite positive times"
+
+REJECTED = [
+    row("TestRiemannCommand::test_malformed_state_exit_2", "riemann --alpha 0.5 --kappa 1 --left nonsense "
+        "--right 1,1 --out x.csv", f"{ARG} --left: state must be 'h,b', got 'nonsense'\n"),
+    *(row(f"TestRiemannCommand::test_non_finite_range_exit_2[{flag}-{v}]",
+          f"{RIEMANN} --samples 3 {flag}={v} --out prof.csv", f"{ARG} {flag}: not a finite number: '{v}'\n")
+      for flag, v in [("--x-min", "nan"), ("--x-max", "inf"), ("--x-min", "-inf")]),
+    row("TestRiemannCommand::test_negative_samples_exit_2", f"{RIEMANN} --samples=-1 --out prof.csv",
+        f"{ARG} --samples: not a non-negative integer: '-1'\n"),
+    row("TestRiemannCommand::test_assumption_violation_exit_2", "riemann --alpha 0.5 --kappa 1 --left 0,1 "
+        "--right 0,2 --out x.csv", "error: at most one of h-, b-, h+, b+ may vanish; "
+        "got left=State(h=0.0, b=1.0), right=State(h=0.0, b=2.0)\n"),
+    row("TestRiemannCommand::test_io_error_exit_1", "riemann --alpha 0.5 --kappa 1 --left 1,1 --right 2,2 "
+        "--out /nonexistent-dir/x.csv", "error: [Errno 2] No such file or directory: "
+        "'/nonexistent-dir/x.csv'\n", code=1),
+    *(row(f"TestRiemannCommand::test_bad_time_exit_2[{t}]", f"{RIEMANN} --t {t} --out prof.csv",
+          f"error: profile time must be finite and positive, got t={float(t)}\n")
+      for t in ["0", "-1", "nan"]),
+    *(row(f"TestRiemannCommand::test_infinite_lambda2_exit_2[{left}-{right}-{side}]",
+          f"riemann --alpha 0.5 --kappa 1e308 --left {left} --right {right} --out prof.csv",
+          f"error: lambda2 of the {side} state")
+      for left, right, side in [("1.24,0.90", "1.5,1.56", "right"), ("2,2", "0,1", "left"),
+                                ("0,1", "2,2", "right")]),
+    row("TestRiemannCommand::test_infinite_strength_rate_exit_2", "riemann --alpha 0.5 --kappa 0 "
+        "--left 2,1e300 --right 0,1e300 --out d.csv --fan-out fan.json",
+        "error: the point-mass growth rate b * sigma of the right state"),
+    fv("TestSchemeCommands::test_bad_config_exit_2", "godunov", {"alpha": 0.5},
+       "error: config is missing 'kappa'\n"),
+    *(fv(f"TestSchemeCommands::test_malformed_grid_exit_2[{name}-{s}]", s,
+         edited(CFG, {f"grid.{name.split('-')[0]}": v}), "error: grid needs")
+      for s in FV for name, v in [("ncells-fraction", 100.5), ("ncells-float", 100.0),
+                                  ("ncells-string", "100"), ("ncells-bool", True),
+                                  ("xmin-nan", math.nan), ("xmax-inf", math.inf)]),
+    *(fv(f"TestSchemeCommands::test_mistyped_config_exit_2[{name}-{s}]", s,
+         edited(CFG, {path: v}), f"error: config {path.split('.')[-1]} must be")
+      for s in FV for name, path, v in [
+          ("cfl-string", "cfl", "0.4"), ("t_end-string", "t_end", "0.5"),
+          ("alpha-string", "alpha", "0.5"), ("left-one-number", "initial.left", [1.5]),
+          ("grid-list", "grid", [1]), ("initial-list", "initial", [1])]),
+    *(fv(f"TestSchemeCommands::test_huge_integer_exit_2[{name}]", "godunov",
+         edited(PERTURBED, {"h_tol": 1e-10, "delta_window": [0.0, 1.0], path: 10**400}),
+         f"error: config {key} must be a number in float range\n")
+      for name, key, path in [
+          ("alpha", "alpha", "alpha"), ("kappa", "kappa", "kappa"), ("h_tol", "h_tol", "h_tol"),
+          ("cfl", "cfl", "cfl"), ("t_end", "t_end", "t_end"), ("xmin", "grid.xmin", "grid.xmin"),
+          ("xmax", "grid.xmax", "grid.xmax"), ("left", "left", "initial.left.0"),
+          ("middle", "middle", "initial.middle.1"), ("right", "right", "initial.right.0"),
+          ("epsilon", "epsilon", "initial.epsilon"), ("window-lower", "delta_window", "delta_window.0"),
+          ("window-upper", "delta_window", "delta_window.1")]),
+    *(fv(f"TestSchemeCommands::test_missing_key_exit_2[{section or 'top'}-{key}]", "godunov",
+         edited(PERTURBED, {f"{section}.{key}".lstrip("."): DROP}),
+         f"error: {('config ' + section).strip()} is missing '{key}'\n")
+      for section, keys in [("", "alpha kappa t_end grid initial"), ("grid", "xmin xmax ncells"),
+                            ("initial", "left right epsilon")] for key in keys.split()),
+    *(fv(f"TestSchemeCommands::test_bad_t_end_exit_2[{name}-{initial}-{s}]", s,
+         edited(doc, {"t_end": t_end}), f"error: t_end must be finite and positive, got {t_end}\n")
+      for s in FV for initial, doc in [("two-state", CFG), ("perturbed", PERTURBED)]
+      for name, t_end in [("zero", 0.0), ("negative", -1), ("nan", math.nan)]),
+    *(fv(f"TestSchemeCommands::test_list_config_exit_2[{s}]", s, [1, 2],
+         "error: config document must be a JSON object") for s in FV),
+    *(fv(f"TestSchemeCommands::test_malformed_delta_window_exit_2[{name}-{s}]", s,
+         edited(CFG, {"delta_window": window}), f"error: config delta_window must be {message}")
+      for s in FV for message, cases in [
+          ("a list of two", [("empty", []), ("zero", 0), ("false", False), ("empty-string", ""),
+                             ("number", 5)]),
+          ("a number", [("string-bound", [0.0, "1"])]),
+          ("finite, lower bound first", [("reversed", [0.5, 0.1]), ("empty-range", [0.5, 0.5]),
+                                         ("inf", [0.0, math.inf]), ("nan", [math.nan, 1.0])])]
+      for name, window in cases),
+    *(fv(f"TestSchemeCommands::test_window_off_grid_exit_2[{s}]", s,
+         edited(CFG, {"delta_window": [10.0, 20.0]}), "error: window lies outside the grid\n") for s in FV),
+    fv("TestSchemeCommands::test_scheme_failure_exit_3", "godunov",
+       edited(CFG, {"grid": {"xmin": -1.0, "xmax": 1.0, "ncells": 16}, "t_end": 1.0,
+                    "initial.left": [1e200, 1e200], "initial.right": [1.0, 1.0]}),
+       "error: wave speeds overflow at t=0.0\n", code=3),
+    row("TestInteractCommand::test_bad_profile_time_exit_2",
+        f"{INTERACT} --profile-times 0 --samples 100 --x-min -2 --x-max 4 --out tl.json",
+        f"{TIMES}: '0'\n"),
+    row("TestInteractCommand::test_budget_exit_4", "interact --alpha 0.5 --kappa 1 --epsilon 0.1 "
+        "--left 1.0,1.0 --middle 1.3,1.3 --right 0.9,0.8 --n-fan 48 --budget 3 --out tl.json",
+        "error: interaction cascade exceeded 3 events\n", code=4),
+    *(row(f"TestInteractCommand::test_negative_budget_exit_2[{name}]",
+          f"interact --alpha 0.5 --kappa {data} --epsilon 0.1 --budget -1 --out tl.json",
+          "error: budget must not be negative, got -1\n")
+      for name, data in [("generic", "1 --left 1.0,1.0 --middle 1.3,1.3 --right 0.9,0.8"),
+                         ("closed-form", "0 --left 1.5,1.6 --middle 0.95,1.62 --right 1.25,1.15")]),
+    *(row(f"TestInteractCommand::test_non_finite_option_exit_2[{flag}-{v}]",
+          f"{INTERACT} --profile-times 1 --samples 3 {flag} {v} --out tl.json",
+          f"{ARG} {flag}: not a finite number: '{v}'\n")
+      for flag, v in [("--x-min", "nan"), ("--x-max", "inf"), ("--t-max", "nan")]),
+    *(row(f"TestInteractCommand::test_bad_profile_option_writes_nothing[{name}]",
+          f"{INTERACT} {options} --out tl.json", text)
+      for name, options, text in [
+          ("time-nan", "--profile-times=1,nan --samples=5", f"{TIMES}: '1,nan'\n"),
+          ("time-negative", "--profile-times=1,-2 --samples=5", f"{TIMES}: '1,-2'\n"),
+          ("samples-negative", "--profile-times=1 --samples=-1",
+           f"{ARG} --samples: not a non-negative integer: '-1'\n")]),
+    *(row(f"TestInteractCommand::test_malformed_state_exit_2[{flag}-{v}-{message}]",
+          f"{INTERACT} {flag}={v} --out tl.json", f"{ARG} {flag}: {message}\n")
+      for flag, v, message in [("--left", "a,b", "could not convert string to float: 'a'"),
+                               ("--left", "-1,2", "state outside quadrant (-1.0, 2.0)"),
+                               ("--middle", "1", "state must be 'h,b', got '1'")]),
+    *(row(f"TestInteractCommand::test_nonpositive_n_fan_exit_2[{n_fan}]",
+          f"{GENERIC} --n-fan {n_fan} --t-max 5 --out tl.json", "error: n_fan must be at least 1")
+      for n_fan in ["0", "-5"]),
+    row("TestLimitsCommand::test_malformed_values_exit_2", f"{LIMITS} --values 1,x --out table.csv",
+        f"{ARG} --values: not a comma list of finite numbers: '1,x'\n"),
+    row("TestLimitsCommand::test_infinite_lambda2_exit_2", f"{LIMITS} --values 1e308,1 --out table.csv",
+        "error: lambda2 of the right state"),
+    *(row(f"TestLimitsCommand::test_non_finite_l1_exit_2[{name}]",
+          f"limits --study kappa {options} --out table.csv",
+          "error: the exact L1 distance at kappa=1.0 is not finite\n")
+      for name, options in [("overflow", "--values 1,0.1 --fixed 0.5 --left 1.24,0.9 --right 1e154,0.5"),
+                            ("nan", "--values 1,0.1,0.01 --fixed 3 --left 0.109,1.03 --right 1.63,1e200")]),
+    row("TestEntropyCheckCommand::test_empty_grid_exit_2",
+        "entropy-check --alpha 0.5 --kappa 1 --n-grid 0 --out entropy.json",
+        "error: n_grid must be at least 1"),
+    *(row(f"test_zero_right_coefficient_exit_2[{name}]", argv,
+          "error: 3*alpha*b + kappa*h of the right state State(h=2.0, b=0.0) is 0")
+      for name, argv in [
+          ("riemann", "riemann --alpha 0.5 --kappa 0 --left 1.5,1.0 --right 2.0,0.0 --out p.csv"),
+          ("interact", f"{INTERACT} --right 2.0,0.0 --out timeline.json"),
+          ("limits-target", f"{LIMITS} --values 1,0.1 --left 1.5,1.0 --right 2.0,0.0 --out table.csv")]),
+    row("test_rejected[riemann-samples]", f"riemann --alpha 0.5 --kappa 0 --left 2,1 --right 1,1 "
+        f"--samples {HUGE} --out big.csv", ALLOC % "float64"),
+    # every profile is computed before the timeline JSON is written
+    row("test_rejected[interact-samples]", f"{INTERACT} --profile-times 1 --samples {HUGE} --out tl.json",
+        ALLOC % "float64"),
+    row("test_rejected[interact-n-fan]", f"{GENERIC} --n-fan {HUGE} --t-max 5 --out tl.json",
+        ALLOC % "float64"),
+    row("test_rejected[entropy-check-n-grid]",
+        f"entropy-check --alpha 0.5 --kappa 1 --n-grid {HUGE} --out entropy.json", ALLOC % "float64"),
+    *(fv(f"test_rejected[{s}-ncells]", s, edited(CFG, {"grid.ncells": HUGE}), ALLOC % "int64")
+      for s in FV),
+    row("test_rejected[riemann-right]", f"{RIEMANN} --right=-1,2 --out prof.csv",
+        f"{ARG} --right: state outside quadrant (-1.0, 2.0)\n"),
+    row("test_rejected[limits-left]", f"{LIMITS} --values 1,0.1 --left a,b --out table.csv",
+        f"{ARG} --left: could not convert string to float: 'a'\n"),
+    row("test_rejected[limits-right]", f"{LIMITS} --values 1,0.1 --right 1 --out table.csv",
+        f"{ARG} --right: state must be 'h,b', got '1'\n"),
+    *(row(f"test_rejected[limits-values-{values}]", f"{LIMITS} --values {values} --out table.csv",
+          f"{ARG} --values: not a comma list of finite numbers: '{values}'\n")
+      for values in ["1,nan", "nan"]),
+]
+
+
+def _table_test(rows):
+    """The test of ``rows`` of one name: parametrized by their ids, or plain for one row without."""
+    def test(tmp_path, monkeypatch, row):
+        monkeypatch.chdir(tmp_path)
+        if row[4] is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(row[4]))
+        assert_rejected(*row[1:4])
+
+    ids = [name.partition("[")[2][:-1] for name, *_ in rows]
+    if ids == [""]:
+        return lambda tmp_path, monkeypatch: test(tmp_path, monkeypatch, rows[0])
+    return pytest.mark.parametrize("row", rows, ids=ids)(test)
+
+
+def _collect_rows_as_tests(rows):
+    """One test per name, in the class that the name gives (``Class::name``)."""
+    by_name = {}
+    for r in rows:
+        by_name.setdefault(r[0].partition("[")[0], []).append(r)
+    for name, group in by_name.items():
+        owner, _, func = name.rpartition("::")
+        setattr(globals()[owner] if owner else sys.modules[__name__], func, staticmethod(_table_test(group)))
+
+
+_collect_rows_as_tests(REJECTED)
+
+
+@pytest.mark.parametrize("argv", [[], *([c] for c in ("riemann", "godunov", "llf", "interact",
+                                                      "limits", "entropy-check"))],
+                         ids=lambda argv: argv[0] if argv else "thinfilm")
+def test_help_exit_0(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: {' '.join(['thinfilm', *argv])} ")
+    assert list(tmp_path.iterdir()) == []
