@@ -128,10 +128,13 @@ def _numbers(text: str, ok=math.isfinite, what: str = "finite numbers") -> list[
 
 def _finite(text: str) -> float:
     """A finite float option."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
 
 
 def _times(text: str) -> list[float]:
@@ -156,12 +159,12 @@ def _key(doc: dict, key: str, section: str = ""):
 
 
 def _add_param_args(sp) -> None:
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--kappa", type=float, required=True)
-    sp.add_argument("--h-tol", type=float, default=1e-10)
+    sp.add_argument("--alpha", type=_finite, required=True)
+    sp.add_argument("--kappa", type=_finite, required=True)
+    sp.add_argument("--h-tol", type=_finite, default=1e-10)
 
 
-def cmd_riemann(args) -> int:
+def cmd_riemann(args) -> dict:
     p = Params(args.alpha, args.kappa, h_tol=args.h_tol)
     fan = riemann.solve(riemann.RiemannData(args.left, args.right, p))
     xs = np.linspace(args.x_min, args.x_max, args.samples)
@@ -175,10 +178,10 @@ def cmd_riemann(args) -> int:
         np.concatenate([np.zeros(xs.size), [w.strength_rate * args.t for w in singular]]),
     ]
     order = np.argsort(columns[0], kind="stable")
-    _write_csv(args.out, ["x", "h", "b", "singular_weight"], [c[order] for c in columns])
-    fan_out = args.fan_out or os.path.splitext(args.out)[0] + ".json"
-    _write_json(fan_out, riemann.fan_to_json(fan))
-    return EXIT_OK
+    return {
+        args.out: (["x", "h", "b", "singular_weight"], [c[order] for c in columns]),
+        args.fan_out or os.path.splitext(args.out)[0] + ".json": riemann.fan_to_json(fan),
+    }
 
 
 def _profile_columns(f: numerics.FVField, p: Params) -> list:
@@ -190,7 +193,7 @@ def _profile_columns(f: numerics.FVField, p: Params) -> list:
     return [f.grid.centers(), f.h, f.b, (w[0], ~on), (w[1], ~on)]
 
 
-def cmd_fv(args) -> int:
+def cmd_fv(args) -> dict:
     """``godunov`` or ``llf``: the finite-volume run that ``args.command`` names."""
     scheme = args.command
     with open(args.config) as fh:
@@ -227,14 +230,9 @@ def cmd_fv(args) -> int:
     final, diag = numerics.run(field, cfg, p)
     delta = []
     if window is not None and diag["n_steps"] > 0:
-        # against the initial outer states, before any file is written, so
-        # that a window off the grid leaves no output
+        # against the initial outer states
         background = (State(field.h[0], field.b[0]), State(field.h[-1], field.b[-1]))
         delta = [[final.t, numerics.delta_mass(final, window, background)]]
-    # solved after the run, so that data whose wave speeds overflow fail as
-    # the scheme does (exit 3), with or without a middle state
-    exact_fan = None if data is None else riemann.solve(data)
-    _write_csv(args.out, ["x", "h", "b", "w1", "w2"], _profile_columns(final, p))
     doc = {
         "scheme": scheme,
         "alpha": p.alpha,
@@ -248,34 +246,36 @@ def cmd_fv(args) -> int:
         "max_conservation_residual": diag["max_conservation_residual"],
         "delta_mass": delta,
     }
-    if exact_fan is not None:
-        # cell centres, not interactions.l1_distance: the godunov/llf digests pin this value
-        xs = grid.centers()
-        h, b, _ = riemann.profile(exact_fan, final.t, xs)
+    if data is not None:
+        # solved after the run, so that data whose wave speeds overflow fail
+        # as the scheme does (exit 3); cell centres, not
+        # interactions.l1_distance: the godunov/llf digests pin this value
+        h, b, _ = riemann.profile(riemann.solve(data), final.t, grid.centers())
         doc["l1_error_vs_exact"] = float(
             np.sum(np.abs(final.h - h) + np.abs(final.b - b)) * grid.dx
         )
-    _write_json(args.diag_out or os.path.splitext(args.out)[0] + "_diag.json", doc)
-    return EXIT_OK
+    return {
+        args.out: (["x", "h", "b", "w1", "w2"], _profile_columns(final, p)),
+        args.diag_out or os.path.splitext(args.out)[0] + "_diag.json": doc,
+    }
 
 
-def cmd_interact(args) -> int:
+def cmd_interact(args) -> dict:
     p = Params(args.alpha, args.kappa, h_tol=args.h_tol)
     pd = interactions.PerturbedData(args.epsilon, args.left, args.middle, args.right, p)
     tl = interactions.run_timeline(
         pd, t_max=args.t_max, n_fan=args.n_fan, budget=args.budget
     )
-    # every profile before any file, so that a failing one leaves none
+    outputs = {args.out: interactions.timeline_to_json(tl)}
     times = args.profile_times or []
     xs = np.linspace(args.x_min, args.x_max, args.samples) if times else None
-    profiles = [tl.profile(t, xs) for t in times]
-    _write_json(args.out, interactions.timeline_to_json(tl))
-    for t, (h, b) in zip(times, profiles):
-        _write_csv(f"{os.path.splitext(args.out)[0]}_t{t:.17g}.csv", ["x", "h", "b"], [xs, h, b])
-    return EXIT_OK
+    stem = os.path.splitext(args.out)[0]
+    for t in times:
+        outputs[f"{stem}_t{t:.17g}.csv"] = (["x", "h", "b"], [xs, *tl.profile(t, xs)])
+    return outputs
 
 
-def cmd_limits(args) -> int:
+def cmd_limits(args) -> dict:
     p = Params(**{"alpha": args.fixed, "kappa": args.fixed, args.study: args.values[0]},
                h_tol=args.h_tol)
     data = riemann.RiemannData(args.left, args.right, p)
@@ -287,14 +287,12 @@ def cmd_limits(args) -> int:
     ]
     header = ["value", "case", "l1", "dsigma", "dbeta_rate", "weak1", "weak2", "weak3"]
     value, case, *numbers = zip(*rows)
-    _write_csv(args.out, header, [np.array(value), np.array(case), *map(_blank_none, numbers)])
-    return EXIT_OK
+    return {args.out: (header, [np.array(value), np.array(case), *map(_blank_none, numbers)])}
 
 
-def cmd_entropy_check(args) -> int:
+def cmd_entropy_check(args) -> dict:
     p = Params(args.alpha, args.kappa)
-    _write_json(args.out, entropy_mod.entropy_report(p, n_grid=args.n_grid))
-    return EXIT_OK
+    return {args.out: entropy_mod.entropy_report(p, n_grid=args.n_grid)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_args(sp)
     sp.add_argument("--left", type=_parse_state, required=True, help="left state 'h,b'")
     sp.add_argument("--right", type=_parse_state, required=True, help="right state 'h,b'")
-    sp.add_argument("--t", type=float, default=1.0)
+    sp.add_argument("--t", type=_finite, default=1.0)
     sp.add_argument("--samples", type=_count, default=1000)
     sp.add_argument("--x-min", type=_finite, default=-5.0)
     sp.add_argument("--x-max", type=_finite, default=10.0)
@@ -322,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("interact", help="perturbed Riemann front tracking")
     _add_param_args(sp)
-    sp.add_argument("--epsilon", type=float, required=True)
+    sp.add_argument("--epsilon", type=_finite, required=True)
     sp.add_argument("--left", type=_parse_state, required=True)
     sp.add_argument("--middle", type=_parse_state, required=True)
     sp.add_argument("--right", type=_parse_state, required=True)
@@ -339,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("limits", help="vanishing-parameter convergence table")
     sp.add_argument("--study", choices=("kappa", "alpha"), required=True)
     sp.add_argument("--values", type=_numbers, required=True, help="comma list, decreasing")
-    sp.add_argument("--fixed", type=float, required=True)
-    sp.add_argument("--h-tol", type=float, default=1e-10)
+    sp.add_argument("--fixed", type=_finite, required=True)
+    sp.add_argument("--h-tol", type=_finite, default=1e-10)
     sp.add_argument("--left", type=_parse_state, required=True)
     sp.add_argument("--right", type=_parse_state, required=True)
     sp.add_argument("--samples", type=int, help="ignored: the l1 column is exact")
@@ -348,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_limits)
 
     sp = sub.add_parser("entropy-check", help="entropy pair compatibility/convexity")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--kappa", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite, required=True)
+    sp.add_argument("--kappa", type=_finite, required=True)
     sp.add_argument("--n-grid", type=int, default=50)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_entropy_check)
@@ -363,7 +361,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # a command returns {path: JSON document or (CSV header, columns)} in
+        # write order, all computed first, so that a failing command leaves no file
+        for path, out in args.func(args).items():
+            if isinstance(out, tuple):
+                _write_csv(path, *out)
+            else:
+                _write_json(path, out)
+        return EXIT_OK
     except EventBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

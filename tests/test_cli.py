@@ -9,6 +9,7 @@ import operator
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,423 +20,69 @@ from thinfilm.core import Params, State
 from thinfilm.riemann import RiemannData, fan_from_json
 
 
-def run_cli(args):
-    return main(args)
+@pytest.fixture(autouse=True)
+def in_tmp_path(tmp_path, monkeypatch):
+    """Each test runs in its own empty directory, where the CLI writes its files."""
+    monkeypatch.chdir(tmp_path)
 
 
-# a two-state godunov/llf config that runs; tests and rows change copies
-CFG = {
-    "alpha": 0.5,
-    "kappa": 0.0,
-    "grid": {"xmin": -2.0, "xmax": 6.0, "ncells": 200},
-    "cfl": 0.45,
-    "t_end": 0.5,
-    "initial": {"left": [1.5, 1.6], "right": [1.25, 1.15]},
-}
+# The README's CLI contract is stated once for each outcome: assert_accepted for a run that exits 0,
+# assert_rejected for input that the CLI must reject.  Every run of main but --help goes through one.
 
 
-class TestRiemannCommand:
-    def test_example_profile(self, tmp_path):
-        out = tmp_path / "prof.csv"
-        code = run_cli(
-            [
-                "riemann",
-                "--alpha", "0.5", "--kappa", "0",
-                "--left", "1.24,0.90", "--right", "1.5,1.56",
-                "--t", "1.0", "--samples", "200",
-                "--x-min", "-1", "--x-max", "4",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "x,h,b,singular_weight"
-        rows = [list(map(float, l.split(","))) for l in lines[1:]]
-        # contact sits at x = 0.558*t: h jumps from 1.24 there
-        before = [r for r in rows if r[0] < 0.5]
-        assert all(abs(r[1] - 1.24) < 1e-12 for r in before)
-        fan_doc = json.loads((tmp_path / "prof.json").read_text())
-        fan = fan_from_json(fan_doc)
-        assert fan_doc["case"] == "J+R"
-        assert len(fan.waves) == 2
-
-    def test_equal_states_constant_profile(self, tmp_path):
-        out = tmp_path / "c.csv"
-        code = run_cli(
-            [
-                "riemann", "--alpha", "0.5", "--kappa", "1",
-                "--left", "1.0,1.0", "--right", "1.0,1.0",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        rows = out.read_text().strip().splitlines()[1:]
-        hs = {r.split(",")[1] for r in rows}
-        assert hs == {"1"}
-
-    def test_singular_row_carries_right_state(self, tmp_path):
-        # (speed * t) / t rounds below speed for this pair: re-sampling the
-        # ray would land left of the delta front and report the left state
-        out = tmp_path / "d.csv"
-        left, right = "0.5708686913050158,2.589412759799674", "0,1.5819176697626334"
-        code = run_cli(
-            [
-                "riemann", "--alpha", "0.5", "--kappa", "1",
-                "--left", left, "--right", right, "--t", "1.5",
-                "--samples", "50", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        fan = fan_from_json(json.loads((tmp_path / "d.json").read_text()))
-        [ds] = fan.waves
-        assert ds.speed * 1.5 / 1.5 != ds.speed
-        singular = [r for r in out.read_text().strip().splitlines()[1:]
-                    if float(r.split(",")[3]) != 0.0]
-        assert singular == [",".join(f"{v:.17g}" for v in (
-            ds.speed * 1.5, 0.0, 1.5819176697626334, ds.strength_rate * 1.5))]
-
-    def test_deterministic_output(self, tmp_path):
-        args = [
-            "riemann", "--alpha", "0.5", "--kappa", "1",
-            "--left", "2,1", "--right", "1,1", "--samples", "64",
-        ]
-        run_cli(args + ["--out", str(tmp_path / "a.csv")])
-        run_cli(args + ["--out", str(tmp_path / "b.csv")])
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+def write_config(config):
+    """``config``, if given, as cfg.json in the working directory."""
+    if config is not None:
+        Path("cfg.json").write_text(json.dumps(config))
 
 
-class TestSchemeCommands:
-    def _config(self, tmp_path, scheme_extras=None):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**CFG, **(scheme_extras or {})}))
-        return path
-
-    def test_godunov_run(self, tmp_path):
-        cfg = self._config(tmp_path)
-        out = tmp_path / "prof.csv"
-        code = run_cli(["godunov", "--config", str(cfg), "--out", str(out)])
-        assert code == 0
-        header = out.read_text().splitlines()[0]
-        assert header == "x,h,b,w1,w2"
-        diag = json.loads((tmp_path / "prof_diag.json").read_text())
-        assert diag["max_conservation_residual"] <= 1e-12
-        assert diag["l1_error_vs_exact"] < 0.2
-        assert diag["cfl"] == 0.45
-
-    def test_llf_run(self, tmp_path):
-        cfg = self._config(tmp_path)
-        out = tmp_path / "prof.csv"
-        assert run_cli(["llf", "--config", str(cfg), "--out", str(out)]) == 0
-
-    def test_perturbed_initial(self, tmp_path):
-        doc = {
-            "alpha": 0.5,
-            "kappa": 0.0,
-            "grid": {"xmin": -2.0, "xmax": 6.0, "ncells": 150},
-            "t_end": 0.3,
-            "initial": {
-                "left": [1.5, 1.6],
-                "middle": [0.95, 1.62],
-                "right": [1.25, 1.15],
-                "epsilon": 0.1,
-            },
-        }
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        assert run_cli(["godunov", "--config", str(cfg), "--out", str(tmp_path / "p.csv")]) == 0
-
-    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
-    @pytest.mark.parametrize("key", ["delta_window", "delta_background"],
-                             ids=["window-only", "background-only"])
-    def test_delta_key_alone(self, tmp_path, scheme, key):
-        # the point mass is measured against the initial outer states:
-        # delta_window alone records the final [t, mass] pair that window
-        # plus background records, and delta_background alone is ignored
-        both = {"delta_window": [0.0, 1.0], "delta_background": [[1.5, 1.6], [1.25, 1.15]]}
-        diags = []
-        for extras in (both, {key: both[key]}):
-            cfg = self._config(tmp_path, extras)
-            assert run_cli([scheme, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
-            diags.append(json.loads((tmp_path / "x_diag.json").read_text()))
-        [[t, _]] = diags[0]["delta_mass"]
-        assert t == 0.5 and diags[0]["n_steps"] > 0
-        if key == "delta_window":
-            assert diags[1] == diags[0]
-        else:
-            assert diags[1] == {**diags[0], "delta_mass": []}
-
-    def test_infinite_t_end_exit_2(self, tmp_path, src_env):
-        # used to run forever; a child process, so that it cannot hang the suite
-        cfg = self._config(tmp_path, {"t_end": math.inf})
-        out = tmp_path / "x.csv"
-        res = subprocess.run(
-            [sys.executable, "-m", "thinfilm.cli", "godunov", "--config", str(cfg), "--out", str(out)],
-            capture_output=True, text=True, env=src_env, timeout=60,
-        )
-        assert res.returncode == 2
-        assert res.stderr == "error: t_end must be finite and positive, got inf\n"
-        assert not out.exists()
-
-    def test_delta_config_records_series(self, tmp_path):
-        # named for the per-step series it used to pin: one [t, mass] pair
-        # at the final time is written
-        extras = {"delta_window": [0.0, 1.0], "delta_background": [[1.5, 1.6], [1.25, 1.15]]}
-        cfg = self._config(tmp_path, extras)
-        out = tmp_path / "d.csv"
-        assert run_cli(["llf", "--config", str(cfg), "--out", str(out)]) == 0
-        diag = json.loads((tmp_path / "d_diag.json").read_text())
-        [[t, mass]] = diag["delta_mass"]
-        assert t == 0.5 and math.isfinite(mass)
-
-    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
-    def test_diag_holds_ends_of_run_series(self, tmp_path, scheme):
-        # the file holds the first and last entries of run()'s per-step
-        # mass series and delta_mass of the final field, bit for bit
-        cfg = self._config(tmp_path, {"delta_window": [0.0, 1.0]})
-        assert run_cli([scheme, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
-        diag = json.loads((tmp_path / "x_diag.json").read_text())
-        p, left, right = Params(0.5, 0.0), State(1.5, 1.6), State(1.25, 1.15)
-        f0 = numerics.field_from_riemann(RiemannData(left, right, p), numerics.Grid(-2.0, 6.0, 200))
-        final, ref = numerics.run(f0, numerics.SchemeConfig(scheme=scheme, t_end=0.5), p)
-        mass = numerics.delta_mass(final, (0.0, 1.0), (left, right))
-        want = {
-            "mass_h": [ref["mass_h"][0], ref["mass_h"][-1]],
-            "mass_b": [ref["mass_b"][0], ref["mass_b"][-1]],
-            "delta_mass": [[final.t, mass]],
-        }
-        for key, values in want.items():
-            assert [x.hex() for x in np.ravel(diag[key])] == [x.hex() for x in np.ravel(values)]
-
-    def test_blank_w_columns_near_vacuum(self, tmp_path):
-        doc = {
-            "alpha": 0.5,
-            "kappa": 0.0,
-            "h_tol": 1e-6,
-            "grid": {"xmin": -0.2, "xmax": 0.6, "ncells": 100},
-            "t_end": 0.05,
-            "initial": {"left": [2.9, 1.7], "right": [1e-7, 5.56]},
-        }
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        out = tmp_path / "d.csv"
-        assert run_cli(["llf", "--config", str(cfg), "--out", str(out)]) == 0
-        tail = out.read_text().strip().splitlines()[-1]
-        assert tail.endswith(",,")  # w1, w2 blank where h ~ 0
+def _cell_ok(cell):
+    """Blank, a label such as J+R, or a finite float written as its own 17 digits."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return True
+    return math.isfinite(value) and f"{value:.17g}" == cell
 
 
-class TestInteractCommand:
-    def test_timeline_and_profiles(self, tmp_path):
-        out = tmp_path / "tl.json"
-        code = run_cli(
-            [
-                "interact",
-                "--alpha", "0.5", "--kappa", "0",
-                "--epsilon", "0.1",
-                "--left", "1.5,1.6", "--middle", "0.95,1.62", "--right", "1.25,1.15",
-                "--profile-times", "1.0",
-                "--samples", "100", "--x-min", "-2", "--x-max", "4",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["case"] == "JS+JS"
-        assert len(doc["events"]) == 2
-        prof = (tmp_path / "tl_t1.csv").read_text().splitlines()
-        assert prof[0] == "x,h,b"
-        # JSON round-trip is value-identical
-        assert json.dumps(doc, sort_keys=True) == json.dumps(
-            json.loads(out.read_text()), sort_keys=True
-        )
-
-    def test_delta_case_timeline(self, tmp_path):
-        out = tmp_path / "tl.json"
-        code = run_cli(
-            [
-                "interact",
-                "--alpha", "0.5", "--kappa", "0", "--h-tol", "1e-4",
-                "--epsilon", "0.1",
-                "--left", "1.24,0.90", "--middle", "1e-5,5.5", "--right", "1.5,1.56",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["case"] == "dS+JR"
-        assert doc["residual_delta_contact"]["strength"] == pytest.approx(2 * 5.5 * 0.1)
-        curved = [f for f in doc["fronts"] if "curve" in f]
-        assert curved and len(curved[0]["curve"]) > 2
+def read_output(name):
+    """A JSON output, checked to be strict JSON in the writer's bytes; or a CSV
+    output's rows of cells, header first, checked to hold a cell per header
+    name, each as ``_cell_ok`` has it."""
+    text = Path(name).read_text()
+    if name.endswith(".json"):
+        doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"not JSON: {c}"))
+        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text, name
+        return doc
+    rows = [line.split(",") for line in text.splitlines()]
+    for r in rows:
+        assert len(r) == len(rows[0]) and all(map(_cell_ok, r)), (name, r)
+    return rows
 
 
-class TestLimitsCommand:
-    def test_table(self, tmp_path):
-        out = tmp_path / "table.csv"
-        # --samples is accepted and ignored: the l1 column is exact
-        argv = ["limits", "--study", "kappa", "--values", "1,0.5,0.1", "--fixed", "0.5",
-                "--left", "1.24,0.90", "--samples", "2000", "--out", str(out)]
-        assert run_cli(argv + ["--right", "1.5,1.56"]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "value,case,l1,dsigma,dbeta_rate,weak1,weak2,weak3"
-        l1s = [float(l.split(",")[2]) for l in lines[1:]]
-        assert l1s[0] > l1s[1] > l1s[2]
-        # equal states give fans without waves, which used to exit 2 (min() of no edges)
-        assert run_cli(argv + ["--right", "1.24,0.90"]) == 0
-        assert [l.split(",")[1:3] for l in out.read_text().splitlines()[1:]] == [["pure-J", "0"]] * 3
-
-    def test_two_row_delta_shock_table(self, tmp_path):
-        out = tmp_path / "table.csv"
-        code = run_cli(
-            [
-                "limits", "--study", "kappa",
-                "--values", "1,0.1",
-                "--fixed", "0.5",
-                "--left", "2.9,1.7", "--right", "0,5.56",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert lines[1].split(",")[1] == "delta-shock"
+def assert_accepted(argv, outputs, config=None):
+    """Run ``main(argv)`` in the working directory on input it must accept,
+    ``config`` (if given) written to cfg.json first, and check the README's
+    contract: it returns 0 and prints nothing; the directory then holds the
+    files there before and the named ``outputs``, no more; and each output is
+    as ``read_output`` checks it.  Returns the outputs read, in their order."""
+    write_config(config)
+    before = set(os.listdir())
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        got = main(argv)
+    assert (got, out.getvalue(), err.getvalue()) == (0, "", "")
+    assert set(os.listdir()) == before | set(outputs)
+    return [read_output(name) for name in outputs]
 
 
-class TestEntropyCheckCommand:
-    def test_report_ok(self, tmp_path):
-        out = tmp_path / "entropy.json"
-        code = run_cli(
-            [
-                "entropy-check", "--alpha", "0.5", "--kappa", "1",
-                "--n-grid", "10", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert all(e["verdict"] == "convex" for e in doc["pairs"])
-
-    def test_alpha_zero_inconclusive_not_failure(self, tmp_path):
-        out = tmp_path / "entropy.json"
-        code = run_cli(
-            [
-                "entropy-check", "--alpha", "0", "--kappa", "1",
-                "--n-grid", "8", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert all(e["verdict"] == "inconclusive" for e in doc["pairs"])
-
-    def test_tiny_alpha_convex(self, tmp_path):
-        # 9*alpha^2 underflows to 0 below alpha ~ 1e-162: every pair used to
-        # read "fails" with exit 5, though the form's bracket is positive
-        out = tmp_path / "entropy.json"
-        code = run_cli(
-            ["entropy-check", "--alpha", "1e-170", "--kappa", "1", "--n-grid", "8",
-             "--out", str(out)]
-        )
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert all(e["verdict"] == "convex" and e["min_form1"] == 0.0 for e in doc["pairs"])
-
-    @pytest.mark.parametrize("kappa", ["0", "1"])
-    @pytest.mark.parametrize("alpha", ["50", "1e3", "1e6"])
-    def test_large_alpha_convex(self, tmp_path, alpha, kappa):
-        # the Theta ODE residual, 0 in exact arithmetic, rounds to more than
-        # the -2*w1*Psi' term beside it: up to four pairs used to read
-        # "fails" with exit 5
-        out = tmp_path / "entropy.json"
-        code = run_cli(["entropy-check", "--alpha", alpha, "--kappa", kappa, "--out", str(out)])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert all(e["verdict"] == "convex" for e in doc["pairs"])
-
-    def test_overflowing_alpha_inconclusive(self, tmp_path, capsys):
-        # named for the verdict it used to pin: alpha**2 raised an
-        # OverflowError traceback with exit 1, then the forms read NaN and
-        # the verdict inconclusive; the closed r1 form, alpha folded into
-        # w1^(-n/2), stays finite and the verdict reads the coefficients
-        out = tmp_path / "entropy.json"
-        code = run_cli(
-            ["entropy-check", "--alpha", "1e200", "--kappa", "1", "--n-grid", "8",
-             "--out", str(out)]
-        )
-        assert code == 0
-        assert "Traceback" not in capsys.readouterr().err
-        doc = json.loads(out.read_text())
-        assert all(e["verdict"] == "convex" for e in doc["pairs"])
-        assert all(0.0 < e["min_form1"] < math.inf for e in doc["pairs"])
-
-    @pytest.mark.parametrize("alpha, kappa", [("1e300", "1"), ("1e-300", "1e-300")])
-    def test_non_finite_values_written_as_null(self, tmp_path, alpha, kappa):
-        # residuals that read NaN and minima that read inf used to be written
-        # as the bare NaN and Infinity, which are not JSON
-        out = tmp_path / "entropy.json"
-        argv = ["entropy-check", "--alpha", alpha, "--kappa", kappa, "--n-grid", "8", "--out", str(out)]
-        assert run_cli(argv) == 0
-        doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"not JSON: {c}"))
-        assert None in [v for e in doc["pairs"] for v in e.values()]
-
-    @pytest.mark.parametrize("kappa", ["0", "1"])
-    def test_underflowing_psi_inconclusive(self, tmp_path, kappa):
-        # named for the verdict it used to pin: at w1 ~ 1e100 Psi'' of the
-        # w1^-2 and w1^-3 pairs underflows to 0, and the canonical pair's r1
-        # form read -2.73e137 through rounding in the Theta terms; the
-        # verdict reads the coefficients instead
-        out = tmp_path / "entropy.json"
-        code = run_cli(["entropy-check", "--alpha", "1e100", "--kappa", kappa, "--out", str(out)])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert all(e["verdict"] == "convex" and e["min_form1"] > 0.0 for e in doc["pairs"])
-
-    # the benchmark's entropy-check runs (alpha 0.5, jittered, and 0), digests
-    # recorded with the closed-form minima once they matched the exact oracle
-    # of tests/test_entropy.py; the report goes through np.float_power, so
-    # they assume a libm pow with glibc's roundings; keyed by (alpha, kappa)
-    # alone, so that the test ids outlive a re-recording
-    REPORT_DIGESTS = {
-        ("0.5", "1.0"): "1d90af42ca952fe8ccba6929441895c5b53e977c9890d8f4e5bd530415d63d2e",
-        ("0.49975", "1.0006"): "9a29bf2c96d2c113908f3cf6890ad4856dae14512d6561deef63bb44c88bef98",
-        ("0.5004", "0.9993"): "5ac7f6cb8c277cfcbc5cb70246b4309eeada5913429f0033317306bd1aff8db8",
-        ("0.0", "1.0"): "4c84d132d54b98e1f7bc00380f8e69d9502b2585929296de6359c0ee8ee47bc5",
-        ("0.0", "0.9993"): "e18182c8268ad1e0ada4f9fbb2df4213f0d4f5a77996e9862ee945dc2eae8f03",
-    }
-
-    @pytest.mark.parametrize("alpha, kappa", REPORT_DIGESTS)
-    def test_benchmark_reports_unchanged(self, tmp_path, alpha, kappa):
-        out = tmp_path / "entropy.json"
-        assert run_cli(["entropy-check", "--alpha", alpha, "--kappa", kappa, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.REPORT_DIGESTS[alpha, kappa]
-
-
-class TestEntryPoint:
-    def test_module_invocation(self, tmp_path, src_env):
-        res = subprocess.run(
-            [
-                sys.executable, "-m", "thinfilm.cli",
-                "riemann", "--alpha", "0.5", "--kappa", "1",
-                "--left", "2,2", "--right", "0,1",
-                "--out", str(tmp_path / "d.csv"),
-            ],
-            capture_output=True,
-            env=src_env,
-        )
-        assert res.returncode == 0
-        doc = json.loads((tmp_path / "d.json").read_text())
-        assert doc["case"] == "delta-shock"
-        assert doc["waves"][0]["strength_rate"] == pytest.approx(10.0 / 3.0)
-
-
-# Rejected input: the contract is stated once, in assert_rejected, and every input the CLI must
-# reject is a row of REJECTED.  A row keeps the id it had as a test of its own and is collected
-# under it; rows added since are test_rejected[...].
-
-
-def assert_rejected(argv, code, text):
-    """Run ``main(argv)`` in the working directory on input it must reject and
-    check the README's contract: it returns ``code`` and prints nothing to
-    stdout; stderr holds no traceback and one line with ``error:``, whose
-    message from ``error:`` on starts with ``text`` (is ``text``, if that ends
-    in a newline); and no file is left beside those there before."""
+def assert_rejected(argv, code, text, config=None):
+    """Run ``main(argv)`` in the working directory on input it must reject,
+    ``config`` (if given) written to cfg.json first, and check the README's
+    contract: it returns ``code`` and prints nothing to stdout; stderr holds
+    no traceback and one line with ``error:``, whose message from ``error:``
+    on starts with ``text`` (is ``text``, if that ends in a newline); and no
+    file is left beside those there before."""
+    write_config(config)
     before = sorted(os.listdir())
     with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
         got = main(argv)
@@ -460,6 +107,265 @@ def edited(doc, edits):
     return doc
 
 
+DROP = object()  # an edited() value that removes the key
+# a two-state godunov/llf config that runs; tests and rows change copies
+CFG = {
+    "alpha": 0.5,
+    "kappa": 0.0,
+    "grid": {"xmin": -2.0, "xmax": 6.0, "ncells": 200},
+    "cfl": 0.45,
+    "t_end": 0.5,
+    "initial": {"left": [1.5, 1.6], "right": [1.25, 1.15]},
+}
+PERTURBED = edited(CFG, {"initial.middle": [0.95, 1.62], "initial.epsilon": 0.1})
+RIEMANN = "riemann --alpha 0.5 --kappa 0 --left 1.24,0.90 --right 1.5,1.56"
+INTERACT = "interact --alpha 0.5 --kappa 0 --epsilon 0.1 --left 1.5,1.6 --middle 0.95,1.62 --right 1.25,1.15"
+# JR+JS data: the generic engine, which splits the fan into n_fan shocklets
+GENERIC = "interact --alpha 0.5 --kappa 1.0 --epsilon 0.1 --left 1.0,1.0 --middle 2.0,2.0 --right 0.5,0.5"
+LIMITS = "limits --study kappa --fixed 0.5 --left 1.24,0.90 --right 1.5,1.56"
+
+
+class TestRiemannCommand:
+    def test_example_profile(self):
+        lines, fan_doc = assert_accepted(f"{RIEMANN} --t 1.0 --samples 200 --x-min -1 --x-max 4 "
+                                         "--out prof.csv".split(), ["prof.csv", "prof.json"])
+        assert lines[0] == ["x", "h", "b", "singular_weight"]
+        rows = [list(map(float, l)) for l in lines[1:]]
+        # contact sits at x = 0.558*t: h jumps from 1.24 there
+        before = [r for r in rows if r[0] < 0.5]
+        assert all(abs(r[1] - 1.24) < 1e-12 for r in before)
+        assert fan_doc["case"] == "J+R"
+        assert len(fan_from_json(fan_doc).waves) == 2
+
+    def test_equal_states_constant_profile(self):
+        rows, _ = assert_accepted("riemann --alpha 0.5 --kappa 1 --left 1.0,1.0 --right 1.0,1.0 "
+                                  "--out c.csv".split(), ["c.csv", "c.json"])
+        assert {r[1] for r in rows[1:]} == {"1"}
+
+    def test_singular_row_carries_right_state(self):
+        # (speed * t) / t rounds below speed for this pair: re-sampling the
+        # ray would land left of the delta front and report the left state
+        left, right = "0.5708686913050158,2.589412759799674", "0,1.5819176697626334"
+        rows, fan_doc = assert_accepted(f"riemann --alpha 0.5 --kappa 1 --left {left} --right {right} "
+                                        "--t 1.5 --samples 50 --out d.csv".split(), ["d.csv", "d.json"])
+        [ds] = fan_from_json(fan_doc).waves
+        assert ds.speed * 1.5 / 1.5 != ds.speed
+        singular = [r for r in rows[1:] if float(r[3]) != 0.0]
+        want = (ds.speed * 1.5, 0.0, 1.5819176697626334, ds.strength_rate * 1.5)
+        assert singular == [[f"{v:.17g}" for v in want]]
+
+    def test_deterministic_output(self, tmp_path):
+        args = "riemann --alpha 0.5 --kappa 1 --left 2,1 --right 1,1 --samples 64 --out".split()
+        assert_accepted(args + ["a.csv"], ["a.csv", "a.json"])
+        assert_accepted(args + ["b.csv"], ["b.csv", "b.json"])
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def fv_run(scheme, config):
+    """A godunov or llf run of ``config`` through the contract; its profile and diagnostics."""
+    argv = f"{scheme} --config cfg.json --out x.csv".split()
+    return assert_accepted(argv, ["x.csv", "x_diag.json"], config)
+
+
+class TestSchemeCommands:
+    def test_godunov_run(self):
+        rows, diag = fv_run("godunov", CFG)
+        assert rows[0] == ["x", "h", "b", "w1", "w2"]
+        assert diag["max_conservation_residual"] <= 1e-12
+        assert diag["l1_error_vs_exact"] < 0.2
+        assert diag["cfl"] == 0.45
+
+    def test_llf_run(self):
+        fv_run("llf", CFG)
+
+    def test_perturbed_initial(self):
+        fv_run("godunov", edited(PERTURBED, {"grid.ncells": 150, "t_end": 0.3}))
+
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    @pytest.mark.parametrize("key", ["delta_window", "delta_background"],
+                             ids=["window-only", "background-only"])
+    def test_delta_key_alone(self, scheme, key):
+        # the point mass is measured against the initial outer states:
+        # delta_window alone records the final [t, mass] pair that window
+        # plus background records, and delta_background alone is ignored
+        both = {"delta_window": [0.0, 1.0], "delta_background": [[1.5, 1.6], [1.25, 1.15]]}
+        diags = [fv_run(scheme, edited(CFG, extras))[1] for extras in (both, {key: both[key]})]
+        [[t, _]] = diags[0]["delta_mass"]
+        assert t == 0.5 and diags[0]["n_steps"] > 0
+        if key == "delta_window":
+            assert diags[1] == diags[0]
+        else:
+            assert diags[1] == {**diags[0], "delta_mass": []}
+
+    def test_infinite_t_end_exit_2(self, tmp_path, src_env):
+        # used to run forever; a child process, so that it cannot hang the suite
+        write_config(edited(CFG, {"t_end": math.inf}))
+        out = tmp_path / "x.csv"
+        res = subprocess.run(
+            [sys.executable, "-m", "thinfilm.cli", "godunov", "--config", "cfg.json", "--out", str(out)],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert res.returncode == 2
+        assert res.stderr == "error: t_end must be finite and positive, got inf\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    def test_diag_holds_ends_of_run_series(self, scheme):
+        # the file holds the first and last entries of run()'s per-step
+        # mass series and delta_mass of the final field, bit for bit
+        _, diag = fv_run(scheme, edited(CFG, {"delta_window": [0.0, 1.0]}))
+        p, left, right = Params(0.5, 0.0), State(1.5, 1.6), State(1.25, 1.15)
+        f0 = numerics.field_from_riemann(RiemannData(left, right, p), numerics.Grid(-2.0, 6.0, 200))
+        final, ref = numerics.run(f0, numerics.SchemeConfig(scheme=scheme, t_end=0.5), p)
+        mass = numerics.delta_mass(final, (0.0, 1.0), (left, right))
+        want = {
+            "mass_h": [ref["mass_h"][0], ref["mass_h"][-1]],
+            "mass_b": [ref["mass_b"][0], ref["mass_b"][-1]],
+            "delta_mass": [[final.t, mass]],
+        }
+        for key, values in want.items():
+            assert [x.hex() for x in np.ravel(diag[key])] == [x.hex() for x in np.ravel(values)]
+
+    def test_blank_w_columns_near_vacuum(self):
+        config = edited(CFG, {"h_tol": 1e-6, "grid": {"xmin": -0.2, "xmax": 0.6, "ncells": 100},
+                              "t_end": 0.05, "initial.left": [2.9, 1.7], "initial.right": [1e-7, 5.56]})
+        rows, _ = fv_run("llf", config)
+        assert rows[-1][-2:] == ["", ""]  # w1, w2 blank where h ~ 0
+
+
+class TestInteractCommand:
+    def test_timeline_and_profiles(self):
+        doc, prof = assert_accepted(f"{INTERACT} --profile-times 1.0 --samples 100 --x-min -2 --x-max 4 "
+                                    "--out tl.json".split(), ["tl.json", "tl_t1.csv"])
+        assert doc["case"] == "JS+JS"
+        assert len(doc["events"]) == 2
+        assert prof[0] == ["x", "h", "b"]
+
+    def test_delta_case_timeline(self):
+        [doc] = assert_accepted("interact --alpha 0.5 --kappa 0 --h-tol 1e-4 --epsilon 0.1 --left 1.24,0.90 "
+                                "--middle 1e-5,5.5 --right 1.5,1.56 --out tl.json".split(), ["tl.json"])
+        assert doc["case"] == "dS+JR"
+        assert doc["residual_delta_contact"]["strength"] == pytest.approx(2 * 5.5 * 0.1)
+        curved = [f for f in doc["fronts"] if "curve" in f]
+        assert curved and len(curved[0]["curve"]) > 2
+
+
+class TestLimitsCommand:
+    def test_table(self):
+        # --samples is accepted and ignored: the l1 column is exact
+        argv = f"{LIMITS} --values 1,0.5,0.1 --samples 2000 --out table.csv".split()
+        [lines] = assert_accepted(argv, ["table.csv"])
+        assert lines[0] == ["value", "case", "l1", "dsigma", "dbeta_rate", "weak1", "weak2", "weak3"]
+        l1s = [float(l[2]) for l in lines[1:]]
+        assert l1s[0] > l1s[1] > l1s[2]
+        # equal states give fans without waves, which used to exit 2 (min() of no edges)
+        [lines] = assert_accepted(argv + ["--right", "1.24,0.90"], ["table.csv"])
+        assert [l[1:3] for l in lines[1:]] == [["pure-J", "0"]] * 3
+
+    def test_two_row_delta_shock_table(self):
+        [lines] = assert_accepted(f"{LIMITS} --values 1,0.1 --left 2.9,1.7 --right 0,5.56 "
+                                  "--out table.csv".split(), ["table.csv"])
+        assert len(lines) == 3
+        assert lines[1][1] == "delta-shock"
+
+
+def entropy_check(options):
+    """An ``entropy-check`` run with ``options``, through the contract; its report."""
+    return assert_accepted(f"entropy-check {options} --out entropy.json".split(), ["entropy.json"])[0]
+
+
+class TestEntropyCheckCommand:
+    def test_report_ok(self):
+        doc = entropy_check("--alpha 0.5 --kappa 1 --n-grid 10")
+        assert all(e["verdict"] == "convex" for e in doc["pairs"])
+
+    def test_alpha_zero_inconclusive_not_failure(self):
+        doc = entropy_check("--alpha 0 --kappa 1 --n-grid 8")
+        assert all(e["verdict"] == "inconclusive" for e in doc["pairs"])
+
+    def test_tiny_alpha_convex(self):
+        # 9*alpha^2 underflows to 0 below alpha ~ 1e-162: every pair used to
+        # read "fails" with exit 5, though the form's bracket is positive
+        doc = entropy_check("--alpha 1e-170 --kappa 1 --n-grid 8")
+        assert all(e["verdict"] == "convex" and e["min_form1"] == 0.0 for e in doc["pairs"])
+
+    @pytest.mark.parametrize("kappa", ["0", "1"])
+    @pytest.mark.parametrize("alpha", ["50", "1e3", "1e6"])
+    def test_large_alpha_convex(self, alpha, kappa):
+        # the Theta ODE residual, 0 in exact arithmetic, rounds to more than
+        # the -2*w1*Psi' term beside it: up to four pairs used to read
+        # "fails" with exit 5
+        doc = entropy_check(f"--alpha {alpha} --kappa {kappa}")
+        assert all(e["verdict"] == "convex" for e in doc["pairs"])
+
+    def test_overflowing_alpha_inconclusive(self):
+        # named for the verdict it used to pin: alpha**2 raised an
+        # OverflowError traceback with exit 1, then the forms read NaN and
+        # the verdict inconclusive; the closed r1 form, alpha folded into
+        # w1^(-n/2), stays finite and the verdict reads the coefficients
+        doc = entropy_check("--alpha 1e200 --kappa 1 --n-grid 8")
+        assert all(e["verdict"] == "convex" for e in doc["pairs"])
+        assert all(0.0 < e["min_form1"] < math.inf for e in doc["pairs"])
+
+    @pytest.mark.parametrize("alpha, kappa", [("1e300", "1"), ("1e-300", "1e-300")])
+    def test_non_finite_values_written_as_null(self, alpha, kappa):
+        # residuals that read NaN and minima that read inf used to be written
+        # as the bare NaN and Infinity, which are not JSON
+        doc = entropy_check(f"--alpha {alpha} --kappa {kappa} --n-grid 8")
+        assert None in [v for e in doc["pairs"] for v in e.values()]
+
+    @pytest.mark.parametrize("kappa", ["0", "1"])
+    def test_underflowing_psi_inconclusive(self, kappa):
+        # named for the verdict it used to pin: at w1 ~ 1e100 Psi'' of the
+        # w1^-2 and w1^-3 pairs underflows to 0, and the canonical pair's r1
+        # form read -2.73e137 through rounding in the Theta terms; the
+        # verdict reads the coefficients instead
+        doc = entropy_check(f"--alpha 1e100 --kappa {kappa}")
+        assert all(e["verdict"] == "convex" and e["min_form1"] > 0.0 for e in doc["pairs"])
+
+    # the benchmark's entropy-check runs (alpha 0.5, jittered, and 0), digests
+    # recorded with the closed-form minima once they matched the exact oracle
+    # of tests/test_entropy.py; the report goes through np.float_power, so
+    # they assume a libm pow with glibc's roundings; keyed by (alpha, kappa)
+    # alone, so that the test ids outlive a re-recording
+    REPORT_DIGESTS = {
+        ("0.5", "1.0"): "1d90af42ca952fe8ccba6929441895c5b53e977c9890d8f4e5bd530415d63d2e",
+        ("0.49975", "1.0006"): "9a29bf2c96d2c113908f3cf6890ad4856dae14512d6561deef63bb44c88bef98",
+        ("0.5004", "0.9993"): "5ac7f6cb8c277cfcbc5cb70246b4309eeada5913429f0033317306bd1aff8db8",
+        ("0.0", "1.0"): "4c84d132d54b98e1f7bc00380f8e69d9502b2585929296de6359c0ee8ee47bc5",
+        ("0.0", "0.9993"): "e18182c8268ad1e0ada4f9fbb2df4213f0d4f5a77996e9862ee945dc2eae8f03",
+    }
+
+    @pytest.mark.parametrize("alpha, kappa", REPORT_DIGESTS)
+    def test_benchmark_reports_unchanged(self, alpha, kappa):
+        entropy_check(f"--alpha {alpha} --kappa {kappa}")
+        digest = hashlib.sha256(Path("entropy.json").read_bytes()).hexdigest()
+        assert digest == self.REPORT_DIGESTS[alpha, kappa]
+
+
+class TestEntryPoint:
+    def test_module_invocation(self, tmp_path, src_env):
+        res = subprocess.run(
+            [
+                sys.executable, "-m", "thinfilm.cli",
+                "riemann", "--alpha", "0.5", "--kappa", "1",
+                "--left", "2,2", "--right", "0,1",
+                "--out", str(tmp_path / "d.csv"),
+            ],
+            capture_output=True,
+            env=src_env,
+        )
+        assert res.returncode == 0
+        doc = json.loads((tmp_path / "d.json").read_text())
+        assert doc["case"] == "delta-shock"
+        assert doc["waves"][0]["strength_rate"] == pytest.approx(10.0 / 3.0)
+
+
+# Rejected input: every input the CLI must reject is a row of REJECTED.  A row keeps the id it had
+# as a test of its own and is collected under it; rows added since are test_rejected[...].
+
+
 def row(test, argv, text, code=2, config=None):
     """A row of REJECTED; ``config``, if given, is written to cfg.json first."""
     return test, argv.split(), code, text, config
@@ -469,14 +375,7 @@ def fv(test, scheme, config, text, code=2):
     return row(test, f"{scheme} --config cfg.json --out x.csv", text, code, config)
 
 
-DROP = object()  # an edited() value that removes the key
 FV = ("godunov", "llf")
-PERTURBED = edited(CFG, {"initial.middle": [0.95, 1.62], "initial.epsilon": 0.1})
-RIEMANN = "riemann --alpha 0.5 --kappa 0 --left 1.24,0.90 --right 1.5,1.56"
-INTERACT = "interact --alpha 0.5 --kappa 0 --epsilon 0.1 --left 1.5,1.6 --middle 0.95,1.62 --right 1.25,1.15"
-# JR+JS data: the generic engine, which splits the fan into n_fan shocklets
-GENERIC = "interact --alpha 0.5 --kappa 1.0 --epsilon 0.1 --left 1.0,1.0 --middle 2.0,2.0 --right 0.5,0.5"
-LIMITS = "limits --study kappa --fixed 0.5 --left 1.24,0.90 --right 1.5,1.56"
 # never fewer elements: 8e17 bytes exceed any 57-bit address space, so the
 # allocation fails at once whatever the overcommit setting
 HUGE = 10**17
@@ -498,9 +397,10 @@ REJECTED = [
     row("TestRiemannCommand::test_io_error_exit_1", "riemann --alpha 0.5 --kappa 1 --left 1,1 --right 2,2 "
         "--out /nonexistent-dir/x.csv", "error: [Errno 2] No such file or directory: "
         "'/nonexistent-dir/x.csv'\n", code=1),
-    *(row(f"TestRiemannCommand::test_bad_time_exit_2[{t}]", f"{RIEMANN} --t {t} --out prof.csv",
-          f"error: profile time must be finite and positive, got t={float(t)}\n")
-      for t in ["0", "-1", "nan"]),
+    *(row(f"TestRiemannCommand::test_bad_time_exit_2[{t}]", f"{RIEMANN} --t {t} --out prof.csv", text)
+      for t, text in [("0", "error: profile time must be finite and positive, got t=0.0\n"),
+                      ("-1", "error: profile time must be finite and positive, got t=-1.0\n"),
+                      ("nan", f"{ARG} --t: not a finite number: 'nan'\n")]),
     *(row(f"TestRiemannCommand::test_infinite_lambda2_exit_2[{left}-{right}-{side}]",
           f"riemann --alpha 0.5 --kappa 1e308 --left {left} --right {right} --out prof.csv",
           f"error: lambda2 of the {side} state")
@@ -608,7 +508,6 @@ REJECTED = [
           ("limits-target", f"{LIMITS} --values 1,0.1 --left 1.5,1.0 --right 2.0,0.0 --out table.csv")]),
     row("test_rejected[riemann-samples]", f"riemann --alpha 0.5 --kappa 0 --left 2,1 --right 1,1 "
         f"--samples {HUGE} --out big.csv", ALLOC % "float64"),
-    # every profile is computed before the timeline JSON is written
     row("test_rejected[interact-samples]", f"{INTERACT} --profile-times 1 --samples {HUGE} --out tl.json",
         ALLOC % "float64"),
     row("test_rejected[interact-n-fan]", f"{GENERIC} --n-fan {HUGE} --t-max 5 --out tl.json",
@@ -626,20 +525,22 @@ REJECTED = [
     *(row(f"test_rejected[limits-values-{values}]", f"{LIMITS} --values {values} --out table.csv",
           f"{ARG} --values: not a comma list of finite numbers: '{values}'\n")
       for values in ["1,nan", "nan"]),
+    *(row(f"test_rejected[{cmd.split()[0]}-{flag[2:]}-{v}]", f"{cmd} {flag} {v} --out x",
+          f"{ARG} {flag}: not a finite number: '{v}'\n")
+      for cmd, flag, v in [(RIEMANN, "--kappa", "inf"), (RIEMANN, "--x-min", "abc"),
+                           (INTERACT, "--epsilon", "inf"), (f"{LIMITS} --values 1,0.1", "--fixed", "nan"),
+                           ("entropy-check --kappa 1", "--alpha", "nan")]),
 ]
 
 
 def _table_test(rows):
     """The test of ``rows`` of one name: parametrized by their ids, or plain for one row without."""
-    def test(tmp_path, monkeypatch, row):
-        monkeypatch.chdir(tmp_path)
-        if row[4] is not None:
-            (tmp_path / "cfg.json").write_text(json.dumps(row[4]))
-        assert_rejected(*row[1:4])
+    def test(row):
+        assert_rejected(*row[1:])
 
     ids = [name.partition("[")[2][:-1] for name, *_ in rows]
     if ids == [""]:
-        return lambda tmp_path, monkeypatch: test(tmp_path, monkeypatch, rows[0])
+        return lambda: test(rows[0])
     return pytest.mark.parametrize("row", rows, ids=ids)(test)
 
 
@@ -659,8 +560,7 @@ _collect_rows_as_tests(REJECTED)
 @pytest.mark.parametrize("argv", [[], *([c] for c in ("riemann", "godunov", "llf", "interact",
                                                       "limits", "entropy-check"))],
                          ids=lambda argv: argv[0] if argv else "thinfilm")
-def test_help_exit_0(tmp_path, monkeypatch, capsys, argv):
-    monkeypatch.chdir(tmp_path)
+def test_help_exit_0(tmp_path, capsys, argv):
     assert main([*argv, "--help"]) == 0
     assert capsys.readouterr().out.startswith(f"usage: {' '.join(['thinfilm', *argv])} ")
     assert list(tmp_path.iterdir()) == []
