@@ -9,6 +9,7 @@ budget exhausted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -78,6 +79,26 @@ def _write_json(path: str, doc) -> None:
         fh.write("\n")
 
 
+def _write(outputs: dict) -> None:
+    """Write each JSON document or (CSV header, columns) of ``outputs`` to
+    its path, in order.  On an I/O error the files written so far, and the
+    one being written if it is new, are removed before the error is raised."""
+    done = []
+    for path, out in outputs.items():
+        new = not os.path.lexists(path)
+        try:
+            if isinstance(out, tuple):
+                _write_csv(path, *out)
+            else:
+                _write_json(path, out)
+        except OSError:
+            for written in done + [path] * new:
+                with contextlib.suppress(OSError):
+                    os.remove(written)
+            raise
+        done.append(path)
+
+
 def _parse_state(text: str) -> State:
     """A state option ``h,b`` in the quadrant."""
     parts = text.split(",")
@@ -144,10 +165,13 @@ def _times(text: str) -> list[float]:
 
 def _count(text: str) -> int:
     """A non-negative integer option."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
-    return value
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
 
 
 def _key(doc: dict, key: str, section: str = ""):
@@ -363,11 +387,7 @@ def main(argv=None) -> int:
     try:
         # a command returns {path: JSON document or (CSV header, columns)} in
         # write order, all computed first, so that a failing command leaves no file
-        for path, out in args.func(args).items():
-            if isinstance(out, tuple):
-                _write_csv(path, *out)
-            else:
-                _write_json(path, out)
+        _write(args.func(args))
         return EXIT_OK
     except EventBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,6 +70,18 @@ reduction or a sum is not finite.  The first step checks every cell.
 The boundary fluxes are kept, and recomputed only after a step that
 computed cell 0 or cell n - 1.
 
+A run's steps are one generator frame, ``_Kernel.steps``, that lives
+for the whole run: :func:`run` iterates it and :func:`step` takes its
+first item.  The per-run constants, the window, the step count and the
+last ``dt/dx`` are its locals, and the window walk reads the int64
+views through memoryviews, as Python ints.  A step calls no helper
+method, and its arrays are made in place where the expression allows:
+lambda2 and phi are ``np.multiply(coef, h)`` and then ``*= b``, and the
+update is ``diff *= c; u -= diff``.  Each ufunc keeps the operands and
+the order of the plain expression, so the bits are unchanged.  Only the
+slow paths call helpers: the first step's checks, a failure, a
+certification, a drop, and a step that reaches cell 0 or cell n - 1.
+
 :func:`run` and :func:`step` ignore floating-point overflow for their
 whole length, under one ``np.errstate``: an overflowing speed, flux or
 cell fails the step's own checks as a :class:`SchemeFailureError`,
@@ -224,19 +236,20 @@ class _Settled:
 
 
 class _Kernel:
-    """A field advanced in place over its active window, one step per call.
+    """A field and the state that :meth:`steps` advances it with in place.
 
     ``U`` holds h and b as its two rows, with one outflow ghost at each
     end, so cell i sits at column i + 1; ``H`` and ``B`` view the rows and
     ``field`` views the interior.  ``win`` is the inclusive cell range
-    [lo - 1, hi] of the next step, where lo and hi are the first and
+    [lo - 1, hi] of the first step, where lo and hi are the first and
     last cells i >= 1 that differ in bits from cell i - 1, or [0, 0] on a
     constant field.  The window holds a cell of every distinct state, so
     the maximum wave speed over it is the maximum over the field.  While
     ``settled`` holds a block at the window's left edge, a step computes
     only the cells from the block's last one to hi.  ``mass`` holds the
     row sums of the field, and ``quarters`` the sums of its cells between
-    consecutive ``cuts``.
+    consecutive ``cuts``.  The work counts are set when :meth:`steps`
+    ends.
     """
 
     def __init__(self, f: FVField, cfg: SchemeConfig, p: Params):
@@ -262,29 +275,9 @@ class _Kernel:
         self.quarters = [[0.0, 0.0]] * 4
         self.mass = self._sum(0, n - 1)
         self.settled: _Settled | None = None
-        self.steps = 0
-        # dt/dx of the last step, 0 before the first
-        self.c = 0.0
         self.cell_updates = self.max_active = 0
         self.full_steps = self.settled_cell_steps = 0
         self.drops = {"speed": 0, "overlap": 0, "edge": 0, "age": 0}
-
-    def _window(self, i: int, j: int) -> tuple[int, int]:
-        """Update range from the cell pairs in [i, j], the only ones that can differ.
-
-        Pair k compares cell k - 1 with cell k bit for bit, at columns k and
-        k + 1 of the int64 views.  The walks start at the last window's
-        edges, which move by at most one cell per step outwards, and each
-        cell the window sheds inwards is walked over once.
-        """
-        hv, bv = self.hv, self.bv
-        while i <= j and hv[i] == hv[i + 1] and bv[i] == bv[i + 1]:
-            i += 1
-        if i > j:
-            return 0, 0
-        while hv[j] == hv[j + 1] and bv[j] == bv[j + 1]:
-            j -= 1
-        return i - 1, j
 
     def _boundary(self) -> tuple[tuple[float, float], ...]:
         """The outflow boundary fluxes of cells 0 and n - 1: the same in both schemes."""
@@ -295,7 +288,8 @@ class _Kernel:
     def _sum(self, i0: int, i1: int) -> list[float]:
         """Both row sums of the field after cells i0 .. i1 changed, in the bits of ``np.add.reduce``.
 
-        Only the quarters that meet [i0, i1] are summed again.
+        Only the quarters that meet [i0, i1] are summed again; a step of
+        :meth:`steps` does the same inline.
         """
         q = self.quarters
         for k in range(4):
@@ -332,55 +326,20 @@ class _Kernel:
         h, b = u[:, k]
         raise SchemeFailureError(f"{msg}: cell {i0 + k} at x={x} has h={h}, b={b}")
 
-    def _speeds(self, j0: int, j1: int) -> np.ndarray:
-        """lambda2 and phi of the cells at columns j0 .. j1 - 1, as the two rows of one array.
-
-        Both rows take the operations of ``core.eigenvalues`` in its order:
-        ``((3*alpha)*h)*b + kappa*h*h`` and ``(alpha*h)*b + kappa*h*h/3``.
-        3*phi is equal to lambda2 in exact arithmetic but not in bits (they
-        differ in about half of random draws), so dt and the LLF speeds
-        keep this form.  At kappa = 0 the kappa terms are the signed zero
-        ``zero``; upwinding reads lambda2 only through its maximum, where
-        the sign of a zero does not count, so only LLF adds it there.
-        """
-        h, b = self.U[:, j0:j1]
-        lam = self.coef * h * b
-        if self.p.kappa:
-            kh2 = self.p.kappa * h * h
-            lam[0] += kh2
-            lam[1] += kh2 / 3.0
-        elif self.cfg.scheme == "llf":
-            lam += self.zero
-        else:
-            lam[1] += self.zero
-        return lam
-
-    def _start(self, i0: int, i1: int) -> int:
-        """First cell the step computes: the settled block's last cell, or i0 without one."""
-        blk = self.settled
-        if blk is None:
-            return i0
-        if blk.lo != i0 or blk.end > i1 + 1:
-            self._drop("edge")
-        elif self.steps >= blk.expires:
-            # a full step lets the block grow
-            self._drop("age")
-        else:
-            return blk.end - 1
-        return i0
-
     def _drop(self, reason: str) -> None:
         self.settled = None
         self.drops[reason] += 1
 
-    def _certify(self, d: np.ndarray, lam2: np.ndarray, c_hi: float, i0: int) -> None:
+    def _certify(
+        self, d: np.ndarray, lam2: np.ndarray, c_hi: float, i0: int, expires: int
+    ) -> _Settled | None:
         """Settle the cells at the window's left edge that keep their bits at ``dt/dx <= c_hi``.
 
         ``d`` holds the window's flux differences before the ``dt/dx``
         scaling, and ``lam2`` the lambda2 of cells i0 - 1 onwards.  A cell
         is certified when ``u - d*c_hi == u`` in bits on both rows; the
         block is the run of certified cells from i0, kept if it holds at
-        least two cells.
+        least two cells, and returned.
         """
         length = d.shape[1]
         u = self.U[:, i0 + 1 : i0 + 1 + length]
@@ -391,86 +350,184 @@ class _Kernel:
         if same[run]:
             run = length
         if run < 2:
-            return
+            return None
         lam_max = float(np.maximum.reduce(lam2[: run + 1]))
-        self.settled = _Settled(i0, i0 + run, c_hi, lam_max, self.steps + _SETTLED_STEPS)
+        self.settled = _Settled(i0, i0 + run, c_hi, lam_max, expires)
+        return self.settled
 
-    def advance(self) -> tuple[tuple[float, float], ...] | None:
-        """One step, or None if t did not step.
+    def steps(self):
+        """Advance the field one step per item, all in this one frame.
 
-        Returns the h fluxes and the b fluxes of cells 0 and n - 1 before
-        the step, as ``((h0, h_last), (b0, b_last))``.  The first step
-        checks every cell; later ones check the cells they computed.
+        Each item is ``(boundary, mass_h, mass_b)``: the h fluxes and the
+        b fluxes of cells 0 and n - 1 before the step, as ``((h0, h_last),
+        (b0, b_last))``, or None if t did not step; and the row sums of the
+        field after it.  The first step checks every cell; later ones
+        check the cells they computed.
+
+        lambda2 and phi of the cells a step reads are the rows of one
+        array: ``((3*alpha)*h)*b + kappa*h*h`` and ``(alpha*h)*b +
+        kappa*h*h/3``, the operations of ``core.eigenvalues`` in its
+        order.  3*phi is equal to lambda2 in exact arithmetic but not in
+        bits (they differ in about half of random draws), so dt and the
+        LLF speeds keep this form.  At kappa = 0 the kappa terms are the
+        signed zero ``zero``; upwinding reads lambda2 only through its
+        maximum, where the sign of a zero does not count, so only LLF adds
+        it there.
         """
         cfg, n, f, U = self.cfg, self.n, self.field, self.U
-        i0, i1 = self.win
-        t, dx = f.t, f.grid.dx
-        first = self.steps == 0
-        if first:
-            self._check(0, n - 1, "field", t, positivity=False)
-        s = self._start(i0, i1)
-        lam = self._speeds(s, i1 + 3)
-        lam_max = float(np.maximum.reduce(lam[0]))
-        if s > i0:
-            # a NaN from the computed cells stays first, so max keeps it
-            lam_max = max(lam_max, self.settled.lam_max)
-        if not math.isfinite(lam_max):
-            raise SchemeFailureError(f"wave speeds overflow at t={t}")
-        remaining = cfg.t_end - t
-        if remaining <= 0.0:
-            return None
-        if lam_max <= 0.0:
-            if np.ptp(f.h) > 0.0 or np.ptp(f.b) > 0.0:
-                warnings.warn("all wave speeds vanish on nonconstant data; field is frozen")
-            f.t = cfg.t_end
-            return None
-        dt = min(cfg.cfl * dx / lam_max, remaining)
-        if dt <= 0.0:
-            raise SchemeFailureError(f"time step collapsed at t={t}")
-        c = dt / dx
-        if s > i0 and c > self.settled.c_hi:
-            self._drop("speed")
-            s = i0
-            lam = self._speeds(s, i1 + 3)
+        kappa, coef, zero, cuts, q = self.p.kappa, self.coef, self.zero, self.cuts, self.quarters
+        llf = cfg.scheme == "llf"
+        parts = [U[:, lo + 1 : hi + 1] for lo, hi in zip(cuts, cuts[1:])]
+        hv, bv = memoryview(self.hv), memoryview(self.bv)
+        multiply, maximum = np.multiply, np.maximum
+        add_reduce, min_reduce, max_reduce = np.add.reduce, np.minimum.reduce, np.maximum.reduce
+        isfinite = math.isfinite
+        t_end, dx, t = cfg.t_end, f.grid.dx, f.t
+        cfl_dx = cfg.cfl * dx
+        (i0, i1), boundary, (mh, mb) = self.win, self.boundary, self.mass
+        blk = None
+        # dt/dx of the last step, 0 before the first
+        n_steps, c_last = 0, 0.0
+        cell_updates = max_active = full_steps = settled_cell_steps = 0
+        self._check(0, n - 1, "field", t, positivity=False)
+        try:
+            while True:
+                s = i0
+                if blk is not None:
+                    if blk.lo != i0 or blk.end > i1 + 1:
+                        self._drop("edge")
+                        blk = None
+                    elif n_steps >= blk.expires:
+                        # a full step lets the block grow
+                        self._drop("age")
+                        blk = None
+                    else:
+                        s = blk.end - 1
+                # the speeds from cell s - 1, and again from i0 - 1 if dt/dx
+                # outgrows the settled block's c_hi
+                while True:
+                    us = U[:, s : i1 + 3]
+                    h = us[0]
+                    lam = multiply(coef, h)
+                    lam *= us[1]
+                    if kappa:
+                        kh2 = multiply(kappa, h)
+                        kh2 *= h
+                        lam[0] += kh2
+                        kh2 /= 3.0
+                        lam[1] += kh2
+                    elif llf:
+                        lam += zero
+                    else:
+                        lam[1] += zero
+                    lam2 = lam[0]
+                    lam_max = float(max_reduce(lam2))
+                    # a NaN from the computed cells stays first, as in max()
+                    if s > i0 and blk.lam_max > lam_max:
+                        lam_max = blk.lam_max
+                    if not isfinite(lam_max):
+                        raise SchemeFailureError(f"wave speeds overflow at t={t}")
+                    remaining = t_end - t
+                    if remaining <= 0.0:
+                        break
+                    if lam_max <= 0.0:
+                        if np.ptp(f.h) > 0.0 or np.ptp(f.b) > 0.0:
+                            warnings.warn(
+                                "all wave speeds vanish on nonconstant data; field is frozen"
+                            )
+                        t = f.t = t_end
+                        break
+                    dt = cfl_dx / lam_max
+                    if remaining < dt:
+                        dt = remaining
+                    if dt <= 0.0:
+                        raise SchemeFailureError(f"time step collapsed at t={t}")
+                    c = dt / dx
+                    if s == i0 or c <= blk.c_hi:
+                        break
+                    self._drop("speed")
+                    blk, s = None, i0
+                if remaining <= 0.0 or lam_max <= 0.0:
+                    yield None, mh, mb
+                    continue
 
-        m = i1 - s + 1
-        us = U[:, s : i1 + 3]
-        lam2, lam1 = lam
-        # the cell fluxes of both components at once
-        fl = us * lam1
-        if cfg.scheme == "godunov":
-            # upwind: all characteristic speeds are >= 0 on the quadrant
-            diff = fl[:, 1:-1] - fl[:, :-2]
-        else:
-            s_half = np.maximum(lam2[:-1], lam2[1:]) * 0.5
-            F = (fl[:, :-1] + fl[:, 1:]) * 0.5 - (us[:, 1:] - us[:, :-1]) * s_half
-            diff = F[:, 1:] - F[:, :-1]
-        if s == i0:
-            self.full_steps += 1
-            # dt/dx may keep changing at its last rate for the block's lifetime
-            self._certify(diff, lam2, c + _SETTLED_STEPS * abs(c - self.c), i0)
-        else:
-            self.settled_cell_steps += s - i0
-            # the block's last cell: under LLF its right neighbour may move
-            last = self.hv[s + 1], self.bv[s + 1]
-        U[:, s + 1 : i1 + 2] -= diff * c
-        self.mass = self._sum(s, i1)
-        self._check(0 if first else s, n - 1 if first else i1, "update", t, positivity=True)
-        if s > i0 and (self.hv[s + 1], self.bv[s + 1]) != last:
-            self._drop("overlap")
-        if s == 0:
-            U[:, 0] = U[:, 1]
-        if i1 == n - 1:
-            U[:, -1] = U[:, -2]
-        boundary = self.boundary
-        if s == 0 or i1 == n - 1:
-            self.boundary = self._boundary()
-        f.t, self.c = t + dt, c
-        self.steps += 1
-        self.cell_updates += m
-        self.max_active = max(self.max_active, m)
-        self.win = self._window(max(i0, 1), min(i1 + 1, n - 1))
-        return boundary
+                # the cell fluxes of both components at once
+                fl = us * lam[1]
+                if llf:
+                    s_half = maximum(lam2[:-1], lam2[1:])
+                    s_half *= 0.5
+                    F = fl[:, :-1] + fl[:, 1:]
+                    F *= 0.5
+                    du = us[:, 1:] - us[:, :-1]
+                    du *= s_half
+                    F -= du
+                    diff = F[:, 1:] - F[:, :-1]
+                else:
+                    # upwind: all characteristic speeds are >= 0 on the quadrant
+                    diff = fl[:, 1:-1] - fl[:, :-2]
+                if s == i0:
+                    full_steps += 1
+                    # dt/dx may keep changing at its last rate for the block's lifetime
+                    c_hi = c + _SETTLED_STEPS * abs(c - c_last)
+                    blk = self._certify(diff, lam2, c_hi, i0, n_steps + _SETTLED_STEPS)
+                else:
+                    settled_cell_steps += s - i0
+                    # the block's last cell: under LLF its right neighbour may move
+                    last_h, last_b = hv[s + 1], bv[s + 1]
+                u = U[:, s + 1 : i1 + 2]
+                diff *= c
+                u -= diff
+                for k in range(4):
+                    if cuts[k] <= i1 and s < cuts[k + 1]:
+                        q[k] = add_reduce(parts[k], axis=1).tolist()
+                (h0, b0), (h1, b1), (h2, b2), (h3, b3) = q
+                mh, mb = (h0 + h1) + (h2 + h3), (b0 + b1) + (b2 + b3)
+                if n_steps:
+                    lo = min_reduce(u, axis=None)
+                    if not (isfinite(lo) and lo >= -1e-12 and isfinite(mh) and isfinite(mb)):
+                        self.mass = [mh, mb]
+                        self._check(s, i1, "update", t, positivity=True)
+                else:
+                    self.mass = [mh, mb]
+                    self._check(0, n - 1, "update", t, positivity=True)
+                if s > i0 and (hv[s + 1] != last_h or bv[s + 1] != last_b):
+                    self._drop("overlap")
+                    blk = None
+                before = boundary
+                if s == 0 or i1 == n - 1:
+                    if s == 0:
+                        U[:, 0] = U[:, 1]
+                    if i1 == n - 1:
+                        U[:, -1] = U[:, -2]
+                    boundary = self._boundary()
+                t = f.t = t + dt
+                c_last = c
+                n_steps += 1
+                m = i1 - s + 1
+                cell_updates += m
+                if m > max_active:
+                    max_active = m
+
+                # the next window from the cell pairs in [i, j], the only ones
+                # that can differ: pair k compares cells k - 1 and k at columns
+                # k and k + 1.  The walks start at this window's edges, which
+                # move by at most one cell per step outwards, and each cell the
+                # window sheds inwards is walked over once.
+                i = i0 if i0 else 1
+                j = i1 + 1 if i1 < n - 2 else n - 1
+                while i <= j and hv[i] == hv[i + 1] and bv[i] == bv[i + 1]:
+                    i += 1
+                if i > j:
+                    i0 = i1 = 0
+                else:
+                    while hv[j] == hv[j + 1] and bv[j] == bv[j + 1]:
+                        j -= 1
+                    i0, i1 = i - 1, j
+                yield before, mh, mb
+        finally:
+            self.mass = [mh, mb]
+            self.cell_updates, self.max_active = cell_updates, max_active
+            self.full_steps, self.settled_cell_steps = full_steps, settled_cell_steps
 
 
 def step(f: FVField, cfg: SchemeConfig, p: Params) -> FVField:
@@ -483,7 +540,7 @@ def step(f: FVField, cfg: SchemeConfig, p: Params) -> FVField:
     """
     with np.errstate(over="ignore"):
         k = _Kernel(f, cfg, p)
-        k.advance()
+        next(k.steps())
     return k.field
 
 
@@ -528,32 +585,38 @@ def run(
         k = _Kernel(initial, cfg, p)
         f = k.field
         dx = f.grid.dx
-        masses_h, masses_b = array("d", [k.mass[0] * dx]), array("d", [k.mass[1] * dx])
+        mass_h, mass_b = k.mass[0] * dx, k.mass[1] * dx
+        masses_h, masses_b = array("d", [mass_h]), array("d", [mass_b])
         cons_res = 0.0
         snapshots: list[FVField] = []
         want = sorted(record_times) if record_times else []
         wi = 0
 
-        n_steps = 0
-        while f.t < cfg.t_end - 1e-14:
-            t_prev = f.t
-            boundary = k.advance()
-            mass_h, mass_b = k.mass[0] * dx, k.mass[1] * dx
+        steps = k.steps()
+        stop = cfg.t_end - 1e-14
+        n_steps, t = 0, f.t
+        while t < stop:
+            boundary, mh, mb = next(steps)
+            t_prev, t = t, f.t
+            prev_h, prev_b = mass_h, mass_b
+            mass_h, mass_b = mh * dx, mb * dx
             if boundary is not None:
                 # the realised step, as the field's times record it
-                dt = f.t - t_prev
+                dt = t - t_prev
                 (h0, hn), (b0, bn) = boundary
                 cons_res = max(
                     cons_res,
-                    abs(mass_h - masses_h[-1] + dt * (hn - h0)),
-                    abs(mass_b - masses_b[-1] + dt * (bn - b0)),
+                    abs(mass_h - prev_h + dt * (hn - h0)),
+                    abs(mass_b - prev_b + dt * (bn - b0)),
                 )
             masses_h.append(mass_h)
             masses_b.append(mass_b)
-            while wi < len(want) and f.t >= want[wi] - 1e-12:
+            while wi < len(want) and t >= want[wi] - 1e-12:
                 snapshots.append(f.copy())
                 wi += 1
             n_steps += 1
+        # its end sets the kernel's work counts
+        steps.close()
 
     diagnostics = {
         "n_steps": n_steps,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thinfilm import numerics
+from thinfilm import cli, numerics
 from thinfilm.cli import main
 from thinfilm.core import Params, State
 from thinfilm.riemann import RiemannData, fan_from_json
@@ -391,12 +391,18 @@ REJECTED = [
       for flag, v in [("--x-min", "nan"), ("--x-max", "inf"), ("--x-min", "-inf")]),
     row("TestRiemannCommand::test_negative_samples_exit_2", f"{RIEMANN} --samples=-1 --out prof.csv",
         f"{ARG} --samples: not a non-negative integer: '-1'\n"),
+    row("test_rejected[riemann-samples-abc]", f"{RIEMANN} --samples abc --out prof.csv",
+        f"{ARG} --samples: not a non-negative integer: 'abc'\n"),
     row("TestRiemannCommand::test_assumption_violation_exit_2", "riemann --alpha 0.5 --kappa 1 --left 0,1 "
         "--right 0,2 --out x.csv", "error: at most one of h-, b-, h+, b+ may vanish; "
         "got left=State(h=0.0, b=1.0), right=State(h=0.0, b=2.0)\n"),
     row("TestRiemannCommand::test_io_error_exit_1", "riemann --alpha 0.5 --kappa 1 --left 1,1 --right 2,2 "
         "--out /nonexistent-dir/x.csv", "error: [Errno 2] No such file or directory: "
         "'/nonexistent-dir/x.csv'\n", code=1),
+    # the profile is written, then the fan's file cannot be: the profile is removed
+    row("test_rejected[riemann-fan-out-io]", "riemann --alpha 0.5 --kappa 0 --left 2,1 --right 1,1 --samples 5 "
+        "--out ok.csv --fan-out /nonexistent-dir/f.json", "error: [Errno 2] No such file or directory: "
+        "'/nonexistent-dir/f.json'\n", code=1),
     *(row(f"TestRiemannCommand::test_bad_time_exit_2[{t}]", f"{RIEMANN} --t {t} --out prof.csv", text)
       for t, text in [("0", "error: profile time must be finite and positive, got t=0.0\n"),
                       ("-1", "error: profile time must be finite and positive, got t=-1.0\n"),
@@ -555,6 +561,19 @@ def _collect_rows_as_tests(rows):
 
 
 _collect_rows_as_tests(REJECTED)
+
+
+def test_io_error_part_way_leaves_no_file(monkeypatch):
+    # the fan's file is created and then fails, as on a full disk: it goes,
+    # and so does the profile written before it
+    def failing_json(path, doc):
+        with open(path, "w") as fh:
+            fh.write("{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_json", failing_json)
+    assert_rejected(f"{RIEMANN} --samples 5 --out ok.csv".split(), 1,
+                    "error: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("argv", [[], *([c] for c in ("riemann", "godunov", "llf", "interact",

@@ -348,18 +348,24 @@ class TestSettledPrefix:
         p = Params(0.5, 0.7)
         k = np.searchsorted([311, 365], np.arange(2000), side="right")
         h, b = np.array([1.389, 1.841, 0.853])[k], np.array([1.602, 0.775, 0.922])[k]
-        advance, certified = numerics._Kernel.advance, {}
+        steps, certified = numerics._Kernel.steps, {}
 
-        def checking_advance(kernel):
+        def check(kernel):
             blk = kernel.settled
             if blk is not None:
                 u = kernel.U[:, blk.lo : blk.end + 1]
                 np.testing.assert_array_equal(u, certified.setdefault(blk, u.copy()))
                 uh, ub = u
                 assert float(np.max(3.0 * p.alpha * uh * ub + p.kappa * uh * uh)) == blk.lam_max
-            return advance(kernel)
 
-        monkeypatch.setattr(numerics._Kernel, "advance", checking_advance)
+        def checking_steps(kernel):
+            # before every step: the code after a yield runs when run asks for the next one
+            check(kernel)
+            for item in steps(kernel):
+                yield item
+                check(kernel)
+
+        monkeypatch.setattr(numerics._Kernel, "steps", checking_steps)
         f0 = FVField(Grid(-1.0, 9.0, 2000), h, b, 0.0)
         run(f0, SchemeConfig(scheme=scheme, t_end=2.0), p)
         assert len({blk.lam_max for blk in certified}) > 10
@@ -416,22 +422,38 @@ class TestFailurePaths:
     def test_inf_cell_past_the_min_check_fails_by_mass(self, monkeypatch):
         # a +inf that no min reduction sees makes the mass non-finite, and
         # run names its cell with the step's starting time
-        advance, total = numerics._Kernel.advance, numerics._Kernel._sum
-        times, cells = [], []
+        steps, add_reduce = numerics._Kernel.steps, np.add.reduce
+        kernels, times, ends, cells = [], [], [], []
 
-        def timed_advance(k):
-            times.append(k.field.t)
-            return advance(k)
+        def timed_steps(k):
+            # before each step, its starting time and its window's right
+            # end: the last cell whose bits differ from its left neighbour's
+            kernels.append(k)
+            inner = steps(k)
+            while True:
+                h, b = bits(k.field.h), bits(k.field.b)
+                times.append(k.field.t)
+                ends.append(int(np.flatnonzero((h[1:] != h[:-1]) | (b[1:] != b[:-1]))[-1]) + 1)
+                yield next(inner)
 
-        def inf_then_sum(k, i0, i1):
+        def inf_then_sum(u, axis):
             # the third step's last computed cell, planted after its update
             if len(times) == 3 and not cells:
-                cells.append(k.win[1])
-                k.field.h[cells[0]] = math.inf
-            return total(k, i0, i1)
+                cells.append(ends[2])
+                kernels[0].field.h[cells[0]] = math.inf
+            return add_reduce(u, axis=axis)
 
-        monkeypatch.setattr(numerics._Kernel, "advance", timed_advance)
-        monkeypatch.setattr(numerics._Kernel, "_sum", inf_then_sum)
+        class PlantingNumpy:
+            """numpy as the kernel sees it, but for the row sums of its steps."""
+
+            class add:
+                reduce = staticmethod(inf_then_sum)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(numerics._Kernel, "steps", timed_steps)
+        monkeypatch.setattr(numerics, "np", PlantingNumpy())
         grid = Grid(-2.0, 8.0, 200)
         x = grid.centers()
         with pytest.raises(SchemeFailureError) as exc:

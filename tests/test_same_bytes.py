@@ -1,4 +1,5 @@
-"""Output files of a few CLI commands, pinned by sha256.
+"""Output files of a few CLI commands, pinned by sha256, and the FV
+kernel's work counts on two of their inputs.
 
 A refactor of the exact or the finite-volume layer that claims the same
 results must leave these digests unchanged.  The commands use only
@@ -11,7 +12,10 @@ import json
 
 import pytest
 
+from thinfilm import numerics
 from thinfilm.cli import main
+from thinfilm.core import Params, State
+from thinfilm.riemann import RiemannData
 
 # the J+R, J+S, delta and JS+JS examples of the README, and FV runs on J+S data
 JS_CONFIG = {
@@ -107,3 +111,31 @@ def test_output_digests(name, tmp_path):
     assert main([*argv, "--out", str(out / result)]) == 0
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
     assert got == DIGESTS[name]
+
+
+# The FV kernel's work counts on the J+S data (Godunov, 400 cells, t = 1)
+# and on DELTA_FINE (LLF): a change to the step loop that claims the same
+# work must compute the same cells in the same steps
+WORK_COUNTS = {
+    "godunov-js": ({**JS_CONFIG, "t_end": 1.0}, "godunov", {
+        "n_steps": 321, "cell_updates": 28738, "max_active_cells": 155, "full_steps": 205,
+        "settled_cell_steps": 281,
+        "settled_drops": {"speed": 2, "overlap": 0, "edge": 0, "age": 1},
+    }),
+    "llf-delta-fine": (DELTA_FINE, "llf", {
+        "n_steps": 2479, "cell_updates": 559688, "max_active_cells": 460, "full_steps": 287,
+        "settled_cell_steps": 87678,
+        "settled_drops": {"speed": 4, "overlap": 147, "edge": 0, "age": 18},
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORK_COUNTS))
+def test_kernel_work_counts(name):
+    config, scheme, counts = WORK_COUNTS[name]
+    p = Params(config["alpha"], config["kappa"])
+    left, right = (State(*config["initial"][k]) for k in ("left", "right"))
+    grid = numerics.Grid(*(config["grid"][k] for k in ("xmin", "xmax", "ncells")))
+    field = numerics.field_from_riemann(RiemannData(left, right, p), grid)
+    _, diag = numerics.run(field, numerics.SchemeConfig(scheme=scheme, t_end=config["t_end"]), p)
+    assert {k: diag[k] for k in counts} == counts
