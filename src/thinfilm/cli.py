@@ -174,6 +174,32 @@ def _count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the system does not report them."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _fit(what: str, n: int, values: int) -> None:
+    """Invalid input, naming ``what`` and ``n``, if the ``values`` 8-byte
+    values that size needs exceed physical memory.
+
+    Commands call it before they allocate, so that such a size exits 2
+    and is not killed part way.  Their counts per unit of a size are
+    tracemalloc peaks rounded up: 12 per riemann sample; 2 per interact
+    sample and 2 more per profile time; about 90 per fan shocklet of the
+    generic engine; 8 per entropy-check grid point; 20 per cell of an
+    LLF run whose window spans every cell.
+    """
+    have = _physical_memory()
+    if 8 * values > have:
+        raise InvalidDataError(
+            f"{what} {n} needs about {8 * values} bytes, more than the {have} bytes of physical memory"
+        )
+
+
 def _key(doc: dict, key: str, section: str = ""):
     """``doc[key]``, where ``doc`` is the config or its ``section``; a missing key is invalid input."""
     if key not in doc:
@@ -189,6 +215,7 @@ def _add_param_args(sp) -> None:
 
 
 def cmd_riemann(args) -> dict:
+    _fit("--samples", args.samples, 16 * args.samples)
     p = Params(args.alpha, args.kappa, h_tol=args.h_tol)
     fan = riemann.solve(riemann.RiemannData(args.left, args.right, p))
     xs = np.linspace(args.x_min, args.x_max, args.samples)
@@ -229,6 +256,7 @@ def cmd_fv(args) -> dict:
         *(_number(_key(grid_doc, k, "grid"), f"grid.{k}") for k in ("xmin", "xmax")),
         _key(grid_doc, "ncells", "grid"),
     )
+    _fit("config grid.ncells", grid.n_cells, 24 * grid.n_cells)
     init = _object(_key(cfg_doc, "initial"), "initial")
     left, right = (State(*_pair(_key(init, k, "initial"), k)) for k in ("left", "right"))
     data = None
@@ -265,8 +293,8 @@ def cmd_fv(args) -> dict:
         "grid": diag["grid"],
         "t_end": cfg.t_end,
         "n_steps": diag["n_steps"],
-        "mass_h": [diag["mass_h"][0], diag["mass_h"][-1]],
-        "mass_b": [diag["mass_b"][0], diag["mass_b"][-1]],
+        "mass_h": diag["mass_h"],
+        "mass_b": diag["mass_b"],
         "max_conservation_residual": diag["max_conservation_residual"],
         "delta_mass": delta,
     }
@@ -285,13 +313,16 @@ def cmd_fv(args) -> dict:
 
 
 def cmd_interact(args) -> dict:
+    times = args.profile_times or []
+    _fit("--n-fan", args.n_fan, 256 * args.n_fan)
+    if times:
+        _fit("--samples", args.samples, (4 + 2 * len(times)) * args.samples)
     p = Params(args.alpha, args.kappa, h_tol=args.h_tol)
     pd = interactions.PerturbedData(args.epsilon, args.left, args.middle, args.right, p)
     tl = interactions.run_timeline(
         pd, t_max=args.t_max, n_fan=args.n_fan, budget=args.budget
     )
     outputs = {args.out: interactions.timeline_to_json(tl)}
-    times = args.profile_times or []
     xs = np.linspace(args.x_min, args.x_max, args.samples) if times else None
     stem = os.path.splitext(args.out)[0]
     for t in times:
@@ -315,6 +346,7 @@ def cmd_limits(args) -> dict:
 
 
 def cmd_entropy_check(args) -> dict:
+    _fit("--n-grid", args.n_grid, 10 * max(args.n_grid, 0) ** 2)
     p = Params(args.alpha, args.kappa)
     return {args.out: entropy_mod.entropy_report(p, n_grid=args.n_grid)}
 

@@ -71,8 +71,11 @@ The boundary fluxes are kept, and recomputed only after a step that
 computed cell 0 or cell n - 1.
 
 A run's steps are one generator frame, ``_Kernel.steps``, that lives
-for the whole run: :func:`run` iterates it and :func:`step` takes its
-first item.  The per-run constants, the window, the step count and the
+for the whole run and ends once ``t_end - t <= 0``: :func:`run` iterates
+it to its end and :func:`step` takes its first item.  That is a run's
+only stopping rule, and it holds no absolute time, so a run ends at
+t_end itself, and one whose x and t are scaled by a power of two takes
+the same steps.  The per-run constants, the window, the step count and the
 last ``dt/dx`` are its locals, and the window walk reads the int64
 views through memoryviews, as Python ints.  A step calls no helper
 method, and its arrays are made in place where the expression allows:
@@ -101,7 +104,6 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +121,6 @@ __all__ = [
     "step",
     "run",
     "delta_mass",
-    "peak_location",
-    "invariant_transport_residual",
     "field_from_riemann",
     "field_from_perturbed",
 ]
@@ -158,9 +158,6 @@ class FVField:
     h: np.ndarray
     b: np.ndarray
     t: float = 0.0
-
-    def copy(self) -> "FVField":
-        return FVField(self.grid, self.h.copy(), self.b.copy(), self.t)
 
 
 @dataclass(frozen=True)
@@ -360,9 +357,11 @@ class _Kernel:
 
         Each item is ``(boundary, mass_h, mass_b)``: the h fluxes and the
         b fluxes of cells 0 and n - 1 before the step, as ``((h0, h_last),
-        (b0, b_last))``, or None if t did not step; and the row sums of the
-        field after it.  The first step checks every cell; later ones
-        check the cells they computed.
+        (b0, b_last))``, or None for the step that sets t to t_end on a
+        field whose wave speeds all vanish; and the row sums of the field
+        after it.  The generator ends once ``t_end - t <= 0``, checked
+        after the speed-overflow check.  The first step checks every cell;
+        later ones check the cells they computed.
 
         lambda2 and phi of the cells a step reads are the rows of one
         array: ``((3*alpha)*h)*b + kappa*h*h`` and ``(alpha*h)*b +
@@ -429,7 +428,7 @@ class _Kernel:
                         raise SchemeFailureError(f"wave speeds overflow at t={t}")
                     remaining = t_end - t
                     if remaining <= 0.0:
-                        break
+                        return
                     if lam_max <= 0.0:
                         if np.ptp(f.h) > 0.0 or np.ptp(f.b) > 0.0:
                             warnings.warn(
@@ -447,7 +446,7 @@ class _Kernel:
                         break
                     self._drop("speed")
                     blk, s = None, i0
-                if remaining <= 0.0 or lam_max <= 0.0:
+                if lam_max <= 0.0:
                     yield None, mh, mb
                     continue
 
@@ -540,7 +539,7 @@ def step(f: FVField, cfg: SchemeConfig, p: Params) -> FVField:
     """
     with np.errstate(over="ignore"):
         k = _Kernel(f, cfg, p)
-        next(k.steps())
+        next(k.steps(), None)
     return k.field
 
 
@@ -562,41 +561,27 @@ def field_from_perturbed(pd, grid: Grid) -> FVField:
     return _piecewise(grid, (-pd.epsilon, pd.epsilon), (pd.left, pd.middle, pd.right))
 
 
-def run(
-    initial: FVField,
-    cfg: SchemeConfig,
-    p: Params,
-    record_times: list[float] | None = None,
-) -> tuple[FVField, dict]:
+def run(initial: FVField, cfg: SchemeConfig, p: Params) -> tuple[FVField, dict]:
     """Advance to cfg.t_end collecting conservation and mass diagnostics.
 
-    Diagnostics: per-step mass series for both components, each a float64
-    ``array('d')`` of ``n_steps + 1`` values (8 B per step, where a list
-    of floats holds 32), worst telescoping conservation residual (mass
-    change minus boundary flux balance) and snapshots at
-    ``record_times``; a point mass is measured on the final field or a
-    snapshot with :func:`delta_mass`.  The kernel's work counts:
-    ``cell_updates`` (cells computed), ``full_steps`` (steps over the
-    whole window, each of which certifies), ``settled_cell_steps`` (cells
-    skipped as settled) and ``settled_drops`` by reason.  A failing step
-    raises as :func:`step` does.
+    Diagnostics: ``n_steps``; ``mass_h`` and ``mass_b``, the masses of
+    both components at the start and at the end; the worst telescoping
+    conservation residual of a step (mass change minus boundary flux
+    balance); and the kernel's work counts: ``cell_updates`` (cells
+    computed), ``full_steps`` (steps over the whole window, each of
+    which certifies), ``settled_cell_steps`` (cells skipped as settled)
+    and ``settled_drops`` by reason.  A point mass is measured on the
+    final field with :func:`delta_mass`.  A failing step raises as
+    :func:`step` does.
     """
     with np.errstate(over="ignore"):
         k = _Kernel(initial, cfg, p)
         f = k.field
         dx = f.grid.dx
-        mass_h, mass_b = k.mass[0] * dx, k.mass[1] * dx
-        masses_h, masses_b = array("d", [mass_h]), array("d", [mass_b])
+        mass_h0, mass_b0 = mass_h, mass_b = k.mass[0] * dx, k.mass[1] * dx
         cons_res = 0.0
-        snapshots: list[FVField] = []
-        want = sorted(record_times) if record_times else []
-        wi = 0
-
-        steps = k.steps()
-        stop = cfg.t_end - 1e-14
         n_steps, t = 0, f.t
-        while t < stop:
-            boundary, mh, mb = next(steps)
+        for boundary, mh, mb in k.steps():
             t_prev, t = t, f.t
             prev_h, prev_b = mass_h, mass_b
             mass_h, mass_b = mh * dx, mb * dx
@@ -609,35 +594,21 @@ def run(
                     abs(mass_h - prev_h + dt * (hn - h0)),
                     abs(mass_b - prev_b + dt * (bn - b0)),
                 )
-            masses_h.append(mass_h)
-            masses_b.append(mass_b)
-            while wi < len(want) and t >= want[wi] - 1e-12:
-                snapshots.append(f.copy())
-                wi += 1
             n_steps += 1
-        # its end sets the kernel's work counts
-        steps.close()
 
     diagnostics = {
         "n_steps": n_steps,
-        "mass_h": masses_h,
-        "mass_b": masses_b,
+        "mass_h": [mass_h0, mass_h],
+        "mass_b": [mass_b0, mass_b],
         "max_conservation_residual": cons_res,
         "cell_updates": k.cell_updates,
         "max_active_cells": k.max_active,
         "full_steps": k.full_steps,
         "settled_cell_steps": k.settled_cell_steps,
         "settled_drops": dict(k.drops),
-        "snapshots": snapshots,
         "grid": {"x_min": f.grid.x_min, "x_max": f.grid.x_max, "n_cells": f.grid.n_cells},
     }
     return f, diagnostics
-
-
-def peak_location(f: FVField, window: tuple[float, float]) -> float:
-    """Cell center of the largest b value inside the window."""
-    cells = _window_cells(f.grid, window)
-    return float(f.grid.centers()[cells][np.argmax(f.b[cells])])
 
 
 def _window_cells(grid: Grid, window: tuple[float, float]) -> slice:
@@ -667,43 +638,3 @@ def delta_mass(
     np.subtract(bw[:k], background[0].b, out=excess[:k])
     np.subtract(bw[k:], background[1].b, out=excess[k:])
     return float(np.add.reduce(excess) * f.grid.dx)
-
-
-def invariant_transport_residual(
-    history: list[FVField],
-    p: Params,
-    window: tuple[float, float],
-) -> tuple[float, float]:
-    """Mean transport residuals of (w1, w2) on a smooth subregion.
-
-    Takes three consecutive snapshots; time derivatives use the outer
-    pair, space derivatives the middle one.  Cells with h below h_tol
-    are excluded (w2 undefined); the caller is responsible for keeping
-    the window away from discontinuities.
-    """
-    if len(history) != 3:
-        raise ValueError("need exactly three consecutive snapshots")
-    f0, f1, f2 = history
-    dtt = f2.t - f0.t
-    dx = f1.grid.dx
-    x = f1.grid.centers()
-    mask = (x >= window[0]) & (x <= window[1])
-    mask &= (f0.h > p.h_tol) & (f1.h > p.h_tol) & (f2.h > p.h_tol)
-    idx = np.flatnonzero(mask)
-    idx = idx[(idx > 0) & (idx < f1.grid.n_cells - 1)]
-    if idx.size == 0:
-        raise ValueError("window contains no interior smooth cells")
-
-    def w1(f: FVField) -> np.ndarray:
-        return phi((f.h, f.b), p)
-
-    def w2(f: FVField) -> np.ndarray:
-        return f.b / np.where(f.h > p.h_tol, f.h, 1.0)
-
-    w1_0, w1_1, w1_2 = w1(f0), w1(f1), w1(f2)
-    w2_0, w2_1, w2_2 = w2(f0), w2(f1), w2(f2)
-    dw1_x = (w1_1[idx + 1] - w1_1[idx - 1]) / (2.0 * dx)
-    dw2_x = (w2_1[idx + 1] - w2_1[idx - 1]) / (2.0 * dx)
-    r1 = (w1_2[idx] - w1_0[idx]) / dtt + 3.0 * w1_1[idx] * dw1_x
-    r2 = (w2_2[idx] - w2_0[idx]) / dtt + w1_1[idx] * dw2_x
-    return float(np.mean(np.abs(r1))), float(np.mean(np.abs(r2)))

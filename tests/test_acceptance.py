@@ -44,7 +44,6 @@ from thinfilm.numerics import (
     delta_mass,
     field_from_perturbed,
     field_from_riemann,
-    peak_location,
     run,
 )
 from thinfilm.riemann import (
@@ -235,6 +234,13 @@ def test_criterion_4_godunov_reproduction():
              max(cons, cons_half) <= 1e-12),
         ]
     report(4, "Godunov reproduction of the two classical examples", clauses)
+
+
+def peak_location(f: FVField, window: tuple[float, float]) -> float:
+    """Cell center of the largest b value inside the window."""
+    x = f.grid.centers()
+    inside = (x >= window[0]) & (x <= window[1])
+    return float(x[inside][np.argmax(f.b[inside])])
 
 
 def test_criterion_5_delta_capture():

@@ -212,16 +212,16 @@ class TestSchemeCommands:
 
     @pytest.mark.parametrize("scheme", ["godunov", "llf"])
     def test_diag_holds_ends_of_run_series(self, scheme):
-        # the file holds the first and last entries of run()'s per-step
-        # mass series and delta_mass of the final field, bit for bit
+        # the file holds run()'s first and last masses and delta_mass of
+        # the final field, bit for bit
         _, diag = fv_run(scheme, edited(CFG, {"delta_window": [0.0, 1.0]}))
         p, left, right = Params(0.5, 0.0), State(1.5, 1.6), State(1.25, 1.15)
         f0 = numerics.field_from_riemann(RiemannData(left, right, p), numerics.Grid(-2.0, 6.0, 200))
         final, ref = numerics.run(f0, numerics.SchemeConfig(scheme=scheme, t_end=0.5), p)
         mass = numerics.delta_mass(final, (0.0, 1.0), (left, right))
         want = {
-            "mass_h": [ref["mass_h"][0], ref["mass_h"][-1]],
-            "mass_b": [ref["mass_b"][0], ref["mass_b"][-1]],
+            "mass_h": ref["mass_h"],
+            "mass_b": ref["mass_b"],
             "delta_mass": [[final.t, mass]],
         }
         for key, values in want.items():
@@ -376,10 +376,14 @@ def fv(test, scheme, config, text, code=2):
 
 
 FV = ("godunov", "llf")
-# never fewer elements: 8e17 bytes exceed any 57-bit address space, so the
-# allocation fails at once whatever the overcommit setting
+# a size beyond any machine's memory, rejected by name before anything is allocated
 HUGE = 10**17
-ALLOC = f"error: Unable to allocate 711. PiB for an array with shape ({HUGE},) and data type %s\n"
+
+
+def beyond(what):
+    return f"error: {what} {HUGE} needs about "
+
+
 ARG = "error: argument"
 TIMES = f"{ARG} --profile-times: not a comma list of finite positive times"
 
@@ -513,14 +517,14 @@ REJECTED = [
           ("interact", f"{INTERACT} --right 2.0,0.0 --out timeline.json"),
           ("limits-target", f"{LIMITS} --values 1,0.1 --left 1.5,1.0 --right 2.0,0.0 --out table.csv")]),
     row("test_rejected[riemann-samples]", f"riemann --alpha 0.5 --kappa 0 --left 2,1 --right 1,1 "
-        f"--samples {HUGE} --out big.csv", ALLOC % "float64"),
+        f"--samples {HUGE} --out big.csv", beyond("--samples")),
     row("test_rejected[interact-samples]", f"{INTERACT} --profile-times 1 --samples {HUGE} --out tl.json",
-        ALLOC % "float64"),
+        beyond("--samples")),
     row("test_rejected[interact-n-fan]", f"{GENERIC} --n-fan {HUGE} --t-max 5 --out tl.json",
-        ALLOC % "float64"),
+        beyond("--n-fan")),
     row("test_rejected[entropy-check-n-grid]",
-        f"entropy-check --alpha 0.5 --kappa 1 --n-grid {HUGE} --out entropy.json", ALLOC % "float64"),
-    *(fv(f"test_rejected[{s}-ncells]", s, edited(CFG, {"grid.ncells": HUGE}), ALLOC % "int64")
+        f"entropy-check --alpha 0.5 --kappa 1 --n-grid {HUGE} --out entropy.json", beyond("--n-grid")),
+    *(fv(f"test_rejected[{s}-ncells]", s, edited(CFG, {"grid.ncells": HUGE}), beyond("config grid.ncells"))
       for s in FV),
     row("test_rejected[riemann-right]", f"{RIEMANN} --right=-1,2 --out prof.csv",
         f"{ARG} --right: state outside quadrant (-1.0, 2.0)\n"),
@@ -574,6 +578,34 @@ def test_io_error_part_way_leaves_no_file(monkeypatch):
     monkeypatch.setattr(cli, "_write_json", failing_json)
     assert_rejected(f"{RIEMANN} --samples 5 --out ok.csv".split(), 1,
                     "error: [Errno 28] No space left on device\n")
+
+
+# Sizes at ten times or more what 1 MB of physical memory holds by the
+# command's own estimate, each small enough that no array of it is large
+SIZES = {
+    "riemann-samples": ("--samples", 100000, f"{RIEMANN} --samples 100000 --out prof.csv", None),
+    "interact-samples": ("--samples", 100000, f"{INTERACT} --profile-times 1,2 --samples 100000 --out tl.json",
+                         None),
+    "interact-n-fan": ("--n-fan", 5000, f"{GENERIC} --n-fan 5000 --t-max 5 --out tl.json", None),
+    "entropy-check-n-grid": ("--n-grid", 400, "entropy-check --alpha 0.5 --kappa 1 --n-grid 400 --out e.json",
+                             None),
+    **{f"{s}-ncells": ("config grid.ncells", 50000, f"{s} --config cfg.json --out x.csv",
+                       edited(CFG, {"grid.ncells": 50000})) for s in FV},
+}
+
+
+@pytest.mark.parametrize("name", SIZES)
+def test_size_beyond_physical_memory_exit_2(monkeypatch, name):
+    # physical memory read as 1 MB: the size is rejected by name before
+    # anything is allocated
+    what, n, argv, config = SIZES[name]
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 10**6)
+    assert_rejected(argv.split(), 2, f"error: {what} {n} needs about ", config)
+
+
+def test_size_within_physical_memory_runs(monkeypatch):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 10**6)
+    assert_accepted(f"{RIEMANN} --samples 100 --out prof.csv".split(), ["prof.csv", "prof.json"])
 
 
 @pytest.mark.parametrize("argv", [[], *([c] for c in ("riemann", "godunov", "llf", "interact",
