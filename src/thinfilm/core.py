@@ -49,10 +49,10 @@ class Params:
     """Surface-tension coefficient ``alpha`` and gravity coefficient ``kappa``.
 
     Both are nonnegative and at least one must be positive (an all-zero
-    flux would make every wave formula vacuous).  ``h_tol`` is the
-    thickness below which a state is treated as sitting on the boundary
-    of the quadrant for classification purposes; desk-scale data use
-    near-zero stand-ins like 1e-7 for vacuum states.
+    flux would make every wave formula vacuous).  ``h_tol`` is only the
+    thickness below which a state sits on the boundary of the quadrant,
+    never a closeness tolerance; desk-scale data use near-zero stand-ins
+    like 1e-7 for vacuum states.
     """
 
     alpha: float

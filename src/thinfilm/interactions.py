@@ -54,6 +54,7 @@ from .riemann import (
     rarefaction_state,
     shock_speed,
     solve,
+    _states_equal,
 )
 
 __all__ = [
@@ -89,6 +90,7 @@ _PATTERNS = {
     (CASE_JR, CASE_DELTA): "JR+dS",
 }
 CASE_NUMBER = {tag: n for n, tag in enumerate(_PATTERNS.values(), start=1)}
+_DEGENERATE_RTOL = 1e-10  # a middle state this close to an outer one: no interaction
 
 
 @dataclass(frozen=True)
@@ -716,17 +718,20 @@ def _generic_timeline(
     # group's place.  `queue` gets a pair's (t*, x*) by the rescan's formula and
     # filters when it becomes adjacent; an entry whose a is dead or whose
     # right_of[a] != b is stale and dropped, so the top is the rescan's minimum.
-    # The group (live fronts within tolerance of x* at t*) is the contiguous run
-    # around a, sorted stably by -speed as before.
-    fronts, tol, queue, left_of, right_of = bld.fronts, 1e-12, [], {}, {}
+    # The group (live fronts within 1e-9 * max(|x*|, eps) of x* at t*) is the
+    # contiguous run around a, sorted stably by -speed as before.  Every test is
+    # relative to what it compares, so scaled data give the scaled timeline.
+    fronts, queue, left_of, right_of = bld.fronts, [], {}, {}
 
     def link(i: int, j: int) -> None:
         right_of[i], left_of[j] = j, i
-        if i < 0 or j < 0 or fronts[i].speed <= fronts[j].speed + tol:
+        if i < 0 or j < 0:
             return
         a, b = fronts[i], fronts[j]
+        if a.speed - b.speed <= 1e-12 * max(abs(a.speed), abs(b.speed)):
+            return
         t_star = (b.x_birth - b.speed * b.t_birth - a.x_birth + a.speed * a.t_birth) / (a.speed - b.speed)
-        if t_star > max(a.t_birth, b.t_birth) + tol:
+        if t_star - max(a.t_birth, b.t_birth) > 1e-12 * t_star:
             heapq.heappush(queue, (t_star, a.position(t_star), i, j))
 
     chain = [-1, *(f.id for f in sorted(fronts, key=lambda f: (f.position(0.0), f.speed))), -1]
@@ -738,7 +743,7 @@ def _generic_timeline(
         if not queue or queue[0][0] > t_max:
             break
         t_star, x_star, i, _ = heapq.heappop(queue)
-        near = lambda k: k >= 0 and abs(fronts[k].position(t_star) - x_star) <= 1e-9 * max(1.0, abs(x_star)) + 1e-12
+        near = lambda k: k >= 0 and abs(fronts[k].position(t_star) - x_star) <= 1e-9 * max(abs(x_star), eps)
         run = [i]
         while near(left_of[run[0]]):
             run.insert(0, left_of[run[0]])
@@ -778,21 +783,16 @@ def run_timeline(
     Closed-form resolvers cover the shock/contact cascades and all
     singular interactions; fan-fan patterns (and anything classical when
     ``force_generic`` is set) run through the discretized-fan engine
-    with ``n_fan`` shocklets per initial fan.
+    with ``n_fan`` shocklets per initial fan.  A middle state equal to an
+    outer one (relative 1e-10) is degenerate data: the outer fan alone.
     """
     if n_fan < 1:
         raise InvalidDataError(f"n_fan must be at least 1, got {n_fan}")
     if budget < 0:
         raise InvalidDataError(f"budget must not be negative, got {budget}")
-    p = d.params
-    tol = p.h_tol
-
-    def same(a: State, b: State) -> bool:
-        return abs(a.h - b.h) <= tol * max(1.0, a.h) and abs(a.b - b.b) <= tol * max(1.0, a.b)
-
-    if same(d.left, d.middle):
+    if _states_equal(d.left, d.middle, _DEGENERATE_RTOL):
         return _trivial_timeline(d, d.epsilon, "degenerate")
-    if same(d.middle, d.right):
+    if _states_equal(d.middle, d.right, _DEGENERATE_RTOL):
         return _trivial_timeline(d, -d.epsilon, "degenerate")
 
     tag = classify_case(d)

@@ -123,6 +123,7 @@ INTERACT = "interact --alpha 0.5 --kappa 0 --epsilon 0.1 --left 1.5,1.6 --middle
 # JR+JS data: the generic engine, which splits the fan into n_fan shocklets
 GENERIC = "interact --alpha 0.5 --kappa 1.0 --epsilon 0.1 --left 1.0,1.0 --middle 2.0,2.0 --right 0.5,0.5"
 LIMITS = "limits --study kappa --fixed 0.5 --left 1.24,0.90 --right 1.5,1.56"
+TAU = 2.0**-50  # (alpha, kappa) -> TAU * (alpha, kappa) multiplies every wave speed by TAU
 
 
 class TestRiemannCommand:
@@ -160,6 +161,14 @@ class TestRiemannCommand:
         assert_accepted(args + ["b.csv"], ["b.csv", "b.json"])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_time_scaled_js_fan(self):
+        # (alpha, kappa) = 2^-50 * (0.5, 1): w1 ties compared with an absolute
+        # floor read this J+S data as a lone contact
+        _, fan_doc = assert_accepted(f"riemann --alpha {TAU * 0.5!r} --kappa {TAU!r} --left 2,1 --right 1,1 "
+                                     "--out s.csv".split(), ["s.csv", "s.json"])
+        assert fan_doc["case"] == "J+S"
+        assert [w["type"] for w in fan_doc["waves"]] == ["contact", "shock"]
 
 
 def fv_run(scheme, config):
@@ -249,6 +258,21 @@ class TestInteractCommand:
         assert doc["residual_delta_contact"]["strength"] == pytest.approx(2 * 5.5 * 0.1)
         curved = [f for f in doc["fronts"] if "curve" in f]
         assert curved and len(curved[0]["curve"]) > 2
+
+    def test_space_time_scaled_generic_cascade(self):
+        # the eps = 0.1, t-max 20 JR+JS cascade (123 events) with x and t
+        # scaled by 1e-12: absolute event tolerances found no event
+        [doc] = assert_accepted("interact --alpha 0.5 --kappa 1 --epsilon 1e-13 --left 1.0,0.5 --middle 2.0,1.5 "
+                                "--right 1.25,1.15 --t-max 2e-11 --out tl.json".split(), ["tl.json"])
+        assert doc["case"] == "JR+JS"
+        assert len(doc["events"]) == 123
+
+    def test_time_scaled_js_jr(self):
+        # (alpha, kappa) = 2^-50 * (0.5, 1): both sub-problems used to read as
+        # lone contacts, a pattern outside the enumerated ones (exit 2)
+        [doc] = assert_accepted(f"interact --alpha {TAU * 0.5!r} --kappa {TAU!r} --epsilon 0.1 --left 1.5,1.6 "
+                                "--middle 0.95,1.62 --right 1.5,1.56 --out tl.json".split(), ["tl.json"])
+        assert doc["case"] == "JS+JR"
 
 
 class TestLimitsCommand:

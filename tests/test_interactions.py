@@ -63,8 +63,9 @@ CASE2_SUB1 = PerturbedData(0.1, State(2.0, 1.5), State(1.0, 1.0), State(1.2, 1.0
 # delta cases with gravity
 CASE6 = PerturbedData(0.1, State(2.0, 1.5), State(1.0, 1.0), State(0.0, 2.0), P1)
 CASE7 = PerturbedData(0.1, State(1.0, 1.0), State(1.0, 1.5), State(0.0, 2.0), P1)
-# the generic engine's fan-fan pattern
+# the generic engine's fan-fan patterns
 JR_JS = PerturbedData(0.1, State(1.0, 1.0), State(1.3, 1.3), State(0.9, 0.8), P1)
+JR_JR = PerturbedData(0.1, State(0.8, 0.8), State(1.0, 1.1), State(1.5, 1.5), P1)
 
 
 def curved_front(tl):
@@ -588,7 +589,7 @@ class TestGenericEngine:
         assert l1_distance(tl, solve(JR_JS.outer_data()), 8.0) < 0.5
 
     def test_jr_jr_runs(self):
-        d = PerturbedData(0.1, State(0.8, 0.8), State(1.0, 1.1), State(1.5, 1.5), P1)
+        d = JR_JR
         assert classify_case(d) == "JR+JR"
         tl = run_timeline(d, n_fan=64)
         assert tl.case_tag == "JR+JR"
@@ -606,10 +607,10 @@ class TestGenericEngine:
 def reference_generic_timeline(
     d: PerturbedData, tag: str, n_fan: int, budget: float, t_max: float
 ) -> InteractionTimeline:
-    """The discretized-fan engine before its event queue, kept verbatim as
-    a test-only oracle: every event re-sorts all live fronts, rescans every
-    adjacent pair for the earliest (t*, x*) and scans all live fronts for
-    the group at that point."""
+    """The discretized-fan engine before its event queue, kept as a
+    test-only oracle with the engine's relative closeness tests: every event
+    re-sorts all live fronts, rescans every adjacent pair for the earliest
+    (t*, x*) and scans all live fronts for the group at that point."""
     p = d.params
     eps = d.epsilon
     fans = [(-eps, solve(d.left_data())), (eps, solve(d.right_data()))]
@@ -641,18 +642,17 @@ def reference_generic_timeline(
             push_wave(w, x0, 0.0)
 
     t_now = 0.0
-    tol = 1e-12
     while True:
         live = [f for f in bld.fronts if f.t_death == math.inf]
         live.sort(key=lambda f: (f.position(max(t_now, f.t_birth)), f.speed))
         best = None
         for a, b in zip(live[:-1], live[1:]):
-            if a.speed <= b.speed + tol:
+            if a.speed - b.speed <= 1e-12 * max(abs(a.speed), abs(b.speed)):
                 continue
             t_star = (
                 b.x_birth - b.speed * b.t_birth - a.x_birth + a.speed * a.t_birth
             ) / (a.speed - b.speed)
-            if t_star <= max(a.t_birth, b.t_birth) + tol:
+            if t_star - max(a.t_birth, b.t_birth) <= 1e-12 * t_star:
                 continue
             x_star = a.position(t_star)
             if best is None or (t_star, x_star) < best:
@@ -660,7 +660,7 @@ def reference_generic_timeline(
         if best is None or best[0] > t_max:
             break
         t_star, x_star = best
-        group = [f for f in live if abs(f.position(t_star) - x_star) <= 1e-9 * max(1.0, abs(x_star)) + 1e-12]
+        group = [f for f in live if abs(f.position(t_star) - x_star) <= 1e-9 * max(abs(x_star), eps)]
         group.sort(key=lambda f: -f.speed)
         first_new = len(bld.fronts)
         local = solve(RiemannData(lefts[group[0].id], group[-1].right_region.state, p))
@@ -748,6 +748,19 @@ def assert_profile_is_sample_loop(tl, t, xs, h, b):
     ref = [tl.sample(x, t) for x in xs]
     np.testing.assert_array_equal(h.view(np.int64), np.array([u.h for u in ref]).view(np.int64))
     np.testing.assert_array_equal(b.view(np.int64), np.array([u.b for u in ref]).view(np.int64))
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-11, 3e-11])
+@pytest.mark.parametrize("outer", ["left", "right"])
+@pytest.mark.parametrize("d", [EX_PER_JS, EX_PER_JR, JR_JS, JR_JR], ids=["JS+JS", "JS+JR", "JR+JS", "JR+JR"])
+def test_near_degenerate_data_stay_degenerate(d, outer, delta):
+    # a middle state an outer one scaled by (1 + delta, 1 - delta): at riemann's
+    # tie tolerance 1e-13 half of these start a micro-interaction and half
+    # raise UnsupportedCaseError; run_timeline's relative 1e-10 keeps all degenerate
+    u = getattr(d, outer)
+    tl = run_timeline(replace(d, middle=State(u.h * (1.0 + delta), u.b * (1.0 - delta))))
+    assert tl.case_tag == "degenerate"
+    assert tl.events == []
 
 
 class TestTimelineSampling:
