@@ -611,10 +611,12 @@ def delta_through_fan(ds2w: DeltaShock, fan: Rarefaction, d: PerturbedData) -> t
 ]:
     """Delta front penetrating the left fan after its head catches up.
 
-    Inside the fan the support solves dx/dt = (x + eps)/(3t), a cube
-    root law; the strength follows by integrating the swept right-state
-    mass.  The penetration always completes (the fan tail is slower),
-    after which the front runs parallel to the leading contact.
+    From t1 = eps / w1_m the support solves dx/dt = (x + eps)/(3t), so
+    x + eps = 3 eps (t/t1)^(1/3), and the swept right-state mass gives the
+    strength beta1 + 3 eps b+ ((t/t1)^(1/3) - 1), both exact at t1.  The
+    front leaves the (slower) fan tail at t2 = t1 r sqrt(r), r = w1_m / w1_l,
+    and then runs parallel to the leading contact.  Roots are taken only of
+    t/t1 and r, which the scaling group leaves unchanged.
     Returns the entry point, the curve, the strength along it, the exit
     point and the outgoing delta front.
     """
@@ -623,22 +625,20 @@ def delta_through_fan(ds2w: DeltaShock, fan: Rarefaction, d: PerturbedData) -> t
     w1_m = phi(d.middle, p)
     w1_l = phi(d.left, p)
     b_plus = ds2w.right.b
-    lam2_m = 3.0 * w1_m
-    t1 = 3.0 * eps / lam2_m
+    t1 = eps / w1_m
     x1 = 2.0 * eps
     beta1 = b_plus * ds2w.speed * t1  # equals b_plus * eps
-    A = (9.0 * eps * eps * lam2_m) ** (1.0 / 3.0)
 
     def x_of_t(t: float) -> float:
-        return A * t ** (1.0 / 3.0) - eps
+        return eps * (3.0 * (t / t1) ** (1.0 / 3.0) - 1.0)
 
     def strength_of_t(t: float) -> float:
-        return b_plus * A * (t ** (1.0 / 3.0) - t1 ** (1.0 / 3.0)) + beta1
+        return b_plus * 3.0 * eps * ((t / t1) ** (1.0 / 3.0) - 1.0) + beta1
 
     def state_of_t(t: float) -> State:
         return rarefaction_state((x_of_t(t) + eps) / t, fan.anchor, p)
 
-    t2 = eps * math.sqrt(w1_m) / w1_l**1.5
+    t2 = t1 * (w1_m / w1_l) * math.sqrt(w1_m / w1_l)
     x2 = 3.0 * w1_l * t2 - eps
     curve = CurvedWave(x_of_t, state_of_t)
     ds4 = DeltaShock(w1_l, b_plus * w1_l, fan.left, ds2w.right)
@@ -828,7 +828,8 @@ def l1_distance(a: WaveFan | InteractionTimeline, b: WaveFan | InteractionTimeli
     Between consecutive fronts of either solution each component f is
     s*sqrt(x - o) or a constant, so f^2 is affine in x: f - g changes sign
     at most once, where f^2 = g^2, and integrates in closed form on either
-    side.  Swapping a and b negates every term: the result is symmetric.
+    side, as u * sqrt(u) with u = max(x - o, 0): correctly rounded, no pow.
+    Swapping a and b negates every term: the result is symmetric.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidDataError(f"distance time must be finite and positive, got t={t}")
@@ -837,7 +838,8 @@ def l1_distance(a: WaveFan | InteractionTimeline, b: WaveFan | InteractionTimeli
 
     def integral(comp: tuple, x: float, y: float) -> float:
         s, o, c = comp
-        return c * (y - x) if s == 0.0 else 2.0 / 3.0 * s * (max(y - o, 0.0) ** 1.5 - max(x - o, 0.0) ** 1.5)
+        u, v = max(x - o, 0.0), max(y - o, 0.0)
+        return c * (y - x) if s == 0.0 else 2.0 / 3.0 * s * (v * math.sqrt(v) - u * math.sqrt(u))
 
     (xa, pa), (xb, pb) = _regular_parts(a, t), _regular_parts(b, t)
     edges, total = sorted({*xa, *xb}), 0.0

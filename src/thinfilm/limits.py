@@ -125,10 +125,7 @@ def convergence_table(study: LimitStudy) -> list[dict]:
         d = replace(d0, params=study_params(study, value))
         fan = solve(d)
         case = classify(d)
-        try:
-            l1 = l1_distance(fan, target, 1.0)
-        except OverflowError:
-            l1 = math.inf
+        l1 = l1_distance(fan, target, 1.0)
         if not math.isfinite(l1):
             raise InvalidDataError(f"the exact L1 distance at {study.varying}={value} is not finite")
         row = {

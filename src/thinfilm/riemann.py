@@ -78,6 +78,8 @@ class RiemannData:
     Admissibility (at most one of the four components h-, b-, h+, b+ on
     the boundary) is enforced by :func:`classify`, not at construction,
     so degenerate pairs can still be fed to the low-level wave builders.
+    A thickness vanishes at or below ``h_tol``, a b only at exactly 0:
+    the only rule that commutes with (h, b) -> (s h, r b).
     """
 
     left: State
@@ -86,12 +88,8 @@ class RiemannData:
 
     def assumption_holds(self) -> bool:
         tol = self.params.h_tol
-        zeros = sum(
-            1
-            for v in (self.left.h, self.left.b, self.right.h, self.right.b)
-            if v <= tol
-        )
-        return zeros <= 1
+        u, v = self.left, self.right
+        return (u.h <= tol) + (v.h <= tol) + (u.b == 0.0) + (v.b == 0.0) <= 1
 
 
 @dataclass(frozen=True)

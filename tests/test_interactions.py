@@ -521,6 +521,17 @@ class TestDeltaThroughFan:
             dxdt = A / (3.0 * t ** (2.0 / 3.0))
             np.testing.assert_allclose(dxdt, (x + eps) / (3.0 * t), rtol=1e-10)
 
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.07])
+    def test_curve_starts_at_the_entry_event(self, eps):
+        # x + eps = 3 eps (t/t1)^(1/3) and the strength written through t/t1
+        # give the entry point (2 eps, t1) and strength in the same bits
+        tl = run_timeline(replace(CASE7, epsilon=eps))
+        cf = curved_front(tl)
+        entry = tl.events[0]
+        assert cf.t_birth == entry.point[1]
+        assert (cf.curve.x_of_t(cf.t_birth), cf.t_birth) == entry.point == (2.0 * eps, entry.point[1])
+        assert cf.strength_of_t(cf.t_birth) == entry.delta_strength
+
     def test_concave_and_monotone_h_down(self):
         tl = run_timeline(CASE7)
         cf = curved_front(tl)

@@ -17,7 +17,8 @@ from thinfilm.cli import main
 from thinfilm.core import Params, State
 from thinfilm.riemann import RiemannData
 
-# the J+R, J+S, delta and JS+JS examples of the README, and FV runs on J+S data
+# the J+R, J+S, delta, JS+JS and kappa-study examples of the README, and FV
+# runs on J+S data
 JS_CONFIG = {
     "alpha": 0.5, "kappa": 0.0,
     "grid": {"xmin": -2.0, "xmax": 8.0, "ncells": 400},
@@ -52,6 +53,8 @@ COMMANDS = {
     "interact-jsjs": ["interact", "--alpha", "0.5", "--kappa", "0", "--epsilon", "0.1",
                       "--left", "1.5,1.6", "--middle", "0.95,1.62", "--right", "1.25,1.15",
                       "--profile-times", "1,8", "--samples", "200"],
+    "limits-kappa": ["limits", "--study", "kappa", "--values", "1,0.5,0.1,0.01,0.001", "--fixed", "0.5",
+                     "--left", "1.24,0.90", "--right", "1.5,1.56"],
     "godunov": ["godunov", "--config", "js"],
     "llf": ["llf", "--config", "js"],
     "godunov-fine": ["godunov", "--config", "js-fine"],
@@ -75,6 +78,9 @@ DIGESTS = {
         "result.json": "54900bd89fdcf020b9bb23d1851302fafc7182b2e935798701b6f718dabbc98b",
         "result_t1.csv": "b6569bc9fe7992eb7a8179f0b96df6224ace2d69d9497fe4c31a0201c7d3f7ab",
         "result_t8.csv": "67802cde77099a0f1df3e87f5f63b66d832225ca0d3f2adb613f28698a9371a5",
+    },
+    "limits-kappa": {
+        "result.csv": "c45d0f619f4a66245d472385f160e2ca2a0126296565c530bf3e42485e138e46",
     },
     "godunov": {
         "result.csv": "4206028f522508f374b7e098d287d82e3d501f2c9bed9b57526df0e26883e7f6",
