@@ -25,13 +25,13 @@ the finiteness and positivity check each treat both components in one
 ufunc call.  lambda2 and phi of the cells a step reads are the two rows
 of one array, and one ``(2, m)`` pass computes ``(3*alpha)*h*b`` and
 ``alpha*h*b`` in both; ``kappa*h*h`` is then added to the first and
-``kappa*h*h/3`` to the second.  At kappa = 0 those terms are never
-computed: on a finite cell they equal ``0.0*kappa``, +0.0 or -0.0 as
-kappa is, and that signed zero is added instead (adding it still turns
-a -0.0 into +0.0 at kappa = +0.0, as the full expression does).  phi
-always takes it; lambda2 takes it only under LLF, whose interface
-speeds carry the sign of a zero into the fluxes, while upwinding reads
-lambda2 only through its maximum.
+``kappa*h*h/3`` to the second.  At kappa = +-0 a run computes those
+terms only if its field holds a -0.0 cell.  They are then kappa's signed
+zero, which the full expression adds too.  Skipping them changes no bit
+otherwise: the largest lambda2 ignores the sign of a zero, and that sign
+reaches a cell or the settled-block test only through ``u - (+-0)``,
+where it shows only at u = -0.0.  Under IEEE round-to-nearest ``x - y``
+is -0.0 only when x is, so an update never makes a -0.0 cell.
 
 Inside the window, a run of cells at its left edge often keeps its bits
 for many steps: their flux differences are so small that ``u - c*d``
@@ -259,8 +259,6 @@ class _Kernel:
         self.hv, self.bv = self.H.view(np.int64), self.B.view(np.int64)
         self.field = FVField(f.grid, self.H[1:-1], self.B[1:-1], f.t)
         self.coef = np.array([[3.0 * p.alpha], [p.alpha]])
-        # kappa*h*h on every finite cell when kappa is a zero of either sign
-        self.zero = 0.0 * p.kappa
         d = np.flatnonzero(
             (self.hv[1:n] != self.hv[2 : n + 1]) | (self.bv[1:n] != self.bv[2 : n + 1])
         )
@@ -368,14 +366,13 @@ class _Kernel:
         kappa*h*h/3``, the operations of ``core.eigenvalues`` in its
         order.  3*phi is equal to lambda2 in exact arithmetic but not in
         bits (they differ in about half of random draws), so dt and the
-        LLF speeds keep this form.  At kappa = 0 the kappa terms are the
-        signed zero ``zero``; upwinding reads lambda2 only through its
-        maximum, where the sign of a zero does not count, so only LLF adds
-        it there.
+        LLF speeds keep this form.  The kappa terms are computed only if
+        kappa != 0 or the field holds a -0.0 cell (see the module docstring).
         """
         cfg, n, f, U = self.cfg, self.n, self.field, self.U
-        kappa, coef, zero, cuts, q = self.p.kappa, self.coef, self.zero, self.cuts, self.quarters
+        kappa, coef, cuts, q = self.p.kappa, self.coef, self.cuts, self.quarters
         llf = cfg.scheme == "llf"
+        kappa_terms = kappa != 0.0 or bool((np.signbit(U) & (U == 0.0)).any())
         parts = [U[:, lo + 1 : hi + 1] for lo, hi in zip(cuts, cuts[1:])]
         hv, bv = memoryview(self.hv), memoryview(self.bv)
         multiply, maximum = np.multiply, np.maximum
@@ -409,16 +406,12 @@ class _Kernel:
                     h = us[0]
                     lam = multiply(coef, h)
                     lam *= us[1]
-                    if kappa:
+                    if kappa_terms:
                         kh2 = multiply(kappa, h)
                         kh2 *= h
                         lam[0] += kh2
                         kh2 /= 3.0
                         lam[1] += kh2
-                    elif llf:
-                        lam += zero
-                    else:
-                        lam[1] += zero
                     lam2 = lam[0]
                     lam_max = float(max_reduce(lam2))
                     # a NaN from the computed cells stays first, as in max()

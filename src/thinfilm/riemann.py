@@ -14,6 +14,7 @@ in b (delta shock).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Union
@@ -494,6 +495,12 @@ class BumpTestFunction:
         return self._g(sx) * self._g(st, derivative=True) / self.t_radius
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Gauss-Legendre nodes and weights on [-1, 1], computed on first use."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _space_time_gauss(
     testfn: BumpTestFunction,
     resolution: int,
@@ -518,8 +525,7 @@ def _space_time_gauss(
     """
     x0, x1, t0, t1 = testfn.box
     edges = {s for fan, _ in fans for w in fan.waves for s in w.speed_range()}
-    gt_nodes, gt_wts = np.polynomial.legendre.leggauss(6)
-    gx_nodes, gx_wts = np.polynomial.legendre.leggauss(8)
+    (gt_nodes, gt_wts), (gx_nodes, gx_wts) = _gauss_legendre(6), _gauss_legendre(8)
     x_target = (x1 - x0) / max(resolution, 4)
 
     t_panels = np.linspace(t0, t1, resolution + 1)

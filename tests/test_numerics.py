@@ -81,6 +81,10 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def negative_zeros(u):
+    return int((np.signbit(u) & (u == 0.0)).sum())
+
+
 def assert_run_is_reference(f0, cfg, p, window=None, bg=None):
     """Check that run gives reference_run's bits: the final field, the
     first and last masses, the step count and the conservation residual;
@@ -277,6 +281,28 @@ class TestSignedZeros:
         for row in rows:
             negative = np.signbit(f.h if row == "h" else f.b)
             assert negative[:30].any() and negative[-30:].any()
+
+    @pytest.mark.parametrize("scheme", ["godunov", "llf"])
+    @pytest.mark.parametrize("kappa", [0.0, -0.0])
+    @pytest.mark.parametrize("rows", ["h", "b", "hb"])
+    def test_negative_zero_products_without_negative_zero_cells(self, scheme, kappa, rows):
+        # +0.0 cells next to -1e-13 cells, inside the positivity slack, at
+        # both ends: (alpha*h)*b is -0.0 on the -1e-13 cells, which the
+        # reference's + kappa*h*h turns into +0.0 at kappa = 0.0.  With no
+        # -0.0 cell the kernel skips the kappa terms, and the sign of those
+        # zeros must not reach a cell
+        p = Params(0.5, kappa, h_tol=1e-9)
+        f0 = piecewise_constant(np.random.RandomState(17), Grid(-1.0, 4.0, 300))
+        tiny = np.tile([-1e-13, 0.0], 15)
+        h, b = {"h": (tiny, 0.0), "b": (0.0, tiny), "hb": (tiny, tiny[::-1])}[rows]
+        f0.h[:30] = f0.h[-30:] = h
+        f0.b[:30] = f0.b[-30:] = b
+        phi0 = (p.alpha * f0.h) * f0.b
+        assert negative_zeros(phi0) == (60 if rows == "hb" else 30)
+        assert negative_zeros(f0.h) == negative_zeros(f0.b) == 0
+        f, _ = assert_run_is_reference(f0, SchemeConfig(scheme=scheme, t_end=0.05), p)
+        # the premise: an update never makes a -0.0 cell
+        assert negative_zeros(f.h) == negative_zeros(f.b) == 0
 
 
 # Row lengths around numpy's pairwise-sum block (128) and unroll (8),

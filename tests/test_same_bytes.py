@@ -42,6 +42,9 @@ CONFIGS = {
     # delta_background key, as older configs carry, is ignored
     "delta-fine": {**DELTA_FINE, "delta_background": [[2.9, 1.7], [1e-7, 5.56]]},
     "delta-fine-derived": DELTA_FINE,
+    # a -0.0 right h: the kernel keeps the sign of every zero cell the
+    # full-array expressions give it
+    "delta-fine-negzero": {**DELTA_FINE, "initial": {"left": [2.9, 1.7], "right": [-0.0, 5.56]}},
 }
 COMMANDS = {
     "riemann-jr": ["riemann", "--alpha", "0.5", "--kappa", "0", "--samples", "200",
@@ -60,6 +63,8 @@ COMMANDS = {
     "godunov-fine": ["godunov", "--config", "js-fine"],
     "llf-delta-fine": ["llf", "--config", "delta-fine"],
     "llf-delta-fine-derived": ["llf", "--config", "delta-fine-derived"],
+    "godunov-delta-fine-negzero": ["godunov", "--config", "delta-fine-negzero"],
+    "llf-delta-fine-negzero": ["llf", "--config", "delta-fine-negzero"],
 }
 DIGESTS = {
     "riemann-jr": {
@@ -97,6 +102,14 @@ DIGESTS = {
     "llf-delta-fine": {
         "result.csv": "d28a7629655bee7e9628243492b905c28103096fa4ec493dc16ba4432df7808a",
         "result_diag.json": "6b4a65f05768a1ae2d2cc5aef422af0c8eb45de00cb0e41f9dd2ecf98692d78d",
+    },
+    "godunov-delta-fine-negzero": {
+        "result.csv": "dd294ac78c1a34649503f1e0d3a8ef290c0f2f5682bfb63e9e58989f565ac685",
+        "result_diag.json": "cf47a4bb20cd6377a6b77de7c42b3e4cc03a3b3cac89475d95ea78222f48a793",
+    },
+    "llf-delta-fine-negzero": {
+        "result.csv": "3636dc4878f8f7231b263a73abf47b980fef3fbe86109f690b0a25af13ff2753",
+        "result_diag.json": "f4de4726bab8a59c5374008eecf1a38335dacfd6f0b1c903ed5ba696042f0936",
     },
 }
 DIGESTS["llf-delta-fine-derived"] = DIGESTS["llf-delta-fine"]
