@@ -187,11 +187,12 @@ def _fit(what: str, n: int, values: int) -> None:
     values that size needs exceed physical memory.
 
     Commands call it before they allocate, so that such a size exits 2
-    and is not killed part way.  Their counts per unit of a size are
-    tracemalloc peaks rounded up: 12 per riemann sample; 2 per interact
-    sample and 2 more per profile time; about 90 per fan shocklet of the
-    generic engine; 8 per entropy-check grid point; 20 per cell of an
-    LLF run whose window spans every cell.
+    and is not killed part way.  Their counts per unit of a size are 16
+    per riemann sample; 4 per interact sample and 2 more per profile
+    time; 256 per fan shocklet of the generic engine; 10 per point of
+    entropy-check's n-grid by n-grid state grid; 24 per cell of an FV
+    run.  Each covers the tracemalloc peak measured for it (12; 2 and 2;
+    about 90; 8; 20 for an LLF run whose window spans every cell).
     """
     have = _physical_memory()
     if 8 * values > have:
@@ -380,9 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--left", type=_parse_state, required=True)
     sp.add_argument("--middle", type=_parse_state, required=True)
     sp.add_argument("--right", type=_parse_state, required=True)
-    sp.add_argument("--t-max", type=_finite, default=math.inf, help="default: no limit")
-    sp.add_argument("--n-fan", type=int, default=64)
-    sp.add_argument("--budget", type=int, default=10000)
+    sp.add_argument("--t-max", type=_finite, default=math.inf,
+                    help="end time of the generic engine's cascade (default: no limit); "
+                    "ignored on closed-form patterns, which are resolved to their last event")
+    sp.add_argument("--n-fan", type=int, default=64, help="shocklets per fan of the generic engine")
+    sp.add_argument("--budget", type=int, default=10000, help="event budget of the generic engine")
     sp.add_argument("--profile-times", type=_times, default=None)
     sp.add_argument("--samples", type=_count, default=2000)
     sp.add_argument("--x-min", type=_finite, default=-5.0)

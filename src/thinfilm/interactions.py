@@ -785,6 +785,10 @@ def run_timeline(
     ``force_generic`` is set) run through the discretized-fan engine
     with ``n_fan`` shocklets per initial fan.  A middle state equal to an
     outer one (relative 1e-10) is degenerate data: the outer fan alone.
+
+    ``t_max``, ``n_fan`` and ``budget`` are read by the generic engine
+    alone (their values are checked for every pattern): a closed-form
+    pattern is resolved to its last event whatever ``t_max`` is.
     """
     if n_fan < 1:
         raise InvalidDataError(f"n_fan must be at least 1, got {n_fan}")

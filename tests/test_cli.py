@@ -3,10 +3,13 @@ import copy
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import operator
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -267,6 +270,14 @@ class TestInteractCommand:
         assert doc["case"] == "JR+JS"
         assert len(doc["events"]) == 123
 
+    def test_t_max_read_by_the_generic_engine_alone(self):
+        # JS+JS is resolved in closed form to its last event: a --t-max
+        # before the first event changes no byte of the timeline
+        [doc] = assert_accepted(f"{INTERACT} --out a.json".split(), ["a.json"])
+        assert_accepted(f"{INTERACT} --t-max 0.001 --out b.json".split(), ["b.json"])
+        assert min(e["t"] for e in doc["events"]) > 0.001
+        assert Path("a.json").read_bytes() == Path("b.json").read_bytes()
+
     def test_time_scaled_js_jr(self):
         # (alpha, kappa) = 2^-50 * (0.5, 1): both sub-problems used to read as
         # lone contacts, a pattern outside the enumerated ones (exit 2)
@@ -384,6 +395,38 @@ class TestEntryPoint:
         doc = json.loads((tmp_path / "d.json").read_text())
         assert doc["case"] == "delta-shock"
         assert doc["waves"][0]["strength_rate"] == pytest.approx(10.0 / 3.0)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# the files that each README command writes, by its --out
+README_OUTPUTS = {
+    "jr.csv": ["jr.csv", "jr.json"],
+    "delta.csv": ["delta.csv", "delta.json"],
+    "js.csv": ["js.csv", "js_diag.json"],
+    "timeline.json": ["timeline.json", "timeline_t1.csv", "timeline_t15.csv"],
+    "table.csv": ["table.csv"],
+    "entropy.json": ["entropy.json"],
+}
+
+
+def test_readme_commands():
+    # the README's sh blocks in order, as a shell runs them in one directory:
+    # each `cat > NAME <<'EOF'` writes its config, each `thinfilm` line runs
+    # through the contract, and the other lines (pip, pytest) are skipped
+    ran = set()
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S):
+        lines = iter(block.replace("\\\n", " ").splitlines())
+        for line in lines:
+            heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line)
+            if heredoc:
+                body = itertools.takewhile(lambda text: text != "EOF", lines)
+                Path(heredoc[1]).write_text("".join(f"{text}\n" for text in body))
+            elif line.startswith("thinfilm "):
+                argv = shlex.split(line)[1:]
+                out = argv[argv.index("--out") + 1]
+                assert_accepted(argv, README_OUTPUTS[out])
+                ran.add(out)
+    assert ran == set(README_OUTPUTS)
 
 
 # Rejected input: every input the CLI must reject is a row of REJECTED.  A row keeps the id it had

@@ -1,7 +1,5 @@
 import json
 import math
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -372,13 +370,6 @@ class TestShockThroughFan:
                 hl, g = mpmath.mpf(h_left), mpmath.mpf(target)
                 root = mpmath.findroot(lambda hh: (hl - hh) ** 2 * (hl + 2 * hh) - g, mpmath.mpf(h))
             assert abs(h - float(root)) <= 1e-15 * max(1.0, h_left)
-
-    def test_cli_import_leaves_scipy_out(self, src_env):
-        code = "import sys, thinfilm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        res = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=src_env
-        )
-        assert res.stdout.strip() == "[]"
 
 
 class TestDeltaContactSplit:

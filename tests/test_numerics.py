@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thinfilm import numerics
 from thinfilm.core import Params, State, eigenvalues, flux, phi
@@ -696,6 +696,9 @@ class TestStoppingRule:
         js=st.integers(-60, 60),
         jr=st.integers(-60, 60),
     )
+    # the README's J+S data with x and t scaled by 2^-44, under both schemes
+    @example(scheme="godunov", kappa=0.0, data="J+S", k=-44, js=0, jr=0)
+    @example(scheme="llf", kappa=0.0, data="J+S", k=-44, js=0, jr=0)
     def test_power_of_two_scaling_is_exact(self, scheme, kappa, data, k, js, jr):
         # (x, t) -> c*(x, t) and (h, b) -> (s*h, r*b) with (alpha, kappa) ->
         # (alpha/(s*r), kappa/s**2) map solutions to solutions; at powers

@@ -138,7 +138,8 @@ def assert_eps_t_identity(d, T, **run):
     t_max=st.sampled_from([math.inf, 0.3, 2.0]),
     j=st.integers(-8, 8),
 )
-# space-time scaling of the cube-root law (4 ulps off before it was written in t/t1)
+# space-time scaling of the cube-root law (4 ulps off before it was written in t/t1): at c = 2
+# the JR+dS events at twice the epsilon are those at epsilon, doubled, in the same bits
 @example(name="JR+dS", f=(2.0, 2.0, 1.0, 1.0), generic=False, n_fan=1, t_max=math.inf, j=0)
 # b alone scaled below h_tol (raised "at most one ... may vanish" while b <= h_tol vanished)
 @example(name="JR+JR", f=(1.0, 1.0, 1.0, 2.0**-34), generic=False, n_fan=1, t_max=math.inf, j=0)
