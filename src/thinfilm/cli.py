@@ -189,10 +189,9 @@ def _fit(what: str, n: int, values: int) -> None:
     Commands call it before they allocate, so that such a size exits 2
     and is not killed part way.  Their counts per unit of a size are 16
     per riemann sample; 4 per interact sample and 2 more per profile
-    time; 256 per fan shocklet of the generic engine; 10 per point of
-    entropy-check's n-grid by n-grid state grid; 24 per cell of an FV
-    run.  Each covers the tracemalloc peak measured for it (12; 2 and 2;
-    about 90; 8; 20 for an LLF run whose window spans every cell).
+    time; 256 per fan shocklet of the generic engine; 24 per cell of an
+    FV run.  Each covers the tracemalloc peak measured for it (12; 2 and
+    2; about 90; 20 for an LLF run whose window spans every cell).
     """
     have = _physical_memory()
     if 8 * values > have:
@@ -347,7 +346,6 @@ def cmd_limits(args) -> dict:
 
 
 def cmd_entropy_check(args) -> dict:
-    _fit("--n-grid", args.n_grid, 10 * max(args.n_grid, 0) ** 2)
     p = Params(args.alpha, args.kappa)
     return {args.out: entropy_mod.entropy_report(p, n_grid=args.n_grid)}
 
@@ -407,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("entropy-check", help="entropy pair compatibility/convexity")
     sp.add_argument("--alpha", type=_finite, required=True)
     sp.add_argument("--kappa", type=_finite, required=True)
-    sp.add_argument("--n-grid", type=int, default=50)
+    sp.add_argument("--n-grid", type=int, default=50, help="recorded only: the minima are at the box's corners")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_entropy_check)
     return ap

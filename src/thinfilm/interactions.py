@@ -794,6 +794,8 @@ def run_timeline(
         raise InvalidDataError(f"n_fan must be at least 1, got {n_fan}")
     if budget < 0:
         raise InvalidDataError(f"budget must not be negative, got {budget}")
+    if not t_max > 0.0:
+        raise InvalidDataError(f"t_max must be positive, got {t_max}")
     if _states_equal(d.left, d.middle, _DEGENERATE_RTOL):
         return _trivial_timeline(d, d.epsilon, "degenerate")
     if _states_equal(d.middle, d.right, _DEGENERATE_RTOL):

@@ -31,11 +31,7 @@ from thinfilm.entropy import (
     power_pair,
     theta_ode_residual,
 )
-from thinfilm.interactions import (
-    PerturbedData,
-    l1_distance,
-    run_timeline,
-)
+from thinfilm.interactions import l1_distance, run_timeline
 from thinfilm.limits import LimitStudy, convergence_table
 from thinfilm.numerics import (
     FVField,
@@ -61,9 +57,7 @@ from thinfilm.riemann import (
     weak_residual,
 )
 
-EX_JR = (State(1.24, 0.90), State(1.5, 1.56))
-EX_JS = (State(1.5, 1.6), State(1.25, 1.15))
-EX_DELTA = (State(2.9, 1.70), State(0.0, 5.56))
+from cases import DELTA, DS_JR, GRAVITY, JR, JR_DS, JS, JS_DS, JS_JR, JS_JS, NEAR_VACUUM_DELTA
 
 
 def report(n: int, desc: str, clauses: list[tuple[str, bool]]) -> None:
@@ -161,7 +155,7 @@ def test_criterion_2_delta_verification():
 
 def test_criterion_3_entropy_suite():
     rng = np.random.RandomState(3)
-    p = Params(0.5, 1.0)
+    p = GRAVITY
     pair = canonical_pair()
     closed_worst = 0.0
     for _ in range(100):
@@ -222,8 +216,7 @@ def test_criterion_4_godunov_reproduction():
     clauses = []
     # dx = 5.33e-3 on a 10-wide domain
     n_base = int(round(10.0 / 5.33e-3))
-    for name, states in (("J+R", EX_JR), ("J+S", EX_JS)):
-        d = RiemannData(states[0], states[1], Params(0.5, 0.0))
+    for name, d in (("J+R", JR), ("J+S", JS)):
         l1, cons = _godunov_l1(d, n_base)
         l1_half, cons_half = _godunov_l1(d, 2 * n_base)
         factor = l1 / l1_half
@@ -244,21 +237,13 @@ def peak_location(f: FVField, window: tuple[float, float]) -> float:
 
 
 def test_criterion_5_delta_capture():
-    p = Params(0.5, 0.0, h_tol=1e-6)
-    left, right = State(2.9, 1.70), State(1e-7, 5.56)
+    p, left, right = NEAR_VACUUM_DELTA.params, NEAR_VACUUM_DELTA.left, NEAR_VACUUM_DELTA.right
     sigma = phi(left, p)
     beta_exact = right.b * sigma * 0.1
     window = (0.15, 0.55)
 
     def llf_run(dx: float) -> FVField:
-        grid = Grid(-0.3, 0.8, int(round(1.1 / dx)))
-        x = grid.centers()
-        f0 = FVField(
-            grid,
-            np.where(x < 0, left.h, right.h),
-            np.where(x < 0, left.b, right.b),
-            0.0,
-        )
+        f0 = field_from_riemann(NEAR_VACUUM_DELTA, Grid(-0.3, 0.8, int(round(1.1 / dx))))
         f, _ = run(f0, SchemeConfig(scheme="llf", cfl=0.45, t_end=0.1), p)
         return f
 
@@ -278,17 +263,10 @@ def test_criterion_5_delta_capture():
 
     sweep = []
     for kappa in (0.0, 0.5, 1.0):
-        pk = Params(0.5, kappa, h_tol=1e-6)
+        pk = replace(p, kappa=kappa)
         sig_k = phi(left, pk)
         hi = sig_k * 0.1 + 0.25
-        g = Grid(-0.2, hi, int(round((hi + 0.2) / 2e-4)))
-        xg = g.centers()
-        fk0 = FVField(
-            g,
-            np.where(xg < 0, left.h, right.h),
-            np.where(xg < 0, left.b, right.b),
-            0.0,
-        )
+        fk0 = field_from_riemann(NEAR_VACUUM_DELTA, Grid(-0.2, hi, int(round((hi + 0.2) / 2e-4))))
         fk, _ = run(fk0, SchemeConfig(scheme="llf", cfl=0.45, t_end=0.1), pk)
         sweep.append(delta_mass(fk, (0.1, sig_k * 0.1 + 0.2), (left, right)))
     report(
@@ -351,14 +329,14 @@ def _jr_by_hand_l1(left: State, right: State, alpha: float, kappa: float, t: flo
 
 def test_criterion_6_vanishing_limits():
     kappas = (1.0, 0.5, 0.1, 0.01, 0.001)
-    d = RiemannData(EX_JR[0], EX_JR[1], Params(0.5, 1.0))
+    d = replace(JR, params=GRAVITY)
     rows = convergence_table(LimitStudy("kappa", kappas, d))
     l1 = [r["l1"] for r in rows]
     order = math.log(l1[-2] / l1[-1]) / math.log(kappas[-2] / kappas[-1])
-    left, right = EX_JR
+    left, right = JR.left, JR.right
     l1_hand = [_jr_by_hand_l1(left, right, 0.5, k, 1.0) for k in kappas]
     gap = max(abs(a - b) / b for a, b in zip(l1, l1_hand))
-    dd = RiemannData(EX_DELTA[0], EX_DELTA[1], Params(0.5, 1.0))
+    dd = replace(DELTA, params=GRAVITY)
     drows = convergence_table(LimitStudy("kappa", kappas, dd))
     affine_ok = all(
         abs(r["dsigma"] - r["value"] * 2.9**2 / 3.0) <= 1e-14 * max(1.0, r["dsigma"])
@@ -369,10 +347,10 @@ def test_criterion_6_vanishing_limits():
         vals = [r["weak_pairings"][i] for r in drows]
         pair_ok &= all(a >= b - 1e-12 for a, b in zip(vals[:-1], vals[1:]))
 
-    da = RiemannData(EX_JR[0], EX_JR[1], Params(1.0, 1.0))
+    da = replace(JR, params=Params(1.0, 1.0))
     arows = convergence_table(LimitStudy("alpha", kappas, da))
     al1 = [r["l1"] for r in arows]
-    dda = RiemannData(EX_DELTA[0], EX_DELTA[1], Params(1.0, 1.0))
+    dda = replace(DELTA, params=Params(1.0, 1.0))
     darows = convergence_table(LimitStudy("alpha", kappas, dda))
     a_affine_ok = all(
         abs(r["dsigma"] - r["value"] * 2.9 * 1.70) <= 1e-14 * max(1.0, r["dsigma"])
@@ -400,15 +378,11 @@ def test_criterion_6_vanishing_limits():
 
 
 def test_criterion_7_perturbed_front_tracking():
-    p0 = Params(0.5, 0.0)
-    pd_js = PerturbedData(0.1, EX_JS[0], State(0.95, 1.62), EX_JS[1], p0)
-    pd_jr = PerturbedData(0.1, EX_JR[0], State(0.75, 1.25), EX_JR[1], p0)
-
     # closed-form event points against the printed formulas
-    tl = run_timeline(pd_js)
-    j1w, s1w = solve(pd_js.left_data()).waves
-    j2w, s2w = solve(pd_js.right_data()).waves
-    eps = pd_js.epsilon
+    tl = run_timeline(JS_JS)
+    j1w, s1w = solve(JS_JS.left_data()).waves
+    j2w, s2w = solve(JS_JS.right_data()).waves
+    eps = JS_JS.epsilon
     x1f = (s1w.speed + j2w.speed) * eps / (s1w.speed - j2w.speed)
     t1f = 2 * eps / (s1w.speed - j2w.speed)
     formulas_ok = (
@@ -416,9 +390,9 @@ def test_criterion_7_perturbed_front_tracking():
         and abs(tl.events[0].point[1] - t1f) <= 1e-14 * max(1.0, t1f)
     )
     # case 2: same first-event formula, then the fan-tail interception
-    tl_jr = run_timeline(pd_jr)
-    j1r, s1r = solve(pd_jr.left_data()).waves
-    j2r, r2r = solve(pd_jr.right_data()).waves
+    tl_jr = run_timeline(JS_JR)
+    j1r, s1r = solve(JS_JR.left_data()).waves
+    j2r, r2r = solve(JS_JR.right_data()).waves
     x1r = (s1r.speed + j2r.speed) * eps / (s1r.speed - j2r.speed)
     t1r = 2 * eps / (s1r.speed - j2r.speed)
     formulas_ok &= (
@@ -430,7 +404,7 @@ def test_criterion_7_perturbed_front_tracking():
     formulas_ok &= abs(tl_jr.events[1].point[1] - t2r) <= 1e-13 * max(1.0, t2r)
 
     # exact homogeneity in epsilon (closed forms scale by the power of two)
-    tl2 = run_timeline(replace(pd_js, epsilon=0.2))
+    tl2 = run_timeline(replace(JS_JS, epsilon=0.2))
     homog_ok = all(
         2.0 * a.point[0] == b.point[0] and 2.0 * a.point[1] == b.point[1]
         for a, b in zip(tl.events, tl2.events)
@@ -438,7 +412,7 @@ def test_criterion_7_perturbed_front_tracking():
 
     # L1(t=1) of the exact timeline vs the unperturbed fan decreases in eps
     decreasing_ok = True
-    for pd in (pd_js, pd_jr):
+    for pd in (JS_JS, JS_JR):
         fan = solve(pd.outer_data())
         errs = [l1_distance(run_timeline(replace(pd, epsilon=e)), fan, 1.0) for e in (0.1, 0.05, 0.025)]
         decreasing_ok &= errs[0] > errs[1] > errs[2]
@@ -450,11 +424,11 @@ def test_criterion_7_perturbed_front_tracking():
     # at dx = 5.33e-3 and halves here).
     grid = Grid(-5.0, 60.0, int(round(65.0 / 2.665e-3)))
     l1_15 = {}
-    for name, pd in (("6.4", pd_jr), ("6.5", pd_js)):
+    for name, pd in (("6.4", JS_JR), ("6.5", JS_JS)):
         f, _ = run(
             field_from_perturbed(replace(pd, epsilon=0.025), grid),
             SchemeConfig(scheme="godunov", t_end=15.0),
-            p0,
+            pd.params,
         )
         fan = solve(pd.outer_data())
         x = grid.centers()
@@ -474,18 +448,14 @@ def test_criterion_7_perturbed_front_tracking():
 
 
 def test_criterion_8_delta_interaction_cases():
-    p = Params(0.5, 1.0)
     # case III: strength at the split is 2 b_m eps
-    pd3 = PerturbedData(
-        0.1, State(2.9, 1.70), State(0.0, 5.5), State(1.5, 1.56), Params(0.5, 0.0)
-    )
+    pd3 = replace(DS_JR, left=DELTA.left)
     tl3 = run_timeline(pd3)
     case3_ok = abs(tl3.events[0].delta_strength - 2 * 5.5 * 0.1) <= 1e-13
 
     # case IV: strength at absorption is b+ sigma_d2 t1; beta continuous
-    pd4 = PerturbedData(0.1, State(2.0, 1.5), State(1.0, 1.0), State(0.0, 2.0), p)
-    tl4 = run_timeline(pd4)
-    sd2 = phi(State(1.0, 1.0), p)
+    tl4 = run_timeline(JS_DS)
+    sd2 = phi(JS_DS.middle, JS_DS.params)
     t1 = tl4.events[0].point[1]
     case4_ok = abs(tl4.events[0].delta_strength - 2.0 * sd2 * t1) <= 1e-13
     old = [f for f in tl4.fronts if f.kind == "delta" and f.t_birth == 0.0][0]
@@ -493,8 +463,7 @@ def test_criterion_8_delta_interaction_cases():
     cont4_ok = abs(old.strength_of_t(t1) - new.strength_of_t(t1)) <= 1e-13
 
     # case V: cube-root support curve solves dx/dt = (x + eps)/(3t)
-    pd5 = PerturbedData(0.1, State(1.0, 1.0), State(1.0, 1.5), State(0.0, 2.0), p)
-    tl5 = run_timeline(pd5)
+    tl5 = run_timeline(JR_DS)
     [cfront5] = [f for f in tl5.fronts if f.curve is not None]
     curve = cfront5.curve
     ode_worst = 0.0
@@ -513,7 +482,7 @@ def test_criterion_8_delta_interaction_cases():
 
     # eps -> 0 recovers the unperturbed strength rate exactly
     recover_ok = True
-    for pd, key in ((pd4, "JS+dS"), (pd5, "JR+dS")):
+    for pd, key in ((JS_DS, "JS+dS"), (JR_DS, "JR+dS")):
         exact_rate = solve(pd.outer_data()).waves[0].strength_rate
         tl_s = run_timeline(replace(pd, epsilon=1e-6))
         dsf = [f for f in tl_s.fronts if f.kind == "delta" and math.isinf(f.t_death)][0]
@@ -537,11 +506,10 @@ def test_criterion_8_delta_interaction_cases():
 
 
 def test_criterion_9_engine_cross_validation():
-    pd = PerturbedData(0.1, EX_JS[0], State(0.95, 1.62), EX_JS[1], Params(0.5, 0.0))
-    tl_cf = run_timeline(pd)
+    tl_cf = run_timeline(JS_JS)
     errs = []
     for n_fan in (64, 128):
-        tl_ge = run_timeline(pd, force_generic=True, n_fan=n_fan)
+        tl_ge = run_timeline(JS_JS, force_generic=True, n_fan=n_fan)
         worst = 0.0
         for a, b in zip(tl_cf.events, tl_ge.events):
             worst = max(

@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,12 @@ import pytest
 
 from thinfilm import cli, numerics
 from thinfilm.cli import main
-from thinfilm.core import Params, State
-from thinfilm.riemann import RiemannData, fan_from_json
+from thinfilm.riemann import fan_from_json
+
+from cases import (
+    DELTA, DS_JR_NEAR_VACUUM, JR, JR_JS, JS, JS_JS, NEAR_VACUUM_DELTA, TWO_STATE,
+    arg, config, options, state_options,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -112,20 +117,13 @@ def edited(doc, edits):
 
 DROP = object()  # an edited() value that removes the key
 # a two-state godunov/llf config that runs; tests and rows change copies
-CFG = {
-    "alpha": 0.5,
-    "kappa": 0.0,
-    "grid": {"xmin": -2.0, "xmax": 6.0, "ncells": 200},
-    "cfl": 0.45,
-    "t_end": 0.5,
-    "initial": {"left": [1.5, 1.6], "right": [1.25, 1.15]},
-}
-PERTURBED = edited(CFG, {"initial.middle": [0.95, 1.62], "initial.epsilon": 0.1})
-RIEMANN = "riemann --alpha 0.5 --kappa 0 --left 1.24,0.90 --right 1.5,1.56"
-INTERACT = "interact --alpha 0.5 --kappa 0 --epsilon 0.1 --left 1.5,1.6 --middle 0.95,1.62 --right 1.25,1.15"
+CFG = config(JS, grid={"xmin": -2.0, "xmax": 6.0, "ncells": 200}, cfl=0.45, t_end=0.5)
+PERTURBED = {**CFG, "initial": config(JS_JS)["initial"]}
+RIEMANN = f"riemann {options(JR)}"
+INTERACT = f"interact {options(JS_JS)}"
 # JR+JS data: the generic engine, which splits the fan into n_fan shocklets
 GENERIC = "interact --alpha 0.5 --kappa 1.0 --epsilon 0.1 --left 1.0,1.0 --middle 2.0,2.0 --right 0.5,0.5"
-LIMITS = "limits --study kappa --fixed 0.5 --left 1.24,0.90 --right 1.5,1.56"
+LIMITS = f"limits --study kappa --fixed 0.5 {state_options(JR)}"
 TAU = 2.0**-50  # (alpha, kappa) -> TAU * (alpha, kappa) multiplies every wave speed by TAU
 
 
@@ -159,7 +157,7 @@ class TestRiemannCommand:
         assert singular == [[f"{v:.17g}" for v in want]]
 
     def test_deterministic_output(self, tmp_path):
-        args = "riemann --alpha 0.5 --kappa 1 --left 2,1 --right 1,1 --samples 64 --out".split()
+        args = f"riemann {options(TWO_STATE['J+S'])} --samples 64 --out".split()
         assert_accepted(args + ["a.csv"], ["a.csv", "a.json"])
         assert_accepted(args + ["b.csv"], ["b.csv", "b.json"])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -168,8 +166,8 @@ class TestRiemannCommand:
     def test_time_scaled_js_fan(self):
         # (alpha, kappa) = 2^-50 * (0.5, 1): w1 ties compared with an absolute
         # floor read this J+S data as a lone contact
-        _, fan_doc = assert_accepted(f"riemann --alpha {TAU * 0.5!r} --kappa {TAU!r} --left 2,1 --right 1,1 "
-                                     "--out s.csv".split(), ["s.csv", "s.json"])
+        _, fan_doc = assert_accepted(f"riemann --alpha {TAU * 0.5!r} --kappa {TAU!r} "
+                                     f"{state_options(TWO_STATE['J+S'])} --out s.csv".split(), ["s.csv", "s.json"])
         assert fan_doc["case"] == "J+S"
         assert [w["type"] for w in fan_doc["waves"]] == ["contact", "shock"]
 
@@ -201,7 +199,7 @@ class TestSchemeCommands:
         # the point mass is measured against the initial outer states:
         # delta_window alone records the final [t, mass] pair that window
         # plus background records, and delta_background alone is ignored
-        both = {"delta_window": [0.0, 1.0], "delta_background": [[1.5, 1.6], [1.25, 1.15]]}
+        both = {"delta_window": [0.0, 1.0], "delta_background": [CFG["initial"][k] for k in ("left", "right")]}
         diags = [fv_run(scheme, edited(CFG, extras))[1] for extras in (both, {key: both[key]})]
         [[t, _]] = diags[0]["delta_mass"]
         assert t == 0.5 and diags[0]["n_steps"] > 0
@@ -227,10 +225,9 @@ class TestSchemeCommands:
         # the file holds run()'s first and last masses and delta_mass of
         # the final field, bit for bit
         _, diag = fv_run(scheme, edited(CFG, {"delta_window": [0.0, 1.0]}))
-        p, left, right = Params(0.5, 0.0), State(1.5, 1.6), State(1.25, 1.15)
-        f0 = numerics.field_from_riemann(RiemannData(left, right, p), numerics.Grid(-2.0, 6.0, 200))
-        final, ref = numerics.run(f0, numerics.SchemeConfig(scheme=scheme, t_end=0.5), p)
-        mass = numerics.delta_mass(final, (0.0, 1.0), (left, right))
+        f0 = numerics.field_from_riemann(JS, numerics.Grid(-2.0, 6.0, 200))
+        final, ref = numerics.run(f0, numerics.SchemeConfig(scheme=scheme, t_end=0.5), JS.params)
+        mass = numerics.delta_mass(final, (0.0, 1.0), (JS.left, JS.right))
         want = {
             "mass_h": ref["mass_h"],
             "mass_b": ref["mass_b"],
@@ -240,9 +237,8 @@ class TestSchemeCommands:
             assert [x.hex() for x in np.ravel(diag[key])] == [x.hex() for x in np.ravel(values)]
 
     def test_blank_w_columns_near_vacuum(self):
-        config = edited(CFG, {"h_tol": 1e-6, "grid": {"xmin": -0.2, "xmax": 0.6, "ncells": 100},
-                              "t_end": 0.05, "initial.left": [2.9, 1.7], "initial.right": [1e-7, 5.56]})
-        rows, _ = fv_run("llf", config)
+        grid = {"xmin": -0.2, "xmax": 0.6, "ncells": 100}
+        rows, _ = fv_run("llf", config(NEAR_VACUUM_DELTA, grid=grid, cfl=0.45, t_end=0.05))
         assert rows[-1][-2:] == ["", ""]  # w1, w2 blank where h ~ 0
 
 
@@ -255,8 +251,7 @@ class TestInteractCommand:
         assert prof[0] == ["x", "h", "b"]
 
     def test_delta_case_timeline(self):
-        [doc] = assert_accepted("interact --alpha 0.5 --kappa 0 --h-tol 1e-4 --epsilon 0.1 --left 1.24,0.90 "
-                                "--middle 1e-5,5.5 --right 1.5,1.56 --out tl.json".split(), ["tl.json"])
+        [doc] = assert_accepted(f"interact {options(DS_JR_NEAR_VACUUM)} --out tl.json".split(), ["tl.json"])
         assert doc["case"] == "dS+JR"
         assert doc["residual_delta_contact"]["strength"] == pytest.approx(2 * 5.5 * 0.1)
         curved = [f for f in doc["fronts"] if "curve" in f]
@@ -281,8 +276,8 @@ class TestInteractCommand:
     def test_time_scaled_js_jr(self):
         # (alpha, kappa) = 2^-50 * (0.5, 1): both sub-problems used to read as
         # lone contacts, a pattern outside the enumerated ones (exit 2)
-        [doc] = assert_accepted(f"interact --alpha {TAU * 0.5!r} --kappa {TAU!r} --epsilon 0.1 --left 1.5,1.6 "
-                                "--middle 0.95,1.62 --right 1.5,1.56 --out tl.json".split(), ["tl.json"])
+        [doc] = assert_accepted(f"interact --alpha {TAU * 0.5!r} --kappa {TAU!r} --epsilon 0.1 "
+                                f"{state_options(replace(JS_JS, right=JR.right))} --out tl.json".split(), ["tl.json"])
         assert doc["case"] == "JS+JR"
 
 
@@ -295,12 +290,12 @@ class TestLimitsCommand:
         l1s = [float(l[2]) for l in lines[1:]]
         assert l1s[0] > l1s[1] > l1s[2]
         # equal states give fans without waves, which used to exit 2 (min() of no edges)
-        [lines] = assert_accepted(argv + ["--right", "1.24,0.90"], ["table.csv"])
+        [lines] = assert_accepted(argv + ["--right", arg(JR.left)], ["table.csv"])
         assert [l[1:3] for l in lines[1:]] == [["pure-J", "0"]] * 3
 
     def test_two_row_delta_shock_table(self):
-        [lines] = assert_accepted(f"{LIMITS} --values 1,0.1 --left 2.9,1.7 --right 0,5.56 "
-                                  "--out table.csv".split(), ["table.csv"])
+        [lines] = assert_accepted(f"{LIMITS} --values 1,0.1 {state_options(DELTA)} --out table.csv".split(),
+                                  ["table.csv"])
         assert len(lines) == 3
         assert lines[1][1] == "delta-shock"
 
@@ -384,8 +379,7 @@ class TestEntryPoint:
         res = subprocess.run(
             [
                 sys.executable, "-m", "thinfilm.cli",
-                "riemann", "--alpha", "0.5", "--kappa", "1",
-                "--left", "2,2", "--right", "0,1",
+                "riemann", *options(TWO_STATE["delta"]).split(),
                 "--out", str(tmp_path / "d.csv"),
             ],
             capture_output=True,
@@ -538,14 +532,11 @@ REJECTED = [
     row("TestInteractCommand::test_bad_profile_time_exit_2",
         f"{INTERACT} --profile-times 0 --samples 100 --x-min -2 --x-max 4 --out tl.json",
         f"{TIMES}: '0'\n"),
-    row("TestInteractCommand::test_budget_exit_4", "interact --alpha 0.5 --kappa 1 --epsilon 0.1 "
-        "--left 1.0,1.0 --middle 1.3,1.3 --right 0.9,0.8 --n-fan 48 --budget 3 --out tl.json",
-        "error: interaction cascade exceeded 3 events\n", code=4),
+    row("TestInteractCommand::test_budget_exit_4", f"interact {options(JR_JS)} --n-fan 48 --budget 3 "
+        "--out tl.json", "error: interaction cascade exceeded 3 events\n", code=4),
     *(row(f"TestInteractCommand::test_negative_budget_exit_2[{name}]",
-          f"interact --alpha 0.5 --kappa {data} --epsilon 0.1 --budget -1 --out tl.json",
-          "error: budget must not be negative, got -1\n")
-      for name, data in [("generic", "1 --left 1.0,1.0 --middle 1.3,1.3 --right 0.9,0.8"),
-                         ("closed-form", "0 --left 1.5,1.6 --middle 0.95,1.62 --right 1.25,1.15")]),
+          f"interact {options(data)} --budget -1 --out tl.json", "error: budget must not be negative, got -1\n")
+      for name, data in [("generic", JR_JS), ("closed-form", JS_JS)]),
     *(row(f"TestInteractCommand::test_non_finite_option_exit_2[{flag}-{v}]",
           f"{INTERACT} --profile-times 1 --samples 3 {flag} {v} --out tl.json",
           f"{ARG} {flag}: not a finite number: '{v}'\n")
@@ -565,6 +556,9 @@ REJECTED = [
     *(row(f"TestInteractCommand::test_nonpositive_n_fan_exit_2[{n_fan}]",
           f"{GENERIC} --n-fan {n_fan} --t-max 5 --out tl.json", "error: n_fan must be at least 1")
       for n_fan in ["0", "-5"]),
+    # a t_max not after t = 0 used to write a timeline of no events
+    *(row(f"test_rejected[interact-t-max-{name}]", f"{GENERIC} --t-max {t} --out tl.json",
+          f"error: t_max must be positive, got {float(t)}\n") for name, t in [("zero", "0"), ("negative", "-1")]),
     row("TestLimitsCommand::test_malformed_values_exit_2", f"{LIMITS} --values 1,x --out table.csv",
         f"{ARG} --values: not a comma list of finite numbers: '1,x'\n"),
     row("TestLimitsCommand::test_infinite_lambda2_exit_2", f"{LIMITS} --values 1e308,1 --out table.csv",
@@ -589,8 +583,6 @@ REJECTED = [
         beyond("--samples")),
     row("test_rejected[interact-n-fan]", f"{GENERIC} --n-fan {HUGE} --t-max 5 --out tl.json",
         beyond("--n-fan")),
-    row("test_rejected[entropy-check-n-grid]",
-        f"entropy-check --alpha 0.5 --kappa 1 --n-grid {HUGE} --out entropy.json", beyond("--n-grid")),
     *(fv(f"test_rejected[{s}-ncells]", s, edited(CFG, {"grid.ncells": HUGE}), beyond("config grid.ncells"))
       for s in FV),
     row("test_rejected[riemann-right]", f"{RIEMANN} --right=-1,2 --out prof.csv",
@@ -654,8 +646,6 @@ SIZES = {
     "interact-samples": ("--samples", 100000, f"{INTERACT} --profile-times 1,2 --samples 100000 --out tl.json",
                          None),
     "interact-n-fan": ("--n-fan", 5000, f"{GENERIC} --n-fan 5000 --t-max 5 --out tl.json", None),
-    "entropy-check-n-grid": ("--n-grid", 400, "entropy-check --alpha 0.5 --kappa 1 --n-grid 400 --out e.json",
-                             None),
     **{f"{s}-ncells": ("config grid.ncells", 50000, f"{s} --config cfg.json --out x.csv",
                        edited(CFG, {"grid.ncells": 50000})) for s in FV},
 }
@@ -673,6 +663,15 @@ def test_size_beyond_physical_memory_exit_2(monkeypatch, name):
 def test_size_within_physical_memory_runs(monkeypatch):
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10**6)
     assert_accepted(f"{RIEMANN} --samples 100 --out prof.csv".split(), ["prof.csv", "prof.json"])
+
+
+def test_entropy_check_n_grid_allocates_nothing(monkeypatch):
+    # the minima are read at the state box's corners, so --n-grid is recorded and no grid is built
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 10**6)
+    args = "entropy-check --alpha 0.5 --kappa 1 --n-grid"
+    [huge] = assert_accepted(f"{args} {10**12} --out huge.json".split(), ["huge.json"])
+    [ref] = assert_accepted(f"{args} 50 --out ref.json".split(), ["ref.json"])
+    assert (huge["pairs"], huge["grid"]["n"]) == (ref["pairs"], 10**12)
 
 
 @pytest.mark.parametrize("argv", [[], *([c] for c in ("riemann", "godunov", "llf", "interact",

@@ -24,6 +24,8 @@ from thinfilm.errors import (
     InvalidStateError,
 )
 
+from cases import FILM, JR
+
 P = Params(alpha=0.5, kappa=1.0)
 
 
@@ -90,7 +92,7 @@ class TestFlux:
         np.testing.assert_allclose(got, expected, rtol=1e-14)
 
     def test_surface_tension_only_left_state(self):
-        got = flux(State(1.24, 0.90), Params(0.5, 0.0))
+        got = flux(JR.left, FILM)
         np.testing.assert_allclose(got, [0.69192, 0.50220], rtol=1e-12)
 
     def test_flux_is_state_times_lambda1(self):

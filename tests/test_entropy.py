@@ -279,10 +279,14 @@ class TestArrayPath:
                 expect = [convexity_forms(s, pair, P) for s in singles]
                 assert list(zip(f1.tolist(), f2.tolist())) == expect
 
-    @pytest.mark.parametrize("p", [P, Params(0.0, 1.0)], ids=["alpha0.5", "alpha0"])
-    def test_report_equals_state_loop(self, p):
-        hs, _ = report_grid()
-        rep = entropy_report(p, n_grid=50)
+    # the report reads the box's corners: the minima over its n_grid by
+    # n_grid grid, state by state, must have the same bits
+    @pytest.mark.parametrize("alpha, n_grid", [pytest.param(a, n, id=f"alpha{a:g}" + (f"-n{n}" if n != 50 else ""))
+                                               for a in (0.5, 0.0, 1e-170, 1e100, 1e200) for n in (50, 2, 7)])
+    def test_report_equals_state_loop(self, alpha, n_grid):
+        p = Params(alpha, 1.0)
+        hs, _ = report_grid(n_grid)
+        rep = entropy_report(p, n_grid=n_grid)
         for pair, entry in zip(pair_catalog(), rep["pairs"]):
             min1 = min2 = math.inf
             for h in hs:

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +47,12 @@ def test_numpy_is_the_only_runtime_dependency(src_env):
     names, loaded = res.stdout.splitlines()
     assert set(MODULES[1:]) | {"thinfilm.cli", "thinfilm.errors"} <= set(names.split())
     assert loaded == "[]"
+
+
+def test_cases_import_without_test_extras(src_env):
+    # the files that CI runs without the test extras import tests/cases.py,
+    # so a fresh interpreter that can import none of the extras imports it
+    code = "import sys\nsys.modules.update(dict.fromkeys(('hypothesis', 'scipy', 'sympy')))\nimport cases\n"
+    tests = Path(__file__).resolve().parent
+    res = subprocess.run([sys.executable, "-c", code], cwd=tests, env=src_env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

@@ -47,23 +47,9 @@ from thinfilm.riemann import (
     solve,
 )
 
-P0 = Params(0.5, 0.0)
-P1 = Params(0.5, 1.0)
-
-# paper 6.4 / 6.5 / 6.6 perturbed data
-EX_PER_JS = PerturbedData(0.1, State(1.5, 1.6), State(0.95, 1.62), State(1.25, 1.15), P0)
-EX_PER_JR = PerturbedData(0.1, State(1.24, 0.90), State(0.75, 1.25), State(1.5, 1.56), P0)
-EX_PER_DS = PerturbedData(
-    0.1, State(1.24, 0.90), State(1e-5, 5.5), State(1.5, 1.56), Params(0.5, 0.0, h_tol=1e-4)
+from cases import (
+    DELTA, DS_JR_NEAR_VACUUM, FILM, GRAVITY, JR, JR_DS, JR_JR, JR_JS, JS, JS_DS, JS_JR, JS_JR_EXIT, JS_JS,
 )
-# case 2 subcase 1 (penetration completes): w1(left) > w1(right)
-CASE2_SUB1 = PerturbedData(0.1, State(2.0, 1.5), State(1.0, 1.0), State(1.2, 1.0), P0)
-# delta cases with gravity
-CASE6 = PerturbedData(0.1, State(2.0, 1.5), State(1.0, 1.0), State(0.0, 2.0), P1)
-CASE7 = PerturbedData(0.1, State(1.0, 1.0), State(1.0, 1.5), State(0.0, 2.0), P1)
-# the generic engine's fan-fan patterns
-JR_JS = PerturbedData(0.1, State(1.0, 1.0), State(1.3, 1.3), State(0.9, 0.8), P1)
-JR_JR = PerturbedData(0.1, State(0.8, 0.8), State(1.0, 1.1), State(1.5, 1.5), P1)
 
 
 def curved_front(tl):
@@ -74,48 +60,48 @@ def curved_front(tl):
 
 class TestClassifyCase:
     def test_paper_examples(self):
-        assert classify_case(EX_PER_JS) == "JS+JS"
-        assert classify_case(EX_PER_JR) == "JS+JR"
-        assert classify_case(EX_PER_DS) == "dS+JR"
-        assert CASE_NUMBER[classify_case(EX_PER_JS)] == 1
-        assert CASE_NUMBER[classify_case(EX_PER_DS)] == 5
+        assert classify_case(JS_JS) == "JS+JS"
+        assert classify_case(JS_JR) == "JS+JR"
+        assert classify_case(DS_JR_NEAR_VACUUM) == "dS+JR"
+        assert CASE_NUMBER[classify_case(JS_JS)] == 1
+        assert CASE_NUMBER[classify_case(DS_JR_NEAR_VACUUM)] == 5
         # the paper's numbering of the seven patterns
         tags = ["JS+JS", "JS+JR", "JR+JR", "JR+JS", "dS+JR", "JS+dS", "JR+dS"]
         assert CASE_NUMBER == {tag: n for n, tag in enumerate(tags, start=1)}
 
     def test_delta_cases(self):
-        assert classify_case(CASE6) == "JS+dS"
-        assert classify_case(CASE7) == "JR+dS"
+        assert classify_case(JS_DS) == "JS+dS"
+        assert classify_case(JR_DS) == "JR+dS"
 
     def test_two_deltas_unreachable(self):
-        d = PerturbedData(0.1, State(1.0, 1.0), State(0.0, 1.0), State(0.0, 2.0), P1)
+        d = PerturbedData(0.1, State(1.0, 1.0), State(0.0, 1.0), State(0.0, 2.0), GRAVITY)
         with pytest.raises(UnreachableCaseError):
             classify_case(d)
 
     def test_left_boundary_unsupported(self):
-        d = PerturbedData(0.1, State(0.0, 1.0), State(1.0, 1.0), State(2.0, 2.0), P1)
+        d = PerturbedData(0.1, State(0.0, 1.0), State(1.0, 1.0), State(2.0, 2.0), GRAVITY)
         with pytest.raises(UnsupportedCaseError):
             classify_case(d)
 
 
 class TestGuards:
     @pytest.mark.parametrize("call, exc_type, message", [
-        (lambda: replace(EX_PER_JS, epsilon=0.0), InvalidDataError, "epsilon must be positive"),
-        (lambda: replace(EX_PER_JS, epsilon=-0.1), InvalidDataError, "epsilon must be positive"),
+        (lambda: replace(JS_JS, epsilon=0.0), InvalidDataError, "epsilon must be positive"),
+        (lambda: replace(JS_JS, epsilon=-0.1), InvalidDataError, "epsilon must be positive"),
         (lambda: interact_shock_shock_chase(
             Shock(1.0, State(2, 2), State(1, 1)), Shock(2.0, State(1, 1), State(0.5, 0.5)),
-            (0.0, 0.1), 0.1, P1,
+            (0.0, 0.1), 0.1, GRAVITY,
         ), NoInteractionError, "trailing shock is not faster"),
         # the fan is entered at h = 1, above the chasing state's h = 0.5
         (lambda: shock_through_fan(
             (1.5, 1.0), Rarefaction(0.0, 0.0, State(0.1, 0.1), State(2, 2), State(2, 2)),
-            State(0.5, 0.5), P0, 0.0,
+            State(0.5, 0.5), FILM, 0.0,
         ), WrongCaseError, "chasing state must outrun the fan tail"),
         (lambda: shock_overtakes_delta(
             Shock(1.0, State(2, 2), State(1, 1)), DeltaShock(2.0, 1.0, State(1, 1), State(0, 1)),
-            CASE6,
+            JS_DS,
         ), NoInteractionError, "shock is not faster than the delta front"),
-        (lambda: run_timeline(CASE6, force_generic=True), UnsupportedCaseError,
+        (lambda: run_timeline(JS_DS, force_generic=True), UnsupportedCaseError,
          "generic engine cannot track singular fronts"),
     ], ids=["epsilon-zero", "epsilon-negative", "chase", "fan-entry", "delta-overtake",
             "generic-delta"])
@@ -127,11 +113,11 @@ class TestGuards:
 
 class TestShockContact:
     def test_printed_point(self):
-        tl = run_timeline(EX_PER_JS)
-        j1w, s1w = solve(EX_PER_JS.left_data()).waves
-        j2w, _ = solve(EX_PER_JS.right_data()).waves
+        tl = run_timeline(JS_JS)
+        j1w, s1w = solve(JS_JS.left_data()).waves
+        j2w, _ = solve(JS_JS.right_data()).waves
         sigma1, mu2 = s1w.speed, j2w.speed
-        eps = EX_PER_JS.epsilon
+        eps = JS_JS.epsilon
         x1, t1 = tl.events[0].point
         np.testing.assert_allclose(x1, (sigma1 + mu2) * eps / (sigma1 - mu2), rtol=1e-14)
         np.testing.assert_allclose(t1, 2 * eps / (sigma1 - mu2), rtol=1e-14)
@@ -140,8 +126,8 @@ class TestShockContact:
         np.testing.assert_allclose(x1 - eps, mu2 * t1, rtol=1e-14)
 
     def test_epsilon_homogeneity(self):
-        tl1 = run_timeline(EX_PER_JS)
-        tl2 = run_timeline(replace(EX_PER_JS, epsilon=0.2))
+        tl1 = run_timeline(JS_JS)
+        tl2 = run_timeline(replace(JS_JS, epsilon=0.2))
         for e1, e2 in zip(tl1.events, tl2.events):
             np.testing.assert_allclose(2.0 * e1.point[0], e2.point[0], rtol=1e-13)
             np.testing.assert_allclose(2.0 * e1.point[1], e2.point[1], rtol=1e-13)
@@ -176,7 +162,7 @@ class TestShockContact:
 
     def test_outgoing_waves_are_the_timeline_fronts(self):
         # the helper's point and waves are what run_timeline emits at its first event
-        d = EX_PER_JS
+        d = JS_JS
         (_, s1w), (j2w, _) = solve(d.left_data()).waves, solve(d.right_data()).waves
         point, (j3w, s3w) = interact_shock_contact(s1w, j2w, d.epsilon, d.params)
         assert j3w.speed == phi(s1w.left, d.params) and j3w.left == s1w.left
@@ -193,13 +179,13 @@ class TestShockContact:
         s = Shock(1.0, State(2, 2), State(1, 1))
         j = Contact(2.0, State(1, 1), State(1.5, 1.5))
         with pytest.raises(NoInteractionError):
-            interact_shock_contact(s, j, 0.1, P1)
+            interact_shock_contact(s, j, 0.1, GRAVITY)
 
 
 class TestShockShockChase:
     def test_final_fan_matches_exact(self):
-        tl = run_timeline(EX_PER_JS)
-        exact = solve(EX_PER_JS.outer_data())
+        tl = run_timeline(JS_JS)
+        exact = solve(JS_JS.outer_data())
         survivors = [f for f in tl.fronts if math.isinf(f.t_death)]
         speeds = sorted(f.speed for f in survivors)
         exact_speeds = sorted(s for w in exact.waves for s in set(w.speed_range()))
@@ -214,17 +200,17 @@ class TestShockShockChase:
         assert abs(region.right_region.state.b - m_star.b) < 1e-12
 
     def test_second_event_formula(self):
-        tl = run_timeline(EX_PER_JS)
+        tl = run_timeline(JS_JS)
         (x1, t1), (x2, t2) = tl.events[0].point, tl.events[1].point
         s3 = [f for f in tl.fronts if f.kind == "shock" and f.t_birth == t1][0]
         s2 = [f for f in tl.fronts if f.kind == "shock" and f.t_birth == 0.0 and f.x_birth > 0][0]
-        eps = EX_PER_JS.epsilon
+        eps = JS_JS.epsilon
         np.testing.assert_allclose(t2, (x1 - eps - s3.speed * t1) / (s2.speed - s3.speed), rtol=1e-13)
         np.testing.assert_allclose(x2 - x1, s3.speed * (t2 - t1), rtol=1e-12)
         np.testing.assert_allclose(x2 - eps, s2.speed * t2, rtol=1e-12)
 
     def test_zero_strength_first_problem(self):
-        d = replace(EX_PER_JS, middle=EX_PER_JS.left)
+        d = replace(JS_JS, middle=JS_JS.left)
         tl = run_timeline(d)
         assert tl.events == []
         assert tl.case_tag == "degenerate"
@@ -240,7 +226,7 @@ class TestMiddleOnRightRay:
          ["contact", "shock", "fan-tail", "fan-head", "curved-shock", "shock"]),
     ])
     def test_no_contact_to_absorb(self, middle, tag, lone, kinds):
-        d = PerturbedData(0.1, State(1.5, 1.6), State(*middle), State(1.25, 1.15), P0)
+        d = replace(JS_JS, middle=State(*middle))
         assert [type(w) for w in solve(d.right_data()).waves] == [lone]
         tl = run_timeline(d)
         assert tl.case_tag == tag
@@ -254,14 +240,14 @@ class TestMiddleOnRightRay:
 
 class TestShockThroughFan:
     def test_entry_time_law(self):
-        tl = run_timeline(EX_PER_JR)
+        tl = run_timeline(JS_JR)
         cf = curved_front(tl)
         h2 = cf.curve.state_of_t(cf.t_birth).h
-        fanw = [w for w in solve(EX_PER_JR.right_data()).waves if isinstance(w, Rarefaction)][0]
+        fanw = [w for w in solve(JS_JR.right_data()).waves if isinstance(w, Rarefaction)][0]
         np.testing.assert_allclose(h2, fanw.left.h, rtol=1e-10)
 
     def test_time_law_pole_at_left_state(self):
-        tl = run_timeline(EX_PER_JR)
+        tl = run_timeline(JS_JR)
         cf = curved_front(tl)
         curve = cf.curve
         h3 = [f for f in tl.fronts if f.kind == "contact" and f.t_birth > 0][0].right_region.state.h
@@ -270,7 +256,7 @@ class TestShockThroughFan:
         assert curve.state_of_t(1e9).h > curve.state_of_t(10.0).h
 
     def test_monotone_h_and_convexity(self):
-        tl = run_timeline(CASE2_SUB1)
+        tl = run_timeline(JS_JR_EXIT)
         cf = curved_front(tl)
         curve = cf.curve
         ts = np.linspace(cf.t_birth * 1.001, cf.t_death * 0.999, 25)
@@ -281,14 +267,14 @@ class TestShockThroughFan:
         assert np.all(d2 > 0.0)  # shock accelerates through the fan
 
     def test_exit_against_ode_oracle(self):
-        tl = run_timeline(CASE2_SUB1)
+        tl = run_timeline(JS_JR_EXIT)
         cf = curved_front(tl)
         curve = cf.curve
         assert math.isfinite(cf.t_death)
-        p = CASE2_SUB1.params
-        eps = CASE2_SUB1.epsilon
+        p = JS_JR_EXIT.params
+        eps = JS_JR_EXIT.epsilon
         chasing = [f for f in tl.fronts if f.kind == "contact" and f.t_birth > 0][0].right_region.state
-        anchor = CASE2_SUB1.right
+        anchor = JS_JR_EXIT.right
         c = p.alpha * anchor.b / anchor.h + p.kappa / 3.0
         w2 = anchor.b / anchor.h
         h_head = anchor.h
@@ -313,8 +299,8 @@ class TestShockThroughFan:
         np.testing.assert_allclose(cf.t_death, t3_ode, rtol=1e-8)
 
     def test_final_fan_after_exit(self):
-        tl = run_timeline(CASE2_SUB1)
-        exact = solve(CASE2_SUB1.outer_data())
+        tl = run_timeline(JS_JR_EXIT)
+        exact = solve(JS_JR_EXIT.outer_data())
         assert not tl.asymptotic
         survivors = [f for f in tl.fronts if math.isinf(f.t_death)]
         s4 = [f for f in survivors if f.kind == "shock"][0]
@@ -327,7 +313,7 @@ class TestShockThroughFan:
         rng = np.random.RandomState(seed)
         out = []
         for i in range(n):
-            p = (P0, P1)[i % 2]
+            p = (FILM, GRAVITY)[i % 2]
             h_left = float(rng.uniform(*h_left_range))
             w2 = float(rng.uniform(0.2, 3.0))
             # a fan head beyond the left state half the time: no exit
@@ -374,7 +360,7 @@ class TestShockThroughFan:
 
 class TestDeltaContactSplit:
     def test_printed_point_and_strength(self):
-        d = EX_PER_DS
+        d = DS_JR_NEAR_VACUUM
         tl = run_timeline(d)
         split, dj = tl.events[0], tl.residual_delta_contact
         p = d.params
@@ -388,7 +374,7 @@ class TestDeltaContactSplit:
     def test_epsilon_limit(self):
         rows = []
         for eps in (0.1, 0.05, 0.025):
-            tl = run_timeline(replace(EX_PER_DS, epsilon=eps))
+            tl = run_timeline(replace(DS_JR_NEAR_VACUUM, epsilon=eps))
             dj = tl.residual_delta_contact
             rows.append((tl.max_event_time, dj.strength_of_t(dj.t_birth)))
         times = [r[0] for r in rows]
@@ -397,11 +383,11 @@ class TestDeltaContactSplit:
         np.testing.assert_allclose(strengths, [2 * 5.5 * e for e in (0.1, 0.05, 0.025)], rtol=1e-12)
 
     @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
-    @pytest.mark.parametrize("left", [State(1.24, 0.90), State(2.9, 1.70)])
+    @pytest.mark.parametrize("left", [JR.left, DELTA.left])
     def test_split_matches_timeline(self, eps, left):
         # the split event, the frozen front and the curve agree with each
         # other and with the closed-form split
-        d = replace(EX_PER_DS, epsilon=eps, left=left)
+        d = replace(DS_JR_NEAR_VACUUM, epsilon=eps, left=left)
         tl = run_timeline(d)
         split = tl.events[0]
         sigma1 = phi(left, d.params)
@@ -422,9 +408,7 @@ class TestDeltaContactSplit:
 
     def test_subcase1_completes(self):
         # left w1 above right w1: the split shock crosses the whole fan
-        d = PerturbedData(
-            0.1, State(2.9, 1.70), State(1e-5, 5.5), State(1.5, 1.56), Params(0.5, 0.0, h_tol=1e-4)
-        )
+        d = replace(DS_JR_NEAR_VACUUM, left=DELTA.left)
         tl = run_timeline(d)
         assert not tl.asymptotic
         assert len(tl.events) == 2
@@ -435,7 +419,7 @@ class TestDeltaContactSplit:
 
 class TestShockOvertakesDelta:
     def test_event_and_strength(self):
-        d = CASE6
+        d = JS_DS
         tl = run_timeline(d)
         _, s1w = solve(d.left_data()).waves
         ds2w = solve(d.right_data()).waves[0]
@@ -449,7 +433,7 @@ class TestShockOvertakesDelta:
         )
 
     def test_beta_continuity_and_parallel(self):
-        tl = run_timeline(CASE6)
+        tl = run_timeline(JS_DS)
         t1 = tl.events[0].point[1]
         old = [f for f in tl.fronts if f.kind == "delta" and f.t_birth == 0.0][0]
         new = [f for f in tl.fronts if f.kind == "delta" and f.t_birth == t1][0]
@@ -459,9 +443,9 @@ class TestShockOvertakesDelta:
         assert new.position(t1) > j1.position(t1)
 
     def test_epsilon_zero_recovers_riemann_rate(self):
-        exact_rate = solve(CASE6.outer_data()).waves[0].strength_rate
+        exact_rate = solve(JS_DS.outer_data()).waves[0].strength_rate
         for eps in (0.1, 0.01):
-            tl = run_timeline(replace(CASE6, epsilon=eps))
+            tl = run_timeline(replace(JS_DS, epsilon=eps))
             ds3 = [f for f in tl.fronts if f.kind == "delta" and math.isinf(f.t_death)][0]
             rate = ds3.strength_of_t(5.0) - ds3.strength_of_t(4.0)
             np.testing.assert_allclose(rate, exact_rate, rtol=1e-12)
@@ -471,7 +455,7 @@ class TestShockOvertakesDelta:
 
     def test_final_state_sequence_matches_exact(self):
         # terminating singular cascades reproduce the outer Riemann fan
-        for d in (CASE6, CASE7):
+        for d in (JS_DS, JR_DS):
             tl = run_timeline(d)
             exact_wave = solve(d.outer_data()).waves[0]
             survivor = [
@@ -491,9 +475,8 @@ class TestShockOvertakesDelta:
 
 class TestDeltaThroughFan:
     def test_printed_entry(self):
-        d = PerturbedData(0.3, State(1.0, 1.0), State(1.0, 1.0), State(0.0, 2.0), P1)
         # middle == left here would be degenerate; shift middle up the ray
-        d = PerturbedData(0.3, State(1.0, 1.0), State(1.2, 1.2), State(0.0, 2.0), P1)
+        d = PerturbedData(0.3, State(1.0, 1.0), State(1.2, 1.2), State(0.0, 2.0), GRAVITY)
         tl = run_timeline(d)
         p = d.params
         lam2m = 3 * p.alpha * d.middle.h * d.middle.b + p.kappa * d.middle.h**2
@@ -501,10 +484,10 @@ class TestDeltaThroughFan:
         np.testing.assert_allclose(tl.events[0].delta_strength, d.right.b * d.epsilon, rtol=1e-13)
 
     def test_cube_root_ode(self):
-        tl = run_timeline(CASE7)
+        tl = run_timeline(JR_DS)
         cf = curved_front(tl)
         curve = cf.curve
-        eps = CASE7.epsilon
+        eps = JR_DS.epsilon
         for t in np.linspace(cf.t_birth * 1.01, cf.t_death * 0.99, 9):
             x = curve.x_of_t(t)
             # analytic derivative of A t^(1/3) - eps is (x + eps)/(3 t)
@@ -516,7 +499,7 @@ class TestDeltaThroughFan:
     def test_curve_starts_at_the_entry_event(self, eps):
         # x + eps = 3 eps (t/t1)^(1/3) and the strength written through t/t1
         # give the entry point (2 eps, t1) and strength in the same bits
-        tl = run_timeline(replace(CASE7, epsilon=eps))
+        tl = run_timeline(replace(JR_DS, epsilon=eps))
         cf = curved_front(tl)
         entry = tl.events[0]
         assert cf.t_birth == entry.point[1]
@@ -524,7 +507,7 @@ class TestDeltaThroughFan:
         assert cf.strength_of_t(cf.t_birth) == entry.delta_strength
 
     def test_concave_and_monotone_h_down(self):
-        tl = run_timeline(CASE7)
+        tl = run_timeline(JR_DS)
         cf = curved_front(tl)
         curve = cf.curve
         ts = np.linspace(cf.t_birth * 1.001, cf.t_death * 0.999, 25)
@@ -534,10 +517,10 @@ class TestDeltaThroughFan:
         # so the fan-side h falls along the curve
         hs = [curve.state_of_t(t).h for t in ts]
         assert all(a > b for a, b in zip(hs[:-1], hs[1:]))
-        np.testing.assert_allclose(hs[0], CASE7.middle.h, rtol=1e-2)
+        np.testing.assert_allclose(hs[0], JR_DS.middle.h, rtol=1e-2)
 
     def test_beta_continuity_both_events(self):
-        tl = run_timeline(CASE7)
+        tl = run_timeline(JR_DS)
         t1 = tl.events[0].point[1]
         t2 = tl.events[1].point[1]
         ds2 = [f for f in tl.fronts if f.kind == "delta" and f.t_birth == 0.0][0]
@@ -547,18 +530,18 @@ class TestDeltaThroughFan:
         np.testing.assert_allclose(curved.strength_of_t(t2), ds4.strength_of_t(t2), rtol=1e-13)
 
     def test_epsilon_zero_strength_limit(self):
-        exact = solve(CASE7.outer_data()).waves[0]
+        exact = solve(JR_DS.outer_data()).waves[0]
         t_probe = 2.0
         for eps in (0.1, 0.05, 0.025):
-            tl = run_timeline(replace(CASE7, epsilon=eps))
+            tl = run_timeline(replace(JR_DS, epsilon=eps))
             ds4 = [f for f in tl.fronts if f.kind == "delta" and math.isinf(f.t_death)][0]
             err = abs(ds4.strength_of_t(t_probe) - exact.strength_rate * t_probe)
             assert err <= 3.0 * eps * exact.strength_rate
 
 
 @pytest.mark.parametrize("d, n_curves", [
-    (EX_PER_JR, 1), (CASE2_SUB1, 1), (EX_PER_DS, 1), (CASE7, 1),
-    (EX_PER_JS, 0), (CASE6, 0),
+    (JS_JR, 1), (JS_JR_EXIT, 1), (DS_JR_NEAR_VACUUM, 1), (JR_DS, 1),
+    (JS_JS, 0), (JS_DS, 0),
 ], ids=["JS+JR-asymptotic", "JS+JR-exit", "dS+JR", "JR+dS", "JS+JS", "JS+dS"])
 def test_curves_are_the_curved_fronts(d, n_curves):
     # a curved front holds its curve from the event that emits it to the
@@ -577,8 +560,8 @@ def test_curves_are_the_curved_fronts(d, n_curves):
 
 class TestGenericEngine:
     def test_matches_closed_form_case1(self):
-        tl_cf = run_timeline(EX_PER_JS)
-        tl_ge = run_timeline(EX_PER_JS, force_generic=True, n_fan=64)
+        tl_cf = run_timeline(JS_JS)
+        tl_ge = run_timeline(JS_JS, force_generic=True, n_fan=64)
         assert len(tl_ge.events) == len(tl_cf.events)
         for a, b in zip(tl_cf.events, tl_ge.events):
             np.testing.assert_allclose(a.point, b.point, rtol=1e-12)
@@ -730,17 +713,15 @@ class TestGenericEngineMatchesReference:
 
     def test_benchmark_jr_js(self):
         # the benchmark's fan-fan data at its resolution, and the budget's edge
-        d = PerturbedData(0.1, State(1.0, 1.0), State(1.3, 1.3), State(0.9, 0.8),
-                          Params(0.5, 1.0, h_tol=1e-10))
-        assert len(assert_same_as_reference(d, n_fan=512).events) == 1294
-        assert len(assert_same_as_reference(d, n_fan=64, budget=165).events) == 165
-        assert assert_same_as_reference(d, n_fan=64, budget=164) is None
+        assert len(assert_same_as_reference(JR_JS, n_fan=512).events) == 1294
+        assert len(assert_same_as_reference(JR_JS, n_fan=64, budget=165).events) == 165
+        assert assert_same_as_reference(JR_JS, n_fan=64, budget=164) is None
 
     def test_converges_to_curved_shock_at_first_order(self):
         # JS+JR while the shock is inside the fan (from t = 0.146 to 0.184):
         # the closed-form curved shock is the oracle of the discretized fan
-        exact = run_timeline(CASE2_SUB1)
-        l1 = [l1_distance(run_timeline(CASE2_SUB1, force_generic=True, n_fan=n), exact, 0.16)
+        exact = run_timeline(JS_JR_EXIT)
+        l1 = [l1_distance(run_timeline(JS_JR_EXIT, force_generic=True, n_fan=n), exact, 0.16)
               for n in (16, 64, 256, 1024)]
         for coarse, fine in zip(l1[:-1], l1[1:]):
             assert 0.95 <= math.log(coarse / fine, 4.0) <= 1.05
@@ -754,7 +735,7 @@ def assert_profile_is_sample_loop(tl, t, xs, h, b):
 
 @pytest.mark.parametrize("delta", [1e-12, 1e-11, 3e-11])
 @pytest.mark.parametrize("outer", ["left", "right"])
-@pytest.mark.parametrize("d", [EX_PER_JS, EX_PER_JR, JR_JS, JR_JR], ids=["JS+JS", "JS+JR", "JR+JS", "JR+JR"])
+@pytest.mark.parametrize("d", [JS_JS, JS_JR, JR_JS, JR_JR], ids=["JS+JS", "JS+JR", "JR+JS", "JR+JR"])
 def test_near_degenerate_data_stay_degenerate(d, outer, delta):
     # a middle state an outer one scaled by (1 + delta, 1 - delta): at riemann's
     # tie tolerance 1e-13 half of these start a micro-interaction and half
@@ -767,7 +748,7 @@ def test_near_degenerate_data_stay_degenerate(d, outer, delta):
 
 class TestTimelineSampling:
     def test_trivial_middle_equals_left(self):
-        d = replace(EX_PER_JR, middle=EX_PER_JR.left)
+        d = replace(JS_JR, middle=JS_JR.left)
         tl = run_timeline(d)
         assert tl.events == []
         xs = np.linspace(-1.0, 5.0, 500)
@@ -777,10 +758,10 @@ class TestTimelineSampling:
         np.testing.assert_allclose(b, be, atol=1e-12)
 
     @pytest.mark.parametrize("outer, waves", [
-        ((State(1.5, 1.6), State(1.25, 1.15), P0), [Contact, Shock]),
-        ((State(1.24, 0.90), State(1.5, 1.56), P0), [Contact, Rarefaction]),
-        ((State(2.0, 1.5), State(0.0, 2.0), P1), [DeltaShock]),
-        ((State(1e-6, 5.5), State(1.5, 1.56), Params(0.5, 0.0, h_tol=1e-4)), [CompositeJR]),
+        ((JS.left, JS.right, FILM), [Contact, Shock]),
+        ((JR.left, JR.right, FILM), [Contact, Rarefaction]),
+        ((JS_DS.left, JS_DS.right, GRAVITY), [DeltaShock]),
+        ((State(1e-6, 5.5), JR.right, DS_JR_NEAR_VACUUM.params), [CompositeJR]),
     ], ids=["JS", "JR", "delta", "composite"])
     @pytest.mark.parametrize("equal_to", ["left", "right"])
     def test_trivial_outer_fan(self, outer, waves, equal_to):
@@ -804,7 +785,7 @@ class TestTimelineSampling:
             assert masses == [w.strength_rate * t for w in fan.waves if isinstance(w, DeltaShock)]
 
     @pytest.mark.parametrize("d", [
-        EX_PER_JS, EX_PER_JR, CASE2_SUB1, EX_PER_DS, CASE6, CASE7,
+        JS_JS, JS_JR, JS_JR_EXIT, DS_JR_NEAR_VACUUM, JS_DS, JR_DS,
         JR_JS,
     ], ids=["JS+JS", "JS+JR", "JS+JR-exit", "dS+JR", "JS+dS", "JR+dS", "JR+JS-generic"])
     def test_profile_is_sample_loop(self, d):
@@ -817,10 +798,10 @@ class TestTimelineSampling:
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_profile_rejects_bad_time(self, t):
         with pytest.raises(InvalidDataError):
-            run_timeline(EX_PER_JR).profile(t, np.linspace(-1.0, 1.0, 5))
+            run_timeline(JS_JR).profile(t, np.linspace(-1.0, 1.0, 5))
 
     def test_outgoing_speeds_sorted_at_events(self):
-        for d in (EX_PER_JS, CASE2_SUB1, CASE6, CASE7):
+        for d in (JS_JS, JS_JR_EXIT, JS_DS, JR_DS):
             tl = run_timeline(d)
             by_id = {f.id: f for f in tl.fronts}
             for e in tl.events:
@@ -834,13 +815,13 @@ class TestTimelineSampling:
 
     def test_profile_converges_to_exact_long_time(self):
         # perturbed J+R example: by t=15 the exact outer fan dominates
-        exact = solve(EX_PER_JR.outer_data())
-        errs = [l1_distance(run_timeline(replace(EX_PER_JR, epsilon=e)), exact, 15.0) for e in (0.1, 0.05)]
+        exact = solve(JS_JR.outer_data())
+        errs = [l1_distance(run_timeline(replace(JS_JR, epsilon=e)), exact, 15.0) for e in (0.1, 0.05)]
         assert errs[1] < errs[0]
         assert errs[0] < 0.5
 
     def test_point_masses_reported(self):
-        tl = run_timeline(CASE6)
+        tl = run_timeline(JS_DS)
         t = 1.0
         masses = tl.point_masses(t)
         assert len(masses) == 1
@@ -850,12 +831,12 @@ class TestTimelineSampling:
         assert beta == ds3.strength_of_t(t)
 
     def test_single_point_sample(self):
-        tl = run_timeline(EX_PER_JS)
+        tl = run_timeline(JS_JS)
         t = 0.05  # before any event
         j1 = [f for f in tl.fronts if f.kind == "contact" and f.t_birth == 0.0][0]
         x_left = j1.position(t) - 0.1
-        assert tl.sample(x_left, t) == EX_PER_JS.left
-        assert tl.sample(50.0, t) == EX_PER_JS.right
+        assert tl.sample(x_left, t) == JS_JS.left
+        assert tl.sample(50.0, t) == JS_JS.right
 
     def test_generic_engine_serializes(self):
         tl = run_timeline(JR_JS, n_fan=16)
@@ -867,21 +848,21 @@ class TestTimelineSampling:
 
 class TestEpsilonLimitReport:
     def test_case1_linear_rate(self):
-        rows = epsilon_limit_report(EX_PER_JS, [0.1, 0.05, 0.025], t_eval=1.0)
+        rows = epsilon_limit_report(JS_JS, [0.1, 0.05, 0.025], t_eval=1.0)
         l1s = [r["l1"] for r in rows]
         for a, b in zip(l1s[:-1], l1s[1:]):
             assert abs(a / b - 2.0) <= 1e-12
 
     def test_requires_decreasing_positive(self):
         with pytest.raises(InvalidDataError):
-            epsilon_limit_report(EX_PER_JS, [0.1])
+            epsilon_limit_report(JS_JS, [0.1])
         with pytest.raises(InvalidDataError):
-            epsilon_limit_report(EX_PER_JS, [0.05, 0.1])
+            epsilon_limit_report(JS_JS, [0.05, 0.1])
         with pytest.raises(InvalidDataError):
-            epsilon_limit_report(EX_PER_JS, [0.1, 0.0])
+            epsilon_limit_report(JS_JS, [0.1, 0.0])
 
     def test_delta_rate_error_vanishes(self):
-        rows = epsilon_limit_report(CASE6, [0.1, 0.05], t_eval=2.0)
+        rows = epsilon_limit_report(JS_DS, [0.1, 0.05], t_eval=2.0)
         for r in rows:
             assert r["delta_rate_err"] <= 1e-12
         assert rows[1]["delta_strength_err"] < rows[0]["delta_strength_err"]
@@ -889,8 +870,8 @@ class TestEpsilonLimitReport:
 
 class TestL1Distance:
     @pytest.mark.parametrize("d, t", [
-        (EX_PER_JS, 1.0), (EX_PER_JR, 2.0), (CASE2_SUB1, 0.16), (EX_PER_DS, 1.0), (CASE6, 1.0),
-        (CASE7, 0.12), (JR_JS, 8.0),
+        (JS_JS, 1.0), (JS_JR, 2.0), (JS_JR_EXIT, 0.16), (DS_JR_NEAR_VACUUM, 1.0), (JS_DS, 1.0),
+        (JR_DS, 0.12), (JR_JS, 8.0),
     ], ids=["JS+JS", "JS+JR", "JS+JR-exit", "dS+JR", "JS+dS", "JR+dS", "JR+JS-generic"])
     def test_matches_sampled_sum(self, d, t):
         # a Riemann sum of an integrand that vanishes at both ends errs by
@@ -903,23 +884,23 @@ class TestL1Distance:
         assert abs(l1_distance(tl, tl.final_fan, t) - np.sum(g) * dx) <= np.sum(np.abs(np.diff(g))) * dx
 
     def test_symmetric_and_zero_on_identical(self):
-        tl, gen = run_timeline(CASE2_SUB1), run_timeline(CASE2_SUB1, force_generic=True, n_fan=16)
-        fan_p1 = solve(replace(CASE2_SUB1.outer_data(), params=P1))
+        tl, gen = run_timeline(JS_JR_EXIT), run_timeline(JS_JR_EXIT, force_generic=True, n_fan=16)
+        fan_p1 = solve(replace(JS_JR_EXIT.outer_data(), params=GRAVITY))
         for a, b in ((tl, tl.final_fan), (tl, gen), (tl.final_fan, fan_p1)):
             assert l1_distance(a, b, 0.16) == l1_distance(b, a, 0.16) > 0.0
             assert l1_distance(a, a, 0.16) == 0.0
 
     def test_rejects_bad_time_and_other_outer_states(self):
-        tl = run_timeline(EX_PER_JR)
+        tl = run_timeline(JS_JR)
         for t in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InvalidDataError, match="finite and positive"):
                 l1_distance(tl, tl.final_fan, t)
         with pytest.raises(InvalidDataError, match="outer states"):
-            l1_distance(tl, solve(EX_PER_JS.outer_data()), 1.0)
+            l1_distance(tl, solve(JS_JS.outer_data()), 1.0)
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("data", [EX_PER_JS, EX_PER_JR, CASE6, CASE7])
+    @pytest.mark.parametrize("data", [JS_JS, JS_JR, JS_DS, JR_DS])
     def test_json_reparse_identity(self, data):
         tl = run_timeline(data)
         doc = timeline_to_json(tl)

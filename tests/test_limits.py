@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,14 +22,14 @@ from thinfilm.riemann import (
     solve,
 )
 
-EX_JR_DATA = (State(1.24, 0.90), State(1.5, 1.56))
-EX_DELTA_DATA = (State(2.9, 1.70), State(0.0, 5.56))
+from cases import DELTA, GRAVITY, JR
+
 KAPPAS = (1.0, 0.5, 0.1, 0.01, 0.001)
 
 
 class TestStudyValidation:
     def test_rejects_bad_direction(self):
-        d = RiemannData(*EX_JR_DATA, Params(0.5, 1.0))
+        d = replace(JR, params=GRAVITY)
         with pytest.raises(InvalidDataError):
             LimitStudy("kappa", (0.1, 0.5), d)
         with pytest.raises(InvalidDataError):
@@ -37,13 +38,13 @@ class TestStudyValidation:
             LimitStudy("beta", (1.0, 0.5), d)
 
     def test_study_params(self):
-        d = RiemannData(*EX_JR_DATA, Params(0.5, 1.0))
+        d = replace(JR, params=GRAVITY)
         s = LimitStudy("kappa", KAPPAS, d)
         assert study_params(s, 0.1) == Params(0.5, 0.1)
         s = LimitStudy("alpha", KAPPAS, d)
         assert study_params(s, 0.1) == Params(0.1, 1.0)
         # the other coefficient and h_tol come from the data
-        s = LimitStudy("kappa", KAPPAS, RiemannData(*EX_JR_DATA, Params(0.3, 1.0, h_tol=1e-6)))
+        s = LimitStudy("kappa", KAPPAS, replace(JR, params=Params(0.3, 1.0, h_tol=1e-6)))
         assert study_params(s, 0.1) == Params(0.3, 0.1, h_tol=1e-6)
 
 
@@ -51,10 +52,10 @@ class TestLimitTarget:
     def test_rejects_other_fields(self):
         # h_tol is a Params field too, but not a coefficient to send to 0
         with pytest.raises(ValueError):
-            limit_target(RiemannData(*EX_JR_DATA, Params(0.5, 1.0)), "h_tol")
+            limit_target(replace(JR, params=GRAVITY), "h_tol")
 
     def test_vanishing_gravity_closed_forms(self):
-        d = RiemannData(*EX_JR_DATA, Params(0.5, 0.73))
+        d = replace(JR, params=Params(0.5, 0.73))
         fan = limit_target(d, "kappa")
         hl, bl = 1.24, 0.90
         hr, br = 1.5, 1.56
@@ -67,7 +68,7 @@ class TestLimitTarget:
         np.testing.assert_allclose(m.b, math.sqrt(hl * bl * br / hr), rtol=1e-14)
 
     def test_vanishing_gravity_delta(self):
-        d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
+        d = replace(DELTA, params=GRAVITY)
         fan = limit_target(d, "kappa")
         w = fan.waves[0]
         np.testing.assert_allclose(w.speed, 2.9 * 1.70 / 2.0, rtol=1e-14)
@@ -92,7 +93,7 @@ class TestLimitTarget:
 
 class TestConvergenceTable:
     def test_classical_column_monotone(self):
-        d = RiemannData(*EX_JR_DATA, Params(0.5, 1.0))
+        d = replace(JR, params=GRAVITY)
         study = LimitStudy("kappa", KAPPAS, d)
         rows = convergence_table(study)
         l1 = [r["l1"] for r in rows]
@@ -100,7 +101,7 @@ class TestConvergenceTable:
         assert all(r["case"] == "J+R" for r in rows)
 
     def test_delta_affine_identities(self):
-        d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
+        d = replace(DELTA, params=GRAVITY)
         study = LimitStudy("kappa", KAPPAS, d)
         rows = convergence_table(study)
         for r in rows:
@@ -109,7 +110,7 @@ class TestConvergenceTable:
             np.testing.assert_allclose(r["dbeta_rate"], 5.56 * expected, rtol=1e-12)
 
     def test_alpha_study_affine_identity(self):
-        d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
+        d = replace(DELTA, params=GRAVITY)
         study = LimitStudy("alpha", (1.0, 0.1, 0.01), d)
         rows = convergence_table(study)
         for r in rows:
@@ -117,7 +118,7 @@ class TestConvergenceTable:
             assert abs(r["dsigma"] - expected) <= 1e-14 * max(1.0, expected)
 
     def test_weak_pairings_decrease(self):
-        d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
+        d = replace(DELTA, params=GRAVITY)
         study = LimitStudy("kappa", (1.0, 0.1, 0.01), d)
         rows = convergence_table(study)
         pair_seq = [r["weak_pairings"] for r in rows]
@@ -133,15 +134,15 @@ class TestConvergenceTable:
 
 class TestWeakPairing:
     def test_identical_fans_pair_to_zero(self):
-        d = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
+        d = replace(DELTA, params=GRAVITY)
         fan = solve(d)
         bump = bump_catalog(fan.waves[0].speed)[0]
         ph, pb = weak_pairing(fan, fan, bump)
         assert abs(ph) < 1e-14 and abs(pb) < 1e-14
 
     def test_missing_bump_sees_nothing(self):
-        d1 = RiemannData(*EX_DELTA_DATA, Params(0.5, 1.0))
-        d0 = RiemannData(*EX_DELTA_DATA, Params(0.5, 0.25))
+        d1 = replace(DELTA, params=GRAVITY)
+        d0 = replace(DELTA, params=Params(0.5, 0.25))
         bumps = bump_catalog(solve(d0).waves[0].speed)
         ph, pb = weak_pairing(solve(d1), solve(d0), bumps[1])
         assert abs(ph) + abs(pb) < 1e-12
@@ -166,12 +167,8 @@ class TestParameterSensitivity:
             dn = dict(va)
             up[name] += step
             dn[name] -= step
-            m_up = intermediate_state(
-                RiemannData(State(1.24, 0.90), State(1.5, 1.56), Params(**up))
-            )
-            m_dn = intermediate_state(
-                RiemannData(State(1.24, 0.90), State(1.5, 1.56), Params(**dn))
-            )
+            m_up = intermediate_state(replace(JR, params=Params(**up)))
+            m_dn = intermediate_state(replace(JR, params=Params(**dn)))
             fd_h = (m_up.h - m_dn.h) / (2 * step)
             fd_b = (m_up.b - m_dn.b) / (2 * step)
             assert abs(fd_h - dh) <= 1e-6 * max(1.0, abs(dh))

@@ -23,11 +23,8 @@ from thinfilm.numerics import (
 )
 from thinfilm.riemann import RiemannData, profile, solve
 
+from cases import FILM, JR, JS, NEAR_VACUUM_DELTA, NEAR_VACUUM_JS
 from test_acceptance import peak_location
-
-P_FILM = Params(0.5, 0.0)
-EX_JR = RiemannData(State(1.24, 0.90), State(1.5, 1.56), P_FILM)
-EX_JS = RiemannData(State(1.5, 1.6), State(1.25, 1.15), P_FILM)
 
 
 def reference_step(f, cfg, p):
@@ -225,7 +222,7 @@ class TestWindowKernel:
 
     def test_window_skips_constant_cells(self):
         grid = Grid(-2.0, 8.0, 400)
-        _, diag = run(field_from_riemann(EX_JS, grid), SchemeConfig(t_end=1.0), P_FILM)
+        _, diag = run(field_from_riemann(JS, grid), SchemeConfig(t_end=1.0), FILM)
         assert diag["cell_updates"] < diag["n_steps"] * grid.n_cells
         assert 2 <= diag["max_active_cells"] <= grid.n_cells
 
@@ -328,7 +325,7 @@ class TestRowSums:
 
         with np.errstate(over="ignore", invalid="ignore"):
             h, b = draw_cells((2, n))
-            k = numerics._Kernel(FVField(Grid(0.0, 1.0, n), h, b, 0.0), SchemeConfig(), P_FILM)
+            k = numerics._Kernel(FVField(Grid(0.0, 1.0, n), h, b, 0.0), SchemeConfig(), FILM)
             np.testing.assert_array_equal(bits(k.mass), bits(np.add.reduce(k.U[:, 1:-1], axis=1)))
             for _ in range(data.draw(st.integers(1, 4))):
                 i0 = data.draw(st.integers(0, n - 1))
@@ -343,7 +340,7 @@ class TestRowSums:
 # then; and a lone 2-shock (equal b/h on both sides), whose left state is
 # the fastest, so the cached lambda2 maximum of the settled cells sets dt.
 SETTLING = {
-    "perturbed": (State(1.5, 1.6), State(2.2, 2.6), State(1.25, 1.15)),
+    "perturbed": (JS.left, State(2.2, 2.6), JS.right),
     "shock": (State(1.5, 1.5), State(1.5, 1.5), State(1.0, 1.0)),
 }
 
@@ -406,8 +403,8 @@ class TestSettledPrefix:
     def test_fan_window_settles(self):
         # every full step certifies, so the run of cells at the left edge
         # of this fan's window settles too
-        f0 = field_from_riemann(EX_JR, Grid(-2.0, 8.0, 400))
-        _, diag = assert_run_is_reference(f0, SchemeConfig(t_end=3.0), P_FILM)
+        f0 = field_from_riemann(JR, Grid(-2.0, 8.0, 400))
+        _, diag = assert_run_is_reference(f0, SchemeConfig(t_end=3.0), FILM)
         assert diag["settled_cell_steps"] > 0
         assert diag["full_steps"] < diag["n_steps"]
 
@@ -490,7 +487,7 @@ class TestFailurePaths:
         grid = Grid(-2.0, 8.0, 200)
         x = grid.centers()
         with pytest.raises(SchemeFailureError) as exc:
-            run(field_from_riemann(EX_JS, grid), SchemeConfig(t_end=1.0), P_FILM)
+            run(field_from_riemann(JS, grid), SchemeConfig(t_end=1.0), FILM)
         assert str(exc.value).startswith(
             f"non-finite update at t={times[2]}: cell {cells[0]} at x={x[cells[0]]} has h=inf"
         )
@@ -518,7 +515,7 @@ class TestFailurePaths:
         h, b = np.full(10, 1e30), np.where(np.arange(10) < 5, 1e30, 2e30)
         for advance in (step, run):
             with pytest.raises(SchemeFailureError) as exc:
-                advance(FVField(grid, h, b, 0.0), SchemeConfig(t_end=1.0), P_FILM)
+                advance(FVField(grid, h, b, 0.0), SchemeConfig(t_end=1.0), FILM)
             assert str(exc.value) == "time step collapsed at t=0.0"
 
     def test_finite_field_whose_mass_overflows_runs(self):
@@ -528,7 +525,7 @@ class TestFailurePaths:
         h, b = np.zeros(32), np.ones(32)
         h[30:], b[30:] = 1e308, 1e-308
         with np.errstate(over="ignore"):
-            f, diag = run(FVField(grid, h, b, 0.0), SchemeConfig(t_end=0.05), P_FILM)
+            f, diag = run(FVField(grid, h, b, 0.0), SchemeConfig(t_end=0.05), FILM)
         assert diag["n_steps"] > 1
         assert math.isinf(diag["mass_h"][0])
         assert np.isfinite(f.h).all() and np.isfinite(f.b).all()
@@ -555,9 +552,9 @@ class TestSetup:
 
 class TestStep:
     def test_at_t_end_leaves_field(self):
-        f = field_from_riemann(EX_JS, Grid(-2.0, 8.0, 50))
+        f = field_from_riemann(JS, Grid(-2.0, 8.0, 50))
         f.t = 1.0
-        fn = step(f, SchemeConfig(t_end=1.0), P_FILM)
+        fn = step(f, SchemeConfig(t_end=1.0), FILM)
         np.testing.assert_array_equal(fn.h, f.h)
         np.testing.assert_array_equal(fn.b, f.b)
         assert fn.t == 1.0
@@ -572,14 +569,14 @@ class TestStep:
 
     def test_mass_conservation_per_step(self):
         grid = Grid(-2.0, 8.0, 400)
-        f = field_from_riemann(EX_JS, grid)
-        _, diag = run(f, SchemeConfig(scheme="godunov", t_end=0.2), P_FILM)
+        f = field_from_riemann(JS, grid)
+        _, diag = run(f, SchemeConfig(scheme="godunov", t_end=0.2), FILM)
         assert diag["max_conservation_residual"] <= 1e-12
 
     def test_llf_mass_conservation(self):
         grid = Grid(-2.0, 8.0, 400)
-        f = field_from_riemann(EX_JS, grid)
-        _, diag = run(f, SchemeConfig(scheme="llf", t_end=0.2), P_FILM)
+        f = field_from_riemann(JS, grid)
+        _, diag = run(f, SchemeConfig(scheme="llf", t_end=0.2), FILM)
         assert diag["max_conservation_residual"] <= 1e-12
 
     def test_stagnation_warning(self):
@@ -601,25 +598,25 @@ class TestStep:
 
     def test_positivity_on_example_run(self):
         grid = Grid(-2.0, 8.0, 500)
-        f, _ = run(field_from_riemann(EX_JR, grid), SchemeConfig(t_end=1.0), P_FILM)
+        f, _ = run(field_from_riemann(JR, grid), SchemeConfig(t_end=1.0), FILM)
         assert min(f.h.min(), f.b.min()) >= -1e-13
 
 
 class TestRuns:
     def test_zero_length_run(self):
         grid = Grid(-1.0, 1.0, 32)
-        f0 = field_from_riemann(EX_JR, grid)
+        f0 = field_from_riemann(JR, grid)
         f0.t = 0.5
-        f, diag = run(f0, SchemeConfig(t_end=0.5), P_FILM)
+        f, diag = run(f0, SchemeConfig(t_end=0.5), FILM)
         np.testing.assert_array_equal(f.h, f0.h)
         assert diag["n_steps"] == 0
 
     def test_example_convergence_under_refinement(self):
-        fan = solve(EX_JR)
+        fan = solve(JR)
         errs = []
         for n in (250, 500, 1000):
             grid = Grid(-2.0, 8.0, n)
-            f, _ = run(field_from_riemann(EX_JR, grid), SchemeConfig(t_end=1.0), P_FILM)
+            f, _ = run(field_from_riemann(JR, grid), SchemeConfig(t_end=1.0), FILM)
             errs.append(l1_error(f, fan))
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] <= 0.12 * (10.0 / 1000) / 5.33e-3  # C*dx scaling ballpark
@@ -627,20 +624,20 @@ class TestRuns:
     def test_error_grows_as_cfl_halves(self):
         # halving the cfl raises the effective viscosity of a
         # first-order scheme, so the error grows
-        fan = solve(EX_JS)
-        f0 = field_from_riemann(EX_JS, Grid(-2.0, 8.0, 500))
+        fan = solve(JS)
+        f0 = field_from_riemann(JS, Grid(-2.0, 8.0, 500))
         errs = [
-            l1_error(run(f0, SchemeConfig(cfl=cfl, t_end=1.0), P_FILM)[0], fan)
+            l1_error(run(f0, SchemeConfig(cfl=cfl, t_end=1.0), FILM)[0], fan)
             for cfl in (0.9, 0.45, 0.225)
         ]
         assert errs[0] < errs[1] < errs[2]
 
     def test_region_wise_orders(self):
         # shock window order >= 0.7, smooth fan interior >= 0.9
-        fan_js = solve(EX_JS)
+        fan_js = solve(JS)
         sig = fan_js.waves[-1].speed
         errs_shock = []
-        fan_jr = solve(EX_JR)
+        fan_jr = solve(JR)
         r = fan_jr.waves[-1]
         lo = r.xi_lo + 0.4 * (r.xi_hi - r.xi_lo)
         hi = r.xi_lo + 0.6 * (r.xi_hi - r.xi_lo)
@@ -648,9 +645,9 @@ class TestRuns:
         grids = (400, 800, 1600, 3200)
         for n in grids:
             grid = Grid(-2.0, 8.0, n)
-            f, _ = run(field_from_riemann(EX_JS, grid), SchemeConfig(t_end=1.0), P_FILM)
+            f, _ = run(field_from_riemann(JS, grid), SchemeConfig(t_end=1.0), FILM)
             errs_shock.append(l1_error_window(f, fan_js, sig - 0.4, sig + 0.4))
-            g, _ = run(field_from_riemann(EX_JR, grid), SchemeConfig(t_end=1.0), P_FILM)
+            g, _ = run(field_from_riemann(JR, grid), SchemeConfig(t_end=1.0), FILM)
             errs_fan.append(l1_error_window(g, fan_jr, lo, hi))
         levels = len(grids) - 1
         order_shock = math.log2(errs_shock[0] / errs_shock[-1]) / levels
@@ -662,17 +659,14 @@ class TestRuns:
 
 
 # The README's J+S, J+R and near-vacuum J+S data (criterion 5's, h+ = 1e-7)
-SCALING_DATA = {
-    "J+S": (State(1.5, 1.6), State(1.25, 1.15)),
-    "J+R": (State(1.24, 0.90), State(1.5, 1.56)),
-    "near-vacuum": (State(2.9, 1.7), State(1e-7, 5.56)),
-}
+SCALING_DATA = {"J+S": JS, "J+R": JR, "near-vacuum": NEAR_VACUUM_JS}
 
 
 def scaled_run(scheme, kappa, data, c=1.0, s=1.0, r=1.0):
     """A run of ``data`` on [-c, 3c] to t_end = c/2, its states scaled by
     (s, r) and (alpha, kappa) = (0.5, kappa) by (1/(s*r), 1/s**2)."""
-    left, right = (State(s * u.h, r * u.b) for u in SCALING_DATA[data])
+    d = SCALING_DATA[data]
+    left, right = (State(s * u.h, r * u.b) for u in (d.left, d.right))
     p = Params(0.5 / (s * r), kappa / (s * s))
     f0 = field_from_riemann(RiemannData(left, right, p), Grid(-c, 3.0 * c, 200))
     return run(f0, SchemeConfig(scheme=scheme, t_end=0.5 * c), p)
@@ -767,16 +761,8 @@ class TestDeltaDiagnostics:
 
     def test_delta_mass_series_grows(self):
         # coarse capture run: the windowed excess mass tracks beta(t)
-        p = Params(0.5, 0.0, h_tol=1e-6)
-        left, right = State(2.9, 1.70), State(1e-7, 5.56)
-        grid = Grid(-0.2, 0.6, 800)
-        x = grid.centers()
-        f0 = FVField(
-            grid,
-            np.where(x < 0, left.h, right.h),
-            np.where(x < 0, left.b, right.b),
-            0.0,
-        )
+        p, left, right = NEAR_VACUUM_DELTA.params, NEAR_VACUUM_DELTA.left, NEAR_VACUUM_DELTA.right
+        f0 = field_from_riemann(NEAR_VACUUM_DELTA, Grid(-0.2, 0.6, 800))
         masses = []
         for t_end in (0.1 / 3, 0.2 / 3, 0.1):
             f, diag = run(f0, SchemeConfig(scheme="llf", t_end=t_end), p)
@@ -835,15 +821,15 @@ class TestInvariantTransport:
         assert r1 == 0.0 and r2 == 0.0
 
     def test_fan_interior_residual_decreases(self):
-        fan = solve(EX_JR)
+        fan = solve(JR)
         r = fan.waves[-1]
         xi_mid = 0.5 * (r.xi_lo + r.xi_hi)
         res = []
         for n in (400, 800):
-            f0 = field_from_riemann(EX_JR, Grid(-2.0, 8.0, n))
-            hist = [run(f0, SchemeConfig(t_end=t), P_FILM)[0] for t in (0.96, 0.98, 1.0)]
+            f0 = field_from_riemann(JR, Grid(-2.0, 8.0, n))
+            hist = [run(f0, SchemeConfig(t_end=t), FILM)[0] for t in (0.96, 0.98, 1.0)]
             window = (xi_mid * 0.9 - 0.15, xi_mid * 0.9 + 0.15)
-            res.append(invariant_transport_residual(hist, P_FILM, window))
+            res.append(invariant_transport_residual(hist, FILM, window))
         assert res[1][0] < res[0][0]
         # upwinding on the radial flux preserves rays exactly, so the
         # w2 transport residual sits at rounding level on both grids
@@ -867,7 +853,7 @@ class TestInvariantTransport:
 class TestFieldBuilders:
     def test_riemann_split(self):
         grid = Grid(-1.0, 1.0, 10)
-        f = field_from_riemann(EX_JR, grid)
+        f = field_from_riemann(JR, grid)
         assert f.h[0] == 1.24 and f.h[-1] == 1.5
 
     def test_center_on_break_takes_right_state(self):
@@ -875,7 +861,7 @@ class TestFieldBuilders:
 
         grid = Grid(-1.5, 1.5, 3)
         assert list(grid.centers()) == [-1.0, 0.0, 1.0]
-        f = field_from_riemann(EX_JR, grid)
+        f = field_from_riemann(JR, grid)
         assert list(f.h) == [1.24, 1.5, 1.5] and list(f.b) == [0.90, 1.56, 1.56]
         pd = PerturbedData(1.0, State(1, 2), State(3, 4), State(5, 6), Params(0.5, 1.0))
         f = field_from_perturbed(pd, grid)

@@ -23,6 +23,8 @@ from thinfilm.riemann import (
     weak_residual,
 )
 
+from cases import COMPOSITE, DELTA, FILM, GRAVITY, JR, JS, TWO_STATE
+
 
 def reference_space_time_gauss(testfn, resolution, fans, regular, probe):
     """The quadrature with one integrand call per t node."""
@@ -101,15 +103,14 @@ def reference_weak_pairing(fan_a, fan_b, testfn):
     return float(acc[0]), float(acc[1])
 
 
-P = Params(0.5, 0.0)
 FANS = {
-    "J+R": solve(RiemannData(State(1.24, 0.90), State(1.5, 1.56), P)),
-    "J+S": solve(RiemannData(State(1.5, 1.6), State(1.25, 1.15), P)),
-    "J+S-kappa": solve(RiemannData(State(1.5, 1.6), State(1.25, 1.15), Params(0.5, 1.0))),
-    "composite": solve(RiemannData(State(0.0, 0.8), State(1.5, 1.56), P)),
-    "delta": solve(RiemannData(State(2.9, 1.70), State(0.0, 5.56), P)),
-    "delta-kappa": solve(RiemannData(State(2.0, 2.0), State(0.0, 1.0), Params(0.5, 1.0))),
-    "constant": solve(RiemannData(State(1.0, 1.0), State(1.0, 1.0), P)),
+    "J+R": solve(JR),
+    "J+S": solve(JS),
+    "J+S-kappa": solve(replace(JS, params=GRAVITY)),
+    "composite": solve(replace(COMPOSITE, params=FILM)),
+    "delta": solve(DELTA),
+    "delta-kappa": solve(TWO_STATE["delta"]),
+    "constant": solve(RiemannData(State(1.0, 1.0), State(1.0, 1.0), FILM)),
 }
 BUMPS = [
     BumpTestFunction(1.0, 0.8, 2.5, 0.6),
@@ -136,15 +137,9 @@ def test_weak_residual_matches_reference(name, include_singular, resolution):
 # the benchmark's alpha study on the delta data, and kappa studies on the
 # delta and J+R data
 STUDIES = {
-    "alpha-delta": LimitStudy(
-        "alpha", (1.0, 0.5, 0.1, 0.01, 0.001),
-        RiemannData(State(2.9, 1.70), State(0.0, 5.56), Params(1.0, 1.0))),
-    "kappa-delta": LimitStudy(
-        "kappa", (1.0, 0.5, 0.1, 0.01, 0.001),
-        RiemannData(State(2.9, 1.70), State(0.0, 5.56), Params(0.5, 1.0))),
-    "kappa-jr": LimitStudy(
-        "kappa", (1.0, 0.1, 0.001),
-        RiemannData(State(1.24, 0.90), State(1.5, 1.56), Params(0.5, 1.0))),
+    "alpha-delta": LimitStudy("alpha", (1.0, 0.5, 0.1, 0.01, 0.001), replace(DELTA, params=Params(1.0, 1.0))),
+    "kappa-delta": LimitStudy("kappa", (1.0, 0.5, 0.1, 0.01, 0.001), replace(DELTA, params=GRAVITY)),
+    "kappa-jr": LimitStudy("kappa", (1.0, 0.1, 0.001), replace(JR, params=GRAVITY)),
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,12 +43,12 @@ from thinfilm.riemann import (
     weak_residual,
 )
 
-P = Params(0.5, 1.0)
-P_FILM = Params(0.5, 0.0, h_tol=1e-6)
+from cases import COMPOSITE, DELTA, FILM, JR, JS, NEAR_VACUUM_DELTA, PURE_J, TWO_STATE
 
-EX_JR = RiemannData(State(1.24, 0.90), State(1.5, 1.56), P_FILM)
-EX_JS = RiemannData(State(1.5, 1.6), State(1.25, 1.15), P_FILM)
-EX_DELTA = RiemannData(State(2.9, 1.70), State(1e-7, 5.56), P_FILM)
+P = Params(0.5, 1.0)
+# the paper's examples at the near-vacuum delta's h_tol = 1e-6
+P_FILM = NEAR_VACUUM_DELTA.params
+EX_JR, EX_JS = (replace(d, params=P_FILM) for d in (JR, JS))
 
 
 def random_interior_data(n, seed=0, lo=0.1, hi=3.0):
@@ -65,15 +66,14 @@ class TestClassify:
     def test_paper_examples(self):
         assert classify(EX_JR) == CASE_JR
         assert classify(EX_JS) == CASE_JS
-        assert classify(EX_DELTA) == CASE_DELTA
+        assert classify(NEAR_VACUUM_DELTA) == CASE_DELTA
 
     def test_composite(self):
-        assert classify(RiemannData(State(0.0, 1.0), State(1.5, 1.56), P)) == CASE_COMPOSITE
+        assert classify(TWO_STATE["composite"]) == CASE_COMPOSITE
 
     def test_pure_contact_tie(self):
         # equal w1 = alpha*h*b with kappa = 0, different rays
-        d = RiemannData(State(1.0, 2.0), State(2.0, 1.0), Params(0.5, 0.0))
-        assert classify(d) == CASE_PURE_J
+        assert classify(PURE_J) == CASE_PURE_J
 
     def test_assumption_violation(self):
         with pytest.raises(InvalidDataError):
@@ -84,13 +84,13 @@ class TestClassify:
     @pytest.mark.parametrize(
         "left, right, side",
         [
-            ((1.24, 0.90), (1.5, 1.56), "right"),  # phi(left) = 5.1e307 used to tie with inf
-            ((2.0, 2.0), (0.0, 1.0), "left"),
-            ((0.0, 1.0), (2.0, 2.0), "right"),
+            (JR.left, JR.right, "right"),  # phi(left) = 5.1e307 used to tie with inf
+            (State(2.0, 2.0), State(0.0, 1.0), "left"),
+            (State(0.0, 1.0), State(2.0, 2.0), "right"),
         ],
     )
     def test_infinite_lambda2_raises_naming_the_side(self, left, right, side):
-        d = RiemannData(State(*left), State(*right), Params(0.5, 1e308))
+        d = RiemannData(left, right, Params(0.5, 1e308))
         assert not math.isfinite(eigenvalues(getattr(d, side), d.params)[1])
         with pytest.raises(InvalidDataError, match=f"lambda2 of the {side} state"):
             classify(d)
@@ -126,7 +126,7 @@ class TestContactAndShock:
     def test_contact_speed_values(self):
         np.testing.assert_allclose(contact_speed(State(1, 1), P), 5.0 / 6.0, rtol=1e-15)
         np.testing.assert_allclose(
-            contact_speed(State(1.24, 0.90), Params(0.5, 0.0)), 0.558, rtol=1e-14
+            contact_speed(JR.left, FILM), 0.558, rtol=1e-14
         )
 
     def test_contact_preserves_w1(self):
@@ -191,7 +191,7 @@ class TestRarefaction:
         with pytest.raises(RangeError):
             rarefaction_state(11.0, anchor, P)
 
-    @pytest.mark.parametrize("anchor, p", [(State(2.0, 2.0), P), (State(1.5, 1.56), P_FILM)])
+    @pytest.mark.parametrize("anchor, p", [(State(2.0, 2.0), P), (JR.right, P_FILM)])
     def test_float_and_array_same_bits(self, anchor, p):
         # a float ray gives a State and a one-element array the (h, b)
         # arrays, in the same bits, clamps and the sign of zero included
@@ -221,7 +221,7 @@ class TestDeltaShock:
         assert max(abs(r) for r in res) == 0.0
 
     def test_paper_example(self):
-        w = delta_shock(RiemannData(State(2.9, 1.70), State(0.0, 5.56), Params(0.5, 0.0)))
+        w = delta_shock(DELTA)
         np.testing.assert_allclose(w.speed, 2.465, rtol=1e-14)
         np.testing.assert_allclose(w.strength_rate, 5.56 * 2.465, rtol=1e-14)
 
@@ -266,7 +266,7 @@ class TestSolve:
         assert fan.waves == ()
 
     def test_composite_starts_at_zero(self):
-        fan = solve(RiemannData(State(0.0, 0.8), State(1.5, 1.56), P))
+        fan = solve(COMPOSITE)
         assert [type(w) for w in fan.waves] == [CompositeJR]
         assert fan.waves[0].speed_range()[0] == 0.0
 
@@ -349,12 +349,12 @@ class TestSample:
         np.testing.assert_array_equal(b1, b2)
 
     def test_composite_sampling(self):
-        fan = solve(RiemannData(State(0.0, 0.8), State(1.5, 1.56), P))
-        assert sample(fan, -0.1).regular == State(0.0, 0.8)
+        fan = solve(COMPOSITE)
+        assert sample(fan, -0.1).regular == COMPOSITE.left
         head = fan.waves[0].xi_hi
         u = sample(fan, 0.5 * head).regular
         assert 0.0 < u.h < 1.5
-        assert sample(fan, head + 0.1).regular == State(1.5, 1.56)
+        assert sample(fan, head + 0.1).regular == COMPOSITE.right
 
 
 def random_fans_of_every_case(n, seed):
@@ -448,7 +448,7 @@ class TestWeakResidual:
         assert max(r1, r2) <= 1e-6
 
     def test_delta_fan_with_negative_control(self):
-        fan = solve(RiemannData(State(2.9, 1.70), State(0.0, 5.56), Params(0.5, 0.0)))
+        fan = solve(DELTA)
         sigma = fan.waves[0].speed
         bump = BumpTestFunction(sigma * 0.8, 0.8, 1.5, 0.6)
         r1, r2 = weak_residual(fan, bump, resolution=32)
@@ -458,7 +458,7 @@ class TestWeakResidual:
 
     def test_composite_fan(self):
         # fan tail touching xi = 0; the profile behaves like sqrt(x) there
-        fan = solve(RiemannData(State(0.0, 0.8), State(1.5, 1.56), P))
+        fan = solve(COMPOSITE)
         bump = BumpTestFunction(1.0, 0.8, 2.0, 0.6)
         coarse = weak_residual(fan, bump, resolution=16)
         fine = weak_residual(fan, bump, resolution=32)
@@ -467,7 +467,7 @@ class TestWeakResidual:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("data", [EX_JR, EX_JS, EX_DELTA])
+    @pytest.mark.parametrize("data", [EX_JR, EX_JS, NEAR_VACUUM_DELTA])
     def test_round_trip(self, data):
         fan = solve(data)
         doc = fan_to_json(fan)
@@ -476,7 +476,7 @@ class TestSerialization:
         assert back == fan
 
     def test_composite_round_trip(self):
-        fan = solve(RiemannData(State(0.0, 0.8), State(1.5, 1.56), P))
+        fan = solve(COMPOSITE)
         assert fan_from_json(json.loads(json.dumps(fan_to_json(fan)))) == fan
 
     def test_unknown_wave_tag_rejected(self):

@@ -17,47 +17,33 @@ from thinfilm.cli import main
 from thinfilm.core import Params, State
 from thinfilm.riemann import RiemannData
 
+from cases import JR, JS, JS_JS, NEAR_VACUUM_DELTA, TWO_STATE, config, options, state_options
+
 # the J+R, J+S, delta, JS+JS and kappa-study examples of the README, and FV
 # runs on J+S data
-JS_CONFIG = {
-    "alpha": 0.5, "kappa": 0.0,
-    "grid": {"xmin": -2.0, "xmax": 8.0, "ncells": 400},
-    "t_end": 0.5,
-    "initial": {"left": [1.5, 1.6], "right": [1.25, 1.15]},
-}
+JS_CONFIG = config(JS, grid={"xmin": -2.0, "xmax": 8.0, "ncells": 400}, t_end=0.5)
 # FV runs on 10,000 and 5,000 cells whose waves cross cell 2496, where
 # numpy's pairwise sum splits the masses of both grids: the J+S data, and
 # LLF delta capture on criterion 5's data
-DELTA_FINE = {
-    "alpha": 0.5, "kappa": 0.0, "h_tol": 1e-6,
-    "grid": {"xmin": -0.19, "xmax": 0.21, "ncells": 5000},
-    "t_end": 0.01,
-    "initial": {"left": [2.9, 1.7], "right": [1e-7, 5.56]},
-    "delta_window": [0.0, 0.1],
-}
+DELTA_FINE = config(NEAR_VACUUM_DELTA, grid={"xmin": -0.19, "xmax": 0.21, "ncells": 5000}, t_end=0.01,
+                    delta_window=[0.0, 0.1])
 CONFIGS = {
     "js": JS_CONFIG,
     "js-fine": {**JS_CONFIG, "grid": {"xmin": -2.0, "xmax": 8.0, "ncells": 10000}},
     # the delta mass is measured against the initial outer states; a
     # delta_background key, as older configs carry, is ignored
-    "delta-fine": {**DELTA_FINE, "delta_background": [[2.9, 1.7], [1e-7, 5.56]]},
+    "delta-fine": {**DELTA_FINE, "delta_background": [DELTA_FINE["initial"][k] for k in ("left", "right")]},
     "delta-fine-derived": DELTA_FINE,
     # a -0.0 right h: the kernel keeps the sign of every zero cell the
     # full-array expressions give it
-    "delta-fine-negzero": {**DELTA_FINE, "initial": {"left": [2.9, 1.7], "right": [-0.0, 5.56]}},
+    "delta-fine-negzero": {**DELTA_FINE, "initial": {**DELTA_FINE["initial"], "right": [-0.0, 5.56]}},
 }
 COMMANDS = {
-    "riemann-jr": ["riemann", "--alpha", "0.5", "--kappa", "0", "--samples", "200",
-                   "--left", "1.24,0.90", "--right", "1.5,1.56"],
-    "riemann-js": ["riemann", "--alpha", "0.5", "--kappa", "0", "--samples", "200",
-                   "--left", "1.5,1.6", "--right", "1.25,1.15"],
-    "riemann-delta": ["riemann", "--alpha", "0.5", "--kappa", "1", "--samples", "200",
-                      "--left", "2,2", "--right", "0,1"],
-    "interact-jsjs": ["interact", "--alpha", "0.5", "--kappa", "0", "--epsilon", "0.1",
-                      "--left", "1.5,1.6", "--middle", "0.95,1.62", "--right", "1.25,1.15",
-                      "--profile-times", "1,8", "--samples", "200"],
-    "limits-kappa": ["limits", "--study", "kappa", "--values", "1,0.5,0.1,0.01,0.001", "--fixed", "0.5",
-                     "--left", "1.24,0.90", "--right", "1.5,1.56"],
+    "riemann-jr": f"riemann {options(JR)} --samples 200".split(),
+    "riemann-js": f"riemann {options(JS)} --samples 200".split(),
+    "riemann-delta": f"riemann {options(TWO_STATE['delta'])} --samples 200".split(),
+    "interact-jsjs": f"interact {options(JS_JS)} --profile-times 1,8 --samples 200".split(),
+    "limits-kappa": f"limits --study kappa --values 1,0.5,0.1,0.01,0.001 --fixed 0.5 {state_options(JR)}".split(),
     "godunov": ["godunov", "--config", "js"],
     "llf": ["llf", "--config", "js"],
     "godunov-fine": ["godunov", "--config", "js-fine"],

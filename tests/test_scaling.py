@@ -21,28 +21,10 @@ from thinfilm.core import Params, State
 from thinfilm.interactions import PerturbedData, l1_distance, run_timeline
 from thinfilm.riemann import Contact, RiemannData, Shock, classify, profile, solve
 
-P0 = Params(0.5, 0.0)
-P1 = Params(0.5, 1.0)
-# three-state data of each interaction pattern (the paper's examples where
-# there are some) and two-state data of each Riemann case
-PATTERNS = {
-    "JS+JS": PerturbedData(0.1, State(1.5, 1.6), State(0.95, 1.62), State(1.25, 1.15), P0),
-    "JS+JR": PerturbedData(0.1, State(1.24, 0.90), State(0.75, 1.25), State(1.5, 1.56), P0),
-    "JS+JR-exit": PerturbedData(0.1, State(2.0, 1.5), State(1.0, 1.0), State(1.2, 1.0), P0),
-    "JR+JS": PerturbedData(0.1, State(1.0, 1.0), State(1.3, 1.3), State(0.9, 0.8), P1),
-    "JR+JR": PerturbedData(0.1, State(0.8, 0.8), State(1.0, 1.1), State(1.5, 1.5), P1),
-    "dS+JR": PerturbedData(0.1, State(1.24, 0.90), State(0.0, 5.5), State(1.5, 1.56), P0),
-    "JS+dS": PerturbedData(0.1, State(2.0, 1.5), State(1.0, 1.0), State(0.0, 2.0), P1),
-    "JR+dS": PerturbedData(0.1, State(1.0, 1.0), State(1.0, 1.5), State(0.0, 2.0), P1),
-}
+from cases import PATTERNS, TWO_STATE
+
 CLASSICAL = {"JS+JS", "JS+JR", "JS+JR-exit", "JR+JS", "JR+JR"}  # the generic engine's patterns
 FAN_FREE = {"JS+JS", "JS+dS"}
-TWO_STATE = {
-    "J+R": RiemannData(State(1.24, 0.90), State(1.5, 1.56), P0),
-    "J+S": RiemannData(State(2.0, 1.0), State(1.0, 1.0), P1),
-    "composite": RiemannData(State(0.0, 1.0), State(1.5, 1.56), P1),
-    "delta": RiemannData(State(2.0, 2.0), State(0.0, 1.0), P1),
-}
 TIMES = (0.05, 0.3, 1.7, 8.0)
 XS = np.linspace(-2.0, 6.0, 501)
 
