@@ -279,9 +279,10 @@ def cmd_fv(args) -> dict:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise InvalidDataError(f"config delta_window must be finite, lower bound first, got {window!r}")
         window = lo, hi
+        numerics._window_cells(grid, window)  # a window off the grid fails before the run
     final, diag = numerics.run(field, cfg, p)
     delta = []
-    if window is not None and diag["n_steps"] > 0:
+    if window is not None:
         # against the initial outer states
         background = (State(field.h[0], field.b[0]), State(field.h[-1], field.b[-1]))
         delta = [[final.t, numerics.delta_mass(final, window, background)]]

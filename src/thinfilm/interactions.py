@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -74,7 +74,6 @@ __all__ = [
     "delta_through_fan",
     "run_timeline",
     "l1_distance",
-    "epsilon_limit_report",
     "timeline_to_json",
 ]
 
@@ -230,11 +229,7 @@ class InteractionTimeline:
         return h, b
 
     def point_masses(self, t: float) -> list[tuple[float, float]]:
-        out = []
-        for f in self.fronts:
-            if f.alive(t) and f.strength_of_t is not None:
-                out.append((f.position(t), f.strength_of_t(t)))
-        return out
+        return _point_masses(self, t)
 
     @property
     def residual_delta_contact(self) -> Optional[Front]:
@@ -810,11 +805,22 @@ def run_timeline(
     return _generic_timeline(d, tag, n_fan, budget, t_max)
 
 
+def _fronts_at(sol: WaveFan | InteractionTimeline, t: float) -> list[Front]:
+    """The fronts of a fan or a timeline alive at time t, left to right."""
+    return _Builder().add_fan(sol, 0.0) if isinstance(sol, WaveFan) else sol.alive_fronts(t)
+
+
+def _point_masses(sol: WaveFan | InteractionTimeline, t: float) -> list[tuple[float, float]]:
+    """Position and strength of each point mass at time t, left to right;
+    a fan's delta sits at speed * t with strength rate * t."""
+    return [(f.position(t), f.strength_of_t(t)) for f in _fronts_at(sol, t) if f.strength_of_t is not None]
+
+
 def _regular_parts(sol: WaveFan | InteractionTimeline, t: float) -> tuple[list[float], list]:
     """Front positions at time t and, on each region between them, h and b
     as (s, o, c): s*sqrt(x - o) in a fan about x = o, else the constant c
     (s = 0)."""
-    fronts = _Builder().add_fan(sol, 0.0) if isinstance(sol, WaveFan) else sol.alive_fronts(t)
+    fronts = _fronts_at(sol, t)
     p, parts = sol.data.params, []
     for r in [ConstRegion(sol.data.left)] + [f.right_region for f in fronts]:
         if isinstance(r, ConstRegion):
@@ -858,51 +864,6 @@ def l1_distance(a: WaveFan | InteractionTimeline, b: WaveFan | InteractionTimeli
                 cuts.insert(1, root)
             total += sum(abs(integral(f, x, y) - integral(g, x, y)) for x, y in zip(cuts[:-1], cuts[1:]))
     return total
-
-
-def epsilon_limit_report(
-    d: PerturbedData,
-    epsilons: list[float],
-    t_eval: float = 1.0,
-) -> list[dict]:
-    """Convergence table of the perturbed solution toward the unperturbed one.
-
-    For each epsilon (strictly decreasing positive values): the latest
-    event time, the exact L1 distance of the regular parts at ``t_eval``
-    to the outer Riemann fan (:func:`l1_distance`), and the mismatch of
-    the singular front's growth rate if one is present.
-    """
-    if len(epsilons) < 2 or any(e <= 0 for e in epsilons):
-        raise InvalidDataError("need at least two positive epsilon values")
-    if any(b >= a for a, b in zip(epsilons[:-1], epsilons[1:])):
-        raise InvalidDataError("epsilon values must be strictly decreasing")
-
-    target = solve(d.outer_data())
-    rate_ref = sum(w.strength_rate for w in target.waves if isinstance(w, DeltaShock))
-
-    rows = []
-    for eps in epsilons:
-        tl = run_timeline(replace(d, epsilon=eps))
-        masses = tl.point_masses(t_eval)
-        rate = 0.0
-        for f in tl.fronts:
-            if f.alive(t_eval) and f.kind == "delta" and f.strength_of_t is not None:
-                rate += (f.strength_of_t(t_eval + 0.5) - f.strength_of_t(t_eval)) / 0.5
-        rows.append(
-            {
-                "epsilon": eps,
-                "case": tl.case_tag,
-                "max_event_time": tl.max_event_time,
-                "l1": l1_distance(tl, target, t_eval),
-                "delta_rate_err": abs(rate - rate_ref),
-                "delta_strength_err": abs(
-                    sum(m for _, m in masses) - rate_ref * t_eval
-                )
-                if rate_ref
-                else 0.0,
-            }
-        )
-    return rows
 
 
 def _front_doc(f: Front) -> dict:

@@ -31,7 +31,7 @@ from thinfilm.entropy import (
     power_pair,
     theta_ode_residual,
 )
-from thinfilm.interactions import l1_distance, run_timeline
+from thinfilm.interactions import run_timeline
 from thinfilm.limits import LimitStudy, convergence_table
 from thinfilm.numerics import (
     FVField,
@@ -57,7 +57,7 @@ from thinfilm.riemann import (
     weak_residual,
 )
 
-from cases import DELTA, DS_JR, GRAVITY, JR, JR_DS, JS, JS_DS, JS_JR, JS_JS, NEAR_VACUUM_DELTA
+from cases import DELTA, DS_JR, GRAVITY, JR, JR_DS, JS, JS_DS, JS_JR, JS_JS, NEAR_VACUUM_DELTA, PATTERNS
 
 
 def report(n: int, desc: str, clauses: list[tuple[str, bool]]) -> None:
@@ -410,12 +410,18 @@ def test_criterion_7_perturbed_front_tracking():
         for a, b in zip(tl.events, tl2.events)
     )
 
-    # L1(t=1) of the exact timeline vs the unperturbed fan decreases in eps
-    decreasing_ok = True
-    for pd in (JS_JS, JS_JR):
-        fan = solve(pd.outer_data())
-        errs = [l1_distance(run_timeline(replace(pd, epsilon=e)), fan, 1.0) for e in (0.1, 0.05, 0.025)]
-        decreasing_ok &= errs[0] > errs[1] > errs[2]
+    # the epsilon tables of the closed-form patterns: L1(t=1) of the exact
+    # timeline vs the unperturbed fan decreases in eps, and every column
+    # that is set is first order in eps
+    tables = {name: convergence_table(LimitStudy("epsilon", (0.1, 0.05, 0.025), PATTERNS[name]))
+              for name in ("JS+JS", "JS+JR", "JS+JR-exit", "dS+JR", "JS+dS", "JR+dS")}
+    decreasing_ok = all(
+        tables[name][0]["l1"] > tables[name][1]["l1"] > tables[name][2]["l1"] for name in ("JS+JS", "JS+JR")
+    )
+    eps_orders = [
+        math.log2(rows[1][key] / rows[2][key])
+        for rows in tables.values() for key in ("l1", "dsigma", "dbeta_rate") if rows[1][key] is not None
+    ]
 
     # Godunov at t=15 vs the unperturbed exact fan.  The grid is twice
     # the classical-example resolution so discretization noise does not
@@ -441,6 +447,9 @@ def test_criterion_7_perturbed_front_tracking():
             ("case 1 event points match the printed formulas", formulas_ok),
             ("event points exactly homogeneous of degree 1 in epsilon", homog_ok),
             ("L1(t=1) against the unperturbed fan decreases with epsilon", decreasing_ok),
+            (f"epsilon order over (0.05, 0.025) of l1, dsigma and dbeta_rate on the closed-form patterns "
+             f"in [{min(eps_orders):.6f}, {max(eps_orders):.6f}] within [0.95, 1.05]",
+             all(0.95 <= q <= 1.05 for q in eps_orders)),
             (f"Godunov t=15 L1 <= 0.1 (got {l1_15['6.4']:.3f} / {l1_15['6.5']:.3f})",
              max(l1_15.values()) <= 0.1),
         ],

@@ -525,6 +525,11 @@ REJECTED = [
       for name, window in cases),
     *(fv(f"TestSchemeCommands::test_window_off_grid_exit_2[{s}]", s,
          edited(CFG, {"delta_window": [10.0, 20.0]}), "error: window lies outside the grid\n") for s in FV),
+    # the window is checked with the rest of the config, before a run that would fail with exit 3
+    fv("test_rejected[llf-window-off-grid-overflow]", "llf",
+       edited(CFG, {"grid": {"xmin": -1.0, "xmax": 1.0, "ncells": 16}, "t_end": 1.0,
+                    "initial.left": [1e200, 1e200], "initial.right": [1.0, 1.0], "delta_window": [10.0, 20.0]}),
+       "error: window lies outside the grid\n"),
     fv("TestSchemeCommands::test_scheme_failure_exit_3", "godunov",
        edited(CFG, {"grid": {"xmin": -1.0, "xmax": 1.0, "ncells": 16}, "t_end": 1.0,
                     "initial.left": [1e200, 1e200], "initial.right": [1.0, 1.0]}),

@@ -23,7 +23,6 @@ from thinfilm.interactions import (
     InteractionTimeline,
     PerturbedData,
     classify_case,
-    epsilon_limit_report,
     interact_shock_contact,
     interact_shock_shock_chase,
     l1_distance,
@@ -844,28 +843,6 @@ class TestTimelineSampling:
         text = json.dumps(doc, sort_keys=True)
         assert json.dumps(json.loads(text), sort_keys=True) == text
         assert len(doc["fronts"]) == len(tl.fronts)
-
-
-class TestEpsilonLimitReport:
-    def test_case1_linear_rate(self):
-        rows = epsilon_limit_report(JS_JS, [0.1, 0.05, 0.025], t_eval=1.0)
-        l1s = [r["l1"] for r in rows]
-        for a, b in zip(l1s[:-1], l1s[1:]):
-            assert abs(a / b - 2.0) <= 1e-12
-
-    def test_requires_decreasing_positive(self):
-        with pytest.raises(InvalidDataError):
-            epsilon_limit_report(JS_JS, [0.1])
-        with pytest.raises(InvalidDataError):
-            epsilon_limit_report(JS_JS, [0.05, 0.1])
-        with pytest.raises(InvalidDataError):
-            epsilon_limit_report(JS_JS, [0.1, 0.0])
-
-    def test_delta_rate_error_vanishes(self):
-        rows = epsilon_limit_report(JS_DS, [0.1, 0.05], t_eval=2.0)
-        for r in rows:
-            assert r["delta_rate_err"] <= 1e-12
-        assert rows[1]["delta_strength_err"] < rows[0]["delta_strength_err"]
 
 
 class TestL1Distance:

@@ -6,6 +6,7 @@ import pytest
 
 from thinfilm.core import Params, State
 from thinfilm.errors import InvalidDataError
+from thinfilm.interactions import l1_distance, run_timeline
 from thinfilm.limits import (
     LimitStudy,
     bump_catalog,
@@ -22,7 +23,7 @@ from thinfilm.riemann import (
     solve,
 )
 
-from cases import DELTA, GRAVITY, JR
+from cases import DELTA, DS_JR, GRAVITY, JR, JS, JS_DS, JS_JS
 
 KAPPAS = (1.0, 0.5, 0.1, 0.01, 0.001)
 
@@ -36,6 +37,21 @@ class TestStudyValidation:
             LimitStudy("kappa", (0.1, -0.5), d)
         with pytest.raises(ValueError):
             LimitStudy("beta", (1.0, 0.5), d)
+
+    @pytest.mark.parametrize("varying, values, data, error", [
+        ("epsilon", (0.1, 0.05), JS, ValueError),
+        ("kappa", (1.0, 0.5), JS_JS, ValueError),
+        ("alpha", (1.0, 0.5), JS_JS, ValueError),
+        ("epsilon", (0.05, 0.1), JS_JS, InvalidDataError),
+        ("epsilon", (0.1, 0.1), JS_JS, InvalidDataError),
+        ("epsilon", (0.1, 0.0), JS_JS, InvalidDataError),
+        ("epsilon", (), JS_JS, InvalidDataError),
+    ], ids=["epsilon-two-state", "kappa-three-state", "alpha-three-state", "epsilon-increasing",
+            "epsilon-repeated", "epsilon-zero", "epsilon-none"])
+    def test_rejects_study(self, varying, values, data, error):
+        # epsilon perturbs three-state data, kappa and alpha two-state data
+        with pytest.raises(error):
+            LimitStudy(varying, values, data)
 
     def test_study_params(self):
         d = replace(JR, params=GRAVITY)
@@ -130,6 +146,33 @@ class TestConvergenceTable:
         straddle = [p[0] for p in pair_seq]
         assert straddle[1] <= straddle[0] * 0.2
         assert straddle[2] <= straddle[1] * 0.2
+
+
+class TestEpsilonStudy:
+    def test_l1_is_the_timeline_against_the_outer_fan(self):
+        rows = convergence_table(LimitStudy("epsilon", (0.1, 0.05, 0.025), JS_JS))
+        fan = solve(JS_JS.outer_data())
+        for r in rows:
+            assert r["l1"] == l1_distance(run_timeline(replace(JS_JS, epsilon=r["value"])), fan, 1.0)
+            assert (r["case"], r["dsigma"], r["dbeta_rate"], r["weak_pairings"]) == ("JS+JS", None, None, None)
+        l1s = [r["l1"] for r in rows]
+        for a, b in zip(l1s[:-1], l1s[1:]):
+            assert abs(a / b - 2.0) <= 1e-12
+
+    def test_surviving_delta_offsets_halve(self):
+        rows = convergence_table(LimitStudy("epsilon", (0.1, 0.05), JS_DS))
+        # the offset of the summed masses at t = 1, in bits
+        assert [r["dbeta_rate"] for r in rows] == [0.1830695421813422, 0.09153477109066976]
+        assert rows[0]["dsigma"] > 0.0
+        assert abs(rows[0]["dsigma"] / rows[1]["dsigma"] - 2.0) <= 1e-12
+        assert rows[0]["weak_pairings"] is None
+
+    def test_residual_mass_of_a_split_delta(self):
+        # the delta of the left problem splits at the fan and leaves 2*b_m*eps
+        # behind on a delta contact; the outer J+R fan has no point mass
+        rows = convergence_table(LimitStudy("epsilon", (0.1, 0.05, 0.025), DS_JR))
+        assert [r["dbeta_rate"] for r in rows] == [2.0 * 5.5 * e for e in (0.1, 0.05, 0.025)] == [1.1, 0.55, 0.275]
+        assert all(r["dsigma"] is None for r in rows)
 
 
 class TestWeakPairing:
